@@ -28,6 +28,7 @@ from .core import (
     WeylElement,
     apply_endo,
     commutator,
+    linear_combination,
 )
 from .degrees import W11, weighted_degree
 from .endos import (
@@ -77,7 +78,7 @@ def _ambient_keys(groups: Sequence[Sequence[WeylElement]]):
 
 
 def _coords(el: WeylElement, pos: Dict) -> List[Rat]:
-    vec = [rat(0)] * len(pos)
+    vec = [0] * len(pos)
     for key, v in el._terms.items():
         vec[pos[key]] = v
     return vec
@@ -140,15 +141,8 @@ def span_intersection(
         for key, v in el._terms.items():
             mat.rows[pos[key]][da + c] = -v
     combos = nullspace(mat)
-    out = []
-    for vec in combos:
-        acc = WeylElement()
-        for c in range(da):
-            if vec[c]:
-                acc = acc + vec[c] * a[c]
-        if not acc.is_zero():
-            out.append(acc)
-    return span_basis(out)
+    out = [linear_combination(zip(vec[:da], a)) for vec in combos]
+    return span_basis([u for u in out if not u.is_zero()])
 
 
 def _h_powers_in_window(e: EndoPair, cap: int) -> List[WeylElement]:

@@ -10,6 +10,13 @@ and that is how elements are stored: a sparse map from exponent pairs
 canonical, so equality is structural and the zero element is the empty
 map.  Elements are immutable; every operation returns a fresh value.
 
+Coefficients are kept in the stored form of `scalars`: an int when
+integral, else a Rat with denominator > 1, never a float.  Every
+operation restores that form on its result, so the integer-coefficient
+elements that dominate the verification suite multiply in plain int
+arithmetic.  `terms()`, `coefficient()` and `scalar_value()` still hand
+out Rat values.
+
 Products are normal ordered with the closed form
 
     X^b * Y^c = sum_k (-1)^k * k! * C(b,k) * C(c,k) * Y^(c-k) * X^(b-k),
@@ -26,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import UnverifiedEndoError
-from .scalars import RAT_ONE, Rat, rat, rat_str
+from .scalars import RAT_ONE, Rat, coeff, demote, rat_str
 
 ExponentPair = Tuple[int, int]
 Scalar = Union[int, str, Rat]
@@ -55,18 +62,18 @@ class WeylElement:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent pair {(i, j)}")
-                q = rat(c)
+                q = coeff(c)
                 if q:
                     q = data.get((i, j), 0) + q
                     if q:
-                        data[(i, j)] = q
+                        data[(i, j)] = demote(q)
                     else:
                         data.pop((i, j), None)
         self._terms = data
 
     @classmethod
     def _raw(cls, terms: dict) -> "WeylElement":
-        # internal: terms already canonical (no zeros, Rat values)
+        # internal: terms already canonical (no zeros, stored-form values)
         self = object.__new__(cls)
         self._terms = terms
         return self
@@ -75,13 +82,16 @@ class WeylElement:
 
     def terms(self) -> Iterable[Tuple[ExponentPair, Rat]]:
         """Term stream in the canonical (i+j, i) ascending order."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        return sorted(
+            ((key, Rat(c)) for key, c in self._terms.items()),
+            key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
+        )
 
     def support(self):
         return set(self._terms)
 
     def coefficient(self, i: int, j: int):
-        return self._terms.get((i, j), rat(0))
+        return Rat(self._terms.get((i, j), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -92,9 +102,9 @@ class WeylElement:
     def scalar_value(self):
         """The value of a scalar element; raises on non-scalars."""
         if self.is_zero():
-            return rat(0)
+            return Rat(0)
         if set(self._terms) == {(0, 0)}:
-            return self._terms[(0, 0)]
+            return Rat(self._terms[(0, 0)])
         raise ValueError("element is not a scalar")
 
     def monomial_count(self) -> int:
@@ -110,7 +120,7 @@ class WeylElement:
         for key, c in other._terms.items():
             v = out.get(key, 0) + c
             if v:
-                out[key] = v
+                out[key] = demote(v)
             else:
                 out.pop(key, None)
         return WeylElement._raw(out)
@@ -133,9 +143,8 @@ class WeylElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, WeylElement):
+            return self._scaled(other)
         acc: dict = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
@@ -147,13 +156,19 @@ class WeylElement:
                         acc[key] = v
                     else:
                         acc.pop(key, None)
-        return WeylElement._raw(acc)
+        return WeylElement._raw(_demoted(acc))
 
     def __rmul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        # only reached for a non-element on the left; scalars are central
+        return self._scaled(other)
+
+    def _scaled(self, c):
+        if not isinstance(c, (int, Rat, numbers.Rational)):
             return NotImplemented
-        return other * self
+        c = coeff(c)
+        if not c:
+            return WeylElement._raw({})
+        return WeylElement._raw(_demoted({k: v * c for k, v in self._terms.items()}))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -197,6 +212,30 @@ def _coerce(value) -> Union[WeylElement, type(NotImplemented)]:
     return NotImplemented
 
 
+def _demoted(terms: dict) -> dict:
+    """Restore the stored form in place: integral Rat values become ints."""
+    for key, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[key] = int(c)
+    return terms
+
+
+def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylElement:
+    """sum c * el over (c, el) pairs, accumulated in a single term map."""
+    acc: dict = {}
+    for c, el in pairs:
+        c = coeff(c)
+        if not c:
+            continue
+        for key, v in el._terms.items():
+            s = acc.get(key, 0) + c * v
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return WeylElement._raw(_demoted(acc))
+
+
 def monomial(i: int, j: int, c: Scalar = 1) -> WeylElement:
     """The element c * Y^i * X^j."""
     return WeylElement({(i, j): c})
@@ -231,12 +270,11 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def theta(a: WeylElement) -> WeylElement:
     """The automorphism X -> Y, Y -> -X (hence H -> -H + 1)."""
-    acc = ZERO
-    for (i, j), c in a._terms.items():
-        # substitute, then normal order: (-X)^i * Y^j
-        sign = -c if i % 2 else c
-        acc = acc + sign * (monomial(0, i) * monomial(j, 0))
-    return acc
+    # substitute, then normal order: (-X)^i * Y^j
+    return linear_combination(
+        (-c if i % 2 else c, monomial(0, i) * monomial(j, 0))
+        for (i, j), c in a._terms.items()
+    )
 
 
 def theta_prime(a: WeylElement) -> WeylElement:
@@ -294,10 +332,9 @@ def apply_endo(e: EndoPair, a: WeylElement) -> WeylElement:
     x_pow = [ONE]
     for _ in range(max_j):
         x_pow.append(x_pow[-1] * e.x)
-    acc = ZERO
-    for (i, j), c in a._terms.items():
-        acc = acc + c * (y_pow[i] * x_pow[j])
-    return acc
+    return linear_combination(
+        (c, y_pow[i] * x_pow[j]) for (i, j), c in a._terms.items()
+    )
 
 
 # -- canonical printing ------------------------------------------------

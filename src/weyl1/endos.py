@@ -22,7 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import ONE, X, Y, EndoPair, WeylElement, apply_endo, build_endo
+from .core import (
+    ONE,
+    X,
+    Y,
+    EndoPair,
+    WeylElement,
+    apply_endo,
+    build_endo,
+    linear_combination,
+)
 from .degrees import W11, weighted_degree
 from .errors import UnverifiedEndoError
 from .linalg import solve_many
@@ -82,14 +91,10 @@ def linear(a, b, c, d) -> LinearGen:
 
 
 def _univariate(coeffs: Sequence, gen: WeylElement) -> WeylElement:
-    acc = WeylElement()
-    power = ONE
-    for k, c in enumerate(coeffs):
-        if k:
-            power = power * gen
-        if c:
-            acc = acc + c * power
-    return acc
+    powers = [ONE]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * gen)
+    return linear_combination(zip(coeffs, powers))
 
 
 @dataclass(frozen=True)
@@ -153,23 +158,19 @@ class MembershipSolver:
         self.pair = e
         self._vx = weighted_degree(W11, e.x)
         self._vy = weighted_degree(W11, e.y)
-        self._x_pows = [ONE]
         self._y_pows = [ONE]
-        self._products: Dict[Tuple[int, int], WeylElement] = {}
-
-    def _power(self, pows: List[WeylElement], base: WeylElement, k: int) -> WeylElement:
-        while len(pows) <= k:
-            pows.append(pows[-1] * base)
-        return pows[k]
+        # _rows[i][j] = y^i x^j, each built from its left neighbour
+        self._rows: Dict[int, List[WeylElement]] = {}
 
     def basis_product(self, i: int, j: int) -> WeylElement:
-        el = self._products.get((i, j))
-        if el is None:
-            el = self._power(self._y_pows, self.pair.y, i) * self._power(
-                self._x_pows, self.pair.x, j
-            )
-            self._products[(i, j)] = el
-        return el
+        row = self._rows.get(i)
+        if row is None:
+            while len(self._y_pows) <= i:
+                self._y_pows.append(self._y_pows[-1] * self.pair.y)
+            row = self._rows[i] = [self._y_pows[i]]
+        while len(row) <= j:
+            row.append(row[-1] * self.pair.x)
+        return row[j]
 
     def candidate_pairs(self, bound) -> List[Tuple[int, int]]:
         """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order."""
@@ -212,7 +213,7 @@ class MembershipSolver:
                 rows[pos[key]][c] = v
         rhs = []
         for el in elements:
-            col = [rat(0)] * len(keys)
+            col = [0] * len(keys)
             for key, v in el._terms.items():
                 col[pos[key]] = v
             rhs.append(col)

@@ -87,7 +87,7 @@ def poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     quo = [rat(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
+    lead = rat(q[-1])  # a Rat divisor keeps every quotient exact
     while len(rem) >= len(q):
         c = rem[-1] / lead
         k = len(rem) - len(q)
@@ -103,7 +103,7 @@ def poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
 def poly_monic(p: Poly) -> Poly:
     if not p:
         return p
-    lead = p[-1]
+    lead = rat(p[-1])
     if lead == RAT_ONE:
         return p
     return tuple(c / lead for c in p)
@@ -198,7 +198,7 @@ def ratfun(num, den=None) -> RatFun:
     if poly_deg(g) > 0:
         num = poly_divmod(num, g)[0]
         den = poly_divmod(den, g)[0]
-    lead = den[-1]
+    lead = rat(den[-1])
     if lead != RAT_ONE:
         num = tuple(c / lead for c in num)
         den = tuple(c / lead for c in den)

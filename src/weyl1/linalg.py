@@ -5,13 +5,19 @@ done internally on sparse rows (column -> value dicts), which is what the
 windowed maps produce.  Everything returned in reduced row echelon form
 is canonical: leading entries are 1, pivot columns are cleared, rows are
 ordered by pivot column.  No floating point is used anywhere.
+
+Entries are held in the stored form of `scalars` (int when integral, else
+a Rat with denominator > 1), so matrices of integer-coefficient maps
+eliminate in int arithmetic until a pivot forces a fraction.  Results
+(`rows`, `rref`, `nullspace`, `solve`, ...) may therefore hold ints where
+earlier versions held equal-valued Rats.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import Rat, rat
+from .scalars import Rat, coeff, demote, exact_div
 
 SparseRow = Dict[int, Rat]
 
@@ -22,7 +28,7 @@ class RatMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Sequence[Sequence], ncols: Optional[int] = None):
-        self.rows = [[rat(v) for v in row] for row in rows]
+        self.rows = [[coeff(v) for v in row] for row in rows]
         self.nrows = len(self.rows)
         if self.nrows:
             widths = {len(r) for r in self.rows}
@@ -35,22 +41,32 @@ class RatMatrix:
             self.ncols = ncols or 0
 
     @classmethod
+    def _stored(cls, rows: List[list], ncols: int) -> "RatMatrix":
+        # internal: rows already rectangular and in stored form
+        m = object.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
+        return cls._stored([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         m = cls.zeros(n, n)
         for k in range(n):
-            m.rows[k][k] = rat(1)
+            m.rows[k][k] = 1
         return m
+
+    def copy(self) -> "RatMatrix":
+        return RatMatrix._stored([row[:] for row in self.rows], self.ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RatMatrix":
         m = cls.zeros(nrows, len(columns))
         for j, col in enumerate(columns):
             for i, v in enumerate(col):
-                m.rows[i][j] = rat(v)
+                m.rows[i][j] = coeff(v)
         return m
 
     def column(self, j: int) -> List[Rat]:
@@ -61,11 +77,11 @@ class RatMatrix:
             raise ValueError("dimension mismatch")
         out = []
         for row in self.rows:
-            s = rat(0)
+            s = 0
             for a, b in zip(row, vec):
                 if a and b:
                     s = s + a * b
-            out.append(s)
+            out.append(demote(s))
         return out
 
     def __eq__(self, other):
@@ -111,15 +127,18 @@ class _Echelon:
         if not row:
             return None
         lead = min(row)
-        inv = rat(row[lead])  # exact division even on raw int rows
-        row = {k: rat(v) / inv for k, v in row.items()}
+        piv = row[lead]
+        if piv == 1:
+            row = {k: demote(v) for k, v in row.items()}
+        else:
+            row = {k: exact_div(v, piv) for k, v in row.items()}
         for _, prow in self.pivots:
             c = prow.get(lead)
             if c:
                 for k, v in row.items():
                     newv = prow.get(k, 0) - c * v
                     if newv:
-                        prow[k] = newv
+                        prow[k] = demote(newv)
                     else:
                         prow.pop(k, None)
         self.pivots.append((lead, row))
@@ -137,7 +156,7 @@ def rref(matrix: RatMatrix) -> Tuple[List[List[Rat]], List[int]]:
         ech.insert(row)
     dense = []
     for col, row in ech.pivots:
-        dense.append([row.get(j, rat(0)) for j in range(matrix.ncols)])
+        dense.append([row.get(j, 0) for j in range(matrix.ncols)])
     return dense, ech.pivot_columns()
 
 
@@ -163,7 +182,7 @@ def nullspace(matrix: RatMatrix) -> List[List[Rat]]:
     free_cols = [j for j in range(matrix.ncols) if j not in pivot_set]
     vectors = []
     for f in free_cols:
-        vec = {f: rat(1)}
+        vec = {f: 1}
         for col, row in ech.pivots:
             c = row.get(f)
             if c:
@@ -178,7 +197,7 @@ def canonical_basis(vectors: Sequence, ncols: int) -> List[List[Rat]]:
     for vec in vectors:
         row = vec if isinstance(vec, dict) else {j: v for j, v in enumerate(vec) if v}
         ech.insert(row)
-    return [[row.get(j, rat(0)) for j in range(ncols)] for _, row in ech.pivots]
+    return [[row.get(j, 0) for j in range(ncols)] for _, row in ech.pivots]
 
 
 def solve_many(
@@ -204,7 +223,7 @@ def solve_many(
         for r in range(nrhs):
             v = rhs_columns[r][i]
             if v:
-                aug[ncols + r] = rat(v)
+                aug[ncols + r] = coeff(v)
         ech.insert(aug)
     solutions: List[Optional[Dict[int, Rat]]] = []
     for r in range(nrhs):
@@ -233,4 +252,4 @@ def solve(matrix: RatMatrix, rhs: Sequence) -> Optional[List[Rat]]:
     sols = solve_many(_to_sparse(matrix.rows), matrix.ncols, [list(rhs)])
     if sols[0] is None:
         return None
-    return [sols[0].get(j, rat(0)) for j in range(matrix.ncols)]
+    return [sols[0].get(j, 0) for j in range(matrix.ncols)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from .core import EndoPair, WeylElement, commutator, monomial, mul
+from .core import EndoPair, WeylElement, commutator, linear_combination, monomial, mul
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
 from .scalars import NEG_INF
@@ -42,14 +42,15 @@ class LinearMap:
         self._cache = {}
 
     def __call__(self, a: WeylElement) -> WeylElement:
-        acc = WeylElement()
-        for (i, j), c in a.terms():
-            img = self._cache.get((i, j))
-            if img is None:
-                img = self._monomial_image(i, j)
-                self._cache[(i, j)] = img
-            acc = acc + c * img
-        return acc
+        return linear_combination(
+            (c, self._cached_image(key)) for key, c in a._terms.items()
+        )
+
+    def _cached_image(self, key) -> WeylElement:
+        img = self._cache.get(key)
+        if img is None:
+            img = self._cache[key] = self._monomial_image(*key)
+        return img
 
     def degree_shift(self, w: Weight) -> Degree:
         """Upper bound for v(m(a)) - v(a) under the weight w."""

@@ -5,6 +5,15 @@ precision, positive denominator.  gmpy2's mpq is used when it is installed
 (it is markedly faster in the windowed linear algebra); the stdlib
 fractions.Fraction is the fallback.  Both types share the operations and
 the string format ("p" or "p/q") this package relies on.
+
+Stored form.  The hot layers (element terms in `core`, echelon rows in
+`linalg`) hold every integral scalar as a plain Python int and every other
+one as a Rat with denominator > 1, never as a float.  int*int and int+int
+then never go through the rational type.  Nothing outside can tell:
+Rat(n) == n and hash(Rat(n)) == hash(n), and the public accessors that
+promise a Rat (WeylElement.terms, coefficient, scalar_value) still return
+one.  `coeff` coerces into the stored form, `demote` restores it after
+arithmetic, and `exact_div` divides without ever producing a float.
 """
 
 from __future__ import annotations
@@ -28,12 +37,38 @@ RAT_ONE = Rat(1)
 
 
 def rat(value, den=None):
-    """Coerce ints, strings like "-3/4", or rational objects to a scalar."""
+    """Coerce ints, strings like "-3/4", or rational objects to a scalar.
+
+    Binary floats are refused with TypeError: they are not exact, and a
+    float reaching this point means an int/int true division leaked.
+    """
+    if isinstance(value, float) or isinstance(den, float):
+        raise TypeError(f"floats are not exact scalars: {value!r}")
     if den is not None:
         return Rat(value, den)
     if isinstance(value, str):
         value = value.strip()
     return Rat(value)
+
+
+def demote(q):
+    """q as an int when it is integral, else q unchanged (stored form)."""
+    return q if type(q) is int or q.denominator != 1 else int(q)
+
+
+def coeff(value):
+    """Coerce like `rat`, into the stored form: int when integral."""
+    if type(value) is int:
+        return value
+    return demote(rat(value))
+
+
+def exact_div(a, b):
+    """a / b in the stored form; int / int never becomes a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Rat(a, b) if r else q
+    return demote(a / b)
 
 
 def rat_str(q) -> str:

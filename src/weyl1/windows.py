@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import ONE, WeylElement, commutator, monomial
+from .core import ONE, WeylElement, commutator, linear_combination, monomial
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, canonical_basis, nullspace, rank, solve_many
 from .maps import LinearMap, ad
-from .scalars import NEG_INF, Rat, rat
+from .scalars import NEG_INF, Rat, coeff, exact_div, rat
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Window:
     def coords(self, a: WeylElement) -> List[Rat]:
         """Dense coordinates of a; raises WindowEscapeError if it escapes."""
         idx = self.index()
-        vec = [rat(0)] * len(idx)
+        vec = [0] * len(idx)
         for (key, c) in a._terms.items():
             pos = idx.get(key)
             if pos is None:
@@ -129,19 +129,24 @@ def _vectors_to_elements(vectors: Sequence[Sequence], win: Window) -> List[WeylE
     return [win.element(vec) for vec in vectors]
 
 
-def eigenspace(a: WeylElement, lam, win: Window) -> List[WeylElement]:
+def eigenspace(
+    a: WeylElement,
+    lam,
+    win: Window,
+    ad_matrix: Optional[Tuple[RatMatrix, Window]] = None,
+) -> List[WeylElement]:
     """Basis of {u in the window : [a, u] = lam * u}, exactly.
 
     Computed as the kernel of the matrix of ad(a) - lam restricted to the
     window (target enlarged to hold the images).  The returned elements
     satisfy the eigen equation in the full algebra, not merely modulo the
-    window.
+    window.  ad_matrix, when given, must be _ad_window_matrix(a, win); it
+    is left unchanged, so one matrix serves every candidate of a scan.
     """
-    lam = rat(lam)
-    m = ad(a)
-    tgt = win.enlarged(m)
-    mat = map_matrix(m, win, tgt)
+    lam = coeff(lam)
+    mat, tgt = ad_matrix if ad_matrix is not None else _ad_window_matrix(a, win)
     if lam:
+        mat = mat.copy()
         tgt_idx = tgt.index()
         for c, key in enumerate(win.monomials()):
             pos = tgt_idx[key]
@@ -151,6 +156,13 @@ def eigenspace(a: WeylElement, lam, win: Window) -> List[WeylElement]:
         if commutator(a, u) != lam * u:
             raise AssertionError("eigenvector failed exact re-verification")
     return basis
+
+
+def _ad_window_matrix(a: WeylElement, win: Window) -> Tuple[RatMatrix, Window]:
+    """Matrix of ad(a) from the window into the enlargement holding its images."""
+    m = ad(a)
+    tgt = win.enlarged(m)
+    return map_matrix(m, win, tgt), tgt
 
 
 def centralizer_window(a: WeylElement, win: Window) -> List[WeylElement]:
@@ -190,13 +202,17 @@ def eigenvalue_scan(
     win: Window,
     candidates: Optional[Sequence] = None,
 ) -> EigenReport:
-    """Try each candidate eigenvalue; record the nonempty eigenspaces."""
+    """Try each candidate eigenvalue; record the nonempty eigenspaces.
+
+    The ad(a) window matrix is built once and shifted per candidate.
+    """
     if candidates is None:
         candidates = default_eigen_candidates(win.cap)
     cands = tuple(sorted({rat(c) for c in candidates}))
+    ad_matrix = _ad_window_matrix(a, win)
     found = []
     for lam in cands:
-        basis = eigenspace(a, lam, win)
+        basis = eigenspace(a, lam, win, ad_matrix)
         if basis:
             found.append((lam, basis))
     return EigenReport(a=a, window=win, candidates=cands, found=found)
@@ -261,7 +277,7 @@ def build_chain_basis(
     dim_amb = len(keys)
 
     def coords(el: WeylElement) -> List[Rat]:
-        vec = [rat(0)] * dim_amb
+        vec = [0] * dim_amb
         for key, v in el._terms.items():
             p = pos.get(key)
             if p is None:
@@ -294,7 +310,7 @@ def build_chain_basis(
             f"kernel on the span has dimension {len(kernel)}, expected 1"
         )
     e0_coords = kernel[0]
-    e0 = _combine(basis_elems, e0_coords)
+    e0 = linear_combination(zip(e0_coords, basis_elems))
     if e0.is_scalar():
         e0 = ONE
         e0_coords = _span_coords(span_rows, dim, coords(e0))
@@ -310,29 +326,21 @@ def build_chain_basis(
         sol = solve_many(mat_rows_sparse, dim, [target])[0]
         if sol is None:
             raise ChainBasisError("chain equation m(e_i) = e_(i-1) is unsolvable")
-        vec = [sol.get(k, rat(0)) for k in range(dim)]
+        vec = [sol.get(k, 0) for k in range(dim)]
         # remove the kernel component so the choice is deterministic
-        scale = vec[lead] / e0_coords[lead]
+        scale = exact_div(vec[lead], e0_coords[lead])
         if scale:
             vec = [v - scale * k0 for v, k0 in zip(vec, e0_coords)]
         chain_coords.append(vec)
-        chain.append(_combine(basis_elems, vec))
+        chain.append(linear_combination(zip(vec, basis_elems)))
     return chain
-
-
-def _combine(elems: Sequence[WeylElement], coeffs: Sequence) -> WeylElement:
-    acc = WeylElement()
-    for c, el in zip(coeffs, elems):
-        if c:
-            acc = acc + c * el
-    return acc
 
 
 def _span_coords(span_rows, dim, dense_target) -> List[Rat]:
     sol = solve_many(span_rows, dim, [dense_target])[0]
     if sol is None:
         raise ChainBasisError("element unexpectedly outside the span")
-    return [sol.get(k, rat(0)) for k in range(dim)]
+    return [sol.get(k, 0) for k in range(dim)]
 
 
 def coker_window_dim(
@@ -368,7 +376,7 @@ def coker_window_dim(
     amb = len(keys)
 
     def coords(el):
-        vec = [rat(0)] * amb
+        vec = [0] * amb
         for key, v in el._terms.items():
             vec[pos[key]] = v
         return vec

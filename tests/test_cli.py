@@ -164,3 +164,17 @@ def test_verify_canonical_config_roundtrip(tmp_path, capsys):
     assert len(lines) == 24 and all(line.startswith("PASS") for line in lines)
     doc = json.loads(report.read_text())
     assert doc["passed"] is True and doc["config"]["params"]["eigen_cap"] == 3
+
+
+def test_float_coefficient_document_is_bad_input(tmp_path, capsys):
+    doc = {
+        "format": "weyl-element",
+        "version": 1,
+        "basis": "YX",
+        "terms": [{"y": 0, "x": 1, "c": 0.1}],
+    }
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", "@" + str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"

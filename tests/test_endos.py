@@ -121,3 +121,11 @@ def test_membership_zero_element():
     e = build_endo(X, Y + X**2)
     verdict = subalgebra_membership(e, 0 * X, slack=0)
     assert verdict.member and verdict.witness == {}
+
+
+def test_basis_products_are_y_powers_times_x_powers():
+    e = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))
+    solver = MembershipSolver(e)
+    # ask out of order, so rows are both started and extended
+    for i, j in [(2, 3), (0, 0), (2, 1), (0, 4), (3, 0), (1, 2)]:
+        assert solver.basis_product(i, j) == e.y**i * e.x**j

@@ -60,6 +60,15 @@ def test_element_doc_validation():
         element_from_doc(bad)
 
 
+def test_element_doc_rejects_float_coefficients():
+    # a JSON number like 0.1 is a binary float, not the rational 1/10
+    bad = dict(element_to_doc(H), terms=[{"y": 0, "x": 1, "c": 0.1}])
+    with pytest.raises(DocError):
+        element_from_doc(bad)
+    with pytest.raises(TypeError):
+        rat(0.5)
+
+
 def test_endo_doc_reverifies():
     e = build_endo(X, Y + X**2)
     doc = endo_to_doc(e)

@@ -1,0 +1,132 @@
+"""Stored form of scalars, property-tested with hypothesis.
+
+Every coefficient an element stores, and every entry the echelon code
+hands back, is an int when it is integral and a Rat with denominator > 1
+otherwise, never a float.  The public accessors still return Rat, and
+products still agree with the rewrite oracle.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_mul
+from weyl1 import (
+    W11,
+    EndoRecipe,
+    WeylElement,
+    Window,
+    add_poly_x,
+    apply_endo,
+    commutator,
+    compile_recipe,
+    nullspace,
+    rref,
+    theta,
+)
+from weyl1.core import linear_combination
+from weyl1.linalg import solve_many
+from weyl1.maps import ad
+from weyl1.scalars import Rat
+from weyl1.windows import map_matrix
+
+# ints, p/q with q > 1, and integral fractions such as 4/2, which must
+# come out as ints
+SCALARS = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(-6, 6, max_denominator=6),
+    st.builds(lambda n, q: Fraction(n * q, q), st.integers(-5, 5), st.integers(2, 4)),
+)
+NONZERO = SCALARS.filter(bool)
+
+
+def elements(max_degree=3, max_terms=4):
+    key = st.integers(0, max_degree).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, max_degree - i))
+    )
+    return st.dictionaries(key, SCALARS, max_size=max_terms).map(WeylElement)
+
+
+TRIANGULAR = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]),)))
+
+
+def stored(c) -> bool:
+    if type(c) is int:
+        return True
+    return isinstance(c, Rat) and c.denominator > 1
+
+
+def assert_stored(a: WeylElement):
+    assert all(stored(c) for c in a._terms.values()), a._terms
+
+
+def assert_public_rat(a: WeylElement):
+    assert all(type(c) is Rat for _, c in a.terms())
+    assert all(type(a.coefficient(i, j)) is Rat for (i, j) in a.support())
+    assert type(a.coefficient(99, 99)) is Rat
+
+
+def oracle_product(a, b):
+    return WeylElement(oracle_mul(dict(a.terms()), dict(b.terms())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(), elements(), SCALARS)
+def test_ring_operations_keep_the_stored_form(a, b, c):
+    assert_stored(a)
+    assert_public_rat(a)
+    for out in (a + b, a - b, -a, a * b, c * a, a * c, commutator(a, b), theta(a)):
+        assert_stored(out)
+        assert_public_rat(out)
+    assert a * b == oracle_product(a, b)
+    assert c * a == a * c == WeylElement({(0, 0): c}) * a
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(max_degree=2), NONZERO)
+def test_scalars_and_accumulator(a, c):
+    s = WeylElement({(0, 0): c})
+    assert_stored(s)
+    assert type(s.scalar_value()) is Rat and s.scalar_value() == c
+    combo = linear_combination([(c, a), (-c, a), (1, a)])
+    assert combo == a
+    assert_stored(combo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(max_degree=2, max_terms=3))
+def test_apply_endo_keeps_the_stored_form(a):
+    img = apply_endo(TRIANGULAR, a)
+    assert_stored(img)
+    # an endomorphism is multiplicative; check it on a against itself
+    assert apply_endo(TRIANGULAR, a * a) == img * img
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(max_degree=2, max_terms=3))
+def test_window_kernels_keep_the_stored_form(a):
+    win = Window(W11, 3)
+    m = ad(a)
+    mat = map_matrix(m, win, win.enlarged(m))
+    assert all(stored(v) for row in mat.rows for v in row if v)
+    kernel = nullspace(mat)
+    assert all(stored(v) for vec in kernel for v in vec if v)
+    dense, _ = rref(mat)
+    assert all(stored(v) for row in dense for v in row if v)
+    for vec in kernel:
+        u = win.element(vec)
+        assert_stored(u)
+        assert commutator(a, u).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(SCALARS, min_size=3, max_size=3), min_size=1, max_size=4),
+       st.lists(SCALARS, min_size=4, max_size=4))
+def test_solutions_keep_the_stored_form(rows, rhs):
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    (sol,) = solve_many(sparse, 3, [rhs[: len(rows)]])
+    if sol is not None:
+        assert all(stored(v) for v in sol.values())
+        for row, b in zip(rows, rhs):
+            assert sum(row[j] * v for j, v in sol.items()) == b

@@ -4,6 +4,7 @@ import pytest
 
 from weyl1 import (
     ChainBasisError,
+    EndoRecipe,
     H,
     ONE,
     W11,
@@ -13,11 +14,14 @@ from weyl1 import (
     X,
     Y,
     ad,
+    add_poly_x,
+    add_poly_y,
     build_chain_basis,
     build_endo,
     centralizer_window,
     coker_window_dim,
     commutator,
+    compile_recipe,
     compose,
     delta_xy,
     eigenspace,
@@ -98,6 +102,18 @@ def test_eigenvalue_scan_h():
         base = abs(i)
         count = len([k for k in range(4) if base + 2 * k <= 3])
         assert len(basis) == count
+
+
+def test_eigenvalue_scan_matches_eigenspace_per_candidate():
+    # the scan builds the ad(h) matrix once; each candidate must still get
+    # exactly the eigenspace a fresh computation gives
+    e = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))
+    win = Window(W11, 4)
+    cands = [rat(k) for k in range(-4, 5)] + [rat(1, 2), rat(-3, 2)]
+    report = eigenvalue_scan(e.h, win, cands)
+    fresh = [(lam, eigenspace(e.h, lam, win)) for lam in report.candidates]
+    assert report.found == [(lam, basis) for lam, basis in fresh if basis]
+    assert [lam for lam, _ in report.found] == [rat(k) for k in (-1, 0, 1, 2)]
 
 
 def test_eigenvalue_scan_x_and_scalar():
