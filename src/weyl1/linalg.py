@@ -6,15 +6,20 @@ windowed maps produce.  Everything returned in reduced row echelon form
 is canonical: leading entries are 1, pivot columns are cleared, rows are
 ordered by pivot column.  No floating point is used anywhere.
 
-Entries are held in the stored form of `scalars` (int when integral, else
-a Rat with denominator > 1), so matrices of integer-coefficient maps
-eliminate in int arithmetic until a pivot forces a fraction.  Results
-(`rows`, `rref`, `nullspace`, `solve`, ...) may therefore hold ints where
-earlier versions held equal-valued Rats.
+Elimination is fraction-free, after Bareiss (Math. Comp. 22, 1968), with
+content removal in place of his exact divisions: a row entering the
+echelon is scaled by the lcm of its denominators, and every row it holds
+is a primitive int row (content 1, positive lead).  Rows are combined as
+(p/g)*row - (c/g)*prow with g = gcd(c, p), so no Rat is touched until a
+result is read.  Results (`rows`, `rref`, `nullspace`, `solve`, ...) come
+back in the stored form of `scalars`: each pivot row is scaled to a
+leading 1 with `exact_div`, so an entry is an int when integral and a Rat
+with denominator > 1 otherwise.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import Rat, coeff, demote, exact_div
@@ -102,69 +107,105 @@ def _to_sparse(rows: Sequence[Sequence]) -> List[SparseRow]:
     return out
 
 
+def _primitive(row: Dict[int, int], lead: int) -> Dict[int, int]:
+    """An int row divided by its content, signed so its lead is positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _integral(row: SparseRow) -> Dict[int, int]:
+    """The nonzero entries of row times the lcm of their denominators."""
+    den = 1
+    for v in row.values():
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return {k: int(v) for k, v in row.items() if v}
+    # int() keeps gmpy2's mpz out of the rows: mpz / mpz is not exact
+    return {
+        k: int(v.numerator) * (den // int(v.denominator))
+        for k, v in row.items()
+        if v
+    }
+
+
+def _eliminate(row: Dict[int, int], prow: Dict[int, int], col: int) -> Dict[int, int]:
+    """(p/g)*row - (c/g)*prow with c, p their entries at col, g = gcd(c, p).
+
+    The result holds no entry at col, and p > 0 keeps the sign of row's
+    lead.  row may be updated in place.
+    """
+    c, p = row[col], prow[col]
+    g = gcd(c, p)
+    a, b = p // g, c // g
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in prow.items():
+        nv = row.get(k, 0) - b * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    return row
+
+
 class _Echelon:
-    """Incremental reduced row echelon form over sparse rows."""
+    """Incremental reduced row echelon form over sparse integer rows.
+
+    `rows` maps each pivot column to its row: primitive ints (content 1)
+    with a positive lead, holding no other pivot column.  No Rat enters
+    elimination; `normalized_rows` scales to leading 1s for the results.
+    """
 
     def __init__(self):
-        self.pivots: List[Tuple[int, SparseRow]] = []  # sorted by pivot column
-
-    def reduce(self, row: SparseRow) -> SparseRow:
-        row = dict(row)
-        for col, prow in self.pivots:
-            c = row.get(col)
-            if c:
-                for k, v in prow.items():
-                    newv = row.get(k, 0) - c * v
-                    if newv:
-                        row[k] = newv
-                    else:
-                        row.pop(k, None)
-        return row
+        self.rows: Dict[int, Dict[int, int]] = {}
 
     def insert(self, row: SparseRow) -> Optional[int]:
         """Reduce and absorb; returns the new pivot column or None."""
-        row = self.reduce(row)
+        row = _integral(row)
+        rows = self.rows
+        # pivot rows hold no other pivot column, so elimination never adds
+        # one: a single pass over the row's own pivot columns reduces it
+        for col in [k for k in row if k in rows]:
+            row = _eliminate(row, rows[col], col)
         if not row:
             return None
         lead = min(row)
-        piv = row[lead]
-        if piv == 1:
-            row = {k: demote(v) for k, v in row.items()}
-        else:
-            row = {k: exact_div(v, piv) for k, v in row.items()}
-        for _, prow in self.pivots:
-            c = prow.get(lead)
-            if c:
-                for k, v in row.items():
-                    newv = prow.get(k, 0) - c * v
-                    if newv:
-                        prow[k] = demote(newv)
-                    else:
-                        prow.pop(k, None)
-        self.pivots.append((lead, row))
-        self.pivots.sort(key=lambda p: p[0])
+        row = _primitive(row, lead)
+        for col, prow in rows.items():
+            if lead in prow:
+                rows[col] = _primitive(_eliminate(prow, row, lead), col)
+        rows[lead] = row
         return lead
 
-    def pivot_columns(self) -> List[int]:
-        return [c for c, _ in self.pivots]
+    def normalized_rows(self) -> List[SparseRow]:
+        """Pivot rows by pivot column, scaled to a leading 1 (stored form)."""
+        return [
+            {k: exact_div(v, row[col]) for k, v in row.items()}
+            for col, row in sorted(self.rows.items())
+        ]
+
+
+def _echelon(rows: Sequence[SparseRow]) -> _Echelon:
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech
 
 
 def rref(matrix: RatMatrix) -> Tuple[List[List[Rat]], List[int]]:
     """Reduced row echelon form (dense rows) and the pivot columns."""
-    ech = _Echelon()
-    for row in _to_sparse(matrix.rows):
-        ech.insert(row)
-    dense = []
-    for col, row in ech.pivots:
-        dense.append([row.get(j, 0) for j in range(matrix.ncols)])
-    return dense, ech.pivot_columns()
+    ech = _echelon(_to_sparse(matrix.rows))
+    dense = [
+        [row.get(j, 0) for j in range(matrix.ncols)] for row in ech.normalized_rows()
+    ]
+    return dense, sorted(ech.rows)
 
 
 def rank(matrix: RatMatrix) -> int:
-    ech = _Echelon()
-    for row in _to_sparse(matrix.rows):
-        ech.insert(row)
-    return len(ech.pivots)
+    return len(_echelon(_to_sparse(matrix.rows)).rows)
 
 
 def nullspace(matrix: RatMatrix) -> List[List[Rat]]:
@@ -174,30 +215,26 @@ def nullspace(matrix: RatMatrix) -> List[List[Rat]]:
     (viewed as rows), so the basis is unique for the subspace: each
     vector's first nonzero coordinate is 1 and is cleared from the rest.
     """
-    ech = _Echelon()
-    for row in _to_sparse(matrix.rows):
-        ech.insert(row)
-    pivot_cols = ech.pivot_columns()
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(matrix.ncols) if j not in pivot_set]
+    ech = _echelon(_to_sparse(matrix.rows))
     vectors = []
-    for f in free_cols:
+    for f in range(matrix.ncols):
+        if f in ech.rows:
+            continue
         vec = {f: 1}
-        for col, row in ech.pivots:
+        for col, row in ech.rows.items():
             c = row.get(f)
             if c:
-                vec[col] = -c
+                vec[col] = exact_div(-c, row[col])
         vectors.append(vec)
     return canonical_basis(vectors, matrix.ncols)
 
 
 def canonical_basis(vectors: Sequence, ncols: int) -> List[List[Rat]]:
     """RREF a spanning set of vectors; unique basis of their span."""
-    ech = _Echelon()
-    for vec in vectors:
-        row = vec if isinstance(vec, dict) else {j: v for j, v in enumerate(vec) if v}
-        ech.insert(row)
-    return [[row.get(j, 0) for j in range(ncols)] for _, row in ech.pivots]
+    ech = _echelon(
+        [vec if isinstance(vec, dict) else dict(enumerate(vec)) for vec in vectors]
+    )
+    return [[row.get(j, 0) for j in range(ncols)] for row in ech.normalized_rows()]
 
 
 def solve_many(
@@ -226,24 +263,16 @@ def solve_many(
                 aug[ncols + r] = coeff(v)
         ech.insert(aug)
     solutions: List[Optional[Dict[int, Rat]]] = []
-    for r in range(nrhs):
-        aug_col = ncols + r
+    for aug_col in range(ncols, ncols + nrhs):
         # inconsistent iff some fully-reduced constraint row hits this rhs
-        ok = True
-        for col, row in ech.pivots:
-            if col >= ncols and row.get(aug_col):
-                ok = False
-                break
-        if not ok:
+        if any(col >= ncols and aug_col in row for col, row in ech.rows.items()):
             solutions.append(None)
             continue
-        sol: Dict[int, Rat] = {}
-        for col, row in ech.pivots:
-            if col < ncols:
-                v = row.get(aug_col)
-                if v:
-                    sol[col] = v
-        solutions.append(sol)
+        solutions.append({
+            col: exact_div(row[aug_col], row[col])
+            for col, row in sorted(ech.rows.items())
+            if aug_col in row
+        })
     return solutions
 
 

@@ -17,6 +17,7 @@ inverse on canonical forms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -24,6 +25,10 @@ from .core import H, WeylElement, X, Y, commutator, format_element, scalar
 from .scalars import rat
 
 MAX_EXPONENT = 4096
+#: Deepest nesting of parentheses and commutator brackets.  The parser
+#: recurses once per level, so the limit keeps it far below the
+#: interpreter's stack limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -76,6 +81,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -134,6 +140,15 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", len(self.text))
+        if tok.kind == "op" and tok.text in ("(", "["):
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"nesting deeper than the limit {MAX_NESTING}", tok.pos
+                )
+            self.depth += 1
+            node = self.group(tok.text)
+            self.depth -= 1
+            return node
         if tok.kind == "name":
             self.take("name")
             return ("gen", tok.text)
@@ -147,39 +162,47 @@ class _Parser:
                     raise ParseError("zero denominator", den.pos)
                 value = rat(int(tok.text), int(den.text))
             return ("num", value)
-        if tok.kind == "op" and tok.text == "(":
-            self.take("op", "(")
+        raise ParseError(f"expected an atom, found {tok.text!r}", tok.pos)
+
+    def group(self, opener: str) -> Expr:
+        self.take("op", opener)
+        if opener == "(":
             node = self.expr()
             self.take("op", ")")
             return node
-        if tok.kind == "op" and tok.text == "[":
-            self.take("op", "[")
-            lhs = self.expr()
-            self.take("op", ",")
-            rhs = self.expr()
-            self.take("op", "]")
-            return ("comm", lhs, rhs)
-        raise ParseError(f"expected an atom, found {tok.text!r}", tok.pos)
+        lhs = self.expr()
+        self.take("op", ",")
+        rhs = self.expr()
+        self.take("op", "]")
+        return ("comm", lhs, rhs)
 
 
 _GENERATORS = {"X": X, "Y": Y, "H": H}
 
 
+_CHAINS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def eval_expr(node: Expr) -> WeylElement:
     """Evaluate an AST to its unique element."""
     op = node[0]
+    if op in _CHAINS:
+        # walk the left spine of X + X + ... + X instead of recursing down
+        # it, so a long flat sum or product cannot exhaust the stack
+        links = []
+        while node[0] in _CHAINS:
+            links.append(node)
+            node = node[1]
+        acc = eval_expr(node)
+        for kind, _, rhs in reversed(links):
+            acc = _CHAINS[kind](acc, eval_expr(rhs))
+        return acc
     if op == "num":
         return scalar(node[1])
     if op == "gen":
         return _GENERATORS[node[1]]
     if op == "neg":
         return -eval_expr(node[1])
-    if op == "add":
-        return eval_expr(node[1]) + eval_expr(node[2])
-    if op == "sub":
-        return eval_expr(node[1]) - eval_expr(node[2])
-    if op == "mul":
-        return eval_expr(node[1]) * eval_expr(node[2])
     if op == "pow":
         return eval_expr(node[1]) ** node[2]
     if op == "comm":

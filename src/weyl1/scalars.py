@@ -6,10 +6,12 @@ precision, positive denominator.  gmpy2's mpq is used when it is installed
 fractions.Fraction is the fallback.  Both types share the operations and
 the string format ("p" or "p/q") this package relies on.
 
-Stored form.  The hot layers (element terms in `core`, echelon rows in
-`linalg`) hold every integral scalar as a plain Python int and every other
-one as a Rat with denominator > 1, never as a float.  int*int and int+int
-then never go through the rational type.  Nothing outside can tell:
+Stored form.  Element terms in `core` and the results of `linalg` hold
+every integral scalar as a plain Python int and every other one as a Rat
+with denominator > 1, never as a float.  int*int and int+int then never go
+through the rational type.  (Inside its elimination `linalg` goes further:
+echelon rows are primitive int rows, and a Rat appears only when a result
+row is scaled to a leading 1.)  Nothing outside can tell:
 Rat(n) == n and hash(Rat(n)) == hash(n), and the public accessors that
 promise a Rat (WeylElement.terms, coefficient, scalar_value) still return
 one.  `coeff` coerces into the stored form, `demote` restores it after

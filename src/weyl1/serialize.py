@@ -24,6 +24,14 @@ GRADED_FORMAT = "weyl-graded"
 CONFIG_FORMAT = "weyl-verify-config"
 VERSION = 1
 
+#: The params `checks.run_suite` indexes; each must be an integer.  The
+#: optional ones are propagation_element, closure_max_iter, closure_slack.
+CONFIG_INT_PARAMS = (
+    "centralizer_cap", "eigen_cap", "klein_imax", "product_samples", "seed",
+    "kernel_cap", "closure_cap", "propagation_power", "membership_slack",
+    "eigvec_imax", "eigvec_nmax",
+)
+
 
 class DocError(ValueError):
     """Malformed or unsupported document."""
@@ -202,7 +210,24 @@ def load_config(doc: dict) -> dict:
         raise DocError(f"unsupported version {doc.get('version')!r}")
     if "endomorphisms" not in doc or "params" not in doc:
         raise DocError("config needs 'endomorphisms' and 'params'")
+    params = doc["params"]
+    if not isinstance(params, dict):
+        raise DocError("config 'params' must be an object")
+    for key in CONFIG_INT_PARAMS:
+        if key not in params:
+            raise DocError(f"config params lack {key!r}")
+        if not _is_int(params[key]):
+            raise DocError(f"config param {key!r} must be an integer")
+    for key in ("closure_max_iter", "closure_slack"):
+        if params.get(key) is not None and not _is_int(params[key]):
+            raise DocError(f"config param {key!r} must be an integer or null")
+    if not isinstance(params.get("propagation_element", ""), str):
+        raise DocError("config param 'propagation_element' must be a string")
     return doc
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false load as bool, not int
 
 
 def dumps(doc: dict) -> str:

@@ -367,9 +367,9 @@ def coker_window_dim(
     else:
         tgt_elems = list(tgt)
 
+    imgs = [m(el) for el in src_elems]
     keys = sorted(
-        {k for el in tgt_elems for k in el.support()}
-        | {k for el in src_elems for k in m(el).support()},
+        {k for el in tgt_elems + imgs for k in el.support()},
         key=lambda p: (p[0] + p[1], p[0]),
     )
     pos = {key: r for r, key in enumerate(keys)}
@@ -386,17 +386,10 @@ def coker_window_dim(
     span_rows = [
         {j: v for j, v in enumerate(col) if v} for col in zip(*tgt_basis)
     ] if tgt_basis else [{} for _ in range(amb)]
-    images = []
-    for el in src_elems:
-        img = m(el)
-        for key in img.support():
-            if key not in pos:
-                raise WindowEscapeError("image escapes the target span")
-        images.append(coords(img))
-    sols = solve_many(span_rows, tgt_dim, images)
+    sols = solve_many(span_rows, tgt_dim, [coords(img) for img in imgs])
     if any(s is None for s in sols):
         raise WindowEscapeError("image escapes the target span")
-    img_mat = RatMatrix.zeros(tgt_dim, len(sols)) if tgt_dim else RatMatrix.zeros(0, len(sols))
+    img_mat = RatMatrix.zeros(tgt_dim, len(sols))
     for c, s in enumerate(sols):
         for r, v in s.items():
             img_mat.rows[r][c] = v

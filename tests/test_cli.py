@@ -178,3 +178,45 @@ def test_float_coefficient_document_is_bad_input(tmp_path, capsys):
     code, out, err = run(capsys, "normalize", "@" + str(path))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "input"
+
+
+def _write_config(tmp_path, params):
+    cfg = canonical_config()
+    cfg["params"] = params
+    path = tmp_path / "cfg.json"
+    path.write_text(dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["centralizer_cap", "eigvec_nmax", "seed"])
+def test_verify_config_missing_param_is_bad_input(tmp_path, capsys, key):
+    params = dict(canonical_config()["params"])
+    del params[key]
+    code, out, err = run(capsys, "verify", "--config", _write_config(tmp_path, params))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and key in doc["detail"]
+
+
+@pytest.mark.parametrize("value", ["10", 10.0, True, None])
+def test_verify_config_mistyped_param_is_bad_input(tmp_path, capsys, value):
+    params = dict(canonical_config()["params"], centralizer_cap=value)
+    code, out, err = run(capsys, "verify", "--config", _write_config(tmp_path, params))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "X" + ")" * 3000, "[X," * 1500 + "Y" + "]" * 1500],
+    ids=["parentheses", "brackets"],
+)
+def test_deep_nesting_is_bad_input(capsys, expr):
+    code, out, err = run(capsys, "normalize", expr)
+    assert code == 2 and out == ""
+    assert "nesting" in json.loads(err)["detail"]
+
+
+def test_long_flat_sum_evaluates(capsys):
+    code, out, _ = run(capsys, "normalize", "+".join(["X"] * 5000))
+    assert code == 0 and out == "5000*X\n"

@@ -1,0 +1,124 @@
+"""sympy as an independent oracle for the exact echelon in `linalg`.
+
+sympy is used here only; the module is skipped when it is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from weyl1 import (  # noqa: E402
+    W11,
+    EndoRecipe,
+    Window,
+    ad,
+    add_poly_x,
+    add_poly_y,
+    compile_recipe,
+)
+from weyl1.linalg import (  # noqa: E402
+    RatMatrix,
+    nullspace,
+    rank,
+    rref,
+    solve_many,
+)
+from weyl1.scalars import demote  # noqa: E402
+from weyl1.windows import map_matrix  # noqa: E402
+
+
+def _frac(e) -> Fraction:
+    return Fraction(int(e.p), int(e.q))
+
+
+def _sym(rows, ncols) -> "sympy.Matrix":
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(v) for row in rows for v in row])
+
+
+def _sym_rref_rows(m: "sympy.Matrix"):
+    reduced, pivots = m.rref()
+    return [[_frac(reduced[r, c]) for c in range(m.cols)] for r in range(len(pivots))], list(pivots)
+
+
+def _sparse(mat: RatMatrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in mat.rows]
+
+
+# scalars in the stored form: ints, and p/q with q > 1, zeros weighted up
+# so that products of the factors below are sparse as well as deficient
+_SCALARS = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(2, 7)).map(demote),
+)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """An up-to-8x10 matrix B*C with inner size below both dimensions."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    inner = draw(st.integers(0, min(nrows, ncols) - 1))
+    b = draw(st.lists(st.lists(_SCALARS, min_size=inner, max_size=inner),
+                      min_size=nrows, max_size=nrows))
+    c = draw(st.lists(st.lists(_SCALARS, min_size=ncols, max_size=ncols),
+                      min_size=inner, max_size=inner))
+    rows = [
+        [demote(sum((Fraction(b[i][k]) * c[k][j] for k in range(inner)), Fraction(0)))
+         for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    return RatMatrix(rows)
+
+
+def _check_against_sympy(mat: RatMatrix, rhs_columns):
+    sym = _sym(mat.rows, mat.ncols)
+    dense, pivots = rref(mat)
+    want, want_pivots = _sym_rref_rows(sym)
+    assert dense == want and pivots == want_pivots
+    assert rank(mat) == len(want_pivots)
+
+    kernel = sym.nullspace()
+    if kernel:
+        want_kernel, _ = _sym_rref_rows(sympy.Matrix.hstack(*kernel).T)
+    else:
+        want_kernel = []
+    assert nullspace(mat) == want_kernel
+
+    sols = solve_many(_sparse(mat), mat.ncols, rhs_columns)
+    for b, sol in zip(rhs_columns, sols):
+        col = sympy.Matrix([sympy.Rational(v) for v in b])
+        consistent = sympy.Matrix.hstack(sym, col).rank() == len(want_pivots)
+        assert (sol is None) == (not consistent)
+        if sol is not None:
+            assert set(sol) <= set(pivots)  # free variables are zero
+            x = [sol.get(j, 0) for j in range(mat.ncols)]
+            assert mat.mul_vector(x) == list(b)
+
+
+@settings(deadline=None)
+@given(deficient_matrices(), st.data())
+def test_echelon_matches_sympy(mat, data):
+    xs = data.draw(st.lists(st.lists(_SCALARS, min_size=mat.ncols, max_size=mat.ncols),
+                            max_size=2))
+    consistent = [mat.mul_vector(x) for x in xs]  # in the column space
+    free = data.draw(st.lists(st.lists(_SCALARS, min_size=mat.nrows, max_size=mat.nrows),
+                              max_size=2))
+    _check_against_sympy(mat, consistent + free)
+
+
+def test_ad_h_window_matrix_matches_sympy():
+    # the composite pair of the canonical verify config
+    recipe = EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1])))
+    h = compile_recipe(recipe).h
+    win = Window(W11, 8)
+    mat = map_matrix(ad(h), win, win.enlarged(ad(h)))
+    assert mat.nrows > mat.ncols > rank(mat)
+    # the constant 1 is outside this window's image, the last column inside
+    unit = [1] + [0] * (mat.nrows - 1)
+    assert solve_many(_sparse(mat), mat.ncols, [unit]) == [None]
+    _check_against_sympy(mat, [unit, mat.column(mat.ncols - 1)])

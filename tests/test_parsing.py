@@ -6,7 +6,7 @@ import pytest
 
 from oracles import random_element
 from weyl1 import H, ONE, X, Y, ZERO, parse, print_element, rat
-from weyl1.parsing import MAX_EXPONENT, ParseError, parse_expr
+from weyl1.parsing import MAX_EXPONENT, MAX_NESTING, ParseError, parse_expr
 
 
 def test_commutator_bracket():
@@ -62,6 +62,21 @@ def test_exponent_guard():
     with pytest.raises(ParseError):
         parse(f"X^{MAX_EXPONENT + 1}")
     assert parse("X^0") == ONE
+
+
+def test_nesting_guard():
+    # the limit itself parses, in both bracket kinds, one more level does not
+    assert parse("(" * MAX_NESTING + "X" + ")" * MAX_NESTING) == X
+    assert parse("[X," * (MAX_NESTING - 1) + "[Y,X]" + "]" * (MAX_NESTING - 1)).is_zero()
+    with pytest.raises(ParseError, match="nesting"):
+        parse("(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1))
+    with pytest.raises(ParseError, match="nesting"):
+        parse("[X," * (MAX_NESTING + 1) + "Y" + "]" * (MAX_NESTING + 1))
+
+
+def test_long_chains_evaluate():
+    assert parse(" - ".join(["X"] * 3001)) == -2999 * X
+    assert parse("*".join(["X"] * 3000)) == X**3000
 
 
 def test_print_examples():
