@@ -7,23 +7,25 @@ the result, so a report line is reproducible on its own.
 """
 
 from weyl1 import (
-    CANONICAL_ENDOMORPHISMS,
     Y,
-    apply_endo,
     canonical_config,
     compile_recipe,
     run_suite,
     subalgebra_membership,
 )
+from weyl1.serialize import recipe_from_doc
 
+pairs = {
+    doc["name"]: compile_recipe(recipe_from_doc(doc))
+    for doc in canonical_config()["endomorphisms"]
+}
 print("Canonical pairs:")
-for name, recipe in CANONICAL_ENDOMORPHISMS:
-    e = compile_recipe(recipe)
+for name, e in pairs.items():
     print(f"  {name:14} x = {e.x}")
     print(f"  {'':14} y = {e.y}")
 
 print("\nMembership in the image subalgebra is slack-bounded and explicit:")
-e = compile_recipe(CANONICAL_ENDOMORPHISMS[1][1])
+e = pairs["triangular-x2"]
 for el, label, slack in ((Y, "Y", 4), (Y**5, "Y^5", 4), (Y**5, "Y^5", 5)):
     verdict = subalgebra_membership(e, el, slack)
     print(f"  {label:4} at slack {slack}: member = {verdict.member}"

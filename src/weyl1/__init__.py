@@ -93,11 +93,9 @@ from .parsing import ParseError, parse, parse_expr, print_element
 from .scalars import NEG_INF, Rat, rat
 from .semigroup import SemigroupData, semigroup_analyze
 from .windows import (
-    CentralizerReport,
     EigenReport,
     Window,
     build_chain_basis,
-    centralizer_report,
     centralizer_window,
     coker_window_dim,
     default_eigen_candidates,
@@ -107,7 +105,6 @@ from .windows import (
     nilpotent_closure_window,
 )
 from .checks import (
-    CANONICAL_ENDOMORPHISMS,
     CheckResult,
     canonical_config,
     check_centralizer_theorem,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .core import (
     ONE,
@@ -31,19 +31,14 @@ from .core import (
     linear_combination,
 )
 from .degrees import W11, weighted_degree
-from .endos import (
-    EndoRecipe,
-    MembershipSolver,
-    add_poly_x,
-    add_poly_y,
-    compile_recipe,
-    linear,
-)
+from .endos import MembershipSolver, compile_recipe
 from .gwa import POLY_ONE, embed, graded_component, localized_mul, poly, ratfun
-from .linalg import canonical_basis, nullspace, solve_many
+from .linalg import nullspace, solve_many
 from .maps import ad, d_xy, d_yx, delta_xy
-from .scalars import Rat, rat
+from .scalars import rat
+from .serialize import recipe_from_doc
 from .windows import (
+    Coordinates,
     Window,
     default_eigen_candidates,
     eigenvalue_scan,
@@ -69,52 +64,26 @@ class CheckResult:
 # -- subspace helpers -----------------------------------------------------
 
 
-def _ambient_keys(groups: Sequence[Sequence[WeylElement]]):
-    keys = set()
-    for group in groups:
-        for el in group:
-            keys |= el.support()
-    return sorted(keys, key=lambda p: (p[0] + p[1], p[0]))
-
-
-def _coords(el: WeylElement, pos: Dict) -> List[Rat]:
-    vec = [0] * len(pos)
-    for key, v in el._terms.items():
-        vec[pos[key]] = v
-    return vec
-
-
 def span_basis(elems: Sequence[WeylElement]) -> List[WeylElement]:
     """Canonical (RREF) basis of the span, as elements."""
-    keys = _ambient_keys([elems])
-    pos = {k: r for r, k in enumerate(keys)}
-    rows = canonical_basis([_coords(el, pos) for el in elems], len(keys))
-    return [
-        WeylElement({keys[k]: v for k, v in enumerate(row) if v}) for row in rows
-    ]
+    co = Coordinates(elems)
+    return [co.element(row) for row in co.span(elems)]
 
 
 def spans_equal(
     a: Sequence[WeylElement], b: Sequence[WeylElement]
 ) -> bool:
-    keys = _ambient_keys([a, b])
-    pos = {k: r for r, k in enumerate(keys)}
-    ca = canonical_basis([_coords(el, pos) for el in a], len(keys))
-    cb = canonical_basis([_coords(el, pos) for el in b], len(keys))
-    return ca == cb
+    co = Coordinates(a, b)
+    return co.span(a) == co.span(b)
 
 
 def span_contains(
     space: Sequence[WeylElement], elems: Sequence[WeylElement]
 ) -> bool:
-    keys = _ambient_keys([space, elems])
-    pos = {k: r for r, k in enumerate(keys)}
-    cols = [_coords(el, pos) for el in space]
-    rows = [
-        {c: col[r] for c, col in enumerate(cols) if col[r]}
-        for r in range(len(keys))
-    ]
-    sols = solve_many(rows, len(space), [_coords(el, pos) for el in elems])
+    co = Coordinates(space, elems)
+    sols = solve_many(
+        co.matrix(space).sparse, len(space), [co.coords(el) for el in elems]
+    )
     return all(s is not None for s in sols)
 
 
@@ -126,22 +95,11 @@ def span_intersection(
     b = span_basis(b)
     if not a or not b:
         return []
-    keys = _ambient_keys([a, b])
-    pos = {k: r for r, k in enumerate(keys)}
-    da, db = len(a), len(b)
+    co = Coordinates(a, b)
     # columns: lambda coefficients on a, then mu coefficients on b;
     # kernel rows of [A^T  -B^T] give lambda with lambda.A = mu.B
-    from .linalg import RatMatrix
-
-    mat = RatMatrix.zeros(len(keys), da + db)
-    for c, el in enumerate(a):
-        for key, v in el._terms.items():
-            mat.rows[pos[key]][c] = v
-    for c, el in enumerate(b):
-        for key, v in el._terms.items():
-            mat.rows[pos[key]][da + c] = -v
-    combos = nullspace(mat)
-    out = [linear_combination(zip(vec[:da], a)) for vec in combos]
+    combos = nullspace(co.matrix(a + [-el for el in b]))
+    out = [linear_combination(zip(vec[: len(a)], a)) for vec in combos]
     return span_basis([u for u in out if not u.is_zero()])
 
 
@@ -520,16 +478,6 @@ def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
 
 # -- suite ----------------------------------------------------------------
 
-CANONICAL_ENDOMORPHISMS: Tuple[Tuple[str, EndoRecipe], ...] = (
-    ("identity", EndoRecipe()),
-    ("triangular-x2", EndoRecipe(generators=(add_poly_x([0, 0, 1]),))),
-    (
-        "composite",
-        EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))),
-    ),
-)
-
-
 def canonical_config() -> dict:
     """The fixed suite configuration; CLI `verify` uses it by default."""
     return {
@@ -564,26 +512,6 @@ def canonical_config() -> dict:
             "seed": 20260809,
         },
     }
-
-
-def recipe_from_doc(doc: dict) -> EndoRecipe:
-    gens = []
-    for g in doc.get("generators", []):
-        kind = g["kind"]
-        if kind == "add_poly_x":
-            gens.append(add_poly_x([rat(c) for c in g["coeffs"]]))
-        elif kind == "add_poly_y":
-            gens.append(add_poly_y([rat(c) for c in g["coeffs"]]))
-        elif kind == "linear":
-            gens.append(linear(rat(g["a"]), rat(g["b"]), rat(g["c"]), rat(g["d"])))
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-    raw = None
-    if "raw" in doc and doc["raw"] is not None:
-        from .parsing import parse
-
-        raw = (parse(doc["raw"]["x"]), parse(doc["raw"]["y"]))
-    return EndoRecipe(generators=tuple(gens), raw=raw)
 
 
 def run_suite(config: Optional[dict] = None) -> List[CheckResult]:

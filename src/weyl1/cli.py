@@ -14,7 +14,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .checks import canonical_config, compile_recipe, recipe_from_doc, run_suite
+from .checks import canonical_config, compile_recipe, run_suite
 from .core import WeylElement, apply_endo, build_endo, commutator, format_element
 from .degrees import Weight, find_generic_weight, newton_polygon, weighted_degree
 from .endos import subalgebra_membership
@@ -36,6 +36,7 @@ from .serialize import (
     load_config,
     loads,
     polygon_to_doc,
+    recipe_from_doc,
     semigroup_to_doc,
     weight_to_doc,
 )

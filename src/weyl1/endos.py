@@ -36,6 +36,7 @@ from .degrees import W11, weighted_degree
 from .errors import UnverifiedEndoError
 from .linalg import solve_many
 from .scalars import Rat, rat
+from .windows import Coordinates
 
 
 @dataclass(frozen=True)
@@ -201,23 +202,9 @@ class MembershipSolver:
         bound = max(finite) + slack
         pairs = self.candidate_pairs(bound)
         columns = [self.basis_product(i, j) for (i, j) in pairs]
-        keys = sorted(
-            {k for el in columns for k in el.support()}
-            | {k for el in elements for k in el.support()},
-            key=lambda p: (p[0] + p[1], p[0]),
-        )
-        pos = {key: r for r, key in enumerate(keys)}
-        rows: List[Dict[int, Rat]] = [{} for _ in keys]
-        for c, el in enumerate(columns):
-            for key, v in el._terms.items():
-                rows[pos[key]][c] = v
-        rhs = []
-        for el in elements:
-            col = [0] * len(keys)
-            for key, v in el._terms.items():
-                col[pos[key]] = v
-            rhs.append(col)
-        sols = solve_many(rows, len(pairs), rhs)
+        co = Coordinates(columns, elements)
+        rhs = [co.coords(el) for el in elements]
+        sols = solve_many(co.matrix(columns).sparse, len(pairs), rhs)
         out = []
         for a, deg, sol in zip(elements, degrees, sols):
             if a.is_zero():

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-The public carrier is a dense matrix of exact rationals; elimination is
-done internally on sparse rows (column -> value dicts), which is what the
-windowed maps produce.  Everything returned in reduced row echelon form
-is canonical: leading entries are 1, pivot columns are cleared, rows are
-ordered by pivot column.  No floating point is used anywhere.
+The carrier is a matrix of sparse rows: each row is a {column: value}
+dict holding no explicit zeros, which is what the windowed maps produce
+and what elimination reads, so no dense matrix is built on the way in.
+A dense `rows` view is kept for tests and display.  Vectors handed to
+`RatMatrix.from_columns`, `canonical_basis` and `solve_many` may be dense
+sequences or {index: value} dicts.  Everything returned in reduced row
+echelon form is canonical: leading entries are 1, pivot columns are
+cleared, rows are ordered by pivot column.  No floating point is used
+anywhere.
 
 Elimination is fraction-free, after Bareiss (Math. Comp. 22, 1968), with
 content removal in place of his exact divisions: a row entering the
@@ -20,72 +24,84 @@ with denominator > 1 otherwise.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import Rat, coeff, demote, exact_div
 
 SparseRow = Dict[int, Rat]
+Vector = Union[Sequence, Dict[int, object]]
+
+
+def _entries(vec: Vector) -> SparseRow:
+    """A dense or {index: value} vector as a sparse row in stored form."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    out = {}
+    for k, v in items:
+        v = coeff(v)
+        if v:
+            out[k] = v
+    return out
 
 
 class RatMatrix:
-    """Dense rectangular matrix of exact rationals."""
+    """Rectangular matrix of exact rationals, held as sparse rows."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "sparse")
 
     def __init__(self, rows: Sequence[Sequence], ncols: Optional[int] = None):
-        self.rows = [[coeff(v) for v in row] for row in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with row length")
-        else:
-            self.ncols = ncols or 0
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        width = widths.pop() if widths else ncols or 0
+        if ncols is not None and ncols != width:
+            raise ValueError("ncols disagrees with row length")
+        self.sparse = [_entries(row) for row in rows]
+        self.nrows, self.ncols = len(self.sparse), width
 
     @classmethod
-    def _stored(cls, rows: List[list], ncols: int) -> "RatMatrix":
-        # internal: rows already rectangular and in stored form
+    def _stored(cls, sparse: List[SparseRow], ncols: int) -> "RatMatrix":
+        # internal: rows already sparse and in stored form
         m = object.__new__(cls)
-        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        m.sparse, m.nrows, m.ncols = sparse, len(sparse), ncols
         return m
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls._stored([[0] * ncols for _ in range(nrows)], ncols)
+        return cls._stored([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        m = cls.zeros(n, n)
-        for k in range(n):
-            m.rows[k][k] = 1
-        return m
+        return cls._stored([{k: 1} for k in range(n)], n)
 
     def copy(self) -> "RatMatrix":
-        return RatMatrix._stored([row[:] for row in self.rows], self.ncols)
+        return RatMatrix._stored([dict(row) for row in self.sparse], self.ncols)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RatMatrix":
-        m = cls.zeros(nrows, len(columns))
+    def from_columns(cls, columns: Sequence[Vector], nrows: int) -> "RatMatrix":
+        sparse: List[SparseRow] = [{} for _ in range(nrows)]
         for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                m.rows[i][j] = coeff(v)
-        return m
+            for i, v in _entries(col).items():
+                sparse[i][j] = v
+        return cls._stored(sparse, len(columns))
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """Read-only dense view: one tuple per row."""
+        cols = range(self.ncols)
+        return [tuple(row.get(j, 0) for j in cols) for row in self.sparse]
 
     def column(self, j: int) -> List[Rat]:
-        return [r[j] for r in self.rows]
+        return [row.get(j, 0) for row in self.sparse]
 
     def mul_vector(self, vec: Sequence) -> List[Rat]:
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch")
         out = []
-        for row in self.rows:
+        for row in self.sparse:
             s = 0
-            for a, b in zip(row, vec):
-                if a and b:
-                    s = s + a * b
+            for j, a in row.items():
+                if vec[j]:
+                    s = s + a * vec[j]
             out.append(demote(s))
         return out
 
@@ -93,18 +109,11 @@ class RatMatrix:
         return (
             isinstance(other, RatMatrix)
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.sparse == other.sparse
         )
 
     def __repr__(self):
         return f"<RatMatrix {self.nrows}x{self.ncols}>"
-
-
-def _to_sparse(rows: Sequence[Sequence]) -> List[SparseRow]:
-    out = []
-    for row in rows:
-        out.append({j: v for j, v in enumerate(row) if v})
-    return out
 
 
 def _primitive(row: Dict[int, int], lead: int) -> Dict[int, int]:
@@ -195,17 +204,18 @@ def _echelon(rows: Sequence[SparseRow]) -> _Echelon:
     return ech
 
 
+def _dense_rref(ech: _Echelon, ncols: int) -> List[List[Rat]]:
+    return [[row.get(j, 0) for j in range(ncols)] for row in ech.normalized_rows()]
+
+
 def rref(matrix: RatMatrix) -> Tuple[List[List[Rat]], List[int]]:
     """Reduced row echelon form (dense rows) and the pivot columns."""
-    ech = _echelon(_to_sparse(matrix.rows))
-    dense = [
-        [row.get(j, 0) for j in range(matrix.ncols)] for row in ech.normalized_rows()
-    ]
-    return dense, sorted(ech.rows)
+    ech = _echelon(matrix.sparse)
+    return _dense_rref(ech, matrix.ncols), sorted(ech.rows)
 
 
 def rank(matrix: RatMatrix) -> int:
-    return len(_echelon(_to_sparse(matrix.rows)).rows)
+    return len(_echelon(matrix.sparse).rows)
 
 
 def nullspace(matrix: RatMatrix) -> List[List[Rat]]:
@@ -215,7 +225,7 @@ def nullspace(matrix: RatMatrix) -> List[List[Rat]]:
     (viewed as rows), so the basis is unique for the subspace: each
     vector's first nonzero coordinate is 1 and is cleared from the rest.
     """
-    ech = _echelon(_to_sparse(matrix.rows))
+    ech = _echelon(matrix.sparse)
     vectors = []
     for f in range(matrix.ncols):
         if f in ech.rows:
@@ -226,42 +236,37 @@ def nullspace(matrix: RatMatrix) -> List[List[Rat]]:
             if c:
                 vec[col] = exact_div(-c, row[col])
         vectors.append(vec)
-    return canonical_basis(vectors, matrix.ncols)
+    return _dense_rref(_echelon(vectors), matrix.ncols)
 
 
-def canonical_basis(vectors: Sequence, ncols: int) -> List[List[Rat]]:
+def canonical_basis(vectors: Sequence[Vector], ncols: int) -> List[List[Rat]]:
     """RREF a spanning set of vectors; unique basis of their span."""
-    ech = _echelon(
-        [vec if isinstance(vec, dict) else dict(enumerate(vec)) for vec in vectors]
-    )
-    return [[row.get(j, 0) for j in range(ncols)] for row in ech.normalized_rows()]
+    return _dense_rref(_echelon([_entries(vec) for vec in vectors]), ncols)
 
 
 def solve_many(
     matrix_rows: Sequence[SparseRow],
     ncols: int,
-    rhs_columns: Sequence[Sequence],
+    rhs_columns: Sequence[Vector],
 ) -> List[Optional[Dict[int, Rat]]]:
     """Solve A x = b for several right-hand sides with one elimination.
 
     Rows are given sparsely; each rhs column is a dense sequence of length
-    len(matrix_rows).  The solution, when it exists, is the particular one
-    with all free variables zero (pivot columns are chosen left to right,
-    so the answer is stable when extra columns are appended on the right).
+    len(matrix_rows) or a {row: value} dict.  The solution, when it exists,
+    is the particular one with all free variables zero (pivot columns are
+    chosen left to right, so the answer is stable when extra columns are
+    appended on the right).
     Returns, per rhs, a sparse {column: value} dict or None.
     """
     nrhs = len(rhs_columns)
-    ech = _Echelon()
     # augmented columns sit to the right of the real ones, so a row can
     # only pivot there when its coefficient part reduced to zero; such
     # constraint rows encode the inconsistent right-hand sides
-    for i, row in enumerate(matrix_rows):
-        aug = dict(row)
-        for r in range(nrhs):
-            v = rhs_columns[r][i]
-            if v:
-                aug[ncols + r] = coeff(v)
-        ech.insert(aug)
+    aug = [dict(row) for row in matrix_rows]
+    for r, col in enumerate(rhs_columns):
+        for i, v in _entries(col).items():
+            aug[i][ncols + r] = v
+    ech = _echelon(aug)
     solutions: List[Optional[Dict[int, Rat]]] = []
     for aug_col in range(ncols, ncols + nrhs):
         # inconsistent iff some fully-reduced constraint row hits this rhs
@@ -278,7 +283,7 @@ def solve_many(
 
 def solve(matrix: RatMatrix, rhs: Sequence) -> Optional[List[Rat]]:
     """Particular solution of A x = b with free variables zero, or None."""
-    sols = solve_many(_to_sparse(matrix.rows), matrix.ncols, [list(rhs)])
+    sols = solve_many(matrix.sparse, matrix.ncols, [rhs])
     if sols[0] is None:
         return None
     return [sols[0].get(j, 0) for j in range(matrix.ncols)]

@@ -89,15 +89,17 @@ def _require_verified(e: EndoPair, what: str) -> EndoPair:
     return e
 
 
-class DyxMap(LinearMap):
-    """d: a -> [y, a] * x."""
+class PairMap(LinearMap):
+    """d: a -> [y, a] * x, or, primed, d': a -> [x, a] * y."""
 
-    def __init__(self, e: EndoPair):
+    def __init__(self, e: EndoPair, primed: bool):
         super().__init__()
-        self.pair = _require_verified(e, "d = [y, .]x")
+        self.pair = _require_verified(e, "d' = [x, .]y" if primed else "d = [y, .]x")
+        self.primed = primed
+        self._left, self._right = (e.x, e.y) if primed else (e.y, e.x)
 
     def _monomial_image(self, i, j):
-        return mul(commutator(self.pair.y, monomial(i, j)), self.pair.x)
+        return mul(commutator(self._left, monomial(i, j)), self._right)
 
     def degree_shift(self, w):
         return (
@@ -108,29 +110,7 @@ class DyxMap(LinearMap):
         )
 
     def describe(self):
-        return "[y, .]*x"
-
-
-class DxyMap(LinearMap):
-    """d': a -> [x, a] * y."""
-
-    def __init__(self, e: EndoPair):
-        super().__init__()
-        self.pair = _require_verified(e, "d' = [x, .]y")
-
-    def _monomial_image(self, i, j):
-        return mul(commutator(self.pair.x, monomial(i, j)), self.pair.y)
-
-    def degree_shift(self, w):
-        return (
-            weighted_degree(w, self.pair.x)
-            + weighted_degree(w, self.pair.y)
-            - w.rho
-            - w.eta
-        )
-
-    def describe(self):
-        return "[x, .]*y"
+        return "[x, .]*y" if self.primed else "[y, .]*x"
 
 
 class DeltaMap(LinearMap):
@@ -186,12 +166,12 @@ def ad(a: WeylElement) -> AdMap:
     return AdMap(a)
 
 
-def d_yx(e: EndoPair) -> DyxMap:
-    return DyxMap(e)
+def d_yx(e: EndoPair) -> PairMap:
+    return PairMap(e, primed=False)
 
 
-def d_xy(e: EndoPair) -> DxyMap:
-    return DxyMap(e)
+def d_xy(e: EndoPair) -> PairMap:
+    return PairMap(e, primed=True)
 
 
 def delta_xy(e: EndoPair) -> DeltaMap:

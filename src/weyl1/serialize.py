@@ -9,11 +9,14 @@ produced it.
 from __future__ import annotations
 
 import json
+import re
 
 from .core import EndoPair, WeylElement, build_endo, format_element
 from .degrees import Polygon, Weight
+from .endos import EndoRecipe, add_poly_x, add_poly_y, linear
 from .gwa import poly_str, to_graded
 from .maps import DropReport
+from .parsing import parse
 from .scalars import rat, rat_str
 from .semigroup import SemigroupData
 from .windows import EigenReport
@@ -33,8 +36,23 @@ CONFIG_INT_PARAMS = (
 )
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_POLY_GENERATORS = {"add_poly_x": add_poly_x, "add_poly_y": add_poly_y}
+
+
 class DocError(ValueError):
     """Malformed or unsupported document."""
+
+
+def _doc_rat(value):
+    """A document rational: a string "p" or "p/q" with q nonzero."""
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise DocError(f"rational must be a string 'p' or 'p/q', got {value!r}")
+    try:
+        return rat(value)
+    except ZeroDivisionError as exc:
+        raise DocError(f"zero denominator in {value!r}") from exc
 
 
 def element_to_doc(a: WeylElement) -> dict:
@@ -57,12 +75,17 @@ def element_from_doc(doc: dict) -> WeylElement:
         raise DocError(f"unsupported version {doc.get('version')!r}")
     if doc.get("basis") != "YX":
         raise DocError(f"unsupported basis {doc.get('basis')!r}")
+    entries = doc.get("terms", [])
+    if not isinstance(entries, list):
+        raise DocError("element 'terms' must be a list")
     terms = {}
-    for entry in doc.get("terms", []):
-        try:
-            i, j, c = int(entry["y"]), int(entry["x"]), rat(entry["c"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DocError(f"bad term entry {entry!r}") from exc
+    for entry in entries:
+        if not isinstance(entry, dict) or not {"y", "x", "c"} <= entry.keys():
+            raise DocError(f"bad term entry {entry!r}")
+        i, j = entry["y"], entry["x"]
+        if not (_is_int(i) and _is_int(j) and i >= 0 and j >= 0):
+            raise DocError(f"exponents must be integers >= 0: {entry!r}")
+        c = _doc_rat(entry["c"])
         if not c:
             raise DocError("zero coefficient stored in document")
         if (i, j) in terms:
@@ -86,9 +109,44 @@ def endo_from_doc(doc: dict) -> EndoPair:
         raise DocError("not an endomorphism document")
     if doc.get("version") != VERSION:
         raise DocError(f"unsupported version {doc.get('version')!r}")
+    if "x" not in doc or "y" not in doc:
+        raise DocError("endomorphism document needs 'x' and 'y'")
     x = element_from_doc(doc["x"])
     y = element_from_doc(doc["y"])
     return build_endo(x, y)  # re-verify rather than trusting the flag
+
+
+def recipe_from_doc(doc: dict) -> EndoRecipe:
+    """Recipe document: {"generators": [...], "raw": null or {"x", "y"}}.
+
+    A generator is {"kind": "add_poly_x" or "add_poly_y", "coeffs": [...]}
+    or {"kind": "linear", "a": ..., "b": ..., "c": ..., "d": ...}; raw
+    holds two expression strings.
+    """
+    if not isinstance(doc, dict):
+        raise DocError("recipe document must be an object")
+    gens = doc.get("generators", [])
+    if not isinstance(gens, list):
+        raise DocError("recipe 'generators' must be a list")
+    out = []
+    for g in gens:
+        kind = g.get("kind") if isinstance(g, dict) else None
+        if kind == "linear":
+            if not all(k in g for k in "abcd"):
+                raise DocError("linear generator needs 'a', 'b', 'c' and 'd'")
+            out.append(linear(*(_doc_rat(g[k]) for k in "abcd")))
+        elif kind in _POLY_GENERATORS:
+            if not isinstance(g.get("coeffs"), list):
+                raise DocError(f"{kind} generator needs a 'coeffs' list")
+            out.append(_POLY_GENERATORS[kind]([_doc_rat(c) for c in g["coeffs"]]))
+        else:
+            raise DocError(f"unknown generator kind {kind!r}")
+    raw = doc.get("raw")
+    if raw is not None:
+        if not (isinstance(raw, dict) and all(isinstance(raw.get(k), str) for k in "xy")):
+            raise DocError("recipe 'raw' needs string 'x' and 'y'")
+        raw = (parse(raw["x"]), parse(raw["y"]))
+    return EndoRecipe(generators=tuple(out), raw=raw)
 
 
 def graded_to_doc(a: WeylElement) -> dict:
@@ -223,6 +281,12 @@ def load_config(doc: dict) -> dict:
             raise DocError(f"config param {key!r} must be an integer or null")
     if not isinstance(params.get("propagation_element", ""), str):
         raise DocError("config param 'propagation_element' must be a string")
+    if not isinstance(doc["endomorphisms"], list):
+        raise DocError("config 'endomorphisms' must be a list")
+    for entry in doc["endomorphisms"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise DocError(f"config endomorphism needs a string 'name': {entry!r}")
+        recipe_from_doc(entry)
     return doc
 
 

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .core import ONE, WeylElement, commutator, linear_combination, monomial
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
-from .linalg import RatMatrix, canonical_basis, nullspace, rank, solve_many
+from .linalg import RatMatrix, Vector, canonical_basis, nullspace, rank, solve_many
 from .maps import LinearMap, ad
-from .scalars import NEG_INF, Rat, coeff, exact_div, rat
+from .scalars import NEG_INF, Rat, coeff, demote, exact_div, rat
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,6 @@ class Window:
     def index(self) -> Dict[Tuple[int, int], int]:
         return _window_index(self.weight.rho, self.weight.eta, self.cap)
 
-    def contains(self, a: WeylElement) -> bool:
-        idx = self.index()
-        return all(key in idx for key in a.support())
-
-    def coords(self, a: WeylElement) -> List[Rat]:
-        """Dense coordinates of a; raises WindowEscapeError if it escapes."""
-        idx = self.index()
-        vec = [0] * len(idx)
-        for (key, c) in a._terms.items():
-            pos = idx.get(key)
-            if pos is None:
-                raise WindowEscapeError(
-                    f"monomial Y^{key[0]}*X^{key[1]} escapes the window "
-                    f"(weight ({self.weight.rho},{self.weight.eta}), cap {self.cap})"
-                )
-            vec[pos] = c
-        return vec
-
     def sparse_coords(self, a: WeylElement) -> Dict[int, Rat]:
         idx = self.index()
         out = {}
@@ -77,11 +59,8 @@ class Window:
             out[pos] = c
         return out
 
-    def element(self, vec: Sequence) -> WeylElement:
-        monos = self.monomials()
-        return WeylElement(
-            {monos[k]: v for k, v in enumerate(vec) if v}
-        )
+    def element(self, vec: Vector) -> WeylElement:
+        return _element(self.monomials(), vec)
 
     def basis_elements(self) -> List[WeylElement]:
         return [monomial(i, j) for (i, j) in self.monomials()]
@@ -109,24 +88,50 @@ def _window_index(rho: int, eta: int, cap: int) -> Dict[Tuple[int, int], int]:
     return {m: k for k, m in enumerate(_window_monomials(rho, eta, cap))}
 
 
+def _element(monos: Sequence[Tuple[int, int]], vec: Vector) -> WeylElement:
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return WeylElement({monos[k]: v for k, v in items if v})
+
+
+class Coordinates:
+    """Coordinates on the monomials that some elements use.
+
+    The supports of the given groups of elements, sorted by (i+j, i) as in
+    a (1,1) window, are the ordered basis: elements go to sparse
+    coordinate dicts, canonical span bases and matrix columns, and vectors
+    come back as elements.  Every element of the groups has coordinates
+    here.
+    """
+
+    def __init__(self, *groups: Sequence[WeylElement]):
+        keys = {key for group in groups for el in group for key in el._terms}
+        self.monomials = sorted(keys, key=lambda p: (p[0] + p[1], p[0]))
+        self.index = {key: r for r, key in enumerate(self.monomials)}
+
+    def coords(self, a: WeylElement) -> Dict[int, Rat]:
+        idx = self.index
+        return {idx[key]: c for key, c in a._terms.items()}
+
+    def span(self, elems: Sequence[WeylElement]) -> List[List[Rat]]:
+        """Canonical basis of span(elems), as coordinate vectors."""
+        return canonical_basis([self.coords(el) for el in elems], len(self.monomials))
+
+    def matrix(self, columns: Sequence[WeylElement]) -> RatMatrix:
+        """Matrix whose c-th column holds the coordinates of columns[c]."""
+        return RatMatrix.from_columns(
+            [self.coords(el) for el in columns], len(self.monomials)
+        )
+
+    def element(self, vec: Vector) -> WeylElement:
+        return _element(self.monomials, vec)
+
+
 def map_matrix(m: LinearMap, src: Window, tgt: Window) -> RatMatrix:
     """Matrix of m from src to tgt, columns indexed by src monomials."""
-    columns = []
-    for (i, j) in src.monomials():
-        columns.append(m(monomial(i, j)))
-    return _columns_matrix(columns, tgt)
-
-
-def _columns_matrix(columns: Sequence[WeylElement], tgt: Window) -> RatMatrix:
-    mat = RatMatrix.zeros(tgt.dimension(), len(columns))
-    for c, img in enumerate(columns):
-        for pos, v in tgt.sparse_coords(img).items():
-            mat.rows[pos][c] = v
-    return mat
-
-
-def _vectors_to_elements(vectors: Sequence[Sequence], win: Window) -> List[WeylElement]:
-    return [win.element(vec) for vec in vectors]
+    return RatMatrix.from_columns(
+        [tgt.sparse_coords(m(monomial(i, j))) for (i, j) in src.monomials()],
+        tgt.dimension(),
+    )
 
 
 def eigenspace(
@@ -149,9 +154,13 @@ def eigenspace(
         mat = mat.copy()
         tgt_idx = tgt.index()
         for c, key in enumerate(win.monomials()):
-            pos = tgt_idx[key]
-            mat.rows[pos][c] = mat.rows[pos][c] - lam
-    basis = _vectors_to_elements(nullspace(mat), win)
+            row = mat.sparse[tgt_idx[key]]
+            v = demote(row.get(c, 0) - lam)
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    basis = [win.element(vec) for vec in nullspace(mat)]
     for u in basis:  # exactness re-check in plain arithmetic
         if commutator(a, u) != lam * u:
             raise AssertionError("eigenvector failed exact re-verification")
@@ -178,13 +187,6 @@ class EigenReport:
     window: Window
     candidates: Tuple[Rat, ...]
     found: List[Tuple[Rat, List[WeylElement]]]
-
-
-@dataclass
-class CentralizerReport:
-    a: WeylElement
-    window: Window
-    basis: List[WeylElement]
 
 
 def default_eigen_candidates(cap: int, max_den: int = 4) -> Tuple[Rat, ...]:
@@ -218,10 +220,6 @@ def eigenvalue_scan(
     return EigenReport(a=a, window=win, candidates=cands, found=found)
 
 
-def centralizer_report(a: WeylElement, win: Window) -> CentralizerReport:
-    return CentralizerReport(a=a, window=win, basis=centralizer_window(a, win))
-
-
 def nilpotent_closure_window(
     m: LinearMap, win: Window, max_iter: int
 ) -> List[WeylElement]:
@@ -242,16 +240,8 @@ def nilpotent_closure_window(
             cur = m(cur)
         finals.append(cur)
     # common coordinates for whatever monomials survived
-    keys = sorted(
-        {key for el in finals for key in el.support()},
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
-    pos = {key: r for r, key in enumerate(keys)}
-    mat = RatMatrix.zeros(len(keys), len(finals))
-    for c, el in enumerate(finals):
-        for key, v in el._terms.items():
-            mat.rows[pos[key]][c] = v
-    return _vectors_to_elements(nullspace(mat), win)
+    kernel = nullspace(Coordinates(finals).matrix(finals))
+    return [win.element(vec) for vec in kernel]
 
 
 def build_chain_basis(
@@ -268,42 +258,17 @@ def build_chain_basis(
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
         raise ChainBasisError("no nonzero elements to span a chain")
-    keys = sorted(
-        {key for el in elems for key in el.support()}
-        | {key for el in elems for key in m(el).support()},
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
-    pos = {key: r for r, key in enumerate(keys)}
-    dim_amb = len(keys)
-
-    def coords(el: WeylElement) -> List[Rat]:
-        vec = [0] * dim_amb
-        for key, v in el._terms.items():
-            p = pos.get(key)
-            if p is None:
-                raise ChainBasisError("image leaves the span of the input")
-            vec[p] = v
-        return vec
-
-    basis_vecs = canonical_basis([coords(el) for el in elems], dim_amb)
+    co = Coordinates(elems, [m(el) for el in elems])
+    basis_vecs = co.span(elems)
     dim = len(basis_vecs)
-    basis_elems = [
-        WeylElement({keys[k]: v for k, v in enumerate(vec) if v})
-        for vec in basis_vecs
-    ]
-    # matrix of m on the span, in the canonical-basis coordinates
-    images = [m(b) for b in basis_elems]
-    span_rows = [
-        {k: v for k, v in enumerate(vec) if v} for vec in zip(*basis_vecs)
-    ] if basis_vecs else []
-    # solve span-coordinates for each image: columns are basis vectors
-    sols = solve_many(span_rows, dim, [coords(img) for img in images])
+    basis_elems = [co.element(vec) for vec in basis_vecs]
+    # matrix of m on the span, in the canonical-basis coordinates: solve
+    # for each image, the columns being the basis vectors
+    span_rows = RatMatrix.from_columns(basis_vecs, len(co.monomials)).sparse
+    sols = solve_many(span_rows, dim, [co.coords(m(b)) for b in basis_elems])
     if any(s is None for s in sols):
         raise ChainBasisError("the map does not preserve the span of the input")
-    mat = RatMatrix.zeros(dim, dim)
-    for c, s in enumerate(sols):
-        for r, v in s.items():
-            mat.rows[r][c] = v
+    mat = RatMatrix.from_columns(sols, dim)
     kernel = nullspace(mat)
     if len(kernel) != 1:
         raise ChainBasisError(
@@ -313,17 +278,16 @@ def build_chain_basis(
     e0 = linear_combination(zip(e0_coords, basis_elems))
     if e0.is_scalar():
         e0 = ONE
-        e0_coords = _span_coords(span_rows, dim, coords(e0))
+        sol = solve_many(span_rows, dim, [co.coords(e0)])[0]
+        if sol is None:
+            raise ChainBasisError("element unexpectedly outside the span")
+        e0_coords = [sol.get(k, 0) for k in range(dim)]
     # leading coordinate of e0 in the span basis pins later representatives
     lead = next(k for k, v in enumerate(e0_coords) if v)
     chain_coords = [e0_coords]
     chain = [e0]
-    mat_rows_sparse = [
-        {j: v for j, v in enumerate(row) if v} for row in mat.rows
-    ]
     for _ in range(dim - 1):
-        target = chain_coords[-1]
-        sol = solve_many(mat_rows_sparse, dim, [target])[0]
+        sol = solve_many(mat.sparse, dim, [chain_coords[-1]])[0]
         if sol is None:
             raise ChainBasisError("chain equation m(e_i) = e_(i-1) is unsolvable")
         vec = [sol.get(k, 0) for k in range(dim)]
@@ -334,13 +298,6 @@ def build_chain_basis(
         chain_coords.append(vec)
         chain.append(linear_combination(zip(vec, basis_elems)))
     return chain
-
-
-def _span_coords(span_rows, dim, dense_target) -> List[Rat]:
-    sol = solve_many(span_rows, dim, [dense_target])[0]
-    if sol is None:
-        raise ChainBasisError("element unexpectedly outside the span")
-    return [sol.get(k, 0) for k in range(dim)]
 
 
 def coker_window_dim(
@@ -368,29 +325,10 @@ def coker_window_dim(
         tgt_elems = list(tgt)
 
     imgs = [m(el) for el in src_elems]
-    keys = sorted(
-        {k for el in tgt_elems + imgs for k in el.support()},
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
-    pos = {key: r for r, key in enumerate(keys)}
-    amb = len(keys)
-
-    def coords(el):
-        vec = [0] * amb
-        for key, v in el._terms.items():
-            vec[pos[key]] = v
-        return vec
-
-    tgt_basis = canonical_basis([coords(el) for el in tgt_elems], amb)
-    tgt_dim = len(tgt_basis)
-    span_rows = [
-        {j: v for j, v in enumerate(col) if v} for col in zip(*tgt_basis)
-    ] if tgt_basis else [{} for _ in range(amb)]
-    sols = solve_many(span_rows, tgt_dim, [coords(img) for img in imgs])
+    co = Coordinates(tgt_elems, imgs)
+    tgt_basis = co.span(tgt_elems)
+    span_rows = RatMatrix.from_columns(tgt_basis, len(co.monomials)).sparse
+    sols = solve_many(span_rows, len(tgt_basis), [co.coords(img) for img in imgs])
     if any(s is None for s in sols):
         raise WindowEscapeError("image escapes the target span")
-    img_mat = RatMatrix.zeros(tgt_dim, len(sols))
-    for c, s in enumerate(sols):
-        for r, v in s.items():
-            img_mat.rows[r][c] = v
-    return tgt_dim - rank(img_mat)
+    return len(tgt_basis) - rank(RatMatrix.from_columns(sols, len(tgt_basis)))

@@ -10,7 +10,6 @@ import time
 
 from oracles import oracle_monomial_product, random_element
 from weyl1 import (
-    CANONICAL_ENDOMORPHISMS,
     H,
     W11,
     Weight,
@@ -48,9 +47,12 @@ from weyl1 import (
     weighted_degree,
 )
 from weyl1.gwa import LocalizedElement, poly, poly_mul, rf_scale
-from weyl1.serialize import dumps, element_from_doc, element_to_doc, loads
+from weyl1.serialize import dumps, element_from_doc, element_to_doc, loads, recipe_from_doc
 
-PAIRS = [(name, compile_recipe(recipe)) for name, recipe in CANONICAL_ENDOMORPHISMS]
+PAIRS = [
+    (doc["name"], compile_recipe(recipe_from_doc(doc)))
+    for doc in canonical_config()["endomorphisms"]
+]
 
 
 def _verdict(number: int, label: str, elapsed: float, ok: bool = True) -> None:

@@ -3,7 +3,6 @@
 import pytest
 
 from weyl1 import (
-    CANONICAL_ENDOMORPHISMS,
     H,
     ONE,
     X,
@@ -22,8 +21,12 @@ from weyl1 import (
     run_suite,
 )
 from weyl1.checks import span_basis, span_contains, span_intersection, spans_equal
+from weyl1.serialize import recipe_from_doc
 
-PAIRS = [(name, compile_recipe(recipe)) for name, recipe in CANONICAL_ENDOMORPHISMS]
+PAIRS = [
+    (doc["name"], compile_recipe(recipe_from_doc(doc)))
+    for doc in canonical_config()["endomorphisms"]
+]
 
 
 def test_canonical_pairs_are_the_documented_ones():

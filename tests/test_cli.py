@@ -1,12 +1,18 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from weyl1 import Y
 from weyl1.cli import main
-from weyl1.serialize import dumps
+from weyl1.serialize import dumps, element_to_doc
 from weyl1.checks import canonical_config
+
+# SHA-256 of the report `weyl1 verify --report` writes for the canonical
+# config; any change to a verdict, a basis or the document format moves it.
+CANONICAL_REPORT_SHA256 = "0d22ee329433467899e43e7f3f7e20879691265bc9df2e2f97f682f158531ad1"
 
 
 def run(capsys, *argv):
@@ -220,3 +226,37 @@ def test_deep_nesting_is_bad_input(capsys, expr):
 def test_long_flat_sum_evaluates(capsys):
     code, out, _ = run(capsys, "normalize", "+".join(["X"] * 5000))
     assert code == 0 and out == "5000*X\n"
+
+
+def test_canonical_verify_report_is_golden(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--report", str(report))
+    assert code == 0 and len(out.splitlines()) == 24
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256
+
+
+def _element_doc(**term):
+    return dict(element_to_doc(Y), terms=[dict({"y": 1, "x": 0, "c": "1"}, **term)])
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["verify", "--config", "DOC"],
+         dict(canonical_config(), endomorphisms=[{"generators": []}])),
+        (["endo-compile", "--recipe", "DOC"], {"generators": [{"kind": "add_poly_x"}]}),
+        (["endo-compile", "--recipe", "DOC"], {"generators": [], "raw": {"x": "X"}}),
+        (["endo-apply", "--endo", "DOC", "Y*X"],
+         {"format": "weyl-endo", "version": 1, "y": element_to_doc(Y)}),
+        (["normalize", "@DOC"], _element_doc(y=-1)),
+        (["normalize", "@DOC"], _element_doc(c="1.5")),
+    ],
+    ids=["config-entry-without-name", "generator-without-coeffs", "raw-without-y",
+         "endo-without-x", "negative-exponent", "decimal-coefficient"],
+)
+def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[a.replace("DOC", str(path)) for a in argv])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "input"

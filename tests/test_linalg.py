@@ -3,7 +3,7 @@
 import random
 
 from weyl1 import RatMatrix, canonical_basis, nullspace, rank, rat, rref, solve
-from weyl1.linalg import _to_sparse, solve_many
+from weyl1.linalg import solve_many
 
 
 def test_nullspace_trivial_cases():
@@ -66,7 +66,7 @@ def test_solve_many_is_per_column_consistent():
         ]
         m = RatMatrix(rows)
         rhs = [[rat(rng.randint(-3, 3)) for _ in range(nrows)] for _ in range(3)]
-        sols = solve_many(_to_sparse(rows), ncols, rhs)
+        sols = solve_many(m.sparse, ncols, rhs)
         for b, s in zip(rhs, sols):
             single = solve(m, b)
             if s is None:
@@ -81,8 +81,8 @@ def test_solution_stable_under_extra_columns():
     # appending columns on the right keeps the particular solution
     rows = [[1, 0], [0, 1]]
     wide = [[1, 0, 5], [0, 1, 7]]
-    s1 = solve_many(_to_sparse(rows), 2, [[2, 3]])[0]
-    s2 = solve_many(_to_sparse(wide), 3, [[2, 3]])[0]
+    s1 = solve_many(RatMatrix(rows).sparse, 2, [[2, 3]])[0]
+    s2 = solve_many(RatMatrix(wide).sparse, 3, [[2, 3]])[0]
     assert s1 == {0: 2, 1: 3}
     assert s2 == {0: 2, 1: 3}
 

@@ -22,6 +22,7 @@ from weyl1 import (  # noqa: E402
 )
 from weyl1.linalg import (  # noqa: E402
     RatMatrix,
+    canonical_basis,
     nullspace,
     rank,
     rref,
@@ -81,6 +82,7 @@ def _check_against_sympy(mat: RatMatrix, rhs_columns):
     want, want_pivots = _sym_rref_rows(sym)
     assert dense == want and pivots == want_pivots
     assert rank(mat) == len(want_pivots)
+    assert canonical_basis(_sparse(mat), mat.ncols) == want
 
     kernel = sym.nullspace()
     if kernel:
@@ -98,6 +100,13 @@ def _check_against_sympy(mat: RatMatrix, rhs_columns):
             assert set(sol) <= set(pivots)  # free variables are zero
             x = [sol.get(j, 0) for j in range(mat.ncols)]
             assert mat.mul_vector(x) == list(b)
+
+    # the same matrix from sparse {row: value} columns, and the same
+    # solutions for sparse right-hand sides
+    columns = [{i: v for i, v in enumerate(mat.column(j)) if v} for j in range(mat.ncols)]
+    assert RatMatrix.from_columns(columns, mat.nrows) == mat
+    sparse_rhs = [{i: v for i, v in enumerate(b) if v} for b in rhs_columns]
+    assert solve_many(mat.sparse, mat.ncols, sparse_rhs) == sols
 
 
 @settings(deadline=None)

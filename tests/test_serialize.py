@@ -7,7 +7,7 @@ import pytest
 
 from oracles import random_element
 from weyl1 import H, W11, X, Y, Window, build_endo, drop_profile, delta_xy, identity_endo
-from weyl1 import eigenvalue_scan, rat, semigroup_analyze
+from weyl1 import canonical_config, eigenvalue_scan, rat, semigroup_analyze
 from weyl1.serialize import (
     DocError,
     drop_report_to_doc,
@@ -58,6 +58,23 @@ def test_element_doc_validation():
     bad = dict(base, terms=[{"y": 1, "x": 1, "c": "1"}, {"y": 1, "x": 1, "c": "2"}])
     with pytest.raises(DocError):
         element_from_doc(bad)
+    # rationals are strings "p" or "p/q"; exponents are JSON ints >= 0
+    for entry in (
+        {"y": 0, "x": 1, "c": "1.5"},
+        {"y": 0, "x": 1, "c": "1e3"},
+        {"y": 0, "x": 1, "c": " 1"},
+        {"y": 0, "x": 1, "c": "1/0"},
+        {"y": 0, "x": 1, "c": 3},
+        {"y": 2.7, "x": 1, "c": "1"},
+        {"y": 2, "x": True, "c": "1"},
+        {"y": -1, "x": 0, "c": "1"},
+        {"y": 0, "c": "1"},
+        "Y",
+    ):
+        with pytest.raises(DocError):
+            element_from_doc(dict(base, terms=[entry]))
+    with pytest.raises(DocError):
+        element_from_doc(dict(base, terms={"y": 0, "x": 0, "c": "1"}))
 
 
 def test_element_doc_rejects_float_coefficients():
@@ -76,6 +93,9 @@ def test_endo_doc_reverifies():
     assert again.verified and again.x == e.x and again.y == e.y
     doc["y"] = element_to_doc(X)  # tamper: pair (X, X) no longer verifies
     assert not endo_from_doc(doc).verified
+    del doc["x"]
+    with pytest.raises(DocError):
+        endo_from_doc(doc)
 
 
 def test_graded_doc():
@@ -105,5 +125,24 @@ def test_report_docs_have_full_parameterization():
 def test_config_validation():
     with pytest.raises(DocError):
         load_config({"format": "weyl-verify-config", "version": 1})
+    assert load_config(canonical_config()) == canonical_config()
+    for entry in (
+        {"generators": []},
+        {"name": 1, "generators": []},
+        {"name": "a", "generators": [{"kind": "add_poly_x"}]},
+        {"name": "a", "generators": [{"coeffs": ["1"]}]},
+        {"name": "a", "generators": [{"kind": "shear", "coeffs": ["1"]}]},
+        {"name": "a", "generators": [{"kind": "add_poly_y", "coeffs": "1"}]},
+        {"name": "a", "generators": [{"kind": "add_poly_y", "coeffs": [0.5]}]},
+        {"name": "a", "generators": [{"kind": "linear", "a": "1", "b": "0", "c": "0"}]},
+        {"name": "a", "generators": {}},
+        {"name": "a", "raw": {"x": "X"}},
+        {"name": "a", "raw": {"x": "X", "y": 1}},
+        "identity",
+    ):
+        with pytest.raises(DocError):
+            load_config(dict(canonical_config(), endomorphisms=[entry]))
+    with pytest.raises(DocError):
+        load_config(dict(canonical_config(), endomorphisms={}))
     with pytest.raises(DocError):
         loads("{not json")

@@ -26,7 +26,7 @@ from weyl1 import (
     theta,
 )
 from weyl1.core import linear_combination
-from weyl1.linalg import solve_many
+from weyl1.linalg import RatMatrix, solve_many
 from weyl1.maps import ad
 from weyl1.scalars import Rat
 from weyl1.windows import map_matrix
@@ -109,7 +109,10 @@ def test_window_kernels_keep_the_stored_form(a):
     win = Window(W11, 3)
     m = ad(a)
     mat = map_matrix(m, win, win.enlarged(m))
+    # the carrier holds no explicit zeros, and its dense view agrees
+    assert all(v and stored(v) for row in mat.sparse for v in row.values())
     assert all(stored(v) for row in mat.rows for v in row if v)
+    assert [{j: v for j, v in enumerate(row) if v} for row in mat.rows] == mat.sparse
     kernel = nullspace(mat)
     assert all(stored(v) for vec in kernel for v in vec if v)
     dense, _ = rref(mat)
@@ -124,6 +127,9 @@ def test_window_kernels_keep_the_stored_form(a):
 @given(st.lists(st.lists(SCALARS, min_size=3, max_size=3), min_size=1, max_size=4),
        st.lists(SCALARS, min_size=4, max_size=4))
 def test_solutions_keep_the_stored_form(rows, rhs):
+    mat = RatMatrix(rows)
+    assert all(v and stored(v) for row in mat.sparse for v in row.values())
+    assert mat.rows == [tuple(row) for row in rows]
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     (sol,) = solve_many(sparse, 3, [rhs[: len(rows)]])
     if sol is not None:
