@@ -5,7 +5,7 @@ the form @path loads an element document instead.  Structured output is
 JSON with string rationals; plain output is the canonical printed form.
 Exit codes: 0 success, 1 verification failures, 2 usage or input syntax
 errors, 3 computation-domain errors (window escape, unverified pair,
-exhausted bounds).
+exhausted bounds), 4 an internal error (a bug; never a verdict).
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from .endos import subalgebra_membership
 from .errors import DomainError
 from .maps import ad, d_xy, d_yx, delta_xy, drop
 from .parsing import ParseError, parse
-from .scalars import NEG_INF, rat, rat_str
+from .scalars import NEG_INF, rat_str
 from .semigroup import semigroup_analyze
 from .serialize import (
     DocError,
+    _doc_rat,
     check_results_to_doc,
     dumps,
     eigen_report_to_doc,
@@ -44,6 +45,7 @@ from .windows import Window, eigenvalue_scan, centralizer_window, nilpotent_clos
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 3
+INTERNAL_EXIT = 4
 
 
 def _read_file(path: str) -> str:
@@ -164,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("expr")
     s.add_argument("--cap", type=int, required=True)
     _add_weight_flags(s)
-    s.add_argument("--candidates", help="comma-separated rationals")
+    s.add_argument("--candidates", help="comma-separated rationals, each p or p/q")
     s.add_argument("--out")
 
     s = sub.add_parser("centralizer", help="windowed centralizer basis")
@@ -263,7 +265,9 @@ def _cmd_eig_scan(args) -> int:
     win = Window(_weight(args), args.cap)
     candidates = None
     if args.candidates:
-        candidates = [rat(tok) for tok in args.candidates.split(",") if tok.strip()]
+        candidates = [
+            _doc_rat(tok.strip()) for tok in args.candidates.split(",") if tok.strip()
+        ]
     report = eigenvalue_scan(a, win, candidates)
     _emit(args, dumps(eigen_report_to_doc(report)))
     return 0
@@ -390,10 +394,10 @@ _COMMANDS = {
 }
 
 
-def _error(kind: str, exc: Exception) -> None:
+def _error(kind: str, detail: object) -> None:
     import json
 
-    sys.stderr.write(json.dumps({"error": kind, "detail": str(exc)}) + "\n")
+    sys.stderr.write(json.dumps({"error": kind, "detail": str(detail)}) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -408,6 +412,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         _error("domain", exc)
         return DOMAIN_EXIT
+    except Exception as exc:  # last resort: keeps exit 1 meaning FAIL only
+        _error("internal", f"{type(exc).__name__}: {exc}")
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

@@ -12,10 +12,16 @@ map.  Elements are immutable; every operation returns a fresh value.
 
 Coefficients are kept in the stored form of `scalars`: an int when
 integral, else a Rat with denominator > 1, never a float.  Every
-operation restores that form on its result, so the integer-coefficient
-elements that dominate the verification suite multiply in plain int
-arithmetic.  `terms()`, `coefficient()` and `scalar_value()` still hand
-out Rat values.
+operation restores that form on its result.  `terms()`, `coefficient()`
+and `scalar_value()` still hand out Rat values.
+
+Products, scalings and linear combinations are fraction-free: each
+clears its operands' denominators once on the way in (`integral`), runs
+its inner loop on Python ints over one common denominator, and divides
+once per output term on the way out (`over`).  Elements with integer
+coefficients, which dominate the verification suite, skip both steps.
+Addition and subtraction stay on the stored values: they do one scalar
+operation per term, and clearing would not save any.
 
 Products are normal ordered with the closed form
 
@@ -30,10 +36,11 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import UnverifiedEndoError
-from .scalars import RAT_ONE, Rat, coeff, demote, rat_str
+from .scalars import RAT_ONE, Rat, coeff, demote, integral, over, rat_str
 
 ExponentPair = Tuple[int, int]
 Scalar = Union[int, str, Rat]
@@ -145,9 +152,11 @@ class WeylElement:
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
             return self._scaled(other)
+        a, da = integral(self._terms)
+        b, db = integral(other._terms)
         acc: dict = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 c = c1 * c2
                 for k, m in enumerate(_reorder(j1, i2)):
                     key = (i1 + i2 - k, j1 + j2 - k)
@@ -156,7 +165,7 @@ class WeylElement:
                         acc[key] = v
                     else:
                         acc.pop(key, None)
-        return WeylElement._raw(_demoted(acc))
+        return WeylElement._raw(over(acc, da * db))
 
     def __rmul__(self, other):
         # only reached for a non-element on the left; scalars are central
@@ -168,7 +177,11 @@ class WeylElement:
         c = coeff(c)
         if not c:
             return WeylElement._raw({})
-        return WeylElement._raw(_demoted({k: v * c for k, v in self._terms.items()}))
+        ints, den = integral(self._terms)
+        n = int(c.numerator)
+        return WeylElement._raw(
+            over({k: n * v for k, v in ints.items()}, den * int(c.denominator))
+        )
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -212,28 +225,33 @@ def _coerce(value) -> Union[WeylElement, type(NotImplemented)]:
     return NotImplemented
 
 
-def _demoted(terms: dict) -> dict:
-    """Restore the stored form in place: integral Rat values become ints."""
-    for key, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[key] = int(c)
-    return terms
-
-
 def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylElement:
-    """sum c * el over (c, el) pairs, accumulated in a single term map."""
-    acc: dict = {}
+    """sum c * el over (c, el) pairs, accumulated in a single term map.
+
+    Each pair is brought to int numerators over its own denominator
+    (the scalar's times its element's), and the sum is taken in ints over
+    the lcm of those, so the only division is one per output term.
+    """
+    cleared = []
+    common = 1
     for c, el in pairs:
         c = coeff(c)
         if not c:
             continue
-        for key, v in el._terms.items():
-            s = acc.get(key, 0) + c * v
+        ints, den = integral(el._terms)
+        den *= int(c.denominator)
+        cleared.append((int(c.numerator), den, ints))
+        common = lcm(common, den)
+    acc: dict = {}
+    for n, den, ints in cleared:
+        f = n * (common // den)
+        for key, v in ints.items():
+            s = acc.get(key, 0) + f * v
             if s:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-    return WeylElement._raw(_demoted(acc))
+    return WeylElement._raw(over(acc, common))
 
 
 def monomial(i: int, j: int, c: Scalar = 1) -> WeylElement:

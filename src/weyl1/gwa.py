@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from .core import WeylElement, monomial
+from .core import WeylElement, linear_combination, monomial
 from .scalars import NEG_INF, RAT_ONE, Rat, rat, rat_str
 
 Poly = Tuple[Rat, ...]
@@ -363,10 +363,9 @@ def from_graded(g: GradedElement) -> WeylElement:
     """Inverse of to_graded, evaluated with plain algebra arithmetic."""
     from .core import H as H_ELEM
 
-    acc = WeylElement()
-    for n, p in g.items():
-        acc = acc + poly_eval_element(p, H_ELEM) * _v_element(n)
-    return acc
+    return linear_combination(
+        (1, poly_eval_element(p, H_ELEM) * _v_element(n)) for n, p in g.items()
+    )
 
 
 def graded_degree(a: WeylElement) -> Union[int, float]:

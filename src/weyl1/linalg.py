@@ -12,7 +12,8 @@ anywhere.
 
 Elimination is fraction-free, after Bareiss (Math. Comp. 22, 1968), with
 content removal in place of his exact divisions: a row entering the
-echelon is scaled by the lcm of its denominators, and every row it holds
+echelon is scaled by the lcm of its denominators (`scalars.integral`, the
+helper `core` clears its products with), and every row it holds
 is a primitive int row (content 1, positive lead).  Rows are combined as
 (p/g)*row - (c/g)*prow with g = gcd(c, p), so no Rat is touched until a
 result is read.  Results (`rows`, `rref`, `nullspace`, `solve`, ...) come
@@ -23,10 +24,10 @@ with denominator > 1 otherwise.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import Rat, coeff, demote, exact_div
+from .scalars import Rat, coeff, demote, exact_div, integral
 
 SparseRow = Dict[int, Rat]
 Vector = Union[Sequence, Dict[int, object]]
@@ -124,22 +125,6 @@ def _primitive(row: Dict[int, int], lead: int) -> Dict[int, int]:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def _integral(row: SparseRow) -> Dict[int, int]:
-    """The nonzero entries of row times the lcm of their denominators."""
-    den = 1
-    for v in row.values():
-        if type(v) is not int:
-            den = lcm(den, v.denominator)
-    if den == 1:
-        return {k: int(v) for k, v in row.items() if v}
-    # int() keeps gmpy2's mpz out of the rows: mpz / mpz is not exact
-    return {
-        k: int(v.numerator) * (den // int(v.denominator))
-        for k, v in row.items()
-        if v
-    }
-
-
 def _eliminate(row: Dict[int, int], prow: Dict[int, int], col: int) -> Dict[int, int]:
     """(p/g)*row - (c/g)*prow with c, p their entries at col, g = gcd(c, p).
 
@@ -173,7 +158,10 @@ class _Echelon:
 
     def insert(self, row: SparseRow) -> Optional[int]:
         """Reduce and absorb; returns the new pivot column or None."""
-        row = _integral(row)
+        ints, _ = integral(row)
+        # integral hands an all-int row back uncopied, and elimination
+        # updates rows in place and keeps them as pivot rows
+        row = dict(ints) if ints is row else ints
         rows = self.rows
         # pivot rows hold no other pivot column, so elimination never adds
         # one: a single pass over the row's own pivot columns reduces it

@@ -16,9 +16,18 @@ Rat(n) == n and hash(Rat(n)) == hash(n), and the public accessors that
 promise a Rat (WeylElement.terms, coefficient, scalar_value) still return
 one.  `coeff` coerces into the stored form, `demote` restores it after
 arithmetic, and `exact_div` divides without ever producing a float.
+
+Fraction-free arithmetic.  `integral` clears the denominators of a
+{key: scalar} map once, giving Python int numerators over one common
+denominator, and `over` divides them back into the stored form.  `core`
+multiplies and combines elements through this pair, and `linalg` brings
+every echelon row in through `integral`, so the inner loops of both run
+on plain ints and touch a Rat at most once per output entry.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 try:
     from gmpy2 import mpq as Rat
@@ -71,6 +80,37 @@ def exact_div(a, b):
         q, r = divmod(a, b)
         return Rat(a, b) if r else q
     return demote(a / b)
+
+
+def integral(entries: dict):
+    """(ints, den): den is the lcm of the values' denominators, and ints
+    holds every nonzero value times den as a Python int.
+
+    When every value is already a nonzero int, `entries` itself comes back
+    with den = 1, uncopied: a caller that updates `ints` in place must copy
+    it first.  int() keeps gmpy2's mpz out, as mpz / mpz is not exact.
+    """
+    den, clean = 1, True
+    for v in entries.values():
+        if type(v) is not int:
+            den = lcm(den, int(v.denominator))
+            clean = False
+        elif not v:
+            clean = False
+    if clean:
+        return entries, 1
+    return {
+        k: int(v.numerator) * (den // int(v.denominator))
+        for k, v in entries.items()
+        if v
+    }, den
+
+
+def over(ints: dict, den: int) -> dict:
+    """{k: v / den} in the stored form; `ints` itself when den is 1."""
+    if den == 1:
+        return ints
+    return {k: exact_div(v, den) for k, v in ints.items()}
 
 
 def rat_str(q) -> str:

@@ -260,3 +260,23 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     code, out, err = run(capsys, *[a.replace("DOC", str(path)) for a in argv])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("candidates", ["abc", "1/0", "1e0,0.5"])
+def test_eig_scan_candidates_are_strict_rationals(capsys, candidates):
+    code, out, err = run(capsys, "eig-scan", "Y*X", "--cap", "2", "--candidates", candidates)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "input"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from weyl1 import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "comm", broken)
+    code, out, err = run(capsys, "comm", "Y", "X")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "internal", "detail": "RuntimeError: boom"}

@@ -3,17 +3,24 @@
 Every coefficient an element stores, and every entry the echelon code
 hands back, is an int when it is integral and a Rat with denominator > 1
 otherwise, never a float.  The public accessors still return Rat, and
-products still agree with the rewrite oracle.
+products still agree with the rewrite oracle.  Products, scalings and
+linear combinations clear denominators to ints and divide back once
+(`scalars.integral` / `over`); they are checked against the oracle and
+term-by-term Fraction sums on large, pairwise coprime denominators.
 """
+
+import copy
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_mul
 from weyl1 import (
     W11,
+    X,
+    Y,
     EndoRecipe,
     WeylElement,
     Window,
@@ -26,9 +33,9 @@ from weyl1 import (
     theta,
 )
 from weyl1.core import linear_combination
-from weyl1.linalg import RatMatrix, solve_many
+from weyl1.linalg import RatMatrix, rank, solve_many
 from weyl1.maps import ad
-from weyl1.scalars import Rat
+from weyl1.scalars import Rat, integral, over
 from weyl1.windows import map_matrix
 
 # ints, p/q with q > 1, and integral fractions such as 4/2, which must
@@ -136,3 +143,106 @@ def test_solutions_keep_the_stored_form(rows, rhs):
         assert all(stored(v) for v in sol.values())
         for row, b in zip(rows, rhs):
             assert sum(row[j] * v for j, v in sol.items()) == b
+
+
+# large primes: every coefficient drawn below gets its own, so all the
+# denominators in one example are pairwise coprime
+PRIMES = (
+    10007, 10009, 65537, 1000003, 1000033, 998244353, 1000000007, 1000000009,
+    2147483647, 4294967291, 2305843009213693951, 2**127 - 1,
+)
+
+
+@st.composite
+def coprime_elements(draw):
+    """Three elements and one spare prime, no denominator used twice."""
+    primes = iter(draw(st.permutations(PRIMES)))
+    key = st.integers(0, 3).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, 3 - i)))
+    out = []
+    for _ in range(3):
+        keys = draw(st.lists(key, min_size=1, max_size=3, unique=True))
+        nums = draw(st.lists(st.integers(-9, 9).filter(bool),
+                             min_size=len(keys), max_size=len(keys)))
+        out.append(WeylElement({k: Fraction(n, next(primes)) for k, n in zip(keys, nums)}))
+    return out, next(primes)
+
+
+def fraction_sum(pairs):
+    acc = {}
+    for c, el in pairs:
+        for key, v in el.terms():
+            acc[key] = acc.get(key, 0) + Fraction(c) * Fraction(v)
+    return WeylElement(acc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coprime_elements(), st.integers(-9, 9))
+def test_fraction_free_arithmetic_on_coprime_denominators(drawn, n):
+    (a, b, c), p = drawn
+    for out, want in (
+        (a * b, oracle_product(a, b)),
+        (b * a, oracle_product(b, a)),
+        (a * a, oracle_product(a, a)),
+        (Fraction(n, p) * a, fraction_sum([(Fraction(n, p), a)])),
+        (a * n, fraction_sum([(n, a)])),
+        (linear_combination([(Fraction(n, p), a), (2, b), (Fraction(1, 3), c)]),
+         fraction_sum([(Fraction(n, p), a), (2, b), (Fraction(1, 3), c)])),
+    ):
+        assert out == want
+        assert_stored(out)
+
+
+def test_cancelling_denominators_give_ints():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for out, want in (
+        ((half * Y) * (2 * X), {(1, 1): 1}),
+        (30 * (Fraction(1, 6) * Y + Fraction(1, 10) * X), {(1, 0): 5, (0, 1): 3}),
+        ((third * X) * (Fraction(3, 5) * Y * 5), {(1, 1): 1, (0, 0): -1}),
+        (linear_combination([(third, X + Y), (Fraction(2, 3), X + Y)]), {(0, 1): 1, (1, 0): 1}),
+        (linear_combination([(half, X), (Fraction(-1, 2), X), (third, 3 * Y)]), {(1, 0): 1}),
+    ):
+        assert out._terms == want
+        assert all(type(v) is int for v in out._terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(SCALARS, elements(max_degree=2)), max_size=5))
+def test_linear_combination_of_a_one_shot_generator(pairs):
+    out = linear_combination((c, el) for c, el in pairs)
+    assert out == fraction_sum(pairs)
+    assert_stored(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 20), SCALARS, max_size=6))
+def test_integral_round_trip(t):
+    ints, den = integral(t)
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in ints.values())
+    assert set(ints) == {k for k, v in t.items() if v}
+    assert over(ints, den) == {k: v for k, v in t.items() if v}
+    assert all(stored(v) for v in over(ints, den).values())
+    if all(type(v) is int and v for v in t.values()):
+        assert ints is t and den == 1
+
+
+INT_ROWS = st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                    min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(INT_ROWS, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_linalg_leaves_int_input_rows_unchanged(rows, rhs):
+    # a dependent row: some input row is always eliminated against a pivot
+    rows = rows + [[2 * v for v in rows[0]]]
+    assume(any(any(row) for row in rows))
+    mat = RatMatrix(rows)
+    before = copy.deepcopy(mat.sparse)
+    rref(mat)
+    assert mat.sparse == before
+    nullspace(mat)
+    assert mat.sparse == before
+    rank(mat)
+    assert mat.sparse == before
+    solve_many(mat.sparse, 4, [rhs[: len(rows)], {0: 1}])
+    assert mat.sparse == before
