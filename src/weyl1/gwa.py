@@ -5,20 +5,33 @@ K[H] * v_n with v_n = X^n for n > 0, v_n = Y^(-n) for n < 0 and v_0 = 1.
 The twist sigma: H -> H - 1 governs moving coefficients past the v_n:
 X * p(H) = p(H - 1) * X, and the contractions X*Y = H - 1, Y*X = H.
 
-Polynomials in H are stored as tuples of rational coefficients, ascending
-degree, zero = ().  Rational functions in H keep a monic denominator and
-a gcd-reduced fraction, so membership of a localized element in the plain
-algebra is a syntactic test on denominators.
+Public form.  A polynomial in H (`Poly`) is a tuple of Rat coefficients,
+ascending degree, zero = (); every entry is a Rat, even an integral one.
+A rational function in H (`RatFun`) keeps a monic denominator and a
+reduced fraction (gcd 1), so membership of a localized element in the
+plain algebra is a syntactic test on denominators.
+
+Int internals.  The arithmetic behind that form is fraction-free, as in
+`core` and `linalg`: `_clear` turns a Poly into a list of Python int
+coefficients over one common denominator, products, sums, divisions and
+shifts run on those lists, and each coefficient of a result becomes a Rat
+exactly once, on the way out (`_out`).  Gcds come from a primitive
+pseudo-remainder sequence (Collins, JACM 14, 1967; Brown & Traub, JACM
+18, 1971), and dividing by a primitive gcd stays exact in ints (Gauss's
+lemma).  The shift H -> H - m is a ring automorphism of K[H] that keeps
+leading coefficients, so a shifted reduced fraction with a monic
+denominator is still reduced and monic, and `rf_shift` takes no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .core import WeylElement, linear_combination, monomial
-from .scalars import NEG_INF, RAT_ONE, Rat, rat, rat_str
+from .core import ONE, WeylElement, linear_combination, monomial
+from .scalars import NEG_INF, RAT_ONE, Rat, integral, rat, rat_str
 
 Poly = Tuple[Rat, ...]
 
@@ -26,7 +39,116 @@ POLY_ZERO: Poly = ()
 POLY_ONE: Poly = (RAT_ONE,)
 
 
-# -- dense polynomial arithmetic over the rationals ---------------------
+# -- int coefficient lists -----------------------------------------------
+# An int polynomial is a list of Python ints, ascending degree, without a
+# trailing zero; [] is zero.
+
+
+def _clear(p: Poly) -> Tuple[List[int], int]:
+    """(ints, den): den is the lcm of p's denominators, ints[k] = p[k] * den.
+
+    int() keeps gmpy2's mpz out of the int loops, as in `scalars.integral`.
+    """
+    den = int(lcm(*[c.denominator for c in p]))
+    if den == 1:
+        return [int(c.numerator) for c in p], 1
+    return [int(c.numerator) * (den // int(c.denominator)) for c in p], den
+
+
+def _out(ints: List[int], den: int, f: int = 1) -> Poly:
+    """The Poly f * ints / den, each coefficient a Rat built once.
+
+    The list keeps the tuple at its exact size: a tuple built from a
+    generator is allocated at a guessed size and shrunk, and each one
+    freed then stays on the interpreter's tuple free list for its size.
+    """
+    return tuple([Rat(f * v, den) for v in ints])
+
+
+def _mul(a: List[int], b: List[int]) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _axpy(f: int, a: List[int], g: int, b: List[int]) -> List[int]:
+    """f*a + g*b."""
+    if len(a) < len(b):
+        f, a, g, b = g, b, f, a
+    out = [f * v for v in a]
+    for k, v in enumerate(b):
+        out[k] += g * v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int], int]:
+    """(q, r, s) with s*a = q*b + r and deg r < deg b, for b != 0.
+
+    s is the power of lc(b) that the steps needed.  A step scales by
+    lc(b) only when lc(b) does not divide the leading remainder
+    coefficient, so s = 1 when a primitive b divides a exactly.
+    """
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    quo = [0] * max(0, len(a) - nb + 1)
+    s = 1
+    while len(rem) >= nb:
+        top = rem[-1]
+        c, r = divmod(top, lead)
+        if r:
+            rem = [v * lead for v in rem]
+            quo = [v * lead for v in quo]
+            s *= lead
+            c = top
+        k = len(rem) - nb
+        quo[k] = c
+        for i in range(nb - 1):
+            rem[k + i] -= c * b[i]
+        rem.pop()  # the top coefficient cancels exactly
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem, s
+
+
+def _primitive(a: List[int]) -> List[int]:
+    """a over its content, with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [v // c for v in a]
+
+
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd of nonzero a and b, positive leading coefficient,
+    by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _divmod(a, b)[1]
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _shift(a: List[int], m: int) -> List[int]:
+    """a(H - m), by the Ruffini-Horner Taylor shift."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] -= m * a[k + 1]
+    return a
+
+
+# -- dense polynomials over the rationals -------------------------------
 
 
 def poly(coeffs) -> Poly:
@@ -37,104 +159,43 @@ def poly(coeffs) -> Poly:
     return tuple(out)
 
 
-def poly_deg(p: Poly) -> int:
-    return len(p) - 1  # -1 for the zero polynomial
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for k, c in enumerate(q):
-        out[k] = out[k] + c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
-def poly_scale(c, p: Poly) -> Poly:
-    c = rat(c)
-    if not c:
-        return POLY_ZERO
-    return tuple(c * a for a in p)
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return POLY_ZERO
-    out = [rat(0)] * (len(p) + len(q) - 1)
-    for a, ca in enumerate(p):
-        if not ca:
-            continue
-        for b, cb in enumerate(q):
-            if cb:
-                out[a + b] = out[a + b] + ca * cb
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    a, da = _clear(p)
+    b, db = _clear(q)
+    return _out(_mul(a, b), da * db)
 
 
 def poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [rat(0)] * max(0, len(p) - len(q) + 1)
-    lead = rat(q[-1])  # a Rat divisor keeps every quotient exact
-    while len(rem) >= len(q):
-        c = rem[-1] / lead
-        k = len(rem) - len(q)
-        quo[k] = c
-        for a, cb in enumerate(q):
-            rem[k + a] = rem[k + a] - c * cb
-        rem.pop()  # the top coefficient cancels exactly
-        while rem and not rem[-1]:
-            rem.pop()
-    return poly(quo), tuple(rem)
-
-
-def poly_monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    lead = rat(p[-1])
-    if lead == RAT_ONE:
-        return p
-    return tuple(c / lead for c in p)
+    a, da = _clear(p)
+    b, db = _clear(q)
+    quo, rem, s = _divmod(a, b)
+    # s*a = quo*b + rem, so p = a/da = (quo*db / (s*da)) * (b/db) + rem / (s*da)
+    return _out(quo, s * da, db), _out(rem, s * da)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = p, q
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
+    """Monic gcd, by a primitive pseudo-remainder sequence on ints."""
+    a, b = _clear(p)[0], _clear(q)[0]
+    g = _gcd(a, b) if a and b else a or b
+    return _out(g, g[-1]) if g else POLY_ZERO
 
 
 def poly_shift(p: Poly, m: int) -> Poly:
     """Substitute H -> H - m (the m-fold twist sigma^m)."""
-    if m == 0 or not p:
+    if m == 0 or len(p) < 2:
         return p
-    # Horner against the linear polynomial (H - m)
-    base = (rat(-m), RAT_ONE)
-    out: Poly = POLY_ZERO
-    for c in reversed(p):
-        out = poly_add(poly_mul(out, base), (rat(c),) if c else POLY_ZERO)
-    return out
+    a, den = _clear(p)
+    return _out(_shift(a, m), den)
 
 
 def poly_eval_element(p: Poly, at: WeylElement) -> WeylElement:
-    """Evaluate the polynomial at an algebra element (Horner)."""
-    acc = WeylElement()
-    for c in reversed(p):
-        acc = acc * at + c
-    return acc
+    """sum_k p[k] * at^k, in one linear combination of the powers."""
+    powers = [ONE]
+    for _ in range(len(p) - 1):
+        powers.append(powers[-1] * at)
+    return linear_combination(zip(p, powers))
 
 
 def poly_str(p: Poly, var: str = "H") -> str:
@@ -157,12 +218,12 @@ def poly_str(p: Poly, var: str = "H") -> str:
 
 
 @lru_cache(maxsize=None)
-def _shifted_product(lo: int, hi: int) -> Poly:
-    """prod_{k=lo}^{hi-1} (H + k), the empty product for hi <= lo."""
-    out = POLY_ONE
+def _shifted_product(lo: int, hi: int) -> Tuple[int, ...]:
+    """Int coefficients of prod_{k=lo}^{hi-1} (H + k), 1 for hi <= lo."""
+    out = [1]
     for k in range(lo, hi):
-        out = poly_mul(out, (rat(k), RAT_ONE))
-    return out
+        out = _mul(out, [k, 1])
+    return tuple(out)
 
 
 # -- rational functions in H --------------------------------------------
@@ -184,7 +245,22 @@ class RatFun:
         return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
 
 
-RF_ZERO: "RatFun"
+RF_ZERO = RatFun(POLY_ZERO, POLY_ONE)
+
+
+def _ratfun(n: List[int], d: List[int], sn: int = 1, sd: int = 1) -> RatFun:
+    """The RatFun (sn/sd) * n/d for int polynomials n and d != 0: divide
+    out the primitive gcd exactly, then make the denominator monic."""
+    if not n:
+        return RF_ZERO
+    if len(n) > 1 and len(d) > 1:
+        g = _gcd(n, d)
+        if len(g) > 1:
+            n = _divmod(n, g)[0]
+            d = _divmod(d, g)[0]
+    lead = d[-1]
+    num = _out(n, sd * lead, sn)
+    return RatFun(num, POLY_ONE if len(d) == 1 else _out(d, lead))
 
 
 def ratfun(num, den=None) -> RatFun:
@@ -192,35 +268,30 @@ def ratfun(num, den=None) -> RatFun:
     den = POLY_ONE if den is None else (den if isinstance(den, tuple) else poly(den))
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if not num:
-        return RatFun(POLY_ZERO, POLY_ONE)
-    g = poly_gcd(num, den)
-    if poly_deg(g) > 0:
-        num = poly_divmod(num, g)[0]
-        den = poly_divmod(den, g)[0]
-    lead = rat(den[-1])
-    if lead != RAT_ONE:
-        num = tuple(c / lead for c in num)
-        den = tuple(c / lead for c in den)
-    return RatFun(num, den)
-
-
-RF_ZERO = RatFun(POLY_ZERO, POLY_ONE)
+    n, dn = _clear(num)
+    d, dd = _clear(den)
+    return _ratfun(n, d, dd, dn)
 
 
 def rf_add(a: RatFun, b: RatFun) -> RatFun:
-    return ratfun(
-        poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)),
-        poly_mul(a.den, b.den),
-    )
+    n1, dn1 = _clear(a.num)
+    n2, dn2 = _clear(b.num)
+    d1, dd1 = _clear(a.den)
+    d2, dd2 = _clear(b.den)
+    n = _axpy(dd1 * dn2, _mul(n1, d2), dd2 * dn1, _mul(n2, d1))
+    return _ratfun(n, _mul(d1, d2), 1, dn1 * dn2)
 
 
 def rf_neg(a: RatFun) -> RatFun:
-    return RatFun(poly_neg(a.num), a.den)
+    return RatFun(tuple(-c for c in a.num), a.den)
 
 
 def rf_mul(a: RatFun, b: RatFun) -> RatFun:
-    return ratfun(poly_mul(a.num, b.num), poly_mul(a.den, b.den))
+    n1, dn1 = _clear(a.num)
+    n2, dn2 = _clear(b.num)
+    d1, dd1 = _clear(a.den)
+    d2, dd2 = _clear(b.den)
+    return _ratfun(_mul(n1, n2), _mul(d1, d2), dd1 * dd2, dn1 * dn2)
 
 
 def rf_scale(c, a: RatFun) -> RatFun:
@@ -231,8 +302,12 @@ def rf_scale(c, a: RatFun) -> RatFun:
 
 
 def rf_shift(a: RatFun, m: int) -> RatFun:
-    """sigma^m applied coefficient-wise: H -> H - m in num and den."""
-    return ratfun(poly_shift(a.num, m), poly_shift(a.den, m))
+    """sigma^m applied coefficient-wise: H -> H - m in num and den.
+
+    sigma^m is a ring automorphism of K[H] that keeps leading
+    coefficients, so the result is reduced and monic without a gcd.
+    """
+    return RatFun(poly_shift(a.num, m), poly_shift(a.den, m))
 
 
 # -- graded and localized elements ---------------------------------------
@@ -339,20 +414,18 @@ def to_graded(a: WeylElement) -> GradedElement:
         Y^i X^j = (H+i-1)(H+i-2)...(H+1)H * X^(j-i)        for i <= j,
         Y^i X^j = (H+i-1)(H+i-2)...(H+i-j) * Y^(i-j)       for i > j.
     """
-    acc: Dict[int, Poly] = {}
-    for (i, j), c in a.terms():
-        n = j - i
-        lo = 0 if i <= j else i - j
-        p = poly_scale(c, _shifted_product(lo, i))
-        if n in acc:
-            s = poly_add(acc[n], p)
-            if s:
-                acc[n] = s
-            else:
-                del acc[n]
-        elif p:
-            acc[n] = p
-    return GradedElement(acc)
+    ints, den = integral(a._terms)
+    acc: Dict[int, List[int]] = {}
+    for (i, j), v in ints.items():
+        p = _shifted_product(0 if i <= j else i - j, i)
+        row = acc.setdefault(j - i, [])
+        if len(row) < len(p):
+            row.extend([0] * (len(p) - len(row)))
+        for k, c in enumerate(p):
+            row[k] += v * c
+    # the monomials of one component have distinct degrees in H and monic
+    # products, so no component cancels and none has a trailing zero
+    return GradedElement({n: _out(row, den) for n, row in acc.items()})
 
 
 def _v_element(n: int) -> WeylElement:

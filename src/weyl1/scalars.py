@@ -2,9 +2,10 @@
 
 All coefficients in this package are exact rationals: reduced, arbitrary
 precision, positive denominator.  gmpy2's mpq is used when it is installed
-(it is markedly faster in the windowed linear algebra); the stdlib
-fractions.Fraction is the fallback.  Both types share the operations and
-the string format ("p" or "p/q") this package relies on.
+and the stdlib fractions.Fraction otherwise; no speed difference between
+the two has been measured since the arithmetic became fraction-free.  Both
+types share the operations and the string format ("p" or "p/q") this
+package relies on.
 
 Stored form.  Element terms in `core` and the results of `linalg` hold
 every integral scalar as a plain Python int and every other one as a Rat
@@ -20,9 +21,11 @@ arithmetic, and `exact_div` divides without ever producing a float.
 Fraction-free arithmetic.  `integral` clears the denominators of a
 {key: scalar} map once, giving Python int numerators over one common
 denominator, and `over` divides them back into the stored form.  `core`
-multiplies and combines elements through this pair, and `linalg` brings
-every echelon row in through `integral`, so the inner loops of both run
-on plain ints and touch a Rat at most once per output entry.
+multiplies and combines elements through this pair, `linalg` brings
+every echelon row in through `integral`, and `gwa` clears its dense
+coefficient tuples the same way (`gwa._clear`/`_out`), so the inner loops
+of all three run on plain ints and touch a Rat at most once per output
+entry.
 """
 
 from __future__ import annotations
@@ -116,7 +119,3 @@ def over(ints: dict, den: int) -> dict:
 def rat_str(q) -> str:
     """Canonical string form: "p" when the denominator is 1, else "p/q"."""
     return str(q)
-
-
-def is_integer(q) -> bool:
-    return q.denominator == 1
