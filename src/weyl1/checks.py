@@ -29,6 +29,7 @@ from .core import (
     apply_endo,
     commutator,
     linear_combination,
+    powers,
 )
 from .degrees import W11, weighted_degree
 from .endos import MembershipSolver, compile_recipe
@@ -103,27 +104,15 @@ def span_intersection(
     return span_basis([u for u in out if not u.is_zero()])
 
 
-def _h_powers_in_window(e: EndoPair, cap: int) -> List[WeylElement]:
-    h = e.h
-    vh = weighted_degree(W11, h)
-    out = [ONE]
-    cur = ONE
-    k = 1
-    while k * vh <= cap:
-        cur = cur * h
-        out.append(cur)
-        k += 1
-    return out
-
-
 # -- the checks -----------------------------------------------------------
 
 
 def check_centralizer_theorem(e: EndoPair, cap: int) -> CheckResult:
     """Windowed centralizer of h = y*x equals the span of its powers."""
     win = Window(W11, cap)
-    basis = centralizer_window(e.h, win)
-    expected = _h_powers_in_window(e, cap)
+    h = e.h
+    basis = centralizer_window(h, win)
+    expected = powers(h, cap // weighted_degree(W11, h))
     ok = spans_equal(basis, expected)
     witness = None
     if not ok:
@@ -140,10 +129,6 @@ def check_centralizer_theorem(e: EndoPair, cap: int) -> CheckResult:
     )
 
 
-def _v_i_prime(e: EndoPair, i: int) -> WeylElement:
-    return e.x**i if i >= 0 else e.y ** (-i)
-
-
 def check_eigen_theorem(
     e: EndoPair, cap: int, candidates: Optional[Sequence] = None
 ) -> CheckResult:
@@ -152,8 +137,9 @@ def check_eigen_theorem(
     win = Window(W11, cap)
     if candidates is None:
         candidates = default_eigen_candidates(cap)
-    report = eigenvalue_scan(e.h, win, candidates)
-    vh = weighted_degree(W11, e.h)
+    h = e.h
+    report = eigenvalue_scan(h, win, candidates)
+    vh = weighted_degree(W11, h)
     vx = weighted_degree(W11, e.x)
     vy = weighted_degree(W11, e.y)
 
@@ -178,6 +164,9 @@ def check_eigen_theorem(
         if count:
             expected_found[i] = count
 
+    h_pows = powers(h, cap // vh)
+    x_pows = powers(e.x, max(expected_found, default=0))
+    y_pows = powers(e.y, -min(expected_found, default=0))
     for i, count in expected_found.items():
         basis = found_map.get(rat(i))
         if basis is None:
@@ -188,8 +177,7 @@ def check_eigen_theorem(
                 f"eigenvalue {i}: dimension {len(basis)} != expected {count}"
             )
             continue
-        vi = _v_i_prime(e, i)
-        h_pows = _h_powers_in_window(e, cap)  # enough powers; span check below
+        vi = x_pows[i] if i >= 0 else y_pows[-i]
         expected_space = [hk * vi for hk in h_pows[:count]]
         if not span_contains(expected_space, basis):
             problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
@@ -337,15 +325,7 @@ def check_kernel_delta(
     kernel = [win.element(vec) for vec in nullspace(mat)]
     vx = weighted_degree(W11, e.x)
     vy = weighted_degree(W11, e.y)
-    generators = [ONE]
-    k = 1
-    while k * vx <= span_bound:
-        generators.append(e.x**k)
-        k += 1
-    k = 1
-    while k * vy <= span_bound:
-        generators.append(e.y**k)
-        k += 1
+    generators = powers(e.x, span_bound // vx) + powers(e.y, span_bound // vy)[1:]
     expected = span_intersection(generators, win.basis_elements())
     problems: List[str] = []
     if not spans_equal(kernel, expected):
@@ -443,11 +423,8 @@ def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
     dp = d_xy(e)
     x, y = e.x, e.y
     problems: List[str] = []
-    x_pows = [ONE]
-    y_pows = [ONE]
-    for _ in range(imax + nmax):
-        x_pows.append(x_pows[-1] * x)
-        y_pows.append(y_pows[-1] * y)
+    x_pows = powers(x, imax + nmax)
+    y_pows = powers(y, imax + nmax)
     for i in range(0, imax + 1):
         yixi = y_pows[i] * x_pows[i]
         xiyi = x_pows[i] * y_pows[i]

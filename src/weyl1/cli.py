@@ -14,18 +14,19 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .checks import canonical_config, compile_recipe, run_suite
-from .core import WeylElement, apply_endo, build_endo, commutator, format_element
+from .checks import canonical_config, run_suite
+from .core import WeylElement, apply_endo, commutator, format_element
 from .degrees import Weight, find_generic_weight, newton_polygon, weighted_degree
-from .endos import subalgebra_membership
+from .endos import EndoRecipe, compile_recipe, subalgebra_membership
 from .errors import DomainError
 from .maps import ad, d_xy, d_yx, delta_xy, drop
 from .parsing import ParseError, parse
-from .scalars import NEG_INF, rat_str
+from .scalars import NEG_INF
 from .semigroup import semigroup_analyze
 from .serialize import (
     DocError,
     _doc_rat,
+    centralizer_report_to_doc,
     check_results_to_doc,
     dumps,
     eigen_report_to_doc,
@@ -36,10 +37,11 @@ from .serialize import (
     graded_to_doc,
     load_config,
     loads,
+    membership_report_to_doc,
+    nilclosure_report_to_doc,
     polygon_to_doc,
     recipe_from_doc,
     semigroup_to_doc,
-    weight_to_doc,
 )
 from .windows import Window, eigenvalue_scan, centralizer_window, nilpotent_closure_window
 
@@ -276,17 +278,7 @@ def _cmd_eig_scan(args) -> int:
 def _cmd_centralizer(args) -> int:
     a = _element_arg(args.expr)
     win = Window(_weight(args), args.cap)
-    basis = centralizer_window(a, win)
-    doc = {
-        "format": "weyl-centralizer-report",
-        "version": 1,
-        "a": format_element(a),
-        "weight": weight_to_doc(win.weight),
-        "cap": win.cap,
-        "dimension": len(basis),
-        "basis": [format_element(u) for u in basis],
-    }
-    _emit(args, dumps(doc))
+    _emit(args, dumps(centralizer_report_to_doc(a, win, centralizer_window(a, win))))
     return 0
 
 
@@ -295,17 +287,7 @@ def _cmd_nilclosure(args) -> int:
     win = Window(_weight(args), args.cap)
     max_iter = args.max_iter if args.max_iter is not None else 4 * args.cap + 1
     basis = nilpotent_closure_window(m, win, max_iter)
-    doc = {
-        "format": "weyl-nilclosure-report",
-        "version": 1,
-        "map": m.describe(),
-        "weight": weight_to_doc(win.weight),
-        "cap": win.cap,
-        "max_iter": max_iter,
-        "dimension": len(basis),
-        "basis": [format_element(u) for u in basis],
-    }
-    _emit(args, dumps(doc))
+    _emit(args, dumps(nilclosure_report_to_doc(m, win, max_iter, basis)))
     return 0
 
 
@@ -314,16 +296,9 @@ def _cmd_endo_compile(args) -> int:
         raise DocError("endo-compile needs exactly one of --recipe or --raw")
     if args.recipe is not None:
         recipe = recipe_from_doc(loads(_read_file(args.recipe)))
-        pair = compile_recipe(recipe)
     else:
-        pair = build_endo(parse(args.raw[0]), parse(args.raw[1]))
-        if not pair.verified:
-            from .errors import UnverifiedEndoError
-
-            raise UnverifiedEndoError(
-                f"[y, x] = {format_element(pair.defect)} != 1"
-            )
-    _emit(args, dumps(endo_to_doc(pair)))
+        recipe = EndoRecipe(raw=(parse(args.raw[0]), parse(args.raw[1])))
+    _emit(args, dumps(endo_to_doc(compile_recipe(recipe))))
     return 0
 
 
@@ -337,20 +312,7 @@ def _cmd_membership(args) -> int:
     endo = _endo_arg(args.endo)
     a = _element_arg(args.expr)
     verdict = subalgebra_membership(endo, a, args.slack)
-    doc = {
-        "format": "weyl-membership-report",
-        "version": 1,
-        "element": format_element(a),
-        "slack": verdict.slack,
-        "member": verdict.member,
-        "witness": None
-        if verdict.witness is None
-        else [
-            {"i": i, "j": j, "c": rat_str(c)}
-            for (i, j), c in sorted(verdict.witness.items())
-        ],
-    }
-    _emit(args, dumps(doc))
+    _emit(args, dumps(membership_report_to_doc(a, verdict)))
     return 0
 
 

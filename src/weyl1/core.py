@@ -37,7 +37,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import UnverifiedEndoError
 from .scalars import RAT_ONE, Rat, coeff, demote, integral, over, rat_str
@@ -286,6 +286,15 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b - b * a
 
 
+def powers(a: WeylElement, n: int) -> List[WeylElement]:
+    """[1, a, a^2, ..., a^n] (empty for n < 0), each power one product
+    from the one before it."""
+    out = [ONE, a][: max(n + 1, 0)]
+    for _ in range(n - 1):
+        out.append(out[-1] * a)
+    return out
+
+
 def theta(a: WeylElement) -> WeylElement:
     """The automorphism X -> Y, Y -> -X (hence H -> -H + 1)."""
     # substitute, then normal order: (-X)^i * Y^j
@@ -342,14 +351,8 @@ def apply_endo(e: EndoPair, a: WeylElement) -> WeylElement:
             "refusing to apply an unverified pair; commutator defect: "
             f"{format_element(e.defect) if e.defect is not None else '?'}"
         )
-    max_i = max((i for (i, _) in a._terms), default=0)
-    max_j = max((j for (_, j) in a._terms), default=0)
-    y_pow = [ONE]
-    for _ in range(max_i):
-        y_pow.append(y_pow[-1] * e.y)
-    x_pow = [ONE]
-    for _ in range(max_j):
-        x_pow.append(x_pow[-1] * e.x)
+    y_pow = powers(e.y, max((i for (i, _) in a._terms), default=0))
+    x_pow = powers(e.x, max((j for (_, j) in a._terms), default=0))
     return linear_combination(
         (c, y_pow[i] * x_pow[j]) for (i, j), c in a._terms.items()
     )

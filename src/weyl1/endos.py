@@ -31,6 +31,7 @@ from .core import (
     apply_endo,
     build_endo,
     linear_combination,
+    powers,
 )
 from .degrees import W11, weighted_degree
 from .errors import UnverifiedEndoError
@@ -46,7 +47,7 @@ class AddPolyX:
     coeffs: Tuple[Rat, ...]
 
     def pair(self) -> EndoPair:
-        f_of_x = _univariate(self.coeffs, X)
+        f_of_x = linear_combination(zip(self.coeffs, powers(X, len(self.coeffs) - 1)))
         return build_endo(X, Y + f_of_x)
 
 
@@ -57,7 +58,7 @@ class AddPolyY:
     coeffs: Tuple[Rat, ...]
 
     def pair(self) -> EndoPair:
-        g_of_y = _univariate(self.coeffs, Y)
+        g_of_y = linear_combination(zip(self.coeffs, powers(Y, len(self.coeffs) - 1)))
         return build_endo(X + g_of_y, Y)
 
 
@@ -89,13 +90,6 @@ def add_poly_y(coeffs) -> AddPolyY:
 
 def linear(a, b, c, d) -> LinearGen:
     return LinearGen(rat(a), rat(b), rat(c), rat(d))
-
-
-def _univariate(coeffs: Sequence, gen: WeylElement) -> WeylElement:
-    powers = [ONE]
-    for _ in coeffs[1:]:
-        powers.append(powers[-1] * gen)
-    return linear_combination(zip(coeffs, powers))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Writing H = Y*X, the algebra decomposes as a direct sum of components
 K[H] * v_n with v_n = X^n for n > 0, v_n = Y^(-n) for n < 0 and v_0 = 1.
 The twist sigma: H -> H - 1 governs moving coefficients past the v_n:
 X * p(H) = p(H - 1) * X, and the contractions X*Y = H - 1, Y*X = H.
+Together they give the product of two components in closed form,
+
+    alpha v_m * beta v_n = alpha * sigma^m(beta) * c_mn(H) * v_(m+n),
+
+with c_mn a run of shifted linear factors H + k (see `localized_mul`),
+so `localized_mul` reduces one rational function per pair of components.
 
 Public form.  A polynomial in H (`Poly`) is a tuple of Rat coefficients,
 ascending degree, zero = (); every entry is a Rat, even an integral one.
@@ -30,7 +36,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .core import ONE, WeylElement, linear_combination, monomial
+from .core import H, WeylElement, linear_combination, monomial, powers
 from .scalars import NEG_INF, RAT_ONE, Rat, integral, rat, rat_str
 
 Poly = Tuple[Rat, ...]
@@ -190,14 +196,6 @@ def poly_shift(p: Poly, m: int) -> Poly:
     return _out(_shift(a, m), den)
 
 
-def poly_eval_element(p: Poly, at: WeylElement) -> WeylElement:
-    """sum_k p[k] * at^k, in one linear combination of the powers."""
-    powers = [ONE]
-    for _ in range(len(p) - 1):
-        powers.append(powers[-1] * at)
-    return linear_combination(zip(p, powers))
-
-
 def poly_str(p: Poly, var: str = "H") -> str:
     if not p:
         return "0"
@@ -286,12 +284,16 @@ def rf_neg(a: RatFun) -> RatFun:
     return RatFun(tuple(-c for c in a.num), a.den)
 
 
-def rf_mul(a: RatFun, b: RatFun) -> RatFun:
+def rf_mul(a: RatFun, b: RatFun, c: Tuple[int, ...] = (1,)) -> RatFun:
+    """a * b * c for an int polynomial c, with one reduction."""
     n1, dn1 = _clear(a.num)
     n2, dn2 = _clear(b.num)
     d1, dd1 = _clear(a.den)
     d2, dd2 = _clear(b.den)
-    return _ratfun(_mul(n1, n2), _mul(d1, d2), dd1 * dd2, dn1 * dn2)
+    n = _mul(n1, n2)
+    if len(c) > 1:
+        n = _mul(n, c)
+    return _ratfun(n, _mul(d1, d2), dd1 * dd2, dn1 * dn2)
 
 
 def rf_scale(c, a: RatFun) -> RatFun:
@@ -434,10 +436,9 @@ def _v_element(n: int) -> WeylElement:
 
 def from_graded(g: GradedElement) -> WeylElement:
     """Inverse of to_graded, evaluated with plain algebra arithmetic."""
-    from .core import H as H_ELEM
-
+    h_pows = powers(H, max(map(len, g.components.values()), default=0) - 1)
     return linear_combination(
-        (1, poly_eval_element(p, H_ELEM) * _v_element(n)) for n, p in g.items()
+        (1, linear_combination(zip(p, h_pows)) * _v_element(n)) for n, p in g.items()
     )
 
 
@@ -473,55 +474,30 @@ def embed(a: WeylElement) -> LocalizedElement:
 # -- localized multiplication --------------------------------------------
 
 
-def _mul_v_step(components: Dict[int, RatFun], by_x: bool) -> Dict[int, RatFun]:
-    """Right-multiply sum alpha_m v_m by a single X (or Y) letter.
-
-    The one-step rules, with sigma: H -> H - 1:
-        alpha v_m * X = alpha v_(m+1)              for m >= 0
-        alpha v_m * X = alpha*(H-m-1) v_(m+1)      for m <= -1
-        alpha v_m * Y = alpha v_(m-1)              for m <= 0
-        alpha v_m * Y = alpha*(H-m) v_(m-1)        for m >= 1
-    """
-    out: Dict[int, RatFun] = {}
-    for m, f in components.items():
-        if by_x:
-            tgt = m + 1
-            if m < 0:
-                f = rf_mul(f, RatFun((rat(-m - 1), RAT_ONE), POLY_ONE))
-        else:
-            tgt = m - 1
-            if m > 0:
-                f = rf_mul(f, RatFun((rat(-m), RAT_ONE), POLY_ONE))
-        if f.num:
-            prev = out.get(tgt)
-            s = rf_add(prev, f) if prev is not None else f
-            if s.num:
-                out[tgt] = s
-            else:
-                out.pop(tgt, None)
-    return out
-
-
 def localized_mul(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
-    """Exact product, iterating the one-letter twist and contraction rules."""
+    """Exact product, in closed form for each pair of components:
+
+        alpha v_m * beta v_n = alpha * sigma^m(beta) * c_mn(H) * v_(m+n).
+
+    c_mn is the product of the linear factors H + k that the contractions
+    X*Y = H - 1 and Y*X = H leave, k running over [max(0, -m-n), -m) for
+    n > 0 and over [-m, min(-m-n, 0)) for n < 0; the run is empty, and
+    c_mn = 1, unless m and n have opposite signs.
+    """
     total: Dict[int, RatFun] = {}
     for n, beta in b.components.items():
-        # a * beta(H): pull beta through each component with the twist
-        cur = {}
         for m, alpha in a.components.items():
-            f = rf_mul(alpha, rf_shift(beta, m))
-            if f.num:
-                cur[m] = f
-        # then multiply by v_n one letter at a time
-        for _ in range(abs(n)):
-            cur = _mul_v_step(cur, by_x=n > 0)
-        for m, f in cur.items():
-            prev = total.get(m)
+            if n > 0:
+                c = _shifted_product(max(0, -m - n), -m)
+            else:
+                c = _shifted_product(-m, min(-m - n, 0))
+            f = rf_mul(alpha, rf_shift(beta, m), c)
+            prev = total.get(m + n)
             s = rf_add(prev, f) if prev is not None else f
             if s.num:
-                total[m] = s
+                total[m + n] = s
             else:
-                total.pop(m, None)
+                total.pop(m + n, None)
     return LocalizedElement(total)
 
 

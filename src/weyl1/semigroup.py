@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .errors import HorizonError
+from .errors import DomainError, HorizonError
+
+#: Largest membership table `semigroup_analyze` builds: two Python lists
+#: of this length, about 16 MB.
+MAX_HORIZON = 1_000_000
 
 
 @dataclass
@@ -45,6 +49,10 @@ class SemigroupData:
 
 def _membership_table(gens, horizon: int):
     """member[k] plus, for members, one generator used to reach them."""
+    if horizon > MAX_HORIZON:
+        raise DomainError(
+            f"horizon {horizon} exceeds the membership table limit {MAX_HORIZON}"
+        )
     member = [False] * (horizon + 1)
     via = [0] * (horizon + 1)
     member[0] = True
@@ -73,7 +81,8 @@ def semigroup_analyze(generators, horizon: Optional[int] = None) -> SemigroupDat
     the finitely-many-gaps claim is certified by finding m/g consecutive
     members among the multiples of g, where m is the least generator;
     adding copies of m then covers everything beyond.  HorizonError is
-    raised when the horizon is too small to certify.
+    raised when the horizon is too small to certify, DomainError when a
+    table past MAX_HORIZON would be needed.
     """
     gens = sorted(set(int(a) for a in generators))
     if not gens:

@@ -13,13 +13,13 @@ import re
 
 from .core import EndoPair, WeylElement, build_endo, format_element
 from .degrees import Polygon, Weight
-from .endos import EndoRecipe, add_poly_x, add_poly_y, linear
+from .endos import EndoRecipe, Membership, add_poly_x, add_poly_y, linear
 from .gwa import poly_str, to_graded
-from .maps import DropReport
+from .maps import DropReport, LinearMap
 from .parsing import parse
 from .scalars import rat, rat_str
 from .semigroup import SemigroupData
-from .windows import EigenReport
+from .windows import EigenReport, Window
 
 ELEMENT_FORMAT = "weyl-element"
 ENDO_FORMAT = "weyl-endo"
@@ -209,6 +209,47 @@ def eigen_report_to_doc(r: EigenReport) -> dict:
                 "basis": [format_element(u) for u in basis],
             }
             for lam, basis in r.found
+        ],
+    }
+
+
+def centralizer_report_to_doc(a: WeylElement, win: Window, basis) -> dict:
+    return {
+        "format": "weyl-centralizer-report",
+        "version": VERSION,
+        "a": format_element(a),
+        "weight": weight_to_doc(win.weight),
+        "cap": win.cap,
+        "dimension": len(basis),
+        "basis": [format_element(u) for u in basis],
+    }
+
+
+def nilclosure_report_to_doc(m: LinearMap, win: Window, max_iter: int, basis) -> dict:
+    return {
+        "format": "weyl-nilclosure-report",
+        "version": VERSION,
+        "map": m.describe(),
+        "weight": weight_to_doc(win.weight),
+        "cap": win.cap,
+        "max_iter": max_iter,
+        "dimension": len(basis),
+        "basis": [format_element(u) for u in basis],
+    }
+
+
+def membership_report_to_doc(a: WeylElement, verdict: Membership) -> dict:
+    return {
+        "format": "weyl-membership-report",
+        "version": VERSION,
+        "element": format_element(a),
+        "slack": verdict.slack,
+        "member": verdict.member,
+        "witness": None
+        if verdict.witness is None
+        else [
+            {"i": i, "j": j, "c": rat_str(c)}
+            for (i, j), c in sorted(verdict.witness.items())
         ],
     }
 

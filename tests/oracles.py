@@ -75,3 +75,32 @@ def random_element(rng, max_degree=4, max_terms=4, max_num=9, max_den=3):
     from weyl1 import WeylElement
 
     return WeylElement(random_terms(rng, max_degree, max_terms, max_num, max_den))
+
+
+def oracle_localized_mul(a, b):
+    """Product of two LocalizedElements, multiplying by v_n one letter at
+    a time.  With sigma: H -> H - 1 the one-step rules are
+
+        alpha v_m * X = alpha v_(m+1)              for m >= 0
+        alpha v_m * X = alpha*(H-m-1) v_(m+1)      for m <= -1
+        alpha v_m * Y = alpha v_(m-1)              for m <= 0
+        alpha v_m * Y = alpha*(H-m) v_(m-1)        for m >= 1
+
+    and beta(H) moves left past v_m as sigma^m(beta).
+    """
+    from weyl1.gwa import LocalizedElement, ratfun, rf_mul, rf_shift
+
+    total = LocalizedElement()
+    for n, beta in b.components.items():
+        cur = {m: rf_mul(alpha, rf_shift(beta, m)) for m, alpha in a.components.items()}
+        for _ in range(abs(n)):
+            step = {}
+            for m, f in cur.items():
+                if n > 0 and m < 0:
+                    f = rf_mul(f, ratfun([-m - 1, 1]))
+                elif n < 0 and m > 0:
+                    f = rf_mul(f, ratfun([-m, 1]))
+                step[m + (1 if n > 0 else -1)] = f
+            cur = step
+        total = total + LocalizedElement(cur)
+    return total

@@ -7,6 +7,7 @@ import pytest
 
 from weyl1 import Y
 from weyl1.cli import main
+from weyl1.semigroup import MAX_HORIZON
 from weyl1.serialize import dumps, element_to_doc
 from weyl1.checks import canonical_config
 
@@ -121,6 +122,18 @@ def test_semigroup(capsys):
     code, out, _ = run(capsys, "semigroup", "2", "3")
     doc = json.loads(out)
     assert code == 0 and doc["gaps"] == [1] and doc["nu"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["1000000000"], ["2", "3", "--horizon", str(MAX_HORIZON + 1)]],
+    ids=["default-horizon", "given-horizon"],
+)
+def test_semigroup_past_the_table_limit_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, "semigroup", *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "domain"
+    assert str(MAX_HORIZON) in json.loads(err)["detail"]
 
 
 def test_exit_codes():

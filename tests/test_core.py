@@ -24,6 +24,7 @@ from weyl1 import (
     theta,
     theta_prime,
 )
+from weyl1.core import powers
 
 
 def test_additive_identity_and_cancellation():
@@ -92,6 +93,15 @@ def test_pow():
     assert (Y + X) ** 3 == (Y + X) * (Y + X) * (Y + X)
     with pytest.raises(ValueError):
         X ** (-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_powers_are_consecutive_powers(n):
+    for a in (X, Y + X, rat(1, 2) * H - 3):
+        ps = powers(a, n)
+        assert len(ps) == n + 1
+        assert all(ps[k] == a**k for k in range(n + 1))
+    assert powers(X, -1) == []
 
 
 def test_theta_values():

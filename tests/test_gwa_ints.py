@@ -10,8 +10,10 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_localized_mul
 from weyl1 import WeylElement, embed, localized_mul, ratfun, to_graded
 from weyl1.gwa import (
+    LocalizedElement,
     RatFun,
     graded_component,
     poly,
@@ -34,7 +36,13 @@ COEFFS = st.one_of(
 POLYS = st.lists(COEFFS, max_size=5).map(poly)
 NONZERO_POLYS = POLYS.filter(bool)
 RATFUNS = st.builds(ratfun, POLYS, NONZERO_POLYS)
+FRACTIONS = st.builds(ratfun, NONZERO_POLYS, NONZERO_POLYS).filter(
+    lambda f: not f.is_polynomial()
+)
 SHIFTS = st.integers(-4, 4)
+# components in [-4, 4] with denominators != 1: embedded polynomials never
+# reach the rational-function paths of localized_mul
+LOCALIZED = st.dictionaries(SHIFTS, FRACTIONS, min_size=1, max_size=3).map(LocalizedElement)
 
 
 def elements(max_degree=3, max_terms=4):
@@ -97,3 +105,9 @@ def test_cusp_style_products_cancel_shifted_factors(f, m):
     left = graded_component(0, rf_mul(f, rf_shift(f, m)))
     right = graded_component(0, rf_shift(f_inv, m))
     assert localized_mul(left, right) == graded_component(0, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LOCALIZED, LOCALIZED)
+def test_closed_form_product_matches_letter_by_letter(a, b):
+    assert localized_mul(a, b) == oracle_localized_mul(a, b)
