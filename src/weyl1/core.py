@@ -15,19 +15,28 @@ integral, else a Rat with denominator > 1, never a float.  Every
 operation restores that form on its result.  `terms()`, `coefficient()`
 and `scalar_value()` still hand out Rat values.
 
-Products, scalings and linear combinations are fraction-free: each
-clears its operands' denominators once on the way in (`integral`), runs
-its inner loop on Python ints over one common denominator, and divides
-once per output term on the way out (`over`).  Elements with integer
-coefficients, which dominate the verification suite, skip both steps.
-Addition and subtraction stay on the stored values: they do one scalar
-operation per term, and clearing would not save any.
+Products, commutators, scalings and linear combinations are
+fraction-free: each clears its operands' denominators once on the way in
+(`integral`), runs its inner loop on Python ints over one common
+denominator, and divides once per output term on the way out (`over`).
+Elements with integer coefficients, which dominate the verification
+suite, skip both steps.  Addition and subtraction stay on the stored
+values: they do one scalar operation per term, and clearing would not
+save any.
 
 Products are normal ordered with the closed form
 
-    X^b * Y^c = sum_k (-1)^k * k! * C(b,k) * C(c,k) * Y^(c-k) * X^(b-k),
+    X^b * Y^c = sum_k m_k(b, c) * Y^(c-k) * X^(b-k),
+    m_k(b, c) = (-1)^k * k! * C(b,k) * C(c,k),
 
-which the test suite validates against the one-step rewriting oracle
+and commutators come from the same table without forming either
+product: both orders of a term pair land on the same monomials and their
+k = 0 terms cancel, so
+
+    [Y^i1 X^j1, Y^i2 X^j2]
+        = sum_{k>=1} (m_k(j1, i2) - m_k(j2, i1)) * Y^(i1+i2-k) * X^(j1+j2-k).
+
+The test suite validates both against the one-step rewriting oracle
 XY -> YX - 1.
 """
 
@@ -141,13 +150,13 @@ class WeylElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _difference(self._terms, other._terms)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _difference(other._terms, self._terms)
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
@@ -186,13 +195,12 @@ class WeylElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        # one product per step, as in `powers`, but keeping no lower
+        # power; squaring a dense power costs far more than multiplying
+        # it by the (usually small) base
+        result = self if n else ONE
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     # -- identity ------------------------------------------------------
@@ -223,6 +231,18 @@ def _coerce(value) -> Union[WeylElement, type(NotImplemented)]:
     if isinstance(value, (int, Rat, numbers.Rational)):
         return WeylElement({(0, 0): value})
     return NotImplemented
+
+
+def _difference(p: dict, q: dict) -> WeylElement:
+    """p - q for stored-form term maps, subtracted into one copy of p."""
+    out = dict(p)
+    for key, c in q.items():
+        v = out.get(key, 0) - c
+        if v:
+            out[key] = demote(v)
+        else:
+            out.pop(key, None)
+    return WeylElement._raw(out)
 
 
 def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylElement:
@@ -282,8 +302,32 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] = a*b - b*a."""
-    return a * b - b * a
+    """[a, b] = a*b - b*a, by the bracket closed form of the module
+    docstring: one fraction-free pass over term pairs, forming neither
+    product."""
+    if not (isinstance(a, WeylElement) and isinstance(b, WeylElement)):
+        return a * b - b * a  # a plain scalar operand, or a type error
+    p, da = integral(a._terms)
+    q, db = integral(b._terms)
+    acc: dict = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            m1 = _reorder(j1, i2)
+            m2 = _reorder(j2, i1)
+            n1, n2 = len(m1), len(m2)
+            if n1 == n2 == 1:
+                continue  # the two terms commute
+            c, s, t = c1 * c2, i1 + i2, j1 + j2
+            for k in range(1, max(n1, n2)):
+                d = (m1[k] if k < n1 else 0) - (m2[k] if k < n2 else 0)
+                if d:
+                    key = (s - k, t - k)
+                    v = acc.get(key, 0) + c * d
+                    if v:
+                        acc[key] = v
+                    else:
+                        acc.pop(key, None)
+    return WeylElement._raw(over(acc, da * db))
 
 
 def powers(a: WeylElement, n: int) -> List[WeylElement]:

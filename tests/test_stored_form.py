@@ -3,10 +3,12 @@
 Every coefficient an element stores, and every entry the echelon code
 hands back, is an int when it is integral and a Rat with denominator > 1
 otherwise, never a float.  The public accessors still return Rat, and
-products still agree with the rewrite oracle.  Products, scalings and
-linear combinations clear denominators to ints and divide back once
-(`scalars.integral` / `over`); they are checked against the oracle and
-term-by-term Fraction sums on large, pairwise coprime denominators.
+products still agree with the rewrite oracle.  Products, commutators,
+scalings and linear combinations clear denominators to ints and divide
+back once (`scalars.integral` / `over`); they are checked against the
+oracle and term-by-term Fraction sums on large, pairwise coprime
+denominators.  The one-pass commutator is also checked against a*b - b*a
+and against the Lie identities it must satisfy.
 """
 
 import copy
@@ -32,7 +34,7 @@ from weyl1 import (
     rref,
     theta,
 )
-from weyl1.core import linear_combination
+from weyl1.core import linear_combination, powers
 from weyl1.linalg import RatMatrix, rank, solve_many
 from weyl1.maps import ad
 from weyl1.scalars import Rat, integral, over
@@ -48,11 +50,20 @@ SCALARS = st.one_of(
 NONZERO = SCALARS.filter(bool)
 
 
-def elements(max_degree=3, max_terms=4):
+def elements(max_degree=3, max_terms=4, scalars=SCALARS):
     key = st.integers(0, max_degree).flatmap(
         lambda i: st.tuples(st.just(i), st.integers(0, max_degree - i))
     )
-    return st.dictionaries(key, SCALARS, max_size=max_terms).map(WeylElement)
+    return st.dictionaries(key, scalars, max_size=max_terms).map(WeylElement)
+
+
+def mixed_elements(max_degree=3, max_terms=4):
+    """Elements with rational coefficients or with int coefficients only
+    (the int-only ones skip the clearing step of the fraction-free code)."""
+    return st.one_of(
+        elements(max_degree, max_terms),
+        elements(max_degree, max_terms, st.integers(-12, 12)),
+    )
 
 
 TRIANGULAR = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]),)))
@@ -183,6 +194,7 @@ def test_fraction_free_arithmetic_on_coprime_denominators(drawn, n):
         (a * b, oracle_product(a, b)),
         (b * a, oracle_product(b, a)),
         (a * a, oracle_product(a, a)),
+        (commutator(a, b), oracle_product(a, b) - oracle_product(b, a)),
         (Fraction(n, p) * a, fraction_sum([(Fraction(n, p), a)])),
         (a * n, fraction_sum([(n, a)])),
         (linear_combination([(Fraction(n, p), a), (2, b), (Fraction(1, 3), c)]),
@@ -190,6 +202,49 @@ def test_fraction_free_arithmetic_on_coprime_denominators(drawn, n):
     ):
         assert out == want
         assert_stored(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_elements(), mixed_elements())
+def test_commutator_is_the_difference_of_both_products(a, b):
+    c = commutator(a, b)
+    assert c == a * b - b * a
+    want = oracle_mul(dict(a.terms()), dict(b.terms()))
+    for key, v in oracle_mul(dict(b.terms()), dict(a.terms())).items():
+        want[key] = want.get(key, 0) - v
+    assert c == WeylElement(want)
+    assert_stored(c)
+    assert_public_rat(c)
+    assert commutator(b, a) == -c
+    assert commutator(a, a).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_elements(max_degree=2, max_terms=3), mixed_elements(max_degree=2, max_terms=3),
+       mixed_elements(max_degree=2, max_terms=3))
+def test_commutator_jacobi_and_leibniz(a, b, c):
+    jacobi = (commutator(a, commutator(b, c)) + commutator(b, commutator(c, a))
+              + commutator(c, commutator(a, b)))
+    assert jacobi.is_zero()
+    assert commutator(a, b * c) == commutator(a, b) * c + b * commutator(a, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_elements(), SCALARS)
+def test_scalar_operands_commute(a, c):
+    s = WeylElement({(0, 0): c})
+    for u, v in ((s, a), (a, s), (WeylElement(), a), (a, WeylElement()), (c, a), (a, c)):
+        assert commutator(u, v)._terms == {}
+    assert commutator(Y, X)._terms == {(0, 0): 1}
+    assert commutator(X, Y)._terms == {(0, 0): -1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_elements(max_degree=2, max_terms=3), st.integers(0, 8))
+def test_pow_is_the_last_consecutive_power(a, n):
+    p = a**n
+    assert p == powers(a, n)[-1]
+    assert_stored(p)
 
 
 def test_cancelling_denominators_give_ints():
