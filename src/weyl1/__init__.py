@@ -86,7 +86,6 @@ from .maps import (
     delta_xy,
     drop,
     drop_profile,
-    eval_map,
     nilpotency_degree,
 )
 from .parsing import ParseError, parse, parse_expr, print_element

@@ -5,7 +5,9 @@ the form @path loads an element document instead.  Structured output is
 JSON with string rationals; plain output is the canonical printed form.
 Exit codes: 0 success, 1 verification failures, 2 usage or input syntax
 errors, 3 computation-domain errors (window escape, unverified pair,
-exhausted bounds), 4 an internal error (a bug; never a verdict).
+exhausted bounds), 4 an internal error (a bug; never a verdict).  Every
+nonzero exit writes one JSON line {"error": kind, "detail": ...} to
+stderr, argparse usage errors included.
 """
 
 from __future__ import annotations
@@ -114,8 +116,19 @@ def _add_weight_flags(sub, default=(1, 1)):
     sub.add_argument("--eta", type=int, default=default[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a usage error as one JSON line, exit 2.
+
+    Subparsers are made with the parent's class, so this covers them too.
+    """
+
+    def error(self, message):
+        _error("input", message)
+        sys.exit(USAGE_EXIT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="weyl1",
         description="Exact computations in the first Weyl algebra K<X,Y | YX - XY = 1>.",
     )
@@ -309,6 +322,8 @@ def _cmd_endo_apply(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    if args.slack < 0:
+        raise DocError(f"--slack must be >= 0, got {args.slack}")
     endo = _endo_arg(args.endo)
     a = _element_arg(args.expr)
     verdict = subalgebra_membership(endo, a, args.slack)

@@ -187,9 +187,9 @@ class WeylElement:
         if not c:
             return WeylElement._raw({})
         ints, den = integral(self._terms)
-        n = int(c.numerator)
+        n = c.numerator
         return WeylElement._raw(
-            over({k: n * v for k, v in ints.items()}, den * int(c.denominator))
+            over({k: n * v for k, v in ints.items()}, den * c.denominator)
         )
 
     def __pow__(self, n: int):
@@ -259,8 +259,8 @@ def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylEleme
         if not c:
             continue
         ints, den = integral(el._terms)
-        den *= int(c.denominator)
-        cleared.append((int(c.numerator), den, ints))
+        den *= c.denominator
+        cleared.append((c.numerator, den, ints))
         common = lcm(common, den)
     acc: dict = {}
     for n, den, ints in cleared:

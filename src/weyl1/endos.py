@@ -185,8 +185,10 @@ class MembershipSolver:
 
         The expansion over the y^i x^j basis is unique, so solving once at
         the largest bound and checking which pairs each witness uses gives
-        exactly the per-element answers.
+        exactly the per-element answers.  A negative slack is refused.
         """
+        if slack < 0:
+            raise ValueError(f"membership slack must be >= 0, got {slack}")
         degrees = [weighted_degree(W11, a) for a in elements]
         finite = [d for d in degrees if d != float("-inf")]
         if not finite:

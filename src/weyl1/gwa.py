@@ -51,14 +51,11 @@ POLY_ONE: Poly = (RAT_ONE,)
 
 
 def _clear(p: Poly) -> Tuple[List[int], int]:
-    """(ints, den): den is the lcm of p's denominators, ints[k] = p[k] * den.
-
-    int() keeps gmpy2's mpz out of the int loops, as in `scalars.integral`.
-    """
-    den = int(lcm(*[c.denominator for c in p]))
+    """(ints, den): den is the lcm of p's denominators, ints[k] = p[k] * den."""
+    den = lcm(*[c.denominator for c in p])
     if den == 1:
-        return [int(c.numerator) for c in p], 1
-    return [int(c.numerator) * (den // int(c.denominator)) for c in p], den
+        return [c.numerator for c in p], 1
+    return [c.numerator * (den // c.denominator) for c in p], den
 
 
 def _out(ints: List[int], den: int, f: int = 1) -> Poly:

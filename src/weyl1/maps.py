@@ -10,6 +10,11 @@ commutator inequality
 
 gives each map a degree shift bound used to size target windows.
 
+One class carries them all.  A `LinearMap` is an image rule (the image
+of one monomial), a degree-shift bound (a function of the weight) and a
+name; `ad`, `d_yx`, `d_xy`, `delta_xy` and `compose` only choose the
+three.  Linear extension and a per-map monomial cache are shared.
+
 The drop of a map at a with respect to a degree function v is
 v(m(a)) - v(a), with -inf when the image vanishes.
 """
@@ -17,9 +22,9 @@ v(m(a)) - v(a), with -inf when the image vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
-from .core import EndoPair, WeylElement, commutator, linear_combination, monomial, mul
+from .core import EndoPair, WeylElement, commutator, linear_combination, monomial
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
 from .scalars import NEG_INF
@@ -28,18 +33,23 @@ Degree = Union[int, float]
 
 
 class LinearMap:
-    """Base class: a linear self-map evaluable on elements.
+    """A linear self-map, evaluable on elements.
 
-    Subclasses define the image of a single monomial; linear extension
-    and a per-instance monomial cache live here.  Cache writes are
-    idempotent, so concurrent readers are safe.
+    `image` gives the image of one monomial Y^i X^j (passed as an
+    element), `shift` an upper bound for v(m(a)) - v(a) under a weight,
+    and `description` the map's name in reports.  Linear extension and a
+    per-map monomial cache live here.  Cache writes are idempotent, so
+    concurrent readers are safe.
     """
 
-    def _monomial_image(self, i: int, j: int) -> WeylElement:
-        raise NotImplementedError
-
-    def __init__(self):
+    def __init__(self, image: Callable, shift: Callable, description: str):
+        self._image = image
+        self._shift = shift
+        self._description = description
         self._cache = {}
+
+    def _monomial_image(self, i: int, j: int) -> WeylElement:
+        return self._image(monomial(i, j))
 
     def __call__(self, a: WeylElement) -> WeylElement:
         return linear_combination(
@@ -54,136 +64,75 @@ class LinearMap:
 
     def degree_shift(self, w: Weight) -> Degree:
         """Upper bound for v(m(a)) - v(a) under the weight w."""
-        raise NotImplementedError
+        return self._shift(w)
 
     def describe(self) -> str:
-        raise NotImplementedError
+        return self._description
 
     def __repr__(self):
         return f"<map {self.describe()}>"
 
 
-class AdMap(LinearMap):
+def ad(a: WeylElement) -> LinearMap:
     """ad(a): b -> [a, b].  Satisfies the Leibniz rule."""
-
-    def __init__(self, a: WeylElement):
-        super().__init__()
-        self.a = a
-
-    def _monomial_image(self, i, j):
-        return commutator(self.a, monomial(i, j))
-
-    def degree_shift(self, w):
-        va = weighted_degree(w, self.a)
-        if va == NEG_INF:
-            return NEG_INF
-        return va - w.rho - w.eta
-
-    def describe(self):
-        return f"ad({self.a})"
+    return LinearMap(
+        lambda u: commutator(a, u),
+        lambda w: weighted_degree(w, a) - w.rho - w.eta,
+        f"ad({a})",
+    )
 
 
-def _require_verified(e: EndoPair, what: str) -> EndoPair:
+def _require_verified(e: EndoPair, what: str) -> None:
     if not e.verified:
         raise UnverifiedEndoError(f"{what} requires a verified pair")
-    return e
 
 
-class PairMap(LinearMap):
-    """d: a -> [y, a] * x, or, primed, d': a -> [x, a] * y."""
-
-    def __init__(self, e: EndoPair, primed: bool):
-        super().__init__()
-        self.pair = _require_verified(e, "d' = [x, .]y" if primed else "d = [y, .]x")
-        self.primed = primed
-        self._left, self._right = (e.x, e.y) if primed else (e.y, e.x)
-
-    def _monomial_image(self, i, j):
-        return mul(commutator(self._left, monomial(i, j)), self._right)
-
-    def degree_shift(self, w):
-        return (
-            weighted_degree(w, self.pair.x)
-            + weighted_degree(w, self.pair.y)
-            - w.rho
-            - w.eta
-        )
-
-    def describe(self):
-        return "[x, .]*y" if self.primed else "[y, .]*x"
+def _pair_shift(e: EndoPair, brackets: int) -> Callable[[Weight], Degree]:
+    """w -> v(x) + v(y) - brackets * (rho + eta)."""
+    return lambda w: (
+        weighted_degree(w, e.x) + weighted_degree(w, e.y) - brackets * (w.rho + w.eta)
+    )
 
 
-class DeltaMap(LinearMap):
+def _pair_map(e: EndoPair, what: str, name: str, left, right) -> LinearMap:
+    """a -> [left, a] * right, where {left, right} = {x, y} of a verified e."""
+    _require_verified(e, what)
+    return LinearMap(lambda u: commutator(left, u) * right, _pair_shift(e, 1), name)
+
+
+def d_yx(e: EndoPair) -> LinearMap:
+    """d: a -> [y, a] * x."""
+    return _pair_map(e, "d = [y, .]x", "[y, .]*x", e.y, e.x)
+
+
+def d_xy(e: EndoPair) -> LinearMap:
+    """d': a -> [x, a] * y."""
+    return _pair_map(e, "d' = [x, .]y", "[x, .]*y", e.x, e.y)
+
+
+def delta_xy(e: EndoPair) -> LinearMap:
     """delta: a -> [x, [y, a]], the composition ad(x) ad(y)."""
-
-    def __init__(self, e: EndoPair):
-        super().__init__()
-        self.pair = _require_verified(e, "delta = ad(x) ad(y)")
-
-    def _monomial_image(self, i, j):
-        return commutator(self.pair.x, commutator(self.pair.y, monomial(i, j)))
-
-    def degree_shift(self, w):
-        return (
-            weighted_degree(w, self.pair.x)
-            + weighted_degree(w, self.pair.y)
-            - 2 * (w.rho + w.eta)
-        )
-
-    def describe(self):
-        return "ad(x) ad(y)"
+    _require_verified(e, "delta = ad(x) ad(y)")
+    return LinearMap(
+        lambda u: commutator(e.x, commutator(e.y, u)), _pair_shift(e, 2), "ad(x) ad(y)"
+    )
 
 
-class ComposeMap(LinearMap):
+def compose(*maps: LinearMap) -> LinearMap:
     """Composition; the rightmost map is applied first."""
+    if not maps:
+        raise ValueError("empty composition")
 
-    def __init__(self, maps: Sequence[LinearMap]):
-        super().__init__()
-        self.maps = tuple(maps)
-        if not self.maps:
-            raise ValueError("empty composition")
+    def image(u):
+        for m in reversed(maps):
+            u = m(u)
+        return u
 
-    def _monomial_image(self, i, j):
-        a = monomial(i, j)
-        for m in reversed(self.maps):
-            a = m(a)
-        return a
-
-    def degree_shift(self, w):
-        total = 0
-        for m in self.maps:
-            s = m.degree_shift(w)
-            if s == NEG_INF:
-                return NEG_INF
-            total += s
-        return total
-
-    def describe(self):
-        return " o ".join(m.describe() for m in self.maps)
-
-
-def ad(a: WeylElement) -> AdMap:
-    return AdMap(a)
-
-
-def d_yx(e: EndoPair) -> PairMap:
-    return PairMap(e, primed=False)
-
-
-def d_xy(e: EndoPair) -> PairMap:
-    return PairMap(e, primed=True)
-
-
-def delta_xy(e: EndoPair) -> DeltaMap:
-    return DeltaMap(e)
-
-
-def compose(*maps: LinearMap) -> ComposeMap:
-    return ComposeMap(maps)
-
-
-def eval_map(m: LinearMap, a: WeylElement) -> WeylElement:
-    return m(a)
+    return LinearMap(
+        image,
+        lambda w: sum(m.degree_shift(w) for m in maps),
+        " o ".join(m.describe() for m in maps),
+    )
 
 
 # -- drops ---------------------------------------------------------------
@@ -193,10 +142,7 @@ def drop(m: LinearMap, w: Weight, a: WeylElement) -> Degree:
     """v(m(a)) - v(a); -inf when the image vanishes.  Rejects a = 0."""
     if a.is_zero():
         raise ValueError("the drop is undefined at the zero element")
-    img = m(a)
-    if img.is_zero():
-        return NEG_INF
-    return weighted_degree(w, img) - weighted_degree(w, a)
+    return weighted_degree(w, m(a)) - weighted_degree(w, a)
 
 
 @dataclass

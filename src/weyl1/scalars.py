@@ -1,11 +1,8 @@
 """Exact rational scalars and the minus-infinity degree sentinel.
 
 All coefficients in this package are exact rationals: reduced, arbitrary
-precision, positive denominator.  gmpy2's mpq is used when it is installed
-and the stdlib fractions.Fraction otherwise; no speed difference between
-the two has been measured since the arithmetic became fraction-free.  Both
-types share the operations and the string format ("p" or "p/q") this
-package relies on.
+precision, positive denominator.  The rational type `Rat` is the stdlib
+fractions.Fraction; its string format is "p" or "p/q".
 
 Stored form.  Element terms in `core` and the results of `linalg` hold
 every integral scalar as a plain Python int and every other one as a Rat
@@ -30,16 +27,10 @@ entry.
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from math import lcm
 
-try:
-    from gmpy2 import mpq as Rat
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
-
-    RAT_BACKEND = "fractions"
+RAT_BACKEND = "fractions"
 
 #: Degree of the zero element.  Distinct from every integer, compares below
 #: all of them, and absorbs integer addition, which is exactly what the
@@ -91,19 +82,19 @@ def integral(entries: dict):
 
     When every value is already a nonzero int, `entries` itself comes back
     with den = 1, uncopied: a caller that updates `ints` in place must copy
-    it first.  int() keeps gmpy2's mpz out, as mpz / mpz is not exact.
+    it first.
     """
     den, clean = 1, True
     for v in entries.values():
         if type(v) is not int:
-            den = lcm(den, int(v.denominator))
+            den = lcm(den, v.denominator)
             clean = False
         elif not v:
             clean = False
     if clean:
         return entries, 1
     return {
-        k: int(v.numerator) * (den // int(v.denominator))
+        k: v.numerator * (den // v.denominator)
         for k, v in entries.items()
         if v
     }, den

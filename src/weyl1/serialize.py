@@ -27,8 +27,9 @@ GRADED_FORMAT = "weyl-graded"
 CONFIG_FORMAT = "weyl-verify-config"
 VERSION = 1
 
-#: The params `checks.run_suite` indexes; each must be an integer.  The
-#: optional ones are propagation_element, closure_max_iter, closure_slack.
+#: The params `checks.run_suite` indexes; each must be an integer, and
+#: each but seed >= 0.  The optional ones are propagation_element,
+#: closure_max_iter (>= 1) and closure_slack (>= 0).
 CONFIG_INT_PARAMS = (
     "centralizer_cap", "eigen_cap", "klein_imax", "product_samples", "seed",
     "kernel_cap", "closure_cap", "propagation_power", "membership_slack",
@@ -135,7 +136,7 @@ def recipe_from_doc(doc: dict) -> EndoRecipe:
             if not all(k in g for k in "abcd"):
                 raise DocError("linear generator needs 'a', 'b', 'c' and 'd'")
             out.append(linear(*(_doc_rat(g[k]) for k in "abcd")))
-        elif kind in _POLY_GENERATORS:
+        elif isinstance(kind, str) and kind in _POLY_GENERATORS:
             if not isinstance(g.get("coeffs"), list):
                 raise DocError(f"{kind} generator needs a 'coeffs' list")
             out.append(_POLY_GENERATORS[kind]([_doc_rat(c) for c in g["coeffs"]]))
@@ -317,9 +318,15 @@ def load_config(doc: dict) -> dict:
             raise DocError(f"config params lack {key!r}")
         if not _is_int(params[key]):
             raise DocError(f"config param {key!r} must be an integer")
-    for key in ("closure_max_iter", "closure_slack"):
-        if params.get(key) is not None and not _is_int(params[key]):
+        if key != "seed" and params[key] < 0:
+            raise DocError(f"config param {key!r} must be >= 0")
+    for key, least in (("closure_max_iter", 1), ("closure_slack", 0)):
+        if params.get(key) is None:
+            continue
+        if not _is_int(params[key]):
             raise DocError(f"config param {key!r} must be an integer or null")
+        if params[key] < least:
+            raise DocError(f"config param {key!r} must be >= {least} or null")
     if not isinstance(params.get("propagation_element", ""), str):
         raise DocError("config param 'propagation_element' must be a string")
     if not isinstance(doc["endomorphisms"], list):

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from weyl1 import Y
+from weyl1 import Y, identity_endo
 from weyl1.cli import main
 from weyl1.semigroup import MAX_HORIZON
-from weyl1.serialize import dumps, element_to_doc
+from weyl1.serialize import dumps, element_to_doc, endo_to_doc, load_config
 from weyl1.checks import canonical_config
 
 # SHA-256 of the report `weyl1 verify --report` writes for the canonical
@@ -217,12 +217,67 @@ def test_verify_config_missing_param_is_bad_input(tmp_path, capsys, key):
     assert doc["error"] == "input" and key in doc["detail"]
 
 
-@pytest.mark.parametrize("value", ["10", 10.0, True, None])
+@pytest.mark.parametrize("value", ["10", 10.0, True, None, -1])
 def test_verify_config_mistyped_param_is_bad_input(tmp_path, capsys, value):
     params = dict(canonical_config()["params"], centralizer_cap=value)
     code, out, err = run(capsys, "verify", "--config", _write_config(tmp_path, params))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("product_samples", -1), ("klein_imax", -1), ("eigvec_imax", -1),
+        ("propagation_power", -1), ("membership_slack", -1),
+        ("closure_max_iter", 0), ("closure_max_iter", -1), ("closure_slack", -1),
+    ],
+)
+def test_verify_config_negative_param_is_bad_input(tmp_path, capsys, key, value):
+    # a negative count or bound would make a check PASS on nothing
+    params = dict(canonical_config()["params"], **{key: value})
+    code, out, err = run(capsys, "verify", "--config", _write_config(tmp_path, params))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "input" and key in doc["detail"]
+
+
+def test_verify_config_accepts_a_negative_seed():
+    cfg = canonical_config()
+    cfg["params"].update(seed=-1, closure_max_iter=1, closure_slack=0)
+    assert load_config(cfg) is cfg
+
+
+def test_membership_negative_slack_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "endo.json"
+    path.write_text(dumps(endo_to_doc(identity_endo())))
+    code, out, err = run(capsys, "membership", "Y", "--endo", str(path), "--slack", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "--slack" in doc["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["centralizer", "X"], ["centralizer", "X", "--cap", "abc"], ["no-such-command"], []],
+    ids=["missing-cap", "non-integer-cap", "unknown-command", "no-command"],
+)
+def test_usage_error_is_one_json_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and json.loads(captured.err)["error"] == "input"
+
+
+def test_help_is_plain_usage_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["centralizer", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: weyl1 centralizer")
 
 
 @pytest.mark.parametrize(
@@ -259,12 +314,14 @@ def _element_doc(**term):
          dict(canonical_config(), endomorphisms=[{"generators": []}])),
         (["endo-compile", "--recipe", "DOC"], {"generators": [{"kind": "add_poly_x"}]}),
         (["endo-compile", "--recipe", "DOC"], {"generators": [], "raw": {"x": "X"}}),
+        (["endo-compile", "--recipe", "DOC"], {"generators": [{"kind": {}, "coeffs": []}]}),
         (["endo-apply", "--endo", "DOC", "Y*X"],
          {"format": "weyl-endo", "version": 1, "y": element_to_doc(Y)}),
         (["normalize", "@DOC"], _element_doc(y=-1)),
         (["normalize", "@DOC"], _element_doc(c="1.5")),
     ],
     ids=["config-entry-without-name", "generator-without-coeffs", "raw-without-y",
+         "generator-kind-not-a-string",
          "endo-without-x", "negative-exponent", "decimal-coefficient"],
 )
 def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):

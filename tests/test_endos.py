@@ -117,6 +117,13 @@ def test_membership_requires_verified_pair():
         subalgebra_membership(build_endo(X, X), Y)
 
 
+def test_membership_refuses_a_negative_slack():
+    solver = MembershipSolver(build_endo(X, Y + X**2))
+    with pytest.raises(ValueError, match="slack"):
+        solver.solve([Y], -1)
+    assert solver.solve([X], 0)[0].member
+
+
 def test_membership_zero_element():
     e = build_endo(X, Y + X**2)
     verdict = subalgebra_membership(e, 0 * X, slack=0)

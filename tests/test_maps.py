@@ -10,6 +10,7 @@ from weyl1 import (
     NEG_INF,
     ONE,
     W11,
+    UnverifiedEndoError,
     Weight,
     X,
     Y,
@@ -21,7 +22,6 @@ from weyl1 import (
     delta_xy,
     drop,
     drop_profile,
-    eval_map,
     identity_endo,
     monomial,
     nilpotency_degree,
@@ -33,10 +33,10 @@ IDENT = identity_endo()
 
 def test_eval_map_examples():
     dl = delta_xy(IDENT)
-    assert eval_map(dl, X * Y) == -ONE  # delta(x^i y^j) = -ij x^(i-1) y^(j-1)
+    assert dl(X * Y) == -ONE  # delta(x^i y^j) = -ij x^(i-1) y^(j-1)
     d = d_yx(IDENT)
-    assert eval_map(d, Y**2 * X**2) == 2 * Y**2 * X**2
-    assert eval_map(ad(H), ONE).is_zero()
+    assert d(Y**2 * X**2) == 2 * Y**2 * X**2
+    assert ad(H)(ONE).is_zero()
 
 
 def test_delta_on_xiyj_family():
@@ -194,3 +194,37 @@ def test_degree_shift_bounds_hold():
                 assert (
                     weighted_degree(W11, img) <= weighted_degree(W11, a) + bound
                 )
+
+
+@pytest.mark.parametrize("maker", [d_yx, d_xy, delta_xy])
+def test_pair_maps_refuse_an_unverified_pair(maker):
+    e = build_endo(X, 2 * Y)  # [2Y, X] = 2
+    assert not e.verified
+    with pytest.raises(UnverifiedEndoError):
+        maker(e)
+
+
+def test_compose_degree_shift_is_the_sum_of_the_parts():
+    e = build_endo(X, Y + X**2)
+    parts = (ad(H), ad(ONE), d_yx(e), d_xy(e), delta_xy(e))
+    zero_map = ad(monomial(0, 0, 0))  # v(0) = -inf, so its bound is -inf
+    for w in (W11, Weight(2, -1), Weight(1, 3)):
+        assert compose(*parts).degree_shift(w) == sum(m.degree_shift(w) for m in parts)
+        assert ad(ONE).degree_shift(w) == -w.rho - w.eta  # v(1) = 0
+        assert zero_map.degree_shift(w) == NEG_INF
+        assert compose(parts[2], zero_map, parts[0]).degree_shift(w) == NEG_INF
+    # v(h) = 2, v(x) = 1, v(y) = 2: ad(H) 0, ad(ONE) -2, d and d' 1, delta -1
+    assert compose(*parts).degree_shift(W11) == -1
+    with pytest.raises(ValueError):
+        compose()
+
+
+def test_describe_names_each_map():
+    # these strings go into the nilclosure and drop reports
+    e = build_endo(X, Y + X**2)
+    assert ad(H + X).describe() == "ad(X + Y*X)"
+    assert d_yx(e).describe() == "[y, .]*x"
+    assert d_xy(e).describe() == "[x, .]*y"
+    assert delta_xy(e).describe() == "ad(x) ad(y)"
+    assert compose(d_yx(e), ad(X), delta_xy(e)).describe() == "[y, .]*x o ad(X) o ad(x) ad(y)"
+    assert repr(ad(Y)) == "<map ad(Y)>"
