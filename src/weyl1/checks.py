@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import factorial
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
@@ -34,14 +33,13 @@ from .core import (
 from .degrees import W11, weighted_degree
 from .endos import MembershipSolver, compile_recipe
 from .gwa import POLY_ONE, embed, graded_component, localized_mul, poly, ratfun
-from .linalg import nullspace, solve_many
+from .linalg import nullspace
 from .maps import ad, d_xy, d_yx, delta_xy
-from .scalars import rat
+from .scalars import Rat, rat
 from .serialize import recipe_from_doc
 from .windows import (
     Coordinates,
     Window,
-    default_eigen_candidates,
     eigenvalue_scan,
     centralizer_window,
     map_matrix,
@@ -62,29 +60,35 @@ class CheckResult:
         return f"{status} {self.name} ({bits})"
 
 
+def _verdict(name: str, params: Dict[str, object], problems: List[str]) -> CheckResult:
+    """PASS when no problem was found, else FAIL with the problems as witness."""
+    return CheckResult(
+        name=name,
+        params=params,
+        passed=not problems,
+        witness={"problems": problems} if problems else None,
+    )
+
+
 # -- subspace helpers -----------------------------------------------------
 
 
 def span_basis(elems: Sequence[WeylElement]) -> List[WeylElement]:
     """Canonical (RREF) basis of the span, as elements."""
-    co = Coordinates(elems)
-    return [co.element(row) for row in co.span(elems)]
+    return Coordinates(elems).basis(elems)
 
 
 def spans_equal(
     a: Sequence[WeylElement], b: Sequence[WeylElement]
 ) -> bool:
     co = Coordinates(a, b)
-    return co.span(a) == co.span(b)
+    return co.basis(a) == co.basis(b)
 
 
 def span_contains(
     space: Sequence[WeylElement], elems: Sequence[WeylElement]
 ) -> bool:
-    co = Coordinates(space, elems)
-    sols = solve_many(
-        co.matrix(space).sparse, len(space), [co.coords(el) for el in elems]
-    )
+    sols = Coordinates(space, elems).solve(space, elems)
     return all(s is not None for s in sols)
 
 
@@ -133,81 +137,60 @@ def check_eigen_theorem(
     e: EndoPair, cap: int, candidates: Optional[Sequence] = None
 ) -> CheckResult:
     """Eigenvalues of ad(h) in the window are integers; eigenspaces are
-    window slices of spans of h^k x^i (resp. h^k y^(-i))."""
+    window slices of spans of h^k x^i (resp. h^k y^(-i)).
+
+    The dimension of each candidate's eigenspace is predicted from degrees
+    alone: the number of h^k v_i' inside the window, with v_i' = x^i for
+    i >= 0 and y^(-i) for i < 0, and 0 for a non-integer candidate.
+    """
     win = Window(W11, cap)
-    if candidates is None:
-        candidates = default_eigen_candidates(cap)
     h = e.h
     report = eigenvalue_scan(h, win, candidates)
     vh = weighted_degree(W11, h)
     vx = weighted_degree(W11, e.x)
     vy = weighted_degree(W11, e.y)
 
-    problems: List[str] = []
-    found_map = {lam: basis for lam, basis in report.found}
-    for lam in found_map:
-        if lam.denominator != 1:
-            problems.append(f"non-integer eigenvalue {lam}")
-
-    # independent dimension count from degrees alone
-    expected_found: Dict[int, int] = {}
+    expected: Dict[Rat, int] = {}
     for lam in report.candidates:
-        if lam.denominator != 1:
-            continue
         i = int(lam)
-        base = i * vx if i >= 0 else (-i) * vy
-        count = 0
-        k = 0
-        while base + k * vh <= cap:
-            count += 1
-            k += 1
-        if count:
-            expected_found[i] = count
-
+        base = i * vx if i >= 0 else -i * vy
+        expected[lam] = (cap - base) // vh + 1 if lam == i and base <= cap else 0
+    present = [int(lam) for lam, count in expected.items() if count]
     h_pows = powers(h, cap // vh)
-    x_pows = powers(e.x, max(expected_found, default=0))
-    y_pows = powers(e.y, -min(expected_found, default=0))
-    for i, count in expected_found.items():
-        basis = found_map.get(rat(i))
-        if basis is None:
-            problems.append(f"eigenvalue {i} missing")
-            continue
+    x_pows = powers(e.x, max(present, default=0))
+    y_pows = powers(e.y, -min(present, default=0))
+
+    problems: List[str] = []
+    found = dict(report.found)
+    for lam, count in expected.items():
+        basis = found.get(lam, [])
         if len(basis) != count:
             problems.append(
-                f"eigenvalue {i}: dimension {len(basis)} != expected {count}"
+                f"eigenvalue {lam}: dimension {len(basis)} != expected {count}"
             )
-            continue
-        vi = x_pows[i] if i >= 0 else y_pows[-i]
-        expected_space = [hk * vi for hk in h_pows[:count]]
-        if not span_contains(expected_space, basis):
-            problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
-    for lam in found_map:
-        if lam.denominator == 1 and int(lam) not in expected_found:
-            problems.append(f"unexpected eigenvalue {lam}")
-
-    return CheckResult(
-        name="eigen_theorem",
-        params={
-            "cap": cap,
-            "weight": "(1,1)",
-            "candidates": len(report.candidates),
-        },
-        passed=not problems,
-        witness={"problems": problems} if problems else None,
+        elif basis:
+            i = int(lam)
+            vi = x_pows[i] if i >= 0 else y_pows[-i]
+            if not span_contains([hk * vi for hk in h_pows[:count]], basis):
+                problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
+    return _verdict(
+        "eigen_theorem",
+        {"cap": cap, "weight": "(1,1)", "candidates": len(report.candidates)},
+        problems,
     )
 
 
 def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
-    """y^i x^i and x^i y^i as products of shifted h's, and the delta chain."""
+    """y^i x^i and x^i y^i as products of shifted h's, and the delta chain.
+
+    The chain delta(e_i) = e_(i-1) for e_i = (-1)^i / (i!)^2 u_i is checked
+    in its equivalent form delta(u_i) = -i^2 u_(i-1), for u_i = y^i x^i
+    and for u_i = x^i y^i.
+    """
     x, y, h = e.x, e.y, e.h
     dl = delta_xy(e)
     problems: List[str] = []
-    yixi_prev = ONE
-    xiyi_prev = ONE
-    rising = ONE
-    falling = ONE
-    yixi_list = [ONE]
-    xiyi_list = [ONE]
+    yixi_prev = xiyi_prev = rising = falling = ONE
     for i in range(1, imax + 1):
         yixi = y * yixi_prev * x
         xiyi = x * xiyi_prev * y
@@ -217,26 +200,12 @@ def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
             problems.append(f"y^{i}x^{i} != h(h+1)...(h+{i}-1)")
         if xiyi != falling:
             problems.append(f"x^{i}y^{i} != (h-1)...(h-{i})")
-        yixi_list.append(yixi)
-        xiyi_list.append(xiyi)
-        yixi_prev, xiyi_prev = yixi, xiyi
-    for i in range(1, imax + 1):
-        sign_i = -1 if i % 2 else 1
-        sign_prev = -1 if (i - 1) % 2 else 1
-        ei = rat(sign_i, factorial(i) ** 2) * yixi_list[i]
-        ei_prev = rat(sign_prev, factorial(i - 1) ** 2) * yixi_list[i - 1]
-        if dl(ei) != ei_prev:
+        if dl(yixi) != -i * i * yixi_prev:
             problems.append(f"delta chain fails at i={i} on y^i x^i")
-        fi = rat(sign_i, factorial(i) ** 2) * xiyi_list[i]
-        fi_prev = rat(sign_prev, factorial(i - 1) ** 2) * xiyi_list[i - 1]
-        if dl(fi) != fi_prev:
+        if dl(xiyi) != -i * i * xiyi_prev:
             problems.append(f"delta chain fails at i={i} on x^i y^i")
-    return CheckResult(
-        name="klein_basis",
-        params={"imax": imax},
-        passed=not problems,
-        witness={"problems": problems} if problems else None,
-    )
+        yixi_prev, xiyi_prev = yixi, xiyi
+    return _verdict("klein_basis", {"imax": imax}, problems)
 
 
 def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElement:
@@ -253,11 +222,15 @@ def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElemen
 
 def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> CheckResult:
     """Denominator-free product rules for d and d'; literal rational-
-    coefficient versions in the localized algebra for the identity pair."""
+    coefficient versions in the localized algebra for the identity pair.
+
+    Each rule reads m(ab) = m(a) b + a m(b) + [left, a][b, right], with
+    (left, right) = (y, x) for d = [y, .]x and (x, y) for d' = [x, .]y;
+    localized, the last term is m(a) (h - c)^-1 left [b, right], with c = 0
+    for d and c = 1 for d'.
+    """
     rng = random.Random(seed)
-    d = d_yx(e)
-    dp = d_xy(e)
-    x, y = e.x, e.y
+    rules = [("d", d_yx(e), e.y, e.x), ("d'", d_xy(e), e.x, e.y)]
     problems: List[str] = []
     pairs = []
     while len(pairs) < samples:
@@ -266,42 +239,32 @@ def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> Chec
         if not a.is_zero() and not b.is_zero():
             pairs.append((a, b))
     for k, (a, b) in enumerate(pairs):
-        lhs = d(a * b)
-        rhs = d(a) * b + a * d(b) + commutator(y, a) * commutator(b, x)
-        if lhs != rhs:
-            problems.append(f"d product rule fails on sample {k}")
-        lhs2 = dp(a * b)
-        rhs2 = dp(a) * b + a * dp(b) + commutator(x, a) * commutator(b, y)
-        if lhs2 != rhs2:
-            problems.append(f"d' product rule fails on sample {k}")
+        for name, m, left, right in rules:
+            lhs = m(a * b)
+            tail = commutator(left, a) * commutator(b, right)
+            if lhs != m(a) * b + a * m(b) + tail:
+                problems.append(f"{name} product rule fails on sample {k}")
     if e.is_identity():
-        h_inv = graded_component(0, ratfun(POLY_ONE, poly([0, 1])))
-        h_minus1_inv = graded_component(0, ratfun(POLY_ONE, poly([-1, 1])))
+        # (h - c)^-1 for c = 0, 1: the denominators of d and d'
+        inverses = [
+            graded_component(0, ratfun(POLY_ONE, poly([-c, 1]))) for c in (0, 1)
+        ]
         # the contraction x h^{-1} y = 1 behind the denominator-free form
-        if localized_mul(localized_mul(embed(X), h_inv), embed(Y)) != embed(ONE):
+        if localized_mul(localized_mul(embed(X), inverses[0]), embed(Y)) != embed(ONE):
             problems.append("x h^-1 y != 1 in the localized algebra")
-        for k, (a, b) in enumerate(pairs[: min(len(pairs), 5)]):
-            lhs = embed(d(a * b))
-            tail = localized_mul(
-                localized_mul(localized_mul(embed(d(a)), h_inv), embed(Y)),
-                embed(commutator(b, X)),
-            )
-            rhs = embed(d(a) * b) + embed(a * d(b)) + tail
-            if lhs != rhs:
-                problems.append(f"localized d rule fails on sample {k}")
-            lhs2 = embed(dp(a * b))
-            tail2 = localized_mul(
-                localized_mul(localized_mul(embed(dp(a)), h_minus1_inv), embed(X)),
-                embed(commutator(b, Y)),
-            )
-            rhs2 = embed(dp(a) * b) + embed(a * dp(b)) + tail2
-            if lhs2 != rhs2:
-                problems.append(f"localized d' rule fails on sample {k}")
-    return CheckResult(
-        name="product_rules",
-        params={"samples": samples, "seed": seed, "localized": e.is_identity()},
-        passed=not problems,
-        witness={"problems": problems} if problems else None,
+        for k, (a, b) in enumerate(pairs[:5]):
+            for (name, m, left, right), inv in zip(rules, inverses):
+                lhs = embed(m(a * b))
+                tail = localized_mul(
+                    localized_mul(localized_mul(embed(m(a)), inv), embed(left)),
+                    embed(commutator(b, right)),
+                )
+                if lhs != embed(m(a) * b) + embed(a * m(b)) + tail:
+                    problems.append(f"localized {name} rule fails on sample {k}")
+    return _verdict(
+        "product_rules",
+        {"samples": samples, "seed": seed, "localized": e.is_identity()},
+        problems,
     )
 
 
@@ -312,35 +275,38 @@ def check_kernel_delta(
     its intersection with the centralizer window is the scalars.
 
     The window slice of K[x] + K[y] is an honest intersection: leading
-    terms of x^(2j) and y^j can cancel (e.g. y^3 - x^6 drops a degree),
-    so generators run up to degree span_bound (default 2*cap) and are
-    intersected with the window exactly.  Every generator is killed by
-    delta, so a dimension match certifies equality.
+    terms of x^(2j) and y^j can cancel (e.g. y^3 - x^6 drops a degree,
+    and y - x^2 of degree 1 needs y of degree 4 for the composite pair),
+    so generators run up to degree span_bound (default 2*cap), doubled
+    while their window slice is smaller than the kernel window, up to
+    8*cap, and are intersected with the window exactly.  Every generator
+    is killed by delta, so a dimension match certifies equality; the
+    params report the bound reached.
     """
-    if span_bound is None:
-        span_bound = 2 * cap
+    bound = 2 * cap if span_bound is None else span_bound
     win = Window(W11, cap)
     dl = delta_xy(e)
     mat = map_matrix(dl, win, win.enlarged(dl))
     kernel = [win.element(vec) for vec in nullspace(mat)]
     vx = weighted_degree(W11, e.x)
     vy = weighted_degree(W11, e.y)
-    generators = powers(e.x, span_bound // vx) + powers(e.y, span_bound // vy)[1:]
-    expected = span_intersection(generators, win.basis_elements())
+    while True:
+        generators = powers(e.x, bound // vx) + powers(e.y, bound // vy)[1:]
+        expected = span_intersection(generators, win.basis_elements())
+        if len(expected) >= len(kernel) or not 0 < bound < 8 * cap:
+            break
+        bound = min(2 * bound, 8 * cap)
     problems: List[str] = []
     if not spans_equal(kernel, expected):
         problems.append(
             f"kernel window (dim {len(kernel)}) differs from the "
-            f"(K[x]+K[y]) window (dim {len(expected)})"
+            f"(K[x]+K[y]) window (dim {len(expected)}) within span_bound {bound}"
         )
     inter = span_intersection(kernel, centralizer_window(e.h, win))
     if not spans_equal(inter, [ONE]):
         problems.append("kernel meet centralizer is not the scalars")
-    return CheckResult(
-        name="kernel_delta",
-        params={"cap": cap, "span_bound": span_bound, "weight": "(1,1)"},
-        passed=not problems,
-        witness={"problems": problems} if problems else None,
+    return _verdict(
+        "kernel_delta", {"cap": cap, "span_bound": bound, "weight": "(1,1)"}, problems
     )
 
 
@@ -379,16 +345,10 @@ def check_nilpotent_closure(
                 f"{label} closure (dim {len(basis)}) != membership window "
                 f"(dim {len(member_span)})"
             )
-    return CheckResult(
-        name="nilpotent_closure",
-        params={
-            "cap": cap,
-            "max_iter": max_iter,
-            "slack": slack,
-            "weight": "(1,1)",
-        },
-        passed=not problems,
-        witness={"problems": problems} if problems else None,
+    return _verdict(
+        "nilpotent_closure",
+        {"cap": cap, "max_iter": max_iter, "slack": slack, "weight": "(1,1)"},
+        problems,
     )
 
 
@@ -445,12 +405,7 @@ def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
             u = x_pows[n + i] * y_pows[i]
             if dp(u) != -i * u:
                 problems.append(f"d'(x^{n} x^{i}y^{i}) != -{i} u")
-    return CheckResult(
-        name="eigvec_tables",
-        params={"imax": imax, "nmax": nmax},
-        passed=not problems,
-        witness={"problems": problems} if problems else None,
-    )
+    return _verdict("eigvec_tables", {"imax": imax, "nmax": nmax}, problems)
 
 
 # -- suite ----------------------------------------------------------------

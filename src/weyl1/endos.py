@@ -35,7 +35,6 @@ from .core import (
 )
 from .degrees import W11, weighted_degree
 from .errors import UnverifiedEndoError
-from .linalg import solve_many
 from .scalars import Rat, rat
 from .windows import Coordinates
 
@@ -198,9 +197,7 @@ class MembershipSolver:
         bound = max(finite) + slack
         pairs = self.candidate_pairs(bound)
         columns = [self.basis_product(i, j) for (i, j) in pairs]
-        co = Coordinates(columns, elements)
-        rhs = [co.coords(el) for el in elements]
-        sols = solve_many(co.matrix(columns).sparse, len(pairs), rhs)
+        sols = Coordinates(columns, elements).solve(columns, elements)
         out = []
         for a, deg, sol in zip(elements, degrees, sols):
             if a.is_zero():

@@ -16,7 +16,7 @@ from .degrees import Polygon, Weight
 from .endos import EndoRecipe, Membership, add_poly_x, add_poly_y, linear
 from .gwa import poly_str, to_graded
 from .maps import DropReport, LinearMap
-from .parsing import parse
+from .parsing import MAX_EXPONENT, parse
 from .scalars import rat, rat_str
 from .semigroup import SemigroupData
 from .windows import EigenReport, Window
@@ -86,6 +86,8 @@ def element_from_doc(doc: dict) -> WeylElement:
         i, j = entry["y"], entry["x"]
         if not (_is_int(i) and _is_int(j) and i >= 0 and j >= 0):
             raise DocError(f"exponents must be integers >= 0: {entry!r}")
+        if max(i, j) > MAX_EXPONENT:
+            raise DocError(f"exponent {max(i, j)} exceeds the limit {MAX_EXPONENT}")
         c = _doc_rat(entry["c"])
         if not c:
             raise DocError("zero coefficient stored in document")

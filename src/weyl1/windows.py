@@ -98,9 +98,9 @@ class Coordinates:
 
     The supports of the given groups of elements, sorted by (i+j, i) as in
     a (1,1) window, are the ordered basis: elements go to sparse
-    coordinate dicts, canonical span bases and matrix columns, and vectors
-    come back as elements.  Every element of the groups has coordinates
-    here.
+    coordinate dicts, canonical span bases, matrix columns and expansions
+    over a spanning list, and vectors come back as elements.  Every
+    element of the groups has coordinates here.
     """
 
     def __init__(self, *groups: Sequence[WeylElement]):
@@ -112,14 +112,25 @@ class Coordinates:
         idx = self.index
         return {idx[key]: c for key, c in a._terms.items()}
 
-    def span(self, elems: Sequence[WeylElement]) -> List[List[Rat]]:
-        """Canonical basis of span(elems), as coordinate vectors."""
-        return canonical_basis([self.coords(el) for el in elems], len(self.monomials))
+    def basis(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
+        """Canonical basis of span(elems), as elements."""
+        vecs = canonical_basis([self.coords(el) for el in elems], len(self.monomials))
+        return [self.element(vec) for vec in vecs]
 
     def matrix(self, columns: Sequence[WeylElement]) -> RatMatrix:
         """Matrix whose c-th column holds the coordinates of columns[c]."""
         return RatMatrix.from_columns(
             [self.coords(el) for el in columns], len(self.monomials)
+        )
+
+    def solve(
+        self, space: Sequence[WeylElement], elems: Sequence[WeylElement]
+    ) -> List[Optional[Dict[int, Rat]]]:
+        """Per element, its expansion over the list space as a sparse
+        {position: coefficient} dict (free variables zero), or None when it
+        lies outside span(space); one elimination serves every element."""
+        return solve_many(
+            self.matrix(space).sparse, len(space), [self.coords(el) for el in elems]
         )
 
     def element(self, vec: Vector) -> WeylElement:
@@ -259,13 +270,10 @@ def build_chain_basis(
     if not elems:
         raise ChainBasisError("no nonzero elements to span a chain")
     co = Coordinates(elems, [m(el) for el in elems])
-    basis_vecs = co.span(elems)
-    dim = len(basis_vecs)
-    basis_elems = [co.element(vec) for vec in basis_vecs]
-    # matrix of m on the span, in the canonical-basis coordinates: solve
-    # for each image, the columns being the basis vectors
-    span_rows = RatMatrix.from_columns(basis_vecs, len(co.monomials)).sparse
-    sols = solve_many(span_rows, dim, [co.coords(m(b)) for b in basis_elems])
+    basis_elems = co.basis(elems)
+    dim = len(basis_elems)
+    # matrix of m on the span, in the canonical-basis coordinates
+    sols = co.solve(basis_elems, [m(b) for b in basis_elems])
     if any(s is None for s in sols):
         raise ChainBasisError("the map does not preserve the span of the input")
     mat = RatMatrix.from_columns(sols, dim)
@@ -278,7 +286,7 @@ def build_chain_basis(
     e0 = linear_combination(zip(e0_coords, basis_elems))
     if e0.is_scalar():
         e0 = ONE
-        sol = solve_many(span_rows, dim, [co.coords(e0)])[0]
+        sol = co.solve(basis_elems, [e0])[0]
         if sol is None:
             raise ChainBasisError("element unexpectedly outside the span")
         e0_coords = [sol.get(k, 0) for k in range(dim)]
@@ -326,9 +334,8 @@ def coker_window_dim(
 
     imgs = [m(el) for el in src_elems]
     co = Coordinates(tgt_elems, imgs)
-    tgt_basis = co.span(tgt_elems)
-    span_rows = RatMatrix.from_columns(tgt_basis, len(co.monomials)).sparse
-    sols = solve_many(span_rows, len(tgt_basis), [co.coords(img) for img in imgs])
+    tgt_basis = co.basis(tgt_elems)
+    sols = co.solve(tgt_basis, imgs)
     if any(s is None for s in sols):
         raise WindowEscapeError("image escapes the target span")
     return len(tgt_basis) - rank(RatMatrix.from_columns(sols, len(tgt_basis)))

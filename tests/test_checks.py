@@ -7,6 +7,8 @@ from weyl1 import (
     ONE,
     X,
     Y,
+    CheckResult,
+    EndoPair,
     apply_endo,
     canonical_config,
     check_centralizer_theorem,
@@ -20,7 +22,9 @@ from weyl1 import (
     compile_recipe,
     run_suite,
 )
+from weyl1 import checks
 from weyl1.checks import span_basis, span_contains, span_intersection, spans_equal
+from weyl1.windows import Coordinates
 from weyl1.serialize import recipe_from_doc
 
 PAIRS = [
@@ -65,6 +69,14 @@ def test_product_rules_check(name, e):
 def test_kernel_delta_check(name, e):
     res = check_kernel_delta(e, 4)
     assert res.passed, res.witness
+
+
+def test_kernel_delta_raises_its_generator_bound():
+    # for the composite pair y - x^2 (degree 1) needs y and x^2 (degree 4),
+    # so at cap 1 the default bound 2*cap is doubled once
+    res = check_kernel_delta(PAIRS[2][1], 1)
+    assert res.passed, res.witness
+    assert res.params["span_bound"] == 4
 
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
@@ -114,6 +126,43 @@ def test_checkresult_failure_carries_witness():
     assert res.line().startswith("FAIL ")
 
 
+# flagged verified, but [y, x] = 2
+COMMUTATOR_TWO = EndoPair(x=X, y=2 * Y, verified=True)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda e: check_eigen_theorem(e, 4),
+        # ad(h) X = 2X here, so the predicted eigenvalue 1 has no eigenvector
+        lambda e: check_eigen_theorem(e, 4, candidates=["1"]),
+        lambda e: check_klein_basis(e, 3),
+        lambda e: check_eigvec_tables(e, 2, 2),
+    ],
+    ids=["eigen_theorem", "eigen_theorem-missing", "klein_basis", "eigvec_tables"],
+)
+def test_checks_fail_on_a_pair_with_commutator_two(check):
+    res = check(COMMUTATOR_TWO)
+    assert not res.passed
+    assert res.witness and res.witness["problems"]
+    assert res.line().startswith("FAIL ")
+
+
+def test_checks_module_holds_exactly_the_suite_checks(monkeypatch):
+    # bench/workloads.py times every module-level check_* callable of
+    # weyl1.checks as one op of a verify pass, so each must be one that
+    # run_suite runs, once per pair
+    names = {n for n, f in vars(checks).items() if n.startswith("check_") and callable(f)}
+    called = []
+    for n in names:
+        monkeypatch.setattr(
+            checks, n, lambda *a, _n=n, **k: called.append(_n) or CheckResult(_n, {}, True)
+        )
+    run_suite(canonical_config())
+    assert len(names) == 8
+    assert sorted(called) == sorted(list(names) * 3)
+
+
 def test_span_helpers():
     assert spans_equal([H, ONE], [H + 1, ONE])
     assert not spans_equal([H], [X])
@@ -122,3 +171,6 @@ def test_span_helpers():
     inter = span_intersection([ONE, H, X], [ONE, Y])
     assert spans_equal(inter, [ONE])
     assert span_basis([H, 2 * H, ONE + H]) == span_basis([ONE, H])
+    space = [ONE, H]
+    co = Coordinates(space, [3 * H - 1, X])
+    assert co.solve(space, [3 * H - 1, X]) == [{0: -1, 1: 3}, None]

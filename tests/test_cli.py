@@ -185,6 +185,30 @@ def test_verify_canonical_config_roundtrip(tmp_path, capsys):
     assert doc["passed"] is True and doc["config"]["params"]["eigen_cap"] == 3
 
 
+def test_verify_kernel_cap_one_passes(tmp_path, capsys):
+    # for the composite pair y - x^2 has degree 1 but y and x^2 have
+    # degree 4, so the kernel check must raise its generator bound past
+    # 2*cap to see the whole kernel window
+    cfg = canonical_config()
+    cfg["params"].update(
+        {
+            "centralizer_cap": 2,
+            "eigen_cap": 1,
+            "klein_imax": 1,
+            "product_samples": 1,
+            "kernel_cap": 1,
+            "closure_cap": 1,
+            "eigvec_imax": 1,
+            "eigvec_nmax": 1,
+        }
+    )
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(dumps(cfg))
+    code, out, _ = run(capsys, "verify", "--config", str(cpath))
+    assert code == 0
+    assert "PASS kernel_delta[composite] (cap=1, span_bound=4, " in out
+
+
 def test_float_coefficient_document_is_bad_input(tmp_path, capsys):
     doc = {
         "format": "weyl-element",
@@ -319,10 +343,12 @@ def _element_doc(**term):
          {"format": "weyl-endo", "version": 1, "y": element_to_doc(Y)}),
         (["normalize", "@DOC"], _element_doc(y=-1)),
         (["normalize", "@DOC"], _element_doc(c="1.5")),
+        (["degree", "@DOC"], _element_doc(y=5000)),
     ],
     ids=["config-entry-without-name", "generator-without-coeffs", "raw-without-y",
          "generator-kind-not-a-string",
-         "endo-without-x", "negative-exponent", "decimal-coefficient"],
+         "endo-without-x", "negative-exponent", "decimal-coefficient",
+         "exponent-above-the-limit"],
 )
 def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"

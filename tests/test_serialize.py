@@ -75,6 +75,11 @@ def test_element_doc_validation():
             element_from_doc(dict(base, terms=[entry]))
     with pytest.raises(DocError):
         element_from_doc(dict(base, terms={"y": 0, "x": 0, "c": "1"}))
+    # exponents obey the parser's limit MAX_EXPONENT = 4096
+    with pytest.raises(DocError, match="limit 4096"):
+        element_from_doc(dict(base, terms=[{"y": 0, "x": 4097, "c": "1"}]))
+    top = element_from_doc(dict(base, terms=[{"y": 4096, "x": 0, "c": "1"}]))
+    assert top.terms() == [((4096, 0), 1)]
 
 
 def test_element_doc_rejects_float_coefficients():
