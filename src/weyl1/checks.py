@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     ONE,
@@ -111,37 +111,17 @@ def span_intersection(
 # -- the checks -----------------------------------------------------------
 
 
-def check_centralizer_theorem(e: EndoPair, cap: int) -> CheckResult:
-    """Windowed centralizer of h = y*x equals the span of its powers."""
-    win = Window(W11, cap)
-    h = e.h
-    basis = centralizer_window(h, win)
-    expected = powers(h, cap // weighted_degree(W11, h))
-    ok = spans_equal(basis, expected)
-    witness = None
-    if not ok:
-        witness = {
-            "computed_dimension": len(basis),
-            "expected_dimension": len(span_basis(expected)),
-            "computed": [str(u) for u in basis],
-        }
-    return CheckResult(
-        name="centralizer_theorem",
-        params={"cap": cap, "weight": "(1,1)"},
-        passed=ok,
-        witness=witness,
-    )
-
-
-def check_eigen_theorem(
-    e: EndoPair, cap: int, candidates: Optional[Sequence] = None
-) -> CheckResult:
-    """Eigenvalues of ad(h) in the window are integers; eigenspaces are
-    window slices of spans of h^k x^i (resp. h^k y^(-i)).
+def _eigen_problems(
+    e: EndoPair, cap: int, candidates: Optional[Sequence]
+) -> Tuple[Tuple[Rat, ...], List[str]]:
+    """Compare each candidate's eigenspace of ad(h) in the (1,1) window of
+    the cap with its prediction; return the scanned candidates and the
+    problems found.
 
     The dimension of each candidate's eigenspace is predicted from degrees
     alone: the number of h^k v_i' inside the window, with v_i' = x^i for
-    i >= 0 and y^(-i) for i < 0, and 0 for a non-integer candidate.
+    i >= 0 and y^(-i) for i < 0, and 0 for a non-integer candidate.  A
+    nonempty eigenspace must also lie in the span of those h^k v_i'.
     """
     win = Window(W11, cap)
     h = e.h
@@ -173,9 +153,30 @@ def check_eigen_theorem(
             vi = x_pows[i] if i >= 0 else y_pows[-i]
             if not span_contains([hk * vi for hk in h_pows[:count]], basis):
                 problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
+    return report.candidates, problems
+
+
+def check_centralizer_theorem(e: EndoPair, cap: int) -> CheckResult:
+    """Windowed centralizer of h = y*x equals the span of its powers.
+
+    This is the eigen comparison at the one candidate 0: the powers of h
+    are linearly independent, so the predicted dimension and containment
+    in their span mean equal spans.
+    """
+    _, problems = _eigen_problems(e, cap, [0])
+    return _verdict("centralizer_theorem", {"cap": cap, "weight": "(1,1)"}, problems)
+
+
+def check_eigen_theorem(
+    e: EndoPair, cap: int, candidates: Optional[Sequence] = None
+) -> CheckResult:
+    """Eigenvalues of ad(h) in the window are integers; eigenspaces are
+    window slices of spans of h^k x^i (resp. h^k y^(-i)), as counted by
+    degrees (see _eigen_problems)."""
+    scanned, problems = _eigen_problems(e, cap, candidates)
     return _verdict(
         "eigen_theorem",
-        {"cap": cap, "weight": "(1,1)", "candidates": len(report.candidates)},
+        {"cap": cap, "weight": "(1,1)", "candidates": len(scanned)},
         problems,
     )
 
@@ -268,22 +269,20 @@ def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> Chec
     )
 
 
-def check_kernel_delta(
-    e: EndoPair, cap: int, span_bound: Optional[int] = None
-) -> CheckResult:
+def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     """Windowed kernel of delta is (K[x] + K[y]) cut to the window, and
     its intersection with the centralizer window is the scalars.
 
     The window slice of K[x] + K[y] is an honest intersection: leading
     terms of x^(2j) and y^j can cancel (e.g. y^3 - x^6 drops a degree,
     and y - x^2 of degree 1 needs y of degree 4 for the composite pair),
-    so generators run up to degree span_bound (default 2*cap), doubled
-    while their window slice is smaller than the kernel window, up to
-    8*cap, and are intersected with the window exactly.  Every generator
+    so generators run up to degree 2*cap, doubled while their window
+    slice is smaller than the kernel window, up to 8*cap, and are
+    intersected with the window exactly.  Every generator
     is killed by delta, so a dimension match certifies equality; the
     params report the bound reached.
     """
-    bound = 2 * cap if span_bound is None else span_bound
+    bound = 2 * cap
     win = Window(W11, cap)
     dl = delta_xy(e)
     mat = map_matrix(dl, win, win.enlarged(dl))
@@ -363,18 +362,12 @@ def check_propagation(
         img = d(dp(img))
     solver = MembershipSolver(e)
     m_img, m_a = solver.solve([img, a], slack)
-    passed = (not m_img.member) or m_a.member
-    return CheckResult(
-        name="propagation",
-        params={"n": n, "slack": slack},
-        passed=passed,
-        witness=None
-        if passed
-        else {
-            "image_member": m_img.member,
-            "element_member": m_a.member,
-        },
-    )
+    problems: List[str] = []
+    if m_img.member and not m_a.member:
+        problems.append(
+            f"(d d')^{n}(a) is in the image subalgebra at slack {slack} but a is not"
+        )
+    return _verdict("propagation", {"n": n, "slack": slack}, problems)
 
 
 def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:

@@ -25,14 +25,8 @@ class Weight:
     rho: int
     eta: int
 
-    def value(self, i: int, j: int) -> int:
-        return self.rho * i + self.eta * j
-
     def is_positive(self) -> bool:
         return self.rho > 0 and self.eta > 0
-
-    def __iter__(self):
-        return iter((self.rho, self.eta))
 
 
 W11 = Weight(1, 1)

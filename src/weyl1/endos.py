@@ -34,7 +34,7 @@ from .core import (
     powers,
 )
 from .degrees import W11, weighted_degree
-from .errors import UnverifiedEndoError
+from .errors import DomainError, UnverifiedEndoError
 from .scalars import Rat, rat
 from .windows import Coordinates
 
@@ -152,6 +152,12 @@ class MembershipSolver:
         self.pair = e
         self._vx = weighted_degree(W11, e.x)
         self._vy = weighted_degree(W11, e.y)
+        if self._vx < 1 or self._vy < 1:
+            # candidate_pairs would never leave a degree-0 direction
+            raise DomainError(
+                f"membership needs v(x), v(y) >= 1, got {self._vx}, {self._vy}: "
+                "a commutator-one pair has no scalar component"
+            )
         self._y_pows = [ONE]
         # _rows[i][j] = y^i x^j, each built from its left neighbour
         self._rows: Dict[int, List[WeylElement]] = {}

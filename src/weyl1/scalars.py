@@ -37,7 +37,6 @@ RAT_BACKEND = "fractions"
 #: degree bookkeeping needs.
 NEG_INF = float("-inf")
 
-RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
 
 

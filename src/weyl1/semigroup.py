@@ -11,7 +11,8 @@ mu = max h_k that is divisible by g belongs to H.  The derived constants
 
     nu = #(g*N \\ H),     gamma(drop) = mu + drop
 
-feed the windowed index bookkeeping elsewhere in the package.
+are reported by the `semigroup` command of the CLI; no other module of
+the package uses them.
 """
 
 from __future__ import annotations

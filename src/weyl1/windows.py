@@ -1,8 +1,9 @@
 """Filtration windows and exact windowed linear algebra.
 
-A window is the finite-dimensional space spanned by the monomials
-Y^i X^j with rho*i + eta*j <= cap for a positive weight (rho, eta).  The
-interesting maps restrict to matrices between windows; eigenspaces,
+One class, `Coordinates`, turns elements into vectors and back.  Its
+subclass `Window` is the coordinates of a window: the finite-dimensional
+space spanned by the monomials Y^i X^j with rho*i + eta*j <= cap for a
+positive weight (rho, eta).  The interesting maps restrict to matrices between windows; eigenspaces,
 centralizers, nilpotent closures, chain bases and cokernel dimensions
 are all computed exactly from those matrices.
 
@@ -12,7 +13,7 @@ order, reduced row echelon form, first nonzero coordinate 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,46 +25,88 @@ from .maps import LinearMap, ad
 from .scalars import NEG_INF, Rat, coeff, demote, exact_div, rat
 
 
+class Coordinates:
+    """Coordinates on an ordered basis of monomials.
+
+    Elements go to sparse {position: coefficient} dicts, canonical span
+    bases, matrix columns and expansions over a spanning list, and vectors
+    come back as elements.  Built from groups of elements, the basis is
+    the union of their supports sorted by (i+j, i) as in a (1,1) window,
+    so every element of the groups has coordinates here; a monomial
+    outside the basis raises WindowEscapeError.
+    """
+
+    def __init__(self, *groups: Sequence[WeylElement]):
+        keys = {key for group in groups for el in group for key in el._terms}
+        self.monomials = sorted(keys, key=lambda p: (p[0] + p[1], p[0]))
+        self.index = {key: r for r, key in enumerate(self.monomials)}
+
+    def _scope(self) -> str:
+        return f"the {self.dimension()} coordinate monomials"
+
+    def dimension(self) -> int:
+        return len(self.monomials)
+
+    def coords(self, a: WeylElement) -> Dict[int, Rat]:
+        idx = self.index
+        try:
+            return {idx[key]: c for key, c in a._terms.items()}
+        except KeyError as exc:
+            i, j = exc.args[0]
+            raise WindowEscapeError(
+                f"monomial Y^{i}*X^{j} escapes {self._scope()}"
+            ) from None
+
+    def basis(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
+        """Canonical basis of span(elems), as elements."""
+        vecs = canonical_basis([self.coords(el) for el in elems], self.dimension())
+        return [self.element(vec) for vec in vecs]
+
+    def matrix(self, columns: Sequence[WeylElement]) -> RatMatrix:
+        """Matrix whose c-th column holds the coordinates of columns[c]."""
+        return RatMatrix.from_columns(
+            [self.coords(el) for el in columns], self.dimension()
+        )
+
+    def solve(
+        self, space: Sequence[WeylElement], elems: Sequence[WeylElement]
+    ) -> List[Optional[Dict[int, Rat]]]:
+        """Per element, its expansion over the list space as a sparse
+        {position: coefficient} dict (free variables zero), or None when it
+        lies outside span(space); one elimination serves every element."""
+        return solve_many(
+            self.matrix(space).sparse, len(space), [self.coords(el) for el in elems]
+        )
+
+    def element(self, vec: Vector) -> WeylElement:
+        monos = self.monomials
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return WeylElement({monos[k]: v for k, v in items if v})
+
+
 @dataclass(frozen=True)
-class Window:
-    """Ordered monomial basis {Y^i X^j : rho*i + eta*j <= cap}."""
+class Window(Coordinates):
+    """Coordinates on the monomials {Y^i X^j : rho*i + eta*j <= cap}."""
 
     weight: Weight
     cap: int
+    monomials: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    index: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weight.is_positive():
             raise ValueError("windows need positive weights")
         if self.cap < 0:
             raise ValueError("windows need a nonnegative cap")
+        rho, eta = self.weight.rho, self.weight.eta
+        object.__setattr__(self, "monomials", _window_monomials(rho, eta, self.cap))
+        object.__setattr__(self, "index", _window_index(rho, eta, self.cap))
 
-    def monomials(self) -> Tuple[Tuple[int, int], ...]:
-        return _window_monomials(self.weight.rho, self.weight.eta, self.cap)
-
-    def dimension(self) -> int:
-        return len(self.monomials())
-
-    def index(self) -> Dict[Tuple[int, int], int]:
-        return _window_index(self.weight.rho, self.weight.eta, self.cap)
-
-    def sparse_coords(self, a: WeylElement) -> Dict[int, Rat]:
-        idx = self.index()
-        out = {}
-        for (key, c) in a._terms.items():
-            pos = idx.get(key)
-            if pos is None:
-                raise WindowEscapeError(
-                    f"monomial Y^{key[0]}*X^{key[1]} escapes the window "
-                    f"(weight ({self.weight.rho},{self.weight.eta}), cap {self.cap})"
-                )
-            out[pos] = c
-        return out
-
-    def element(self, vec: Vector) -> WeylElement:
-        return _element(self.monomials(), vec)
+    def _scope(self) -> str:
+        return f"the window (weight ({self.weight.rho},{self.weight.eta}), cap {self.cap})"
 
     def basis_elements(self) -> List[WeylElement]:
-        return [monomial(i, j) for (i, j) in self.monomials()]
+        return [monomial(i, j) for (i, j) in self.monomials]
 
     def enlarged(self, m: LinearMap) -> "Window":
         """Window guaranteed to hold images of this one under m."""
@@ -88,61 +131,9 @@ def _window_index(rho: int, eta: int, cap: int) -> Dict[Tuple[int, int], int]:
     return {m: k for k, m in enumerate(_window_monomials(rho, eta, cap))}
 
 
-def _element(monos: Sequence[Tuple[int, int]], vec: Vector) -> WeylElement:
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return WeylElement({monos[k]: v for k, v in items if v})
-
-
-class Coordinates:
-    """Coordinates on the monomials that some elements use.
-
-    The supports of the given groups of elements, sorted by (i+j, i) as in
-    a (1,1) window, are the ordered basis: elements go to sparse
-    coordinate dicts, canonical span bases, matrix columns and expansions
-    over a spanning list, and vectors come back as elements.  Every
-    element of the groups has coordinates here.
-    """
-
-    def __init__(self, *groups: Sequence[WeylElement]):
-        keys = {key for group in groups for el in group for key in el._terms}
-        self.monomials = sorted(keys, key=lambda p: (p[0] + p[1], p[0]))
-        self.index = {key: r for r, key in enumerate(self.monomials)}
-
-    def coords(self, a: WeylElement) -> Dict[int, Rat]:
-        idx = self.index
-        return {idx[key]: c for key, c in a._terms.items()}
-
-    def basis(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
-        """Canonical basis of span(elems), as elements."""
-        vecs = canonical_basis([self.coords(el) for el in elems], len(self.monomials))
-        return [self.element(vec) for vec in vecs]
-
-    def matrix(self, columns: Sequence[WeylElement]) -> RatMatrix:
-        """Matrix whose c-th column holds the coordinates of columns[c]."""
-        return RatMatrix.from_columns(
-            [self.coords(el) for el in columns], len(self.monomials)
-        )
-
-    def solve(
-        self, space: Sequence[WeylElement], elems: Sequence[WeylElement]
-    ) -> List[Optional[Dict[int, Rat]]]:
-        """Per element, its expansion over the list space as a sparse
-        {position: coefficient} dict (free variables zero), or None when it
-        lies outside span(space); one elimination serves every element."""
-        return solve_many(
-            self.matrix(space).sparse, len(space), [self.coords(el) for el in elems]
-        )
-
-    def element(self, vec: Vector) -> WeylElement:
-        return _element(self.monomials, vec)
-
-
 def map_matrix(m: LinearMap, src: Window, tgt: Window) -> RatMatrix:
     """Matrix of m from src to tgt, columns indexed by src monomials."""
-    return RatMatrix.from_columns(
-        [tgt.sparse_coords(m(monomial(i, j))) for (i, j) in src.monomials()],
-        tgt.dimension(),
-    )
+    return tgt.matrix([m(u) for u in src.basis_elements()])
 
 
 def eigenspace(
@@ -163,8 +154,8 @@ def eigenspace(
     mat, tgt = ad_matrix if ad_matrix is not None else _ad_window_matrix(a, win)
     if lam:
         mat = mat.copy()
-        tgt_idx = tgt.index()
-        for c, key in enumerate(win.monomials()):
+        tgt_idx = tgt.index
+        for c, key in enumerate(win.monomials):
             row = mat.sparse[tgt_idx[key]]
             v = demote(row.get(c, 0) - lam)
             if v:
@@ -243,8 +234,7 @@ def nilpotent_closure_window(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     finals = []
-    for (i, j) in win.monomials():
-        cur = monomial(i, j)
+    for cur in win.basis_elements():
         for _ in range(max_iter):
             if cur.is_zero():
                 break
@@ -311,31 +301,18 @@ def build_chain_basis(
 def coker_window_dim(
     m: LinearMap,
     src: Union[Window, Sequence[WeylElement]],
-    tgt: Union[Window, Sequence[WeylElement], int],
+    tgt: Union[Window, Sequence[WeylElement]],
 ) -> int:
-    """dim(target space) - rank(m restricted from src into it).
+    """dim(target span) - rank(m restricted from src into it).
 
-    src and tgt may be windows or explicit spanning sets; an integer tgt
-    is a cap reusing src's weight (src must then be a window).  Images
-    must lie in the target span, else WindowEscapeError.
+    src and tgt are windows or explicit spanning sets.  Images must lie
+    in the target span, else WindowEscapeError.
     """
-    if isinstance(src, Window):
-        src_elems = src.basis_elements()
-        if isinstance(tgt, int):
-            tgt = Window(src.weight, tgt)
-    else:
-        src_elems = list(src)
-        if isinstance(tgt, int):
-            raise ValueError("an integer target cap needs a Window source")
-    if isinstance(tgt, Window):
-        tgt_elems = tgt.basis_elements()
-    else:
-        tgt_elems = list(tgt)
-
+    tgt_elems = tgt.basis_elements() if isinstance(tgt, Window) else list(tgt)
+    src_elems = src.basis_elements() if isinstance(src, Window) else src
     imgs = [m(el) for el in src_elems]
     co = Coordinates(tgt_elems, imgs)
-    tgt_basis = co.basis(tgt_elems)
-    sols = co.solve(tgt_basis, imgs)
-    if any(s is None for s in sols):
+    dim = rank(co.matrix(tgt_elems))
+    if rank(co.matrix(tgt_elems + imgs)) != dim:
         raise WindowEscapeError("image escapes the target span")
-    return len(tgt_basis) - rank(RatMatrix.from_columns(sols, len(tgt_basis)))
+    return dim - rank(co.matrix(imgs))

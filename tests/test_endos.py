@@ -3,6 +3,9 @@
 import pytest
 
 from weyl1 import (
+    ONE,
+    DomainError,
+    EndoPair,
     EndoRecipe,
     MembershipSolver,
     UnverifiedEndoError,
@@ -115,6 +118,12 @@ def test_membership_witness_recombines():
 def test_membership_requires_verified_pair():
     with pytest.raises(UnverifiedEndoError):
         subalgebra_membership(build_endo(X, X), Y)
+
+
+def test_membership_refuses_a_pair_with_a_scalar_component():
+    # a degree-0 y would keep candidate_pairs adding powers of y forever
+    with pytest.raises(DomainError, match="scalar component"):
+        MembershipSolver(EndoPair(x=X**2, y=ONE, verified=True))
 
 
 def test_membership_refuses_a_negative_slack():

@@ -1,0 +1,86 @@
+"""Every suite check can FAIL: each is run on pairs flagged verified
+whose commutator [y, x] is not 1.
+
+A check that PASSes on all of them is either vacuous or insensitive to
+[y, x] = 1.  Such a check must be on ALLOWED_TO_PASS with the reason;
+an allowed check that starts to FAIL must leave the list.
+"""
+
+import pytest
+
+from weyl1 import ONE, EndoPair, X, Y, apply_endo, checks, commutator
+
+FAKE_PAIRS = {
+    "(X, 2Y)": EndoPair(x=X, y=2 * Y, verified=True),
+    "(X^2, Y)": EndoPair(x=X**2, y=Y, verified=True),
+    "(X+Y^2, 3Y)": EndoPair(x=X + Y**2, y=3 * Y, verified=True),
+    "(X^2, Y^2)": EndoPair(x=X**2, y=Y**2, verified=True),
+}
+
+# each check called with run_suite's argument shapes, at small caps
+CALLS = {
+    "centralizer_theorem": lambda e: checks.check_centralizer_theorem(e, 4),
+    "eigen_theorem": lambda e: checks.check_eigen_theorem(e, 3),
+    "klein_basis": lambda e: checks.check_klein_basis(e, 2),
+    "product_rules": lambda e: checks.check_product_rules(e, 3, 20260809),
+    "kernel_delta": lambda e: checks.check_kernel_delta(e, 2),
+    "nilpotent_closure": lambda e: checks.check_nilpotent_closure(e, 2, None, None),
+    "propagation": lambda e: checks.check_propagation(
+        e, apply_endo(e, Y**2 * X**3), 1, 4
+    ),
+    "eigvec_tables": lambda e: checks.check_eigvec_tables(e, 2, 2),
+}
+
+ALLOWED_TO_PASS = {
+    "product_rules": (
+        "its rule m(ab) = m(a)b + a m(b) + [left, a][b, right] is an identity "
+        "of the commutator for any x and y"
+    ),
+    "propagation": (
+        "the suite passes phi(Y^2 X^3) = y^2 x^3, a member at every slack, "
+        "so the implication cannot fail"
+    ),
+}
+
+
+def test_the_pairs_are_fake():
+    for e in FAKE_PAIRS.values():
+        assert commutator(e.y, e.x) != ONE
+
+
+def test_calls_cover_every_suite_check():
+    names = {
+        n[len("check_"):] for n, f in vars(checks).items()
+        if n.startswith("check_") and callable(f)
+    }
+    assert set(CALLS) == names
+    assert set(ALLOWED_TO_PASS) < names
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_fake_pair_verdicts(name):
+    results = {label: CALLS[name](e) for label, e in FAKE_PAIRS.items()}
+    for res in results.values():
+        assert res.name == name
+        assert res.passed == (res.witness is None)
+        if not res.passed:
+            assert res.witness["problems"] and res.line().startswith("FAIL ")
+    failed = sorted(label for label, res in results.items() if not res.passed)
+    if name in ALLOWED_TO_PASS:
+        assert not failed, f"{name} FAILs on {failed}: take it off ALLOWED_TO_PASS"
+    else:
+        assert failed, f"{name} PASSes on every fake pair"
+
+
+def test_centralizer_witness_names_the_extra_dimension():
+    # Y^2 X^2 commutes with YX, so the window holds more than powers of h
+    res = CALLS["centralizer_theorem"](FAKE_PAIRS["(X^2, Y^2)"])
+    assert res.witness == {"problems": ["eigenvalue 0: dimension 3 != expected 2"]}
+
+
+def test_propagation_fails_for_a_chosen_element():
+    # d'(X) = [X^2, X] Y^2 = 0 is a member, X is not: the check can FAIL
+    # when the element is not an image to begin with
+    res = checks.check_propagation(FAKE_PAIRS["(X^2, Y^2)"], X, 1)
+    assert not res.passed
+    assert res.witness["problems"]

@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for the exact echelon in `linalg`.
+"""sympy as an independent oracle for the exact echelon in `linalg` and
+the windowed cokernel dimensions built on it.
 
 sympy is used here only; the module is skipped when it is not installed.
 """
@@ -14,11 +15,14 @@ sympy = pytest.importorskip("sympy")
 from weyl1 import (  # noqa: E402
     W11,
     EndoRecipe,
+    WeylElement,
     Window,
     ad,
     add_poly_x,
     add_poly_y,
+    coker_window_dim,
     compile_recipe,
+    delta_xy,
 )
 from weyl1.linalg import (  # noqa: E402
     RatMatrix,
@@ -131,3 +135,34 @@ def test_ad_h_window_matrix_matches_sympy():
     unit = [1] + [0] * (mat.nrows - 1)
     assert solve_many(_sparse(mat), mat.ncols, [unit]) == [None]
     _check_against_sympy(mat, [unit, mat.column(mat.ncols - 1)])
+
+
+def _sym_rank(elems) -> int:
+    """Rank of the coefficient vectors of elems over their joint support."""
+    keys = sorted({key for el in elems for key, _ in el.terms()})
+    rows = [[dict(el.terms()).get(key, 0) for key in keys] for el in elems]
+    return _sym(rows, len(keys)).rank() if rows and keys else 0
+
+
+_SMALL_ELEMENTS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+    max_size=3,
+).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(_SMALL_ELEMENTS, max_size=4),
+    st.lists(_SMALL_ELEMENTS, max_size=3),
+    st.sampled_from(["ad_h", "delta"]),
+)
+def test_coker_of_spanning_sets_matches_sympy(src, extras, which):
+    e = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]),)))
+    m = ad(e.h) if which == "ad_h" else delta_xy(e)
+    imgs = [m(u) for u in src]
+    tgt = imgs
+    if extras:  # a target spanning set that holds the images without listing them
+        tgt = extras + [img + extras[k % len(extras)] for k, img in enumerate(imgs)]
+    expect = _sym_rank(tgt) - _sym_rank(imgs)
+    assert coker_window_dim(m, src, tgt) == expect

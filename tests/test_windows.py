@@ -1,6 +1,8 @@
 """Windowed eigenspaces, centralizers, closures, chains, cokernels."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl1 import (
     ChainBasisError,
@@ -9,6 +11,7 @@ from weyl1 import (
     ONE,
     W11,
     Weight,
+    WeylElement,
     WindowEscapeError,
     Window,
     X,
@@ -32,15 +35,17 @@ from weyl1 import (
     rat,
 )
 from weyl1.checks import spans_equal
+from weyl1.linalg import rank
+from weyl1.windows import Coordinates
 
 IDENT = identity_endo()
 
 
 def test_window_basis_order():
     win = Window(W11, 2)
-    assert win.monomials() == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+    assert win.monomials == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
     win = Window(Weight(2, 3), 6)
-    assert all(2 * i + 3 * j <= 6 for (i, j) in win.monomials())
+    assert all(2 * i + 3 * j <= 6 for (i, j) in win.monomials)
     with pytest.raises(ValueError):
         Window(Weight(0, 1), 3)
 
@@ -48,7 +53,7 @@ def test_window_basis_order():
 def test_map_matrix_ad_h_is_diagonal():
     win = Window(W11, 2)
     mat = map_matrix(ad(H), win, win)
-    monos = win.monomials()
+    monos = win.monomials
     for c, (i, j) in enumerate(monos):
         for r, (k, l) in enumerate(monos):
             expect = (j - i) if (k, l) == (i, j) else 0
@@ -61,7 +66,7 @@ def test_map_matrix_ad_h_is_diagonal():
 def test_map_matrix_ad_x_lowers():
     win = Window(W11, 2)
     mat = map_matrix(ad(X), win, win)
-    monos = win.monomials()
+    monos = win.monomials
     weight_of = {k: i + j for k, (i, j) in enumerate(monos)}
     for c in range(win.dimension()):
         for r in range(win.dimension()):
@@ -180,12 +185,46 @@ def test_coker_window_dims():
     assert coker_window_dim(compose(ad(ONE)), win1, win1) == 3
     win2 = Window(W11, 2)
     assert coker_window_dim(ad(H), win2, win2) == 2  # = dim of the kernel here
-    assert coker_window_dim(ad(H), win2, 2) == 2  # integer cap spelling
 
 
 def test_coker_escape():
     with pytest.raises(WindowEscapeError):
         coker_window_dim(ad(Y**3), Window(W11, 2), Window(W11, 2))
+    with pytest.raises(WindowEscapeError):
+        coker_window_dim(ad(X), [Y], [X])  # [X, Y] = -1 is not in span{X}
+
+
+def test_coordinates_escape():
+    with pytest.raises(WindowEscapeError, match=r"Y\^1\*X\^0"):
+        Coordinates([X]).coords(Y)
+    with pytest.raises(WindowEscapeError, match=r"window \(weight \(1,1\), cap 1\)"):
+        Window(W11, 1).coords(Y**2)
+
+
+def test_window_is_the_coordinates_of_its_monomials():
+    win = Window(W11, 3)
+    assert win == Window(W11, 3) and hash(win) == hash(Window(W11, 3))
+    elems = win.basis_elements()
+    assert Coordinates(elems).monomials == list(win.monomials)
+    assert win.coords(3 * H - X**2) == {win.index[(1, 1)]: 3, win.index[(0, 2)]: -1}
+    assert win.element(win.coords(3 * H - X**2)) == 3 * H - X**2
+
+
+_ELEMENTS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(-4, 4, max_denominator=3),
+    max_size=3,
+).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_ELEMENTS, st.integers(0, 4))
+def test_coker_window_dim_is_target_dimension_minus_matrix_rank(a, cap):
+    m = ad(a)
+    win = Window(W11, cap)
+    tgt = win.enlarged(m)
+    expect = tgt.dimension() - rank(map_matrix(m, win, tgt))
+    assert coker_window_dim(m, win, tgt) == expect
 
 
 def test_exactness_of_window_bases():
