@@ -289,12 +289,15 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     kernel = [win.element(vec) for vec in nullspace(mat)]
     vx = weighted_degree(W11, e.x)
     vy = weighted_degree(W11, e.y)
+    xs, ys = powers(e.x, bound // vx), powers(e.y, bound // vy)
     while True:
-        generators = powers(e.x, bound // vx) + powers(e.y, bound // vy)[1:]
-        expected = span_intersection(generators, win.basis_elements())
+        expected = span_intersection(xs + ys[1:], win.basis_elements())
         if len(expected) >= len(kernel) or not 0 < bound < 8 * cap:
             break
         bound = min(2 * bound, 8 * cap)
+        for ps, a, v in ((xs, e.x, vx), (ys, e.y, vy)):
+            while len(ps) <= bound // v:
+                ps.append(ps[-1] * a)
     problems: List[str] = []
     if not spans_equal(kernel, expected):
         problems.append(

@@ -20,6 +20,13 @@ result is read.  Results (`rows`, `rref`, `nullspace`, `solve`, ...) come
 back in the stored form of `scalars`: each pivot row is scaled to a
 leading 1 with `exact_div`, so an entry is an int when integral and a Rat
 with denominator > 1 otherwise.
+
+Every entry point inserts rows in one order: descending lead (leftmost
+nonzero) column, ties in the given order.  A new pivot column then lies
+left of the pivot rows already held, so they seldom need clearing and
+fill stays small (pivot where fill is least, after Markowitz, Management
+Sci. 3, 1957).  No result depends on the order: a row space has exactly
+one reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -151,6 +158,9 @@ class _Echelon:
     `rows` maps each pivot column to its row: primitive ints (content 1)
     with a positive lead, holding no other pivot column.  No Rat enters
     elimination; `normalized_rows` scales to leading 1s for the results.
+    `_echelon` inserts rows by descending lead column, ties in the given
+    order, to keep fill small (Markowitz 1957); the RREF reached is unique
+    whatever the order.
     """
 
     def __init__(self):
@@ -187,7 +197,7 @@ class _Echelon:
 
 def _echelon(rows: Sequence[SparseRow]) -> _Echelon:
     ech = _Echelon()
-    for row in rows:
+    for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
         ech.insert(row)
     return ech
 

@@ -79,6 +79,18 @@ def test_kernel_delta_raises_its_generator_bound():
     assert res.params["span_bound"] == 4
 
 
+def test_kernel_delta_doubles_to_its_last_bound_before_failing():
+    # (X^2, Y) is no automorphism: its kernel window stays larger than
+    # the (K[x]+K[y]) window through bounds 10, 20 and 40 = 8*cap
+    res = check_kernel_delta(EndoPair(x=X**2, y=Y, verified=True), 5)
+    assert not res.passed
+    assert res.params == {"cap": 5, "span_bound": 40, "weight": "(1,1)"}
+    assert res.witness == {"problems": [
+        "kernel window (dim 11) differs from the (K[x]+K[y]) window "
+        "(dim 8) within span_bound 40"
+    ]}
+
+
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_nilpotent_closure_check(name, e):
     res = check_nilpotent_closure(e, 3)

@@ -1,9 +1,29 @@
 """Exact elimination: kernels, ranks, canonical bases, solving."""
 
 import random
+from fractions import Fraction
 
-from weyl1 import RatMatrix, canonical_basis, nullspace, rank, rat, rref, solve
-from weyl1.linalg import solve_many
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weyl1 import (
+    W11,
+    RatMatrix,
+    Window,
+    canonical_basis,
+    canonical_config,
+    centralizer_window,
+    compile_recipe,
+    linalg,
+    nullspace,
+    rank,
+    rat,
+    rref,
+    solve,
+)
+from weyl1.linalg import _echelon, _Echelon, solve_many
+from weyl1.scalars import demote
+from weyl1.serialize import recipe_from_doc
 
 
 def test_nullspace_trivial_cases():
@@ -94,3 +114,64 @@ def test_matrix_validation():
         RatMatrix([[1, 2], [3]])
     m = RatMatrix.from_columns([[1, 0], [0, 1]], 2)
     assert m.column(0) == [1, 0]
+
+
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(2, 4)).map(demote),
+)
+
+
+@st.composite
+def permuted_systems(draw):
+    """Dense rows with duplicate and zero rows mixed in, right-hand sides
+    (one consistent by construction, the others mostly not) and a
+    permutation of the rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rhs = draw(st.lists(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)),
+                        max_size=2))
+    rhs.append(RatMatrix(rows).mul_vector([1] * ncols))
+    return rows, ncols, rhs, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_systems())
+def test_outputs_do_not_depend_on_row_order(system):
+    rows, ncols, rhs, perm = system
+    shuffled = [rows[i] for i in perm]
+    a, b = RatMatrix(rows), RatMatrix(shuffled)
+    assert rref(b) == rref(a)
+    assert rank(b) == rank(a)
+    assert nullspace(b) == nullspace(a)
+    assert canonical_basis(shuffled, ncols) == canonical_basis(rows, ncols)
+    sols = solve_many(a.sparse, ncols, rhs)
+    assert solve_many(b.sparse, ncols, [[col[i] for i in perm] for col in rhs]) == sols
+    assert sols[-1] is not None
+    # the order rule only saves work: rows inserted as given reach the same RREF
+    as_given = _Echelon()
+    for row in b.sparse:
+        as_given.insert(row)
+    assert as_given.normalized_rows() == _echelon(a.sparse).normalized_rows()
+
+
+def test_order_rule_bounds_elimination_work(monkeypatch):
+    # the composite centralizer at cap 16 (231 x 153, kernel of dimension
+    # 3) takes 1 665 eliminations with rows inserted by descending lead
+    # column and 4 627 with rows inserted as the window lists them
+    doc = canonical_config()["endomorphisms"][2]
+    e = compile_recipe(recipe_from_doc(doc))
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(row, prow, col):
+        calls.append(col)
+        return eliminate(row, prow, col)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert len(centralizer_window(e.h, Window(W11, 16))) == 3
+    assert len(calls) <= 2000
