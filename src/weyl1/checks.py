@@ -27,7 +27,6 @@ from .core import (
     WeylElement,
     apply_endo,
     commutator,
-    linear_combination,
     powers,
 )
 from .degrees import W11, weighted_degree
@@ -35,6 +34,7 @@ from .endos import MembershipSolver, compile_recipe
 from .gwa import POLY_ONE, embed, graded_component, localized_mul, poly, ratfun
 from .linalg import nullspace
 from .maps import ad, d_xy, d_yx, delta_xy
+from .parsing import parse
 from .scalars import Rat, rat
 from .serialize import recipe_from_doc
 from .windows import (
@@ -90,22 +90,6 @@ def span_contains(
 ) -> bool:
     sols = Coordinates(space, elems).solve(space, elems)
     return all(s is not None for s in sols)
-
-
-def span_intersection(
-    a: Sequence[WeylElement], b: Sequence[WeylElement]
-) -> List[WeylElement]:
-    """Canonical basis of span(a) meet span(b)."""
-    a = span_basis(a)
-    b = span_basis(b)
-    if not a or not b:
-        return []
-    co = Coordinates(a, b)
-    # columns: lambda coefficients on a, then mu coefficients on b;
-    # kernel rows of [A^T  -B^T] give lambda with lambda.A = mu.B
-    combos = nullspace(co.matrix(a + [-el for el in b]))
-    out = [linear_combination(zip(vec[: len(a)], a)) for vec in combos]
-    return span_basis([u for u in out if not u.is_zero()])
 
 
 # -- the checks -----------------------------------------------------------
@@ -278,7 +262,7 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     and y - x^2 of degree 1 needs y of degree 4 for the composite pair),
     so generators run up to degree 2*cap, doubled while their window
     slice is smaller than the kernel window, up to 8*cap, and are
-    intersected with the window exactly.  Every generator
+    cut to the window exactly (`Window.meet`).  Every generator
     is killed by delta, so a dimension match certifies equality; the
     params report the bound reached.
     """
@@ -291,7 +275,7 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     vy = weighted_degree(W11, e.y)
     xs, ys = powers(e.x, bound // vx), powers(e.y, bound // vy)
     while True:
-        expected = span_intersection(xs + ys[1:], win.basis_elements())
+        expected = win.meet(xs + ys[1:])
         if len(expected) >= len(kernel) or not 0 < bound < 8 * cap:
             break
         bound = min(2 * bound, 8 * cap)
@@ -299,13 +283,15 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
             while len(ps) <= bound // v:
                 ps.append(ps[-1] * a)
     problems: List[str] = []
-    if not spans_equal(kernel, expected):
+    if kernel != expected:  # both canonical in the window's coordinates
         problems.append(
             f"kernel window (dim {len(kernel)}) differs from the "
             f"(K[x]+K[y]) window (dim {len(expected)}) within span_bound {bound}"
         )
-    inter = span_intersection(kernel, centralizer_window(e.h, win))
-    if not spans_equal(inter, [ONE]):
+    # 1 lies in both spaces, so they meet in the scalars iff their sum
+    # falls short of the sum of their dimensions by exactly one
+    cent = centralizer_window(e.h, win)
+    if len(win.basis(kernel + cent)) != len(kernel) + len(cent) - 1:
         problems.append("kernel meet centralizer is not the scalars")
     return _verdict(
         "kernel_delta", {"cap": cap, "span_bound": bound, "weight": "(1,1)"}, problems
@@ -444,8 +430,6 @@ def canonical_config() -> dict:
 
 def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
     """Run every check over every configured pair, in declaration order."""
-    from .parsing import parse
-
     if config is None:
         config = canonical_config()
     params = config["params"]

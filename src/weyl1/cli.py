@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from .checks import canonical_config, run_suite
-from .core import WeylElement, apply_endo, commutator, format_element
+from .core import WeylElement, apply_endo, commutator, format_element, identity_endo
 from .degrees import Weight, find_generic_weight, newton_polygon, weighted_degree
 from .endos import EndoRecipe, compile_recipe, subalgebra_membership
 from .errors import DomainError
@@ -64,8 +64,6 @@ def _element_arg(text: str) -> WeylElement:
 
 
 def _endo_arg(path: Optional[str]):
-    from .core import identity_endo
-
     if path is None:
         return identity_endo()
     return endo_from_doc(loads(_read_file(path)))
@@ -109,6 +107,20 @@ def _map_arg(args):
     if kind == "delta":
         return delta_xy(endo)
     raise DocError(f"unknown map kind {kind!r}")
+
+
+def _int_at_least(low: int):
+    """argparse type for an int >= low, so a value out of range is a usage
+    error (exit 2) like a malformed one."""
+
+    def parse_int(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse_int.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse_int
 
 
 def _add_weight_flags(sub, default=(1, 1)):
@@ -179,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("eig-scan", help="windowed eigenvalue scan of ad(a)")
     s.add_argument("expr")
-    s.add_argument("--cap", type=int, required=True)
+    s.add_argument("--cap", type=_int_at_least(0), required=True)
     _add_weight_flags(s)
     s.add_argument("--candidates", help="comma-separated rationals, each p or p/q")
     s.add_argument("--out")
 
     s = sub.add_parser("centralizer", help="windowed centralizer basis")
     s.add_argument("expr")
-    s.add_argument("--cap", type=int, required=True)
+    s.add_argument("--cap", type=_int_at_least(0), required=True)
     _add_weight_flags(s)
     s.add_argument("--out")
 
@@ -194,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--map", required=True, choices=["ad", "dyx", "dxy", "delta"])
     s.add_argument("--of", help="element defining ad(.)")
     s.add_argument("--endo", help="endomorphism document for dyx/dxy/delta")
-    s.add_argument("--cap", type=int, required=True)
-    s.add_argument("--max-iter", type=int, default=None)
+    s.add_argument("--cap", type=_int_at_least(0), required=True)
+    s.add_argument("--max-iter", type=_int_at_least(1), default=None)
     _add_weight_flags(s)
     s.add_argument("--out")
 
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("membership", help="membership in the image subalgebra")
     s.add_argument("expr")
     s.add_argument("--endo", required=True)
-    s.add_argument("--slack", type=int, default=4)
+    s.add_argument("--slack", type=_int_at_least(0), default=4)
     s.add_argument("--out")
 
     s = sub.add_parser("semigroup", help="gaps and bounds of a numerical monoid")
@@ -322,8 +334,6 @@ def _cmd_endo_apply(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    if args.slack < 0:
-        raise DocError(f"--slack must be >= 0, got {args.slack}")
     endo = _endo_arg(args.endo)
     a = _element_arg(args.expr)
     verdict = subalgebra_membership(endo, a, args.slack)

@@ -33,10 +33,10 @@ from .core import (
     linear_combination,
     powers,
 )
-from .degrees import W11, weighted_degree
+from .degrees import W11, Weight, weighted_degree
 from .errors import DomainError, UnverifiedEndoError
 from .scalars import Rat, rat
-from .windows import Coordinates
+from .windows import Coordinates, Window
 
 
 @dataclass(frozen=True)
@@ -172,18 +172,10 @@ class MembershipSolver:
             row.append(row[-1] * self.pair.x)
         return row[j]
 
-    def candidate_pairs(self, bound) -> List[Tuple[int, int]]:
-        """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order."""
-        out = []
-        i = 0
-        while i * self._vy <= bound:
-            j = 0
-            while i * self._vy + j * self._vx <= bound:
-                out.append((i, j))
-                j += 1
-            i += 1
-        out.sort(key=lambda p: (p[0] * self._vy + p[1] * self._vx, p[0]))
-        return out
+    def candidate_pairs(self, bound) -> Tuple[Tuple[int, int], ...]:
+        """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order:
+        the monomials of the window of weight (v(y), v(x)) and that cap."""
+        return Window(Weight(self._vy, self._vx), bound).monomials
 
     def solve(self, elements: Sequence[WeylElement], slack: int) -> List[Membership]:
         """Batch the queries; verdicts match element-by-element solving.

@@ -37,7 +37,8 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .core import H, WeylElement, linear_combination, monomial, powers
-from .scalars import NEG_INF, RAT_ONE, Rat, integral, rat, rat_str
+from .degrees import Weight, weighted_degree
+from .scalars import RAT_ONE, Rat, integral, rat, rat_str
 
 Poly = Tuple[Rat, ...]
 
@@ -442,19 +443,15 @@ def from_graded(g: GradedElement) -> WeylElement:
 def graded_degree(a: WeylElement) -> Union[int, float]:
     """Largest graded component present; -inf for 0.
 
-    Each monomial Y^i X^j sits in the single component j - i, so the
-    degree reads off the support directly.
+    Each monomial Y^i X^j sits in the single component j - i, so this is
+    the weighted degree of weight (-1, 1).
     """
-    if a.is_zero():
-        return NEG_INF
-    return max(j - i for (i, j) in a.support())
+    return weighted_degree(Weight(-1, 1), a)
 
 
 def graded_degree_minus(a: WeylElement) -> Union[int, float]:
     """Minus the smallest graded component present; -inf for 0."""
-    if a.is_zero():
-        return NEG_INF
-    return -min(j - i for (i, j) in a.support())
+    return weighted_degree(Weight(1, -1), a)
 
 
 def supp_monoid(elems: Iterable[WeylElement]) -> set:

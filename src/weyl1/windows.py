@@ -3,9 +3,10 @@
 One class, `Coordinates`, turns elements into vectors and back.  Its
 subclass `Window` is the coordinates of a window: the finite-dimensional
 space spanned by the monomials Y^i X^j with rho*i + eta*j <= cap for a
-positive weight (rho, eta).  The interesting maps restrict to matrices between windows; eigenspaces,
-centralizers, nilpotent closures, chain bases and cokernel dimensions
-are all computed exactly from those matrices.
+positive weight (rho, eta).  The interesting maps restrict to matrices
+between windows.  Eigenspaces, centralizers, nilpotent closures, window
+slices of spans, chain bases and cokernel dimensions are all computed
+exactly from those matrices.
 
 Every returned basis is canonical: coordinates in the window's monomial
 order, reduced row echelon form, first nonzero coordinate 1.
@@ -17,12 +18,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import ONE, WeylElement, commutator, linear_combination, monomial
+from .core import WeylElement, commutator, linear_combination, monomial
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, Vector, canonical_basis, nullspace, rank, solve_many
 from .maps import LinearMap, ad
-from .scalars import NEG_INF, Rat, coeff, demote, exact_div, rat
+from .scalars import NEG_INF, Rat, coeff, demote, rat
 
 
 class Coordinates:
@@ -107,6 +108,20 @@ class Window(Coordinates):
 
     def basis_elements(self) -> List[WeylElement]:
         return [monomial(i, j) for (i, j) in self.monomials]
+
+    def meet(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
+        """Canonical basis of span(elems) cut to the window.
+
+        The slice is spanned by the combinations of elems whose parts
+        outside the window cancel: one nullspace of those outside parts.
+        """
+        index = self.index
+        outside = [
+            WeylElement._raw({k: c for k, c in el._terms.items() if k not in index})
+            for el in elems
+        ]
+        combos = nullspace(Coordinates(outside).matrix(outside))
+        return self.basis([linear_combination(zip(vec, elems)) for vec in combos])
 
     def enlarged(self, m: LinearMap) -> "Window":
         """Window guaranteed to hold images of this one under m."""
@@ -252,49 +267,32 @@ def build_chain_basis(
 
     Requires m to restrict to span(elems) and act on it as a locally
     nilpotent map with one-dimensional kernel; otherwise ChainBasisError.
-    When the kernel is the scalars, e_0 is normalized to the constant 1,
-    and each later e_i is pinned by zeroing its coordinate at e_0's
-    leading monomial.
+    e_0 is the kernel vector with coefficient 1 at its leading (first)
+    monomial, so the constant 1 when the kernel is the scalars, and each
+    later e_i is pinned by zeroing its coefficient at that monomial.
     """
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
         raise ChainBasisError("no nonzero elements to span a chain")
-    co = Coordinates(elems, [m(el) for el in elems])
-    basis_elems = co.basis(elems)
-    dim = len(basis_elems)
-    # matrix of m on the span, in the canonical-basis coordinates
-    sols = co.solve(basis_elems, [m(b) for b in basis_elems])
-    if any(s is None for s in sols):
-        raise ChainBasisError("the map does not preserve the span of the input")
-    mat = RatMatrix.from_columns(sols, dim)
-    kernel = nullspace(mat)
+    images = [m(el) for el in elems]
+    co = Coordinates(elems, images)
+    kernel = co.basis(
+        [linear_combination(zip(vec, elems)) for vec in nullspace(co.matrix(images))]
+    )
     if len(kernel) != 1:
         raise ChainBasisError(
             f"kernel on the span has dimension {len(kernel)}, expected 1"
         )
-    e0_coords = kernel[0]
-    e0 = linear_combination(zip(e0_coords, basis_elems))
-    if e0.is_scalar():
-        e0 = ONE
-        sol = co.solve(basis_elems, [e0])[0]
-        if sol is None:
-            raise ChainBasisError("element unexpectedly outside the span")
-        e0_coords = [sol.get(k, 0) for k in range(dim)]
-    # leading coordinate of e0 in the span basis pins later representatives
-    lead = next(k for k, v in enumerate(e0_coords) if v)
-    chain_coords = [e0_coords]
+    e0 = kernel[0]
+    lead = co.monomials[min(co.coords(e0))]
     chain = [e0]
-    for _ in range(dim - 1):
-        sol = solve_many(mat.sparse, dim, [chain_coords[-1]])[0]
+    for _ in range(rank(co.matrix(elems)) - 1):
+        sol = co.solve(images, [chain[-1]])[0]
         if sol is None:
             raise ChainBasisError("chain equation m(e_i) = e_(i-1) is unsolvable")
-        vec = [sol.get(k, 0) for k in range(dim)]
         # remove the kernel component so the choice is deterministic
-        scale = exact_div(vec[lead], e0_coords[lead])
-        if scale:
-            vec = [v - scale * k0 for v, k0 in zip(vec, e0_coords)]
-        chain_coords.append(vec)
-        chain.append(linear_combination(zip(vec, basis_elems)))
+        e = linear_combination((c, elems[k]) for k, c in sol.items())
+        chain.append(e - e._terms.get(lead, 0) * e0)
     return chain
 
 

@@ -23,7 +23,7 @@ from weyl1 import (
     run_suite,
 )
 from weyl1 import checks
-from weyl1.checks import span_basis, span_contains, span_intersection, spans_equal
+from weyl1.checks import span_basis, span_contains, spans_equal
 from weyl1.windows import Coordinates
 from weyl1.serialize import recipe_from_doc
 
@@ -89,6 +89,15 @@ def test_kernel_delta_doubles_to_its_last_bound_before_failing():
         "kernel window (dim 11) differs from the (K[x]+K[y]) window "
         "(dim 8) within span_bound 40"
     ]}
+
+
+def test_kernel_delta_fails_when_kernel_meets_centralizer_beyond_scalars():
+    # x = y = H: delta = ad(H)^2 has the kernel K[H], which K[x] + K[y]
+    # matches, but K[H] is also the centralizer of h = H^2
+    res = check_kernel_delta(EndoPair(x=H, y=H, verified=True), 2)
+    assert not res.passed
+    assert res.params == {"cap": 2, "span_bound": 4, "weight": "(1,1)"}
+    assert res.witness == {"problems": ["kernel meet centralizer is not the scalars"]}
 
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
@@ -180,8 +189,6 @@ def test_span_helpers():
     assert not spans_equal([H], [X])
     assert span_contains([ONE, H, H**2], [3 * H**2 + H - 1])
     assert not span_contains([ONE, H], [X])
-    inter = span_intersection([ONE, H, X], [ONE, Y])
-    assert spans_equal(inter, [ONE])
     assert span_basis([H, 2 * H, ONE + H]) == span_basis([ONE, H])
     space = [ONE, H]
     co = Coordinates(space, [3 * H - 1, X])

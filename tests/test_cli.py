@@ -273,14 +273,30 @@ def test_verify_config_accepts_a_negative_seed():
     assert load_config(cfg) is cfg
 
 
-def test_membership_negative_slack_is_bad_input(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["centralizer", "X", "--cap", "-1"], "--cap"),
+        (["eig-scan", "X", "--cap", "-1"], "--cap"),
+        (["nilclosure", "--map", "ad", "--of", "X", "--cap", "-1"], "--cap"),
+        (["nilclosure", "--map", "ad", "--of", "X", "--cap", "2", "--max-iter", "0"],
+         "--max-iter"),
+        (["membership", "Y", "--endo", "<ENDO>", "--slack", "-1"], "--slack"),
+    ],
+    ids=["centralizer-cap", "eig-scan-cap", "nilclosure-cap", "nilclosure-max-iter",
+         "membership-slack"],
+)
+def test_out_of_range_flag_is_bad_input(tmp_path, capsys, argv, flag):
+    # the same values are bad input in a verify config (exit 2), not domain errors
     path = tmp_path / "endo.json"
     path.write_text(dumps(endo_to_doc(identity_endo())))
-    code, out, err = run(capsys, "membership", "Y", "--endo", str(path), "--slack", "-1")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1
-    doc = json.loads(err)
-    assert doc["error"] == "input" and "--slack" in doc["detail"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "<ENDO>" else a for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    doc = json.loads(captured.err)
+    assert doc["error"] == "input" and flag in doc["detail"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """sympy as an independent oracle for the exact echelon in `linalg` and
-the windowed cokernel dimensions built on it.
+the windowed cokernel dimensions and window slices built on it.
 
 sympy is used here only; the module is skipped when it is not installed.
 """
@@ -15,6 +15,7 @@ sympy = pytest.importorskip("sympy")
 from weyl1 import (  # noqa: E402
     W11,
     EndoRecipe,
+    Weight,
     WeylElement,
     Window,
     ad,
@@ -166,3 +167,37 @@ def test_coker_of_spanning_sets_matches_sympy(src, extras, which):
         tgt = extras + [img + extras[k % len(extras)] for k, img in enumerate(imgs)]
     expect = _sym_rank(tgt) - _sym_rank(imgs)
     assert coker_window_dim(m, src, tgt) == expect
+
+
+# few monomials, so that parts outside a window often cancel in a combination
+_POOLED_ELEMENTS = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (0, 3), (2, 2), (4, 0)]),
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+    max_size=3,
+).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(_POOLED_ELEMENTS, max_size=7),
+    st.sampled_from([W11, Weight(1, 2), Weight(2, 1)]),
+    st.integers(0, 4),
+)
+def test_window_meet_matches_sympy(elems, weight, cap):
+    # span(elems) meet the window, as U.lam over the kernel of [U | -V]
+    # where V holds the window's unit vectors; then RREF in window order
+    win = Window(weight, cap)
+    keys = list(win.monomials) + sorted(
+        {key for el in elems for key in el.support()} - set(win.monomials)
+    )
+    u = sympy.Matrix(len(keys), len(elems), lambda r, c: sympy.Rational(
+        elems[c].coefficient(*keys[r])))
+    v = sympy.Matrix(len(keys), len(win.monomials), lambda r, c: int(r == c))
+    meet = [u * lam[: len(elems), :] for lam in sympy.Matrix.hstack(u, -v).nullspace()]
+    if meet:
+        assert all(vec[r] == 0 for vec in meet for r in range(len(win.monomials), len(keys)))
+        want, _ = _sym_rref_rows(sympy.Matrix.hstack(*meet)[: len(win.monomials), :].T)
+    else:
+        want = []
+    got = [[b.coefficient(*key) for key in win.monomials] for b in win.meet(elems)]
+    assert got == want

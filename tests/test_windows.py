@@ -29,6 +29,7 @@ from weyl1 import (
     delta_xy,
     eigenspace,
     eigenvalue_scan,
+    format_element,
     identity_endo,
     map_matrix,
     nilpotent_closure_window,
@@ -162,6 +163,36 @@ def test_chain_basis_identity_delta():
     for prev, cur in zip(chain, chain[1:]):
         assert dl(cur) == prev
     assert dl(chain[0]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "recipe,expected",
+    [
+        (
+            EndoRecipe(),
+            ["X", "-1/2*Y*X^2", "1/12*Y^2*X^3", "-1/144*Y^3*X^4"],
+        ),
+        (
+            EndoRecipe(generators=(add_poly_x([0, 0, 1]),)),
+            [
+                "X",
+                "-1/2*Y*X^2 - 1/2*X^4",
+                "-1/6*X^4 + 1/12*Y^2*X^3 + 1/6*Y*X^5 + 1/12*X^7",
+            ],
+        ),
+    ],
+    ids=["identity", "triangular-x2"],
+)
+def test_chain_basis_with_non_scalar_kernel(recipe, expected):
+    # on span{x h^k} the kernel of delta is K x, not the scalars
+    e = compile_recipe(recipe)
+    dl = delta_xy(e)
+    chain = build_chain_basis(dl, [e.x * e.h**k for k in range(len(expected))])
+    assert [format_element(c) for c in chain] == expected
+    assert dl(chain[0]).is_zero()
+    for prev, cur in zip(chain, chain[1:]):
+        assert dl(cur) == prev
+        assert cur.coefficient(0, 1) == 0  # pinned at e_0's leading monomial X
 
 
 def test_chain_basis_failures():
