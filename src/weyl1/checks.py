@@ -11,6 +11,10 @@ delta = ad(x) ad(y), drop propagation, and the eigenvector tables.
 Checks return a CheckResult carrying their full parameterization, a
 pass/fail verdict, and witness data on failure, so every verdict is
 reproducible from its own record.
+
+Every basis `windows` returns is canonical in the window's monomial
+order (reduced row echelon form), so two window subspaces are equal
+exactly when their bases are equal as lists; the checks compare them so.
 """
 
 from __future__ import annotations
@@ -32,17 +36,14 @@ from .core import (
 from .degrees import W11, weighted_degree
 from .endos import MembershipSolver, compile_recipe
 from .gwa import POLY_ONE, embed, graded_component, localized_mul, poly, ratfun
-from .linalg import nullspace
 from .maps import ad, d_xy, d_yx, delta_xy
 from .parsing import parse
 from .scalars import Rat, rat
 from .serialize import recipe_from_doc
 from .windows import (
-    Coordinates,
     Window,
     eigenvalue_scan,
     centralizer_window,
-    map_matrix,
     nilpotent_closure_window,
 )
 
@@ -68,28 +69,6 @@ def _verdict(name: str, params: Dict[str, object], problems: List[str]) -> Check
         passed=not problems,
         witness={"problems": problems} if problems else None,
     )
-
-
-# -- subspace helpers -----------------------------------------------------
-
-
-def span_basis(elems: Sequence[WeylElement]) -> List[WeylElement]:
-    """Canonical (RREF) basis of the span, as elements."""
-    return Coordinates(elems).basis(elems)
-
-
-def spans_equal(
-    a: Sequence[WeylElement], b: Sequence[WeylElement]
-) -> bool:
-    co = Coordinates(a, b)
-    return co.basis(a) == co.basis(b)
-
-
-def span_contains(
-    space: Sequence[WeylElement], elems: Sequence[WeylElement]
-) -> bool:
-    sols = Coordinates(space, elems).solve(space, elems)
-    return all(s is not None for s in sols)
 
 
 # -- the checks -----------------------------------------------------------
@@ -135,7 +114,8 @@ def _eigen_problems(
         elif basis:
             i = int(lam)
             vi = x_pows[i] if i >= 0 else y_pows[-i]
-            if not span_contains([hk * vi for hk in h_pows[:count]], basis):
+            # the dimensions agree, so containment in the span is equality
+            if win.basis([hk * vi for hk in h_pows[:count]]) != basis:
                 problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
     return report.candidates, problems
 
@@ -269,8 +249,7 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     bound = 2 * cap
     win = Window(W11, cap)
     dl = delta_xy(e)
-    mat = map_matrix(dl, win, win.enlarged(dl))
-    kernel = [win.element(vec) for vec in nullspace(mat)]
+    kernel = nilpotent_closure_window(dl, win, 1)  # ker delta in the window
     vx = weighted_degree(W11, e.x)
     vy = weighted_degree(W11, e.y)
     xs, ys = powers(e.x, bound // vx), powers(e.y, bound // vy)
@@ -321,17 +300,15 @@ def check_nilpotent_closure(
         "ad_y": nilpotent_closure_window(ad(e.y), win, max_iter),
         "delta": nilpotent_closure_window(delta_xy(e), win, max_iter),
     }
-    solver = MembershipSolver(e)
-    verdicts = solver.solve(win.basis_elements(), slack)
-    member_span = span_basis(
-        [m for m, v in zip(win.basis_elements(), verdicts) if v.member]
-    )
+    monos = win.basis_elements()
+    verdicts = MembershipSolver(e).solve(monos, slack)
+    members = [m for m, v in zip(monos, verdicts) if v.member]
     problems: List[str] = []
     for label, basis in closures.items():
-        if not spans_equal(basis, member_span):
+        if basis != members:
             problems.append(
                 f"{label} closure (dim {len(basis)}) != membership window "
-                f"(dim {len(member_span)})"
+                f"(dim {len(members)})"
             )
     return _verdict(
         "nilpotent_closure",

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("generic", help="first generic weight for an element")
     s.add_argument("expr")
-    s.add_argument("--bound", type=int, default=16)
+    s.add_argument("--bound", type=_int_at_least(1), default=16)
     s.add_argument("--out")
 
     s = sub.add_parser("drop", help="drop v(m(a)) - v(a) of a map at an element")
@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
 
     s = sub.add_parser("semigroup", help="gaps and bounds of a numerical monoid")
-    s.add_argument("generators", nargs="+", type=int)
-    s.add_argument("--horizon", type=int, default=None)
+    s.add_argument("generators", nargs="+", type=_int_at_least(1))
+    s.add_argument("--horizon", type=_int_at_least(1), default=None)
     s.add_argument("--out")
 
     s = sub.add_parser("verify", help="run the windowed verification suite")
@@ -291,10 +291,12 @@ def _cmd_eig_scan(args) -> int:
     a = _element_arg(args.expr)
     win = Window(_weight(args), args.cap)
     candidates = None
-    if args.candidates:
+    if args.candidates is not None:
         candidates = [
             _doc_rat(tok.strip()) for tok in args.candidates.split(",") if tok.strip()
         ]
+        if not candidates:
+            raise DocError(f"--candidates {args.candidates!r} names no rational")
     report = eigenvalue_scan(a, win, candidates)
     _emit(args, dumps(eigen_report_to_doc(report)))
     return 0

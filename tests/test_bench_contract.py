@@ -1,0 +1,29 @@
+"""The benchmark's own self-test passes against the sources in src/.
+
+`bench/run.py --self-test` runs one plain and one traced pass of each
+workload.  It fails when an op fails its check (for verify-canonical,
+the report SHA-256 recorded in bench/workloads.py), when traced and
+untraced passes give different outputs, or when a tracer wrapper is
+left on a patched class.  So a change under src/ that breaks the
+benchmark shows up here first.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_self_test_passes_every_workload():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--self-test"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    lines = proc.stdout.splitlines()
+    for name in workloads:
+        assert [line for line in lines if line.startswith(f"PASS {name}:")], proc.stdout
+    assert len(lines) == len(workloads), proc.stdout

@@ -23,7 +23,6 @@ from weyl1 import (
     run_suite,
 )
 from weyl1 import checks
-from weyl1.checks import span_basis, span_contains, spans_equal
 from weyl1.windows import Coordinates
 from weyl1.serialize import recipe_from_doc
 
@@ -143,7 +142,13 @@ def test_checkresult_failure_carries_witness():
     e = PAIRS[2][1]
     res = check_nilpotent_closure(e, 3, max_iter=1, slack=21)
     assert not res.passed
-    assert res.witness and res.witness["problems"]
+    assert res.witness == {
+        "problems": [
+            "ad_x closure (dim 2) != membership window (dim 10)",
+            "ad_y closure (dim 1) != membership window (dim 10)",
+            "delta closure (dim 3) != membership window (dim 10)",
+        ]
+    }
     assert res.line().startswith("FAIL ")
 
 
@@ -185,11 +190,14 @@ def test_checks_module_holds_exactly_the_suite_checks(monkeypatch):
 
 
 def test_span_helpers():
-    assert spans_equal([H, ONE], [H + 1, ONE])
-    assert not spans_equal([H], [X])
-    assert span_contains([ONE, H, H**2], [3 * H**2 + H - 1])
-    assert not span_contains([ONE, H], [X])
-    assert span_basis([H, 2 * H, ONE + H]) == span_basis([ONE, H])
+    co = Coordinates([H, ONE, X])
+    assert co.basis([H, ONE]) == co.basis([H + 1, ONE])
+    assert co.basis([H]) != co.basis([X])
+    space = [ONE, H, H**2]
+    assert Coordinates(space).solve(space, [3 * H**2 + H - 1]) == [{0: -1, 1: 1, 2: 3}]
+    assert Coordinates([ONE, H, X]).solve([ONE, H], [X]) == [None]
+    co = Coordinates([H, ONE])
+    assert co.basis([H, 2 * H, ONE + H]) == co.basis([ONE, H])
     space = [ONE, H]
     co = Coordinates(space, [3 * H - 1, X])
     assert co.solve(space, [3 * H - 1, X]) == [{0: -1, 1: 3}, None]

@@ -282,9 +282,15 @@ def test_verify_config_accepts_a_negative_seed():
         (["nilclosure", "--map", "ad", "--of", "X", "--cap", "2", "--max-iter", "0"],
          "--max-iter"),
         (["membership", "Y", "--endo", "<ENDO>", "--slack", "-1"], "--slack"),
+        (["semigroup", "0", "3"], "generators"),
+        (["semigroup", "2", "-3"], "generators"),
+        (["semigroup", "2", "3", "--horizon", "-5"], "--horizon"),
+        (["semigroup", "2", "3", "--horizon", "0"], "--horizon"),
+        (["generic", "X", "--bound", "0"], "--bound"),
     ],
     ids=["centralizer-cap", "eig-scan-cap", "nilclosure-cap", "nilclosure-max-iter",
-         "membership-slack"],
+         "membership-slack", "semigroup-zero-generator", "semigroup-negative-generator",
+         "semigroup-negative-horizon", "semigroup-zero-horizon", "generic-bound"],
 )
 def test_out_of_range_flag_is_bad_input(tmp_path, capsys, argv, flag):
     # the same values are bad input in a verify config (exit 2), not domain errors
@@ -374,7 +380,9 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     assert err.count("\n") == 1 and json.loads(err)["error"] == "input"
 
 
-@pytest.mark.parametrize("candidates", ["abc", "1/0", "1e0,0.5"])
+# a list naming no rational is refused too: neither an empty scan nor a
+# silent fall back to the default candidates
+@pytest.mark.parametrize("candidates", ["abc", "1/0", "1e0,0.5", "", ",,"])
 def test_eig_scan_candidates_are_strict_rationals(capsys, candidates):
     code, out, err = run(capsys, "eig-scan", "Y*X", "--cap", "2", "--candidates", candidates)
     assert code == 2 and out == ""

@@ -84,3 +84,28 @@ def test_propagation_fails_for_a_chosen_element():
     res = checks.check_propagation(FAKE_PAIRS["(X^2, Y^2)"], X, 1)
     assert not res.passed
     assert res.witness["problems"]
+
+
+def test_eigen_witness_names_a_basis_outside_the_predicted_span():
+    # with x and y swapped, h = XY: each eigenspace has the predicted
+    # dimension but lies in the span of h^k v_(-i)', not of h^k v_i'
+    res = checks.check_eigen_theorem(EndoPair(x=Y, y=X, verified=True), 4, range(-3, 4))
+    assert res.witness == {
+        "problems": [
+            f"eigenvalue {k}: basis not inside span of h^k v_i'"
+            for k in (-3, -2, -1, 1, 2, 3)
+        ]
+    }
+
+
+def test_closure_witness_compares_spans_not_dimensions():
+    # the delta closure has the dimension of the membership window but
+    # another span, so the comparison must be one of spans
+    res = CALLS["nilpotent_closure"](FAKE_PAIRS["(X^2, Y^2)"])
+    assert res.witness == {
+        "problems": [
+            "ad_x closure (dim 6) != membership window (dim 3)",
+            "ad_y closure (dim 6) != membership window (dim 3)",
+            "delta closure (dim 3) != membership window (dim 3)",
+        ]
+    }
