@@ -12,9 +12,19 @@ to the endomorphism "g2 after g1".
 
 Membership of an element a in the subalgebra generated by a verified
 pair (x, y) is decided within a stated slack: the monomials y^i x^j are
-a basis of that subalgebra, and the solver looks for an exact expansion
-using the pairs with v11(y^i x^j) <= v11(a) + slack.  A negative verdict
-is therefore always "not at this slack".
+a basis of that subalgebra, and a is a member when its expansion uses
+only pairs with v11(y^i x^j) <= v11(a) + slack.  A negative verdict is
+therefore always "not at this slack".
+
+Aut(A1) is tame (Dixmier 1968, Makar-Limanov 1984), so `inverse_pair`
+can reduce a pair to (X, Y) and write down the inverse psi.  It returns
+psi only with a certificate: [y, x] = 1 recomputed, [psi(Y), psi(X)] =
+1 and phi(psi(X)) = X, phi(psi(Y)) = Y for phi: X -> x, Y -> y.  Then
+phi(psi(a)) = a, and phi is injective because A1 is simple, so psi(a) is
+the unique expansion of a and the solver reads the verdict off its
+support, with no linear solve.  A pair without a certificate keeps the
+slack solver: an elimination over the y^i x^j within the bound.  Both
+give the same verdict, witness and witness order for every element.
 """
 
 from __future__ import annotations
@@ -24,18 +34,20 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     ONE,
+    ZERO,
     X,
     Y,
     EndoPair,
     WeylElement,
     apply_endo,
     build_endo,
+    commutator,
     linear_combination,
     powers,
 )
 from .degrees import W11, Weight, weighted_degree
 from .errors import DomainError, UnverifiedEndoError
-from .scalars import Rat, rat
+from .scalars import NEG_INF, Rat, exact_div, rat
 from .windows import Coordinates, Window
 
 
@@ -126,12 +138,118 @@ def compile_recipe(recipe: EndoRecipe) -> EndoPair:
     return pair
 
 
+# -- products and substitution for one pair --------------------------------
+
+
+class _Products:
+    """The products y^i x^j of one pair, cached by rows: row i starts at
+    y^i, and each entry is its left neighbour times x."""
+
+    def __init__(self, e: EndoPair):
+        self.x, self.y = e.x, e.y
+        self._y_pows = [ONE]
+        self._rows: Dict[int, List[WeylElement]] = {}
+
+    def product(self, i: int, j: int) -> WeylElement:
+        row = self._rows.get(i)
+        if row is None:
+            while len(self._y_pows) <= i:
+                self._y_pows.append(self._y_pows[-1] * self.y)
+            row = self._rows[i] = [self._y_pows[i]]
+        while len(row) <= j:
+            row.append(row[-1] * self.x)
+        return row[j]
+
+    def substitute(self, a: WeylElement) -> WeylElement:
+        """sum a[i,j] y^i x^j, the map of `apply_endo`, by Horner's rule
+        in y: c_0 + y (c_1 + y (c_2 + ...)) with c_i = sum_j a[i,j] x^j
+        from row 0.  Each step multiplies by y alone, which costs less
+        than forming every y^i x^j of a."""
+        rows: Dict[int, list] = {}
+        for (i, j), c in a._terms.items():
+            rows.setdefault(i, []).append((c, self.product(0, j)))
+        acc = ZERO
+        for i in range(max(rows, default=-1), -1, -1):
+            acc = self.y * acc + linear_combination(rows.get(i, ()))
+        return acc
+
+
+def _cut_top(a, va, b, vb, r, s):
+    """(a - c*b^k, r - c*s^k) when the (1,1)-leading form of a is c times
+    that of b^k, k = va/vb; else None.  gr A1 = K[X, Y] is a commutative
+    domain, so lead(b^k) = lead(b)^k and the cut lowers the degree of a."""
+    if va % vb:
+        return None
+    k = va // vb
+    bk = b**k
+    top_a = {key: v for key, v in a._terms.items() if key[0] + key[1] == va}
+    top_b = {key: v for key, v in bk._terms.items() if key[0] + key[1] == va}
+    if top_a.keys() != top_b.keys():
+        return None
+    first = next(iter(top_a))
+    c = exact_div(top_a[first], top_b[first])
+    if any(v != c * top_b[mono] for mono, v in top_a.items()):
+        return None
+    return a - c * bk, r - c * s**k
+
+
+# -- the inverse of a pair ------------------------------------------------
+
+
+def inverse_pair(e: EndoPair) -> Optional[EndoPair]:
+    """The inverse psi = (psi(X), psi(Y)) of phi: X -> x, Y -> y, or None.
+
+    Degree reduction after Jung and van der Kulk: while the (1,1)-leading
+    form of y is c times that of x^k, y <- y - c*x^k (else the same with
+    x and y swapped), and the same step on a pair (p, q) that starts at
+    (X, Y) keeps x = phi(p) and y = phi(q).  Each step lowers
+    v(x) + v(y); at v(x) = v(y) = 1 the affine pair is inverted by hand.
+
+    psi is returned only with its certificate: [y, x] = 1, recomputed
+    rather than read from e.verified; [psi(Y), psi(X)] = 1; and
+    phi(psi(X)) = X, phi(psi(Y)) = Y, with phi the map of `apply_endo`
+    evaluated by Horner's rule.  Then phi(psi(a)) = a for every a, and
+    phi is injective because A1 is simple, so psi(a) is the only
+    expansion of a over the y^i x^j.  None means no certificate: a pair
+    without [y, x] = 1, or a stall, which on a commutator-one pair would
+    be a counterexample to Dixmier's problem (Bull. SMF 96, 1968).
+    """
+    phi = build_endo(e.x, e.y)
+    if not phi.verified:
+        return None
+    x, y, p, q = e.x, e.y, X, Y
+    vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
+    while vx + vy > 2:  # [y, x] = 1 keeps both degrees >= 1
+        step = _cut_top(y, vy, x, vx, q, p)
+        if step is not None:
+            y, q = step
+        else:
+            step = _cut_top(x, vx, y, vy, p, q)
+            if step is None:
+                return None
+            x, p = step
+        vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
+    # x = a1 X + b1 Y + e1, y = a2 X + b2 Y + e2, a1 b2 - a2 b1 = [y, x] = 1
+    a1, b1, e1 = (x.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0)))
+    a2, b2, e2 = (y.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0)))
+    psi_x = linear_combination([(b2, p), (-b1, q), (b1 * e2 - b2 * e1, ONE)])
+    psi_y = linear_combination([(a1, q), (-a2, p), (a2 * e1 - a1 * e2, ONE)])
+    image = _Products(phi).substitute
+    if commutator(psi_y, psi_x) == ONE and image(psi_x) == X and image(psi_y) == Y:
+        return EndoPair(x=psi_x, y=psi_y, verified=True)
+    return None
+
+
 # -- membership in the image subalgebra ----------------------------------
 
 
 @dataclass
 class Membership:
-    """Verdict of the slack-bounded expansion a = sum c[i,j] y^i x^j."""
+    """Verdict of the slack-bounded expansion a = sum c[i,j] y^i x^j.
+
+    pairs_tried counts the pairs with v11(y^i x^j) <= v11(a) + slack, 0
+    for a = 0: it depends on the element alone, not on its batch.
+    """
 
     member: bool
     witness: Optional[Dict[Tuple[int, int], Rat]]
@@ -144,7 +262,13 @@ class Membership:
 
 
 class MembershipSolver:
-    """Caches powers y^i x^j of one pair for repeated membership queries."""
+    """Membership queries for one pair.
+
+    With a certified inverse psi (see `inverse_pair`) the expansion of a
+    is psi(a), substituted with cached powers of psi(X).  Any other
+    pair, such as a stall, keeps the slack solver: an elimination over
+    the cached products y^i x^j within the bound.
+    """
 
     def __init__(self, e: EndoPair):
         if not e.verified:
@@ -158,19 +282,12 @@ class MembershipSolver:
                 f"membership needs v(x), v(y) >= 1, got {self._vx}, {self._vy}: "
                 "a commutator-one pair has no scalar component"
             )
-        self._y_pows = [ONE]
-        # _rows[i][j] = y^i x^j, each built from its left neighbour
-        self._rows: Dict[int, List[WeylElement]] = {}
+        self._products = _Products(e)
+        inverse = inverse_pair(e)
+        self._inverse = None if inverse is None else _Products(inverse)
 
     def basis_product(self, i: int, j: int) -> WeylElement:
-        row = self._rows.get(i)
-        if row is None:
-            while len(self._y_pows) <= i:
-                self._y_pows.append(self._y_pows[-1] * self.pair.y)
-            row = self._rows[i] = [self._y_pows[i]]
-        while len(row) <= j:
-            row.append(row[-1] * self.pair.x)
-        return row[j]
+        return self._products.product(i, j)
 
     def candidate_pairs(self, bound) -> Tuple[Tuple[int, int], ...]:
         """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order:
@@ -178,42 +295,52 @@ class MembershipSolver:
         return Window(Weight(self._vy, self._vx), bound).monomials
 
     def solve(self, elements: Sequence[WeylElement], slack: int) -> List[Membership]:
-        """Batch the queries; verdicts match element-by-element solving.
+        """One verdict per element; each matches element-by-element solving.
 
-        The expansion over the y^i x^j basis is unique, so solving once at
-        the largest bound and checking which pairs each witness uses gives
-        exactly the per-element answers.  A negative slack is refused.
+        The expansion a = sum c[i,j] y^i x^j is unique, and a is a member
+        at this slack iff every (i, j) it uses has i*v(y) + j*v(x) <=
+        v11(a) + slack.  With a certified inverse the expansion is psi(a),
+        so the verdicts, witnesses and their order are those of the slack
+        solver, which solves the batch once at its largest bound and
+        checks which pairs each witness uses.  A negative slack is refused.
         """
         if slack < 0:
             raise ValueError(f"membership slack must be >= 0, got {slack}")
         degrees = [weighted_degree(W11, a) for a in elements]
-        finite = [d for d in degrees if d != float("-inf")]
+        if self._inverse is not None:
+            expansions = [self._inverse.substitute(a)._terms for a in elements]
+        else:
+            expansions = self._eliminate(elements, degrees, slack)
+        vy, vx = self._vy, self._vx
+        out = []
+        for deg, b in zip(degrees, expansions):
+            if deg == NEG_INF:
+                out.append(Membership(True, {}, slack, deg, 0))
+                continue
+            bound = deg + slack
+            tried = len(self.candidate_pairs(bound))
+            if b is None or any(i * vy + j * vx > bound for (i, j) in b):
+                out.append(Membership(False, None, slack, bound, tried))
+                continue
+            # scan order, as the columns of the slack solver
+            order = sorted(b, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
+            witness = {p: b[p] for p in order}
+            out.append(Membership(True, witness, slack, bound, tried))
+        return out
+
+    def _eliminate(self, elements, degrees, slack):
+        """Expansions over the pairs within the batch's largest bound, None
+        where there is none: one elimination serves the batch."""
+        finite = [d for d in degrees if d != NEG_INF]
         if not finite:
-            return [
-                Membership(True, {}, slack, d, 0) for d in degrees
-            ]
-        bound = max(finite) + slack
-        pairs = self.candidate_pairs(bound)
+            return [None] * len(elements)
+        pairs = self.candidate_pairs(max(finite) + slack)
         columns = [self.basis_product(i, j) for (i, j) in pairs]
         sols = Coordinates(columns, elements).solve(columns, elements)
-        out = []
-        for a, deg, sol in zip(elements, degrees, sols):
-            if a.is_zero():
-                out.append(Membership(True, {}, slack, deg, len(pairs)))
-                continue
-            if sol is None:
-                out.append(Membership(False, None, slack, deg + slack, len(pairs)))
-                continue
-            own_bound = deg + slack
-            witness = {pairs[c]: v for c, v in sorted(sol.items())}
-            within = all(
-                i * self._vy + j * self._vx <= own_bound for (i, j) in witness
-            )
-            if within:
-                out.append(Membership(True, witness, slack, own_bound, len(pairs)))
-            else:
-                out.append(Membership(False, None, slack, own_bound, len(pairs)))
-        return out
+        return [
+            None if sol is None else {pairs[c]: v for c, v in sol.items()}
+            for sol in sols
+        ]
 
 
 def subalgebra_membership(

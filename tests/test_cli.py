@@ -103,6 +103,28 @@ def test_endo_workflow(tmp_path, capsys):
     assert json.loads(out)["member"] is False
 
 
+# SHA-256 of `weyl1 membership --endo <composite pair>` for a member and
+# for a non-member at low slack, as the slack solver printed them
+COMPOSITE_MEMBERSHIP_SHA256 = {
+    ("Y", "4"): "a1f07624c249ef17f1812d720c97d4acaf49e46aba739f3b43dfa4b87b59e060",
+    ("X", "4"): "3911d8fc9fca22d1837d4240c12c449c7dbbf75913b7b25e0b9afe25bb7ee7df",
+}
+
+
+def test_membership_report_bytes_on_the_composite_pair(tmp_path, capsys):
+    rpath = tmp_path / "recipe.json"
+    rpath.write_text(dumps(canonical_config()["endomorphisms"][2]))
+    epath = tmp_path / "endo.json"
+    assert run(capsys, "endo-compile", "--recipe", str(rpath), "--out", str(epath))[0] == 0
+    members = []
+    for (expr, slack), digest in COMPOSITE_MEMBERSHIP_SHA256.items():
+        code, out, _ = run(capsys, "membership", "--endo", str(epath), expr, "--slack", slack)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        members.append(json.loads(out)["member"])
+    assert members == [True, False]
+
+
 def test_endo_compile_raw(capsys):
     code, out, _ = run(capsys, "endo-compile", "--raw", "X", "Y + X^3")
     assert code == 0 and json.loads(out)["verified"] is True

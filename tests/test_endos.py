@@ -1,26 +1,39 @@
-"""Recipes, compilation, and slack-bounded subalgebra membership."""
+"""Recipes, compilation, inverse pairs and slack-bounded subalgebra
+membership."""
+
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl1 import (
     ONE,
+    W11,
     DomainError,
     EndoPair,
     EndoRecipe,
     MembershipSolver,
     UnverifiedEndoError,
+    Window,
+    WeylElement,
     X,
     Y,
     add_poly_x,
     add_poly_y,
     apply_endo,
     build_endo,
+    canonical_config,
     compile_recipe,
+    endos,
+    inverse_pair,
     linear,
     rat,
     subalgebra_membership,
     theta,
+    windows,
 )
+from weyl1.serialize import recipe_from_doc
 
 
 def test_compile_triangular():
@@ -145,3 +158,112 @@ def test_basis_products_are_y_powers_times_x_powers():
     # ask out of order, so rows are both started and extended
     for i, j in [(2, 3), (0, 0), (2, 1), (0, 4), (3, 0), (1, 2)]:
         assert solver.basis_product(i, j) == e.y**i * e.x**j
+
+
+# -- the certified inverse and the two membership paths -------------------
+
+CANONICAL = {
+    doc["name"]: compile_recipe(recipe_from_doc(doc))
+    for doc in canonical_config()["endomorphisms"]
+}
+RAW = compile_recipe(EndoRecipe(raw=(X + 3 * Y**2 - 1, Y + 2)))
+
+
+def _records(solver, elements, slack):
+    """Membership records with the witness as an ordered item list."""
+    return [
+        (m, None if m.witness is None else list(m.witness.items()))
+        for m in solver.solve(elements, slack)
+    ]
+
+
+def _assert_paths_agree(e, elements, slacks):
+    psi = inverse_pair(e)
+    assert psi is not None
+    for a in (X, Y):  # psi after phi and phi after psi are the identity
+        assert apply_endo(psi, apply_endo(e, a)) == a
+        assert apply_endo(e, apply_endo(psi, a)) == a
+    fast = MembershipSolver(e)
+    with mock.patch.object(endos, "inverse_pair", lambda pair: None):
+        slow = MembershipSolver(e)
+    for slack in slacks:
+        assert _records(fast, elements, slack) == _records(slow, elements, slack)
+        for a in elements:  # alone or in a batch, the same record
+            assert _records(fast, [a], slack) == _records(slow, [a], slack)
+
+
+def _queries(e, cap):
+    monos = Window(W11, cap).basis_elements()
+    return monos + [apply_endo(e, m) for m in monos] + [0 * X, X**3 - 2 * Y]
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL) + ["raw"])
+def test_inverse_path_matches_slack_path(name):
+    e = RAW if name == "raw" else CANONICAL[name]
+    _assert_paths_agree(e, _queries(e, 2), (0, 2, 4, 9, 28))
+
+
+def test_composite_inverse_and_a_non_member():
+    e = CANONICAL["composite"]
+    psi = inverse_pair(e)
+    assert psi.y == Y - X**2
+    assert psi.x == X - (Y - X**2) ** 2
+    # psi(X) uses y^2 of degree 8 > v(X) + 4, so X is not a member there
+    verdict = MembershipSolver(e).solve([X], 4)[0]
+    assert not verdict.member and verdict.degree_bound == 5
+
+
+_RATS = st.fractions(-2, 2, max_denominator=3)
+_COEFFS = st.lists(_RATS, min_size=1, max_size=3)
+_GENERATORS = st.one_of(
+    _COEFFS.map(add_poly_x),
+    _COEFFS.map(add_poly_y),
+    st.tuples(st.sampled_from([1, -1, 2, rat(1, 2)]), _RATS, _RATS).map(
+        lambda t: linear(t[0], t[1], t[2], (1 + t[1] * t[2]) / t[0])
+    ),
+)
+_NON_MEMBERS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _RATS, min_size=1, max_size=3
+).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3), _NON_MEMBERS)
+def test_inverse_path_matches_slack_path_on_drawn_recipes(gens, other):
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    _assert_paths_agree(e, _queries(e, 2) + [other], (0, 2, 4, 9))
+
+
+def test_pairs_tried_counts_each_elements_own_pairs():
+    e = build_endo(X, Y + X**2)
+    for inverse in (inverse_pair, lambda pair: None):
+        with mock.patch.object(endos, "inverse_pair", inverse):
+            solver = MembershipSolver(e)
+        assert solver.solve([Y], 4)[0].pairs_tried == 12
+        batch = solver.solve([Y, Y**6, 0 * X], 4)
+        assert [m.pairs_tried for m in batch] == [12, 36, 0]
+        assert solver.solve([0 * X], 4)[0].pairs_tried == 0
+
+
+def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):
+    calls = {"basis_product": 0, "solve_many": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        MembershipSolver, "basis_product",
+        counted("basis_product", MembershipSolver.basis_product),
+    )
+    monkeypatch.setattr(windows, "solve_many", counted("solve_many", windows.solve_many))
+    e = CANONICAL["composite"]
+    monos = Window(W11, 4).basis_elements()
+    assert all(MembershipSolver(e).solve(monos, 28))
+    assert calls == {"basis_product": 0, "solve_many": 0}
+    # the counters see the slack path: 81 pairs with 4i + 2j <= 32
+    monkeypatch.setattr(endos, "inverse_pair", lambda pair: None)
+    assert all(MembershipSolver(e).solve(monos, 28))
+    assert calls == {"basis_product": 81, "solve_many": 1}

@@ -8,7 +8,21 @@ an allowed check that starts to FAIL must leave the list.
 
 import pytest
 
-from weyl1 import ONE, EndoPair, X, Y, apply_endo, checks, commutator
+from weyl1 import (
+    ONE,
+    W11,
+    EndoPair,
+    MembershipSolver,
+    Window,
+    WeylElement,
+    X,
+    Y,
+    apply_endo,
+    checks,
+    commutator,
+    inverse_pair,
+    rat,
+)
 
 FAKE_PAIRS = {
     "(X, 2Y)": EndoPair(x=X, y=2 * Y, verified=True),
@@ -109,3 +123,42 @@ def test_closure_witness_compares_spans_not_dimensions():
             "delta closure (dim 3) != membership window (dim 3)",
         ]
     }
+
+
+def test_fake_pairs_get_no_inverse_before_any_product(monkeypatch):
+    # [y, x] is recomputed, not read from `verified`: the pair is refused
+    # before the degree reduction multiplies anything
+    products = []
+    for name in ("__mul__", "__pow__"):
+        fn = getattr(WeylElement, name)
+        monkeypatch.setattr(
+            WeylElement, name,
+            lambda a, b, fn=fn, name=name: products.append(name) or fn(a, b),
+        )
+    for e in FAKE_PAIRS.values():
+        assert inverse_pair(e) is None
+    assert products == []
+
+
+# member flags of the cap-2 window monomials 1, X, Y, X^2, YX, Y^2 at
+# slacks 0 and 4, which the slack solver decides
+FAKE_MEMBERS = {
+    "(X, 2Y)": ("111111", "111111"),
+    "(X^2, Y)": ("101101", "101101"),
+    "(X+Y^2, 3Y)": ("101001", "111111"),
+    "(X^2, Y^2)": ("100101", "100101"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FAKE_PAIRS))
+def test_fake_pairs_keep_their_membership_verdicts(label):
+    solver = MembershipSolver(FAKE_PAIRS[label])
+    monos = Window(W11, 2).basis_elements()
+    flags = tuple(
+        "".join("1" if m.member else "0" for m in solver.solve(monos, slack))
+        for slack in (0, 4)
+    )
+    assert flags == FAKE_MEMBERS[label]
+    if label == "(X+Y^2, 3Y)":
+        verdict = solver.solve([X], 4)[0]
+        assert list(verdict.witness.items()) == [((0, 1), 1), ((2, 0), rat(-1, 9))]
