@@ -35,6 +35,7 @@ from .core import (
 )
 from .degrees import W11, weighted_degree
 from .endos import MembershipSolver, compile_recipe
+from .errors import DomainError
 from .gwa import POLY_ONE, embed, graded_component, localized_mul, poly, ratfun
 from .maps import ad, d_xy, d_yx, delta_xy
 from .parsing import parse
@@ -277,6 +278,11 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     )
 
 
+def default_closure_max_iter(cap: int) -> int:
+    """The nilpotent-closure iteration bound used when none is given."""
+    return 4 * cap + 1
+
+
 def check_nilpotent_closure(
     e: EndoPair,
     cap: int,
@@ -286,23 +292,28 @@ def check_nilpotent_closure(
     """The windowed nilpotent closures of ad(x), ad(y) and delta all agree
     with the membership-determined window of the image subalgebra.
 
-    Defaults: max_iter = 4*cap + 1 and slack = 7*cap, which certify
-    convergence for the recipe-built pairs (substitution at most doubles
-    a weighted degree per triangular generator).
+    Defaults: max_iter = 4*cap + 1 and slack = 7*cap, which suffice for
+    the canonical pairs.  They are not enough for every pair: a deeper
+    recipe can FAIL at them, so a FAIL holds within the printed max_iter
+    and slack.  A pair that membership refuses FAILs with the refusal.
     """
     if max_iter is None:
-        max_iter = 4 * cap + 1
+        max_iter = default_closure_max_iter(cap)
     if slack is None:
         slack = 7 * cap
+    params = {"cap": cap, "max_iter": max_iter, "slack": slack, "weight": "(1,1)"}
     win = Window(W11, cap)
+    monos = win.basis_elements()
+    try:
+        verdicts = MembershipSolver(e).solve(monos, slack)
+    except DomainError as exc:
+        return _verdict("nilpotent_closure", params, [str(exc)])
+    members = [m for m, v in zip(monos, verdicts) if v.member]
     closures = {
         "ad_x": nilpotent_closure_window(ad(e.x), win, max_iter),
         "ad_y": nilpotent_closure_window(ad(e.y), win, max_iter),
         "delta": nilpotent_closure_window(delta_xy(e), win, max_iter),
     }
-    monos = win.basis_elements()
-    verdicts = MembershipSolver(e).solve(monos, slack)
-    members = [m for m, v in zip(monos, verdicts) if v.member]
     problems: List[str] = []
     for label, basis in closures.items():
         if basis != members:
@@ -310,30 +321,30 @@ def check_nilpotent_closure(
                 f"{label} closure (dim {len(basis)}) != membership window "
                 f"(dim {len(members)})"
             )
-    return _verdict(
-        "nilpotent_closure",
-        {"cap": cap, "max_iter": max_iter, "slack": slack, "weight": "(1,1)"},
-        problems,
-    )
+    return _verdict("nilpotent_closure", params, problems)
 
 
 def check_propagation(
     e: EndoPair, a: WeylElement, n: int, slack: int = 4
 ) -> CheckResult:
-    """If (d d')^n(a) lies in the image subalgebra then so does a."""
+    """If (d d')^n(a) lies in the image subalgebra then so does a.  A pair
+    that membership refuses FAILs with the refusal."""
+    params = {"n": n, "slack": slack}
     d = d_yx(e)
     dp = d_xy(e)
     img = a
     for _ in range(n):
         img = d(dp(img))
-    solver = MembershipSolver(e)
-    m_img, m_a = solver.solve([img, a], slack)
+    try:
+        m_img, m_a = MembershipSolver(e).solve([img, a], slack)
+    except DomainError as exc:
+        return _verdict("propagation", params, [str(exc)])
     problems: List[str] = []
     if m_img.member and not m_a.member:
         problems.append(
             f"(d d')^{n}(a) is in the image subalgebra at slack {slack} but a is not"
         )
-    return _verdict("propagation", {"n": n, "slack": slack}, problems)
+    return _verdict("propagation", params, problems)
 
 
 def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:

@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .checks import canonical_config, run_suite
+from .checks import canonical_config, default_closure_max_iter, run_suite
 from .core import WeylElement, apply_endo, commutator, format_element, identity_endo
 from .degrees import Weight, find_generic_weight, newton_polygon, weighted_degree
 from .endos import EndoRecipe, compile_recipe, subalgebra_membership
@@ -312,7 +312,7 @@ def _cmd_centralizer(args) -> int:
 def _cmd_nilclosure(args) -> int:
     m = _map_arg(args)
     win = Window(_weight(args), args.cap)
-    max_iter = args.max_iter if args.max_iter is not None else 4 * args.cap + 1
+    max_iter = args.max_iter or default_closure_max_iter(args.cap)  # --max-iter >= 1
     basis = nilpotent_closure_window(m, win, max_iter)
     _emit(args, dumps(nilclosure_report_to_doc(m, win, max_iter, basis)))
     return 0

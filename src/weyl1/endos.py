@@ -16,15 +16,18 @@ a basis of that subalgebra, and a is a member when its expansion uses
 only pairs with v11(y^i x^j) <= v11(a) + slack.  A negative verdict is
 therefore always "not at this slack".
 
-Aut(A1) is tame (Dixmier 1968, Makar-Limanov 1984), so `inverse_pair`
-can reduce a pair to (X, Y) and write down the inverse psi.  It returns
-psi only with a certificate: [y, x] = 1 recomputed, [psi(Y), psi(X)] =
-1 and phi(psi(X)) = X, phi(psi(Y)) = Y for phi: X -> x, Y -> y.  Then
-phi(psi(a)) = a, and phi is injective because A1 is simple, so psi(a) is
-the unique expansion of a and the solver reads the verdict off its
-support, with no linear solve.  A pair without a certificate keeps the
-slack solver: an elimination over the y^i x^j within the bound.  Both
-give the same verdict, witness and witness order for every element.
+There is one way to find that expansion.  Aut(A1) is tame (Dixmier
+1968, Makar-Limanov 1984), and `decompose` reduces the degrees of
+(x, y) after Jung and van der Kulk by elementary steps y <- y - c*x^k or
+x <- x - c*y^k, down to an affine pair.  `certify` accepts the steps
+only when undoing them from the affine pair gives (x, y) back exactly.
+Then phi: X -> x, Y -> y is an affine automorphism after elementary ones,
+its inverse psi is known step by step, and psi(a) is the unique
+expansion of a: the solver pulls a back one elementary substitution at a
+time and reads the verdict off the support of psi(a).  A pair without a
+certified decomposition is refused: one whose [y, x] is not 1, or a
+stall, which on a commutator-one pair would be a counterexample to
+Dixmier's problem (Bull. SMF 96, 1968).
 """
 
 from __future__ import annotations
@@ -42,13 +45,14 @@ from .core import (
     apply_endo,
     build_endo,
     commutator,
+    format_element,
     linear_combination,
     powers,
 )
 from .degrees import W11, Weight, weighted_degree
 from .errors import DomainError, UnverifiedEndoError
-from .scalars import NEG_INF, Rat, exact_div, rat
-from .windows import Coordinates, Window
+from .scalars import Rat, exact_div, rat
+from .windows import Window
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,6 @@ def compile_recipe(recipe: EndoRecipe) -> EndoPair:
     x_cur, y_cur = X, Y
     for gen in recipe.generators:
         gpair = gen.pair()
-        if not gpair.verified:  # cannot happen for the shipped generators
-            raise UnverifiedEndoError("generator failed verification")
         x_cur = apply_endo(gpair, x_cur)
         y_cur = apply_endo(gpair, y_cur)
     pair = build_endo(x_cur, y_cur)
@@ -138,106 +140,130 @@ def compile_recipe(recipe: EndoRecipe) -> EndoPair:
     return pair
 
 
-# -- products and substitution for one pair --------------------------------
+# -- the tame decomposition of a pair ---------------------------------------
 
 
-class _Products:
-    """The products y^i x^j of one pair, cached by rows: row i starts at
-    y^i, and each entry is its left neighbour times x."""
-
-    def __init__(self, e: EndoPair):
-        self.x, self.y = e.x, e.y
-        self._y_pows = [ONE]
-        self._rows: Dict[int, List[WeylElement]] = {}
-
-    def product(self, i: int, j: int) -> WeylElement:
-        row = self._rows.get(i)
-        if row is None:
-            while len(self._y_pows) <= i:
-                self._y_pows.append(self._y_pows[-1] * self.y)
-            row = self._rows[i] = [self._y_pows[i]]
-        while len(row) <= j:
-            row.append(row[-1] * self.x)
-        return row[j]
-
-    def substitute(self, a: WeylElement) -> WeylElement:
-        """sum a[i,j] y^i x^j, the map of `apply_endo`, by Horner's rule
-        in y: c_0 + y (c_1 + y (c_2 + ...)) with c_i = sum_j a[i,j] x^j
-        from row 0.  Each step multiplies by y alone, which costs less
-        than forming every y^i x^j of a."""
-        rows: Dict[int, list] = {}
-        for (i, j), c in a._terms.items():
-            rows.setdefault(i, []).append((c, self.product(0, j)))
-        acc = ZERO
-        for i in range(max(rows, default=-1), -1, -1):
-            acc = self.y * acc + linear_combination(rows.get(i, ()))
-        return acc
+def _top(a: WeylElement, va) -> WeylElement:
+    """The terms of a of (1,1)-degree va: its leading form when va = v11(a)."""
+    return WeylElement._raw({key: v for key, v in a._terms.items() if sum(key) == va})
 
 
-def _cut_top(a, va, b, vb, r, s):
-    """(a - c*b^k, r - c*s^k) when the (1,1)-leading form of a is c times
-    that of b^k, k = va/vb; else None.  gr A1 = K[X, Y] is a commutative
-    domain, so lead(b^k) = lead(b)^k and the cut lowers the degree of a."""
+def _cut(side: str, a, va, b, vb):
+    """(side, c, k) when the (1,1)-leading form of a is c times that of
+    b^k, k = va/vb; else None.  gr A1 = K[X, Y] is a commutative domain,
+    so lead(b^k) = lead(b)^k and a - c*b^k has a lower degree than a."""
     if va % vb:
         return None
     k = va // vb
-    bk = b**k
-    top_a = {key: v for key, v in a._terms.items() if key[0] + key[1] == va}
-    top_b = {key: v for key, v in bk._terms.items() if key[0] + key[1] == va}
+    top_a, top_b = _top(a, va)._terms, _top(_top(b, vb) ** k, va)._terms
     if top_a.keys() != top_b.keys():
         return None
     first = next(iter(top_a))
     c = exact_div(top_a[first], top_b[first])
     if any(v != c * top_b[mono] for mono, v in top_a.items()):
         return None
-    return a - c * bk, r - c * s**k
+    return side, c, k
 
 
-# -- the inverse of a pair ------------------------------------------------
+def _step(x: WeylElement, y: WeylElement, side: str, c, k: int):
+    """(x, y + c*x^k) for side "y", (x + c*y^k, y) for side "x"."""
+    return (x, y + c * x**k) if side == "y" else (x + c * y**k, y)
+
+
+def _substitute(a: WeylElement, x: WeylElement, y: WeylElement) -> WeylElement:
+    """sum a[i,j] y^i x^j, the map of `apply_endo`, by Horner's rule in y:
+    c_0 + y (c_1 + y (...)) with c_i = sum_j a[i,j] x^j."""
+    x_pows = powers(x, max((j for _, j in a._terms), default=0))
+    rows: Dict[int, list] = {}
+    for (i, j), c in a._terms.items():
+        rows.setdefault(i, []).append((c, x_pows[j]))
+    acc = ZERO
+    for i in range(max(rows, default=-1), -1, -1):
+        acc = y * acc + linear_combination(rows.get(i, ()))
+    return acc
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Steps (side, c, k), each y <- y - c*x^k (side "y") or x <- x -
+    c*y^k (side "x"), that take (x, y) to the affine pair (self.x, self.y).
+    A step composes phi with eps: Y -> Y - c X^k (or X -> X - c Y^k), so
+    phi^-1 = eps_1 ... eps_T alpha^-1 with alpha: X -> self.x, Y -> self.y.
+    """
+
+    steps: Tuple[Tuple[str, Rat, int], ...]
+    x: WeylElement
+    y: WeylElement
+
+    def pull_back(self, a: WeylElement) -> WeylElement:
+        """phi^-1(a), one substitution at a time, so the intermediates stay
+        near the size of a."""
+        if (self.x, self.y) != (X, Y):
+            # x = a1 X + b1 Y + e1, y = a2 X + b2 Y + e2, a1 b2 - a2 b1 = 1
+            (a1, b1, e1), (a2, b2, e2) = (
+                [u.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0))]
+                for u in (self.x, self.y)
+            )
+            inv_x = b2 * X - b1 * Y + (b1 * e2 - b2 * e1)
+            inv_y = a1 * Y - a2 * X + (a2 * e1 - a1 * e2)
+            a = _substitute(a, inv_x, inv_y)
+        for side, c, k in reversed(self.steps):
+            a = _substitute(a, *_step(X, Y, side, -c, k))
+        return a
+
+
+def decompose(e: EndoPair) -> Decomposition:
+    """The degree reduction of (x, y) after Jung and van der Kulk: while
+    the (1,1)-leading form of y is c times that of x^k, y <- y - c*x^k,
+    else the same with x and y swapped, down to v(x) = v(y) = 1.
+
+    [y, x] = 1 is recomputed before any product is formed; a pair without
+    it raises UnverifiedEndoError.  A stall raises DomainError naming the
+    degrees and leading forms: on a commutator-one pair it would be a
+    counterexample to Dixmier's problem (Bull. SMF 96, 1968).
+    """
+    defect = commutator(e.y, e.x)
+    if defect != ONE:
+        raise UnverifiedEndoError(f"no decomposition: [y, x] = {format_element(defect)}")
+    x, y, steps = e.x, e.y, []
+    vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
+    while vx + vy > 2:  # [y, x] = 1 keeps both degrees >= 1
+        step = _cut("y", y, vy, x, vx) or _cut("x", x, vx, y, vy)
+        if step is None:
+            raise DomainError(
+                f"degree reduction stalls at v(x) = {vx}, v(y) = {vy}, leading forms "
+                f"{format_element(_top(x, vx))} and {format_element(_top(y, vy))}"
+            )
+        steps.append(step)
+        side, c, k = step
+        x, y = _step(x, y, side, -c, k)
+        vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
+    return Decomposition(tuple(steps), x, y)
+
+
+def certify(e: EndoPair, dec: Decomposition) -> Decomposition:
+    """dec, once its affine pair has [y, x] = 1 and undoing its steps from
+    there gives (x, y) back exactly; else DomainError.  Then `pull_back`
+    is the inverse of phi: X -> x, Y -> y, and phi is injective because
+    A1 is simple, so it gives the only expansion of a over the y^i x^j."""
+    x, y = dec.x, dec.y
+    affine = max(weighted_degree(W11, x), weighted_degree(W11, y)) <= 1
+    if affine and commutator(y, x) == ONE:
+        for step in reversed(dec.steps):
+            x, y = _step(x, y, *step)
+        if (x, y) == (e.x, e.y):
+            return dec
+    raise DomainError("the decomposition does not replay to the pair")
 
 
 def inverse_pair(e: EndoPair) -> Optional[EndoPair]:
-    """The inverse psi = (psi(X), psi(Y)) of phi: X -> x, Y -> y, or None.
-
-    Degree reduction after Jung and van der Kulk: while the (1,1)-leading
-    form of y is c times that of x^k, y <- y - c*x^k (else the same with
-    x and y swapped), and the same step on a pair (p, q) that starts at
-    (X, Y) keeps x = phi(p) and y = phi(q).  Each step lowers
-    v(x) + v(y); at v(x) = v(y) = 1 the affine pair is inverted by hand.
-
-    psi is returned only with its certificate: [y, x] = 1, recomputed
-    rather than read from e.verified; [psi(Y), psi(X)] = 1; and
-    phi(psi(X)) = X, phi(psi(Y)) = Y, with phi the map of `apply_endo`
-    evaluated by Horner's rule.  Then phi(psi(a)) = a for every a, and
-    phi is injective because A1 is simple, so psi(a) is the only
-    expansion of a over the y^i x^j.  None means no certificate: a pair
-    without [y, x] = 1, or a stall, which on a commutator-one pair would
-    be a counterexample to Dixmier's problem (Bull. SMF 96, 1968).
-    """
-    phi = build_endo(e.x, e.y)
-    if not phi.verified:
+    """(phi^-1(X), phi^-1(Y)) for phi: X -> x, Y -> y, pulled back along
+    the certified decomposition; None for a pair without one."""
+    try:
+        dec = certify(e, decompose(e))
+    except DomainError:
         return None
-    x, y, p, q = e.x, e.y, X, Y
-    vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
-    while vx + vy > 2:  # [y, x] = 1 keeps both degrees >= 1
-        step = _cut_top(y, vy, x, vx, q, p)
-        if step is not None:
-            y, q = step
-        else:
-            step = _cut_top(x, vx, y, vy, p, q)
-            if step is None:
-                return None
-            x, p = step
-        vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
-    # x = a1 X + b1 Y + e1, y = a2 X + b2 Y + e2, a1 b2 - a2 b1 = [y, x] = 1
-    a1, b1, e1 = (x.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0)))
-    a2, b2, e2 = (y.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0)))
-    psi_x = linear_combination([(b2, p), (-b1, q), (b1 * e2 - b2 * e1, ONE)])
-    psi_y = linear_combination([(a1, q), (-a2, p), (a2 * e1 - a1 * e2, ONE)])
-    image = _Products(phi).substitute
-    if commutator(psi_y, psi_x) == ONE and image(psi_x) == X and image(psi_y) == Y:
-        return EndoPair(x=psi_x, y=psi_y, verified=True)
-    return None
+    return EndoPair(x=dec.pull_back(X), y=dec.pull_back(Y), verified=True)
 
 
 # -- membership in the image subalgebra ----------------------------------
@@ -245,7 +271,7 @@ def inverse_pair(e: EndoPair) -> Optional[EndoPair]:
 
 @dataclass
 class Membership:
-    """Verdict of the slack-bounded expansion a = sum c[i,j] y^i x^j.
+    """Verdict on the expansion a = sum c[i,j] y^i x^j within a slack.
 
     pairs_tried counts the pairs with v11(y^i x^j) <= v11(a) + slack, 0
     for a = 0: it depends on the element alone, not on its batch.
@@ -262,32 +288,20 @@ class Membership:
 
 
 class MembershipSolver:
-    """Membership queries for one pair.
-
-    With a certified inverse psi (see `inverse_pair`) the expansion of a
-    is psi(a), substituted with cached powers of psi(X).  Any other
-    pair, such as a stall, keeps the slack solver: an elimination over
-    the cached products y^i x^j within the bound.
-    """
+    """Membership queries for one pair: the expansion of a is psi(a),
+    pulled back along the pair's certified decomposition.  A pair without
+    one is refused when the solver is built: UnverifiedEndoError when
+    [y, x] is not 1, DomainError on a stall."""
 
     def __init__(self, e: EndoPair):
-        if not e.verified:
-            raise UnverifiedEndoError("membership needs a verified pair")
-        self.pair = e
         self._vx = weighted_degree(W11, e.x)
         self._vy = weighted_degree(W11, e.y)
         if self._vx < 1 or self._vy < 1:
-            # candidate_pairs would never leave a degree-0 direction
             raise DomainError(
                 f"membership needs v(x), v(y) >= 1, got {self._vx}, {self._vy}: "
                 "a commutator-one pair has no scalar component"
             )
-        self._products = _Products(e)
-        inverse = inverse_pair(e)
-        self._inverse = None if inverse is None else _Products(inverse)
-
-    def basis_product(self, i: int, j: int) -> WeylElement:
-        return self._products.product(i, j)
+        self._decomposition = certify(e, decompose(e))
 
     def candidate_pairs(self, bound) -> Tuple[Tuple[int, int], ...]:
         """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order:
@@ -295,52 +309,26 @@ class MembershipSolver:
         return Window(Weight(self._vy, self._vx), bound).monomials
 
     def solve(self, elements: Sequence[WeylElement], slack: int) -> List[Membership]:
-        """One verdict per element; each matches element-by-element solving.
+        """One verdict per element, independent of the batch.
 
-        The expansion a = sum c[i,j] y^i x^j is unique, and a is a member
+        The expansion a = sum c[i,j] y^i x^j is psi(a), and a is a member
         at this slack iff every (i, j) it uses has i*v(y) + j*v(x) <=
-        v11(a) + slack.  With a certified inverse the expansion is psi(a),
-        so the verdicts, witnesses and their order are those of the slack
-        solver, which solves the batch once at its largest bound and
-        checks which pairs each witness uses.  A negative slack is refused.
+        v11(a) + slack.  The witness lists the pairs in scan order.  A
+        negative slack is refused.
         """
         if slack < 0:
             raise ValueError(f"membership slack must be >= 0, got {slack}")
-        degrees = [weighted_degree(W11, a) for a in elements]
-        if self._inverse is not None:
-            expansions = [self._inverse.substitute(a)._terms for a in elements]
-        else:
-            expansions = self._eliminate(elements, degrees, slack)
         vy, vx = self._vy, self._vx
         out = []
-        for deg, b in zip(degrees, expansions):
-            if deg == NEG_INF:
-                out.append(Membership(True, {}, slack, deg, 0))
-                continue
-            bound = deg + slack
-            tried = len(self.candidate_pairs(bound))
-            if b is None or any(i * vy + j * vx > bound for (i, j) in b):
-                out.append(Membership(False, None, slack, bound, tried))
-                continue
-            # scan order, as the columns of the slack solver
+        for a in elements:
+            b = self._decomposition.pull_back(a)._terms  # empty iff a = 0
+            bound = weighted_degree(W11, a) + slack
+            member = all(i * vy + j * vx <= bound for (i, j) in b)
             order = sorted(b, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
-            witness = {p: b[p] for p in order}
-            out.append(Membership(True, witness, slack, bound, tried))
+            witness = {p: b[p] for p in order} if member else None
+            tried = len(self.candidate_pairs(bound)) if b else 0
+            out.append(Membership(member, witness, slack, bound, tried))
         return out
-
-    def _eliminate(self, elements, degrees, slack):
-        """Expansions over the pairs within the batch's largest bound, None
-        where there is none: one elimination serves the batch."""
-        finite = [d for d in degrees if d != NEG_INF]
-        if not finite:
-            return [None] * len(elements)
-        pairs = self.candidate_pairs(max(finite) + slack)
-        columns = [self.basis_product(i, j) for (i, j) in pairs]
-        sols = Coordinates(columns, elements).solve(columns, elements)
-        return [
-            None if sol is None else {pairs[c]: v for c, v in sol.items()}
-            for sol in sols
-        ]
 
 
 def subalgebra_membership(

@@ -4,6 +4,12 @@ The normal-ordering oracle works on words in the letters X and Y and
 knows only the single rewrite step XY -> YX - 1.  It never touches the
 closed-form coefficients used by the package, so agreement between the
 two is meaningful evidence.
+
+The slack membership solver expands elements over the products y^i x^j
+of a pair by one linear elimination.  It never decomposes the pair, so it
+is the differential reference for `MembershipSolver`, which pulls
+elements back along the pair's certified decomposition; it also decides
+membership for the suite's fake pairs, which have no decomposition.
 """
 
 from fractions import Fraction
@@ -104,3 +110,70 @@ def oracle_localized_mul(a, b):
             cur = step
         total = total + LocalizedElement(cur)
     return total
+
+
+class SlackMembershipSolver:
+    """Membership in K<x, y> by elimination, with `MembershipSolver`'s
+    interface and records: a batch is expanded over the y^i x^j with
+    i*v(y) + j*v(x) <= max v11(a) + slack, and each element is a member
+    when its expansion stays within its own bound v11(a) + slack.  The
+    witness lists its pairs in column order, which is the scan order of
+    `candidate_pairs`.  It trusts `verified` and never checks [y, x] = 1.
+    """
+
+    def __init__(self, e):
+        from weyl1 import ONE, W11, DomainError, UnverifiedEndoError, weighted_degree
+
+        if not e.verified:
+            raise UnverifiedEndoError("membership needs a verified pair")
+        self.x, self.y = e.x, e.y
+        self._vx, self._vy = weighted_degree(W11, e.x), weighted_degree(W11, e.y)
+        if self._vx < 1 or self._vy < 1:
+            raise DomainError("membership needs v(x), v(y) >= 1")
+        self._y_pows = [ONE]
+        self._rows = {}
+
+    def basis_product(self, i, j):
+        """y^i x^j, cached by rows: row i starts at y^i, and each entry is
+        its left neighbour times x."""
+        row = self._rows.get(i)
+        if row is None:
+            while len(self._y_pows) <= i:
+                self._y_pows.append(self._y_pows[-1] * self.y)
+            row = self._rows[i] = [self._y_pows[i]]
+        while len(row) <= j:
+            row.append(row[-1] * self.x)
+        return row[j]
+
+    def candidate_pairs(self, bound):
+        from weyl1 import Weight, Window
+
+        return Window(Weight(self._vy, self._vx), bound).monomials
+
+    def solve(self, elements, slack):
+        from weyl1 import NEG_INF, W11, Membership, weighted_degree
+        from weyl1.windows import Coordinates
+
+        if slack < 0:
+            raise ValueError(f"membership slack must be >= 0, got {slack}")
+        degrees = [weighted_degree(W11, a) for a in elements]
+        finite = [d for d in degrees if d != NEG_INF]
+        sols = [None] * len(elements)
+        if finite:
+            pairs = self.candidate_pairs(max(finite) + slack)
+            columns = [self.basis_product(i, j) for (i, j) in pairs]
+            sols = Coordinates(columns, elements).solve(columns, elements)
+        vy, vx = self._vy, self._vx
+        out = []
+        for deg, sol in zip(degrees, sols):
+            if deg == NEG_INF:
+                out.append(Membership(True, {}, slack, deg, 0))
+                continue
+            bound = deg + slack
+            tried = len(self.candidate_pairs(bound))
+            witness = None if sol is None else {pairs[c]: sol[c] for c in sorted(sol)}
+            if witness is None or any(i * vy + j * vx > bound for (i, j) in witness):
+                out.append(Membership(False, None, slack, bound, tried))
+            else:
+                out.append(Membership(True, witness, slack, bound, tried))
+        return out

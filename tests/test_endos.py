@@ -1,12 +1,13 @@
-"""Recipes, compilation, inverse pairs and slack-bounded subalgebra
-membership."""
+"""Recipes, compilation, the certified decomposition and slack-bounded
+subalgebra membership."""
 
-from unittest import mock
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SlackMembershipSolver
 from weyl1 import (
     ONE,
     W11,
@@ -33,6 +34,7 @@ from weyl1 import (
     theta,
     windows,
 )
+from weyl1.endos import Decomposition, certify, decompose
 from weyl1.serialize import recipe_from_doc
 
 
@@ -154,19 +156,26 @@ def test_membership_zero_element():
 
 def test_basis_products_are_y_powers_times_x_powers():
     e = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))
-    solver = MembershipSolver(e)
+    solver = SlackMembershipSolver(e)
     # ask out of order, so rows are both started and extended
     for i, j in [(2, 3), (0, 0), (2, 1), (0, 4), (3, 0), (1, 2)]:
         assert solver.basis_product(i, j) == e.y**i * e.x**j
 
 
-# -- the certified inverse and the two membership paths -------------------
+# -- the certified decomposition against the slack oracle -----------------
 
 CANONICAL = {
     doc["name"]: compile_recipe(recipe_from_doc(doc))
     for doc in canonical_config()["endomorphisms"]
 }
 RAW = compile_recipe(EndoRecipe(raw=(X + 3 * Y**2 - 1, Y + 2)))
+# v(x) = 6, v(y) = 12; its inverse has degrees (12, 12)
+DEEP4 = compile_recipe(EndoRecipe(generators=(
+    add_poly_x([0, 1, 1]),
+    add_poly_y([0, 0, 1]),
+    add_poly_x([0, 0, 0, 1]),
+    linear(2, 1, 1, 1),
+)))
 
 
 def _records(solver, elements, slack):
@@ -184,8 +193,7 @@ def _assert_paths_agree(e, elements, slacks):
         assert apply_endo(psi, apply_endo(e, a)) == a
         assert apply_endo(e, apply_endo(psi, a)) == a
     fast = MembershipSolver(e)
-    with mock.patch.object(endos, "inverse_pair", lambda pair: None):
-        slow = MembershipSolver(e)
+    slow = SlackMembershipSolver(e)
     for slack in slacks:
         assert _records(fast, elements, slack) == _records(slow, elements, slack)
         for a in elements:  # alone or in a batch, the same record
@@ -213,6 +221,59 @@ def test_composite_inverse_and_a_non_member():
     assert not verdict.member and verdict.degree_bound == 5
 
 
+def test_decompositions_of_the_canonical_and_raw_pairs():
+    assert decompose(CANONICAL["identity"]) == Decomposition((), X, Y)
+    assert decompose(CANONICAL["triangular-x2"]) == Decomposition((("y", 1, 2),), X, Y)
+    assert decompose(CANONICAL["composite"]) == Decomposition(
+        (("y", 1, 2), ("x", 1, 2)), X, Y
+    )
+    dec = decompose(RAW)  # ends at an affine pair other than (X, Y)
+    assert dec == Decomposition((("x", 3, 2),), X - 12 * Y - 13, Y + 2)
+    assert certify(RAW, dec) is dec
+    assert dec.pull_back(RAW.x) == X and dec.pull_back(RAW.y) == Y
+
+
+@pytest.mark.parametrize("field", ["c", "k"])
+def test_a_changed_step_is_refused_and_gets_no_verdict(field, monkeypatch):
+    e = CANONICAL["composite"]
+    dec = decompose(e)
+    (side, c, k), rest = dec.steps[0], dec.steps[1:]
+    step = (side, c + 1, k) if field == "c" else (side, c, k + 1)
+    bad = dataclasses.replace(dec, steps=(step,) + rest)
+    with pytest.raises(DomainError, match="does not replay"):
+        certify(e, bad)
+    monkeypatch.setattr(endos, "decompose", lambda pair: bad)
+    assert inverse_pair(e) is None
+    with pytest.raises(DomainError, match="does not replay"):
+        MembershipSolver(e).solve([X], 4)
+
+
+def test_an_affine_pair_must_be_affine_and_commute_to_one():
+    e = CANONICAL["identity"]
+    for x, y in ((X, 2 * Y), (X + Y**2, Y)):
+        with pytest.raises(DomainError, match="does not replay"):
+            certify(EndoPair(x=x, y=y, verified=True), Decomposition((), x, y))
+    assert certify(e, Decomposition((), X, Y)).steps == ()
+
+
+def test_a_stall_names_the_degrees_and_leading_forms(monkeypatch):
+    # no commutator-one pair is known to stall (that would answer
+    # Dixmier's problem), so the premise [y, x] = 1 is faked here
+    monkeypatch.setattr(endos, "commutator", lambda a, b: ONE)
+    e = EndoPair(x=X**2 + Y, y=Y**2 * X + X, verified=True)
+    with pytest.raises(DomainError) as err:
+        decompose(e)
+    assert str(err.value) == (
+        "degree reduction stalls at v(x) = 2, v(y) = 3, leading forms X^2 and Y^2*X"
+    )
+
+
+def test_a_pair_without_commutator_one_is_refused():
+    e = EndoPair(x=X**2, y=Y**2, verified=True)
+    with pytest.raises(UnverifiedEndoError, match=r"\[y, x\]"):
+        MembershipSolver(e)
+
+
 _RATS = st.fractions(-2, 2, max_denominator=3)
 _COEFFS = st.lists(_RATS, min_size=1, max_size=3)
 _GENERATORS = st.one_of(
@@ -236,9 +297,7 @@ def test_inverse_path_matches_slack_path_on_drawn_recipes(gens, other):
 
 def test_pairs_tried_counts_each_elements_own_pairs():
     e = build_endo(X, Y + X**2)
-    for inverse in (inverse_pair, lambda pair: None):
-        with mock.patch.object(endos, "inverse_pair", inverse):
-            solver = MembershipSolver(e)
+    for solver in (MembershipSolver(e), SlackMembershipSolver(e)):
         assert solver.solve([Y], 4)[0].pairs_tried == 12
         batch = solver.solve([Y, Y**6, 0 * X], 4)
         assert [m.pairs_tried for m in batch] == [12, 36, 0]
@@ -255,15 +314,33 @@ def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        MembershipSolver, "basis_product",
-        counted("basis_product", MembershipSolver.basis_product),
+        SlackMembershipSolver, "basis_product",
+        counted("basis_product", SlackMembershipSolver.basis_product),
     )
     monkeypatch.setattr(windows, "solve_many", counted("solve_many", windows.solve_many))
     e = CANONICAL["composite"]
     monos = Window(W11, 4).basis_elements()
+    assert not hasattr(MembershipSolver, "basis_product")
     assert all(MembershipSolver(e).solve(monos, 28))
     assert calls == {"basis_product": 0, "solve_many": 0}
-    # the counters see the slack path: 81 pairs with 4i + 2j <= 32
-    monkeypatch.setattr(endos, "inverse_pair", lambda pair: None)
-    assert all(MembershipSolver(e).solve(monos, 28))
+    # the counters see the slack oracle: 81 pairs with 4i + 2j <= 32
+    assert all(SlackMembershipSolver(e).solve(monos, 28))
     assert calls == {"basis_product": 81, "solve_many": 1}
+
+
+def test_deep_recipe_membership_multiplies_few_term_pairs(monkeypatch):
+    # work, not time: sum of |a| * |b| over the element products formed.
+    # Certifying an inverse by substituting it into powers of (x, y) and
+    # expanding psi(a) over powers of psi(X), psi(Y) took 857 114 here.
+    pairs = [0]
+    mul = WeylElement.__mul__
+
+    def counted(a, b):
+        if isinstance(b, WeylElement):
+            pairs[0] += len(a._terms) * len(b._terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    verdicts = MembershipSolver(DEEP4).solve(Window(W11, 4).basis_elements(), 28)
+    assert [m.member for m in verdicts] == [True] + [False] * 14
+    assert pairs[0] < 250_000

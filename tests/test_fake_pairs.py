@@ -4,15 +4,21 @@ whose commutator [y, x] is not 1.
 A check that PASSes on all of them is either vacuous or insensitive to
 [y, x] = 1.  Such a check must be on ALLOWED_TO_PASS with the reason;
 an allowed check that starts to FAIL must leave the list.
+
+Membership refuses these pairs, since they have no decomposition, so the
+checks built on it FAIL with the refusal.  To see what those checks
+compare, some tests inject the slack oracle, which trusts `verified`.
 """
 
 import pytest
 
+from oracles import SlackMembershipSolver
 from weyl1 import (
     ONE,
     W11,
     EndoPair,
     MembershipSolver,
+    UnverifiedEndoError,
     Window,
     WeylElement,
     X,
@@ -20,6 +26,7 @@ from weyl1 import (
     apply_endo,
     checks,
     commutator,
+    format_element,
     inverse_pair,
     rat,
 )
@@ -50,11 +57,10 @@ ALLOWED_TO_PASS = {
         "its rule m(ab) = m(a)b + a m(b) + [left, a][b, right] is an identity "
         "of the commutator for any x and y"
     ),
-    "propagation": (
-        "the suite passes phi(Y^2 X^3) = y^2 x^3, a member at every slack, "
-        "so the implication cannot fail"
-    ),
 }
+# propagation FAILs on these pairs only through the membership refusal.
+# On genuine pairs it is vacuous: the suite passes phi(Y^2 X^3) = y^2 x^3,
+# a member at every slack, so the implication cannot fail there.
 
 
 def test_the_pairs_are_fake():
@@ -92,9 +98,10 @@ def test_centralizer_witness_names_the_extra_dimension():
     assert res.witness == {"problems": ["eigenvalue 0: dimension 3 != expected 2"]}
 
 
-def test_propagation_fails_for_a_chosen_element():
+def test_propagation_fails_for_a_chosen_element(monkeypatch):
     # d'(X) = [X^2, X] Y^2 = 0 is a member, X is not: the check can FAIL
     # when the element is not an image to begin with
+    monkeypatch.setattr(checks, "MembershipSolver", SlackMembershipSolver)
     res = checks.check_propagation(FAKE_PAIRS["(X^2, Y^2)"], X, 1)
     assert not res.passed
     assert res.witness["problems"]
@@ -112,9 +119,10 @@ def test_eigen_witness_names_a_basis_outside_the_predicted_span():
     }
 
 
-def test_closure_witness_compares_spans_not_dimensions():
+def test_closure_witness_compares_spans_not_dimensions(monkeypatch):
     # the delta closure has the dimension of the membership window but
     # another span, so the comparison must be one of spans
+    monkeypatch.setattr(checks, "MembershipSolver", SlackMembershipSolver)
     res = CALLS["nilpotent_closure"](FAKE_PAIRS["(X^2, Y^2)"])
     assert res.witness == {
         "problems": [
@@ -140,8 +148,18 @@ def test_fake_pairs_get_no_inverse_before_any_product(monkeypatch):
     assert products == []
 
 
+@pytest.mark.parametrize("name", ["nilpotent_closure", "propagation"])
+def test_membership_checks_fail_with_the_refusal(name):
+    for e in FAKE_PAIRS.values():
+        res = CALLS[name](e)
+        defect = commutator(e.y, e.x)
+        assert res.witness == {
+            "problems": [f"no decomposition: [y, x] = {format_element(defect)}"]
+        }
+
+
 # member flags of the cap-2 window monomials 1, X, Y, X^2, YX, Y^2 at
-# slacks 0 and 4, which the slack solver decides
+# slacks 0 and 4, which the slack oracle decides
 FAKE_MEMBERS = {
     "(X, 2Y)": ("111111", "111111"),
     "(X^2, Y)": ("101101", "101101"),
@@ -151,8 +169,11 @@ FAKE_MEMBERS = {
 
 
 @pytest.mark.parametrize("label", sorted(FAKE_PAIRS))
-def test_fake_pairs_keep_their_membership_verdicts(label):
-    solver = MembershipSolver(FAKE_PAIRS[label])
+def test_fake_pairs_keep_their_membership_verdicts(label, monkeypatch):
+    monkeypatch.setattr(checks, "MembershipSolver", SlackMembershipSolver)
+    with pytest.raises(UnverifiedEndoError):
+        MembershipSolver(FAKE_PAIRS[label])
+    solver = checks.MembershipSolver(FAKE_PAIRS[label])
     monos = Window(W11, 2).basis_elements()
     flags = tuple(
         "".join("1" if m.member else "0" for m in solver.solve(monos, slack))
