@@ -8,6 +8,16 @@ identities for y^i x^i and x^i y^i, the product rules of the maps
 d = [y, .]x and d' = [x, .]y, the kernel and nilpotent closure of
 delta = ad(x) ad(y), drop propagation, and the eigenvector tables.
 
+The Klein-basis and eigenvector-table checks test identities that hold
+for every pair with [y, x] = 1.  The map phi: X -> x, Y -> y extends to
+an algebra homomorphism exactly when [y, x] = 1, and then h = phi(H),
+d(phi(a)) = phi([Y, a]X), d'(phi(a)) = phi([X, a]Y) and delta(phi(a)) =
+phi([X, [Y, a]]), so phi maps each of these identities on (X, Y) to the
+same identity on (x, y).  Those two checks therefore recompute [y, x] = 1
+for the pair and check the identities once on (X, Y); they never read
+the pair's `verified` flag.  The product rules are not covered: their
+samples are not images under phi, and the rules hold for any x and y.
+
 Checks return a CheckResult carrying their full parameterization, a
 pass/fail verdict, and witness data on failure, so every verdict is
 reproducible from its own record.
@@ -24,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
+    H,
     ONE,
     X,
     Y,
@@ -31,6 +42,8 @@ from .core import (
     WeylElement,
     apply_endo,
     commutator,
+    format_element,
+    identity_endo,
     powers,
 )
 from .degrees import W11, weighted_degree
@@ -146,22 +159,23 @@ def check_eigen_theorem(
     )
 
 
-def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
-    """y^i x^i and x^i y^i as products of shifted h's, and the delta chain.
+def _premise_problems(e: EndoPair) -> List[str]:
+    """The premise of the identity checks, [y, x] = 1, recomputed; the
+    pair's `verified` flag is never read."""
+    c = commutator(e.y, e.x)
+    return [] if c == ONE else [f"premise fails: [y, x] = {format_element(c)}"]
 
-    The chain delta(e_i) = e_(i-1) for e_i = (-1)^i / (i!)^2 u_i is checked
-    in its equivalent form delta(u_i) = -i^2 u_(i-1), for u_i = y^i x^i
-    and for u_i = x^i y^i.
-    """
-    x, y, h = e.x, e.y, e.h
-    dl = delta_xy(e)
+
+def _klein_problems(imax: int) -> List[str]:
+    """The Klein-basis identities on (X, Y), for i = 1..imax."""
+    dl = delta_xy(identity_endo())
     problems: List[str] = []
     yixi_prev = xiyi_prev = rising = falling = ONE
     for i in range(1, imax + 1):
-        yixi = y * yixi_prev * x
-        xiyi = x * xiyi_prev * y
-        rising = rising * (h + (i - 1))
-        falling = falling * (h - i)
+        yixi = Y * yixi_prev * X
+        xiyi = X * xiyi_prev * Y
+        rising = rising * (H + (i - 1))
+        falling = falling * (H - i)
         if yixi != rising:
             problems.append(f"y^{i}x^{i} != h(h+1)...(h+{i}-1)")
         if xiyi != falling:
@@ -171,7 +185,26 @@ def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
         if dl(xiyi) != -i * i * xiyi_prev:
             problems.append(f"delta chain fails at i={i} on x^i y^i")
         yixi_prev, xiyi_prev = yixi, xiyi
-    return _verdict("klein_basis", {"imax": imax}, problems)
+    return problems
+
+
+def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
+    """y^i x^i and x^i y^i as products of shifted h's, and the delta chain.
+
+    The chain delta(e_i) = e_(i-1) for e_i = (-1)^i / (i!)^2 u_i is checked
+    in its equivalent form delta(u_i) = -i^2 u_(i-1), for u_i = y^i x^i
+    and for u_i = x^i y^i.
+
+    The identities are checked on (X, Y) and carried to (x, y) by phi
+    (module docstring): y^i x^i = phi(Y^i X^i), h = phi(H) and
+    delta(phi(a)) = phi([X, [Y, a]]).  A FAIL names the premise with
+    its defect, or an identity that fails on (X, Y), which is a fault of
+    `core`.  At imax = 0 no identity is checked, and a pair with
+    [y, x] != 1 still FAILs on the premise.
+    """
+    return _verdict(
+        "klein_basis", {"imax": imax}, _premise_problems(e) + _klein_problems(imax)
+    )
 
 
 def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElement:
@@ -347,14 +380,13 @@ def check_propagation(
     return _verdict("propagation", params, problems)
 
 
-def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
-    """The six eigenvector families of the maps d and d'."""
-    d = d_yx(e)
-    dp = d_xy(e)
-    x, y = e.x, e.y
+def _eigvec_problems(imax: int, nmax: int) -> List[str]:
+    """The six eigenvector families of d and d' on (X, Y)."""
+    ident = identity_endo()
+    d, dp = d_yx(ident), d_xy(ident)
     problems: List[str] = []
-    x_pows = powers(x, imax + nmax)
-    y_pows = powers(y, imax + nmax)
+    x_pows = powers(X, imax + nmax)
+    y_pows = powers(Y, imax + nmax)
     for i in range(0, imax + 1):
         yixi = y_pows[i] * x_pows[i]
         xiyi = x_pows[i] * y_pows[i]
@@ -375,7 +407,23 @@ def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
             u = x_pows[n + i] * y_pows[i]
             if dp(u) != -i * u:
                 problems.append(f"d'(x^{n} x^{i}y^{i}) != -{i} u")
-    return _verdict("eigvec_tables", {"imax": imax, "nmax": nmax}, problems)
+    return problems
+
+
+def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
+    """The six eigenvector families of the maps d and d'.
+
+    They are checked on (X, Y) and carried to (x, y) by phi (module
+    docstring): every family member is phi of its (X, Y) counterpart, and
+    d(phi(a)) = phi([Y, a]X), d'(phi(a)) = phi([X, a]Y).  A FAIL names the
+    premise with its defect, or a family member that fails on (X, Y),
+    which is a fault of `core`.
+    """
+    return _verdict(
+        "eigvec_tables",
+        {"imax": imax, "nmax": nmax},
+        _premise_problems(e) + _eigvec_problems(imax, nmax),
+    )
 
 
 # -- suite ----------------------------------------------------------------

@@ -10,6 +10,12 @@ of a pair by one linear elimination.  It never decomposes the pair, so it
 is the differential reference for `MembershipSolver`, which pulls
 elements back along the pair's certified decomposition; it also decides
 membership for the suite's fake pairs, which have no decomposition.
+
+The direct identity checks evaluate the Klein-basis and eigenvector-table
+identities on the pair itself, forming products such as y^8 x^4 for the
+composite pair.  The suite checks them once on (X, Y) and carries them
+over by phi under the premise [y, x] = 1; these are the per-pair
+reference for that argument, and they keep the large products under test.
 """
 
 from fractions import Fraction
@@ -177,3 +183,66 @@ class SlackMembershipSolver:
             else:
                 out.append(Membership(True, witness, slack, bound, tried))
         return out
+
+
+def direct_klein_problems(e, imax):
+    """The Klein-basis identities evaluated on the pair (x, y) itself:
+    y^i x^i and x^i y^i as products of shifted h's, and the delta chain
+    delta(u_i) = -i^2 u_(i-1).  Returns the problems found."""
+    from weyl1 import ONE
+    from weyl1.maps import delta_xy
+
+    x, y, h = e.x, e.y, e.h
+    dl = delta_xy(e)
+    problems = []
+    yixi_prev = xiyi_prev = rising = falling = ONE
+    for i in range(1, imax + 1):
+        yixi = y * yixi_prev * x
+        xiyi = x * xiyi_prev * y
+        rising = rising * (h + (i - 1))
+        falling = falling * (h - i)
+        if yixi != rising:
+            problems.append(f"y^{i}x^{i} != h(h+1)...(h+{i}-1)")
+        if xiyi != falling:
+            problems.append(f"x^{i}y^{i} != (h-1)...(h-{i})")
+        if dl(yixi) != -i * i * yixi_prev:
+            problems.append(f"delta chain fails at i={i} on y^i x^i")
+        if dl(xiyi) != -i * i * xiyi_prev:
+            problems.append(f"delta chain fails at i={i} on x^i y^i")
+        yixi_prev, xiyi_prev = yixi, xiyi
+    return problems
+
+
+def direct_eigvec_problems(e, imax, nmax):
+    """The six eigenvector families of d = [y, .]x and d' = [x, .]y,
+    evaluated on the pair (x, y) itself.  Returns the problems found."""
+    from weyl1.core import powers
+    from weyl1.maps import d_xy, d_yx
+
+    d = d_yx(e)
+    dp = d_xy(e)
+    x, y = e.x, e.y
+    problems = []
+    x_pows = powers(x, imax + nmax)
+    y_pows = powers(y, imax + nmax)
+    for i in range(0, imax + 1):
+        yixi = y_pows[i] * x_pows[i]
+        xiyi = x_pows[i] * y_pows[i]
+        if d(yixi) != i * yixi:
+            problems.append(f"d(y^{i}x^{i}) != {i} y^{i}x^{i}")
+        if dp(xiyi) != -i * xiyi:
+            problems.append(f"d'(x^{i}y^{i}) != -{i} x^{i}y^{i}")
+        for n in range(1, nmax + 1):
+            u = y_pows[n + i] * x_pows[i]
+            if d(u) != i * u:
+                problems.append(f"d(y^{n} y^{i}x^{i}) != {i} u")
+            u = y_pows[i] * x_pows[i + n]
+            if d(u) != (i + n) * u:
+                problems.append(f"d(y^{i}x^{i} x^{n}) != {i + n} u")
+            u = x_pows[i] * y_pows[i + n]
+            if dp(u) != -(i + n) * u:
+                problems.append(f"d'(x^{i}y^{i} y^{n}) != -({i}+{n}) u")
+            u = x_pows[n + i] * y_pows[i]
+            if dp(u) != -i * u:
+                problems.append(f"d'(x^{n} x^{i}y^{i}) != -{i} u")
+    return problems

@@ -1,7 +1,12 @@
 """The windowed verification suite over the canonical pairs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import direct_eigvec_problems, direct_klein_problems
+from test_endos import _GENERATORS
+from test_fake_pairs import FAKE_PAIRS
 from weyl1 import (
     H,
     ONE,
@@ -9,6 +14,8 @@ from weyl1 import (
     Y,
     CheckResult,
     EndoPair,
+    EndoRecipe,
+    WeylElement,
     apply_endo,
     canonical_config,
     check_centralizer_theorem,
@@ -201,3 +208,78 @@ def test_span_helpers():
     space = [ONE, H]
     co = Coordinates(space, [3 * H - 1, X])
     assert co.solve(space, [3 * H - 1, X]) == [{0: -1, 1: 3}, None]
+
+
+# -- the identity checks: premise on the pair, identities on (X, Y) --------
+
+
+@pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
+def test_direct_oracles_hold_on_the_canonical_pairs(name, e):
+    # the suite no longer forms these products (composite: up to y^8 x^4),
+    # so the per-pair identities at the canonical params are kept here
+    params = canonical_config()["params"]
+    assert direct_klein_problems(e, params["klein_imax"]) == []
+    assert direct_eigvec_problems(e, params["eigvec_imax"], params["eigvec_nmax"]) == []
+
+
+@pytest.mark.parametrize(
+    "label,e",
+    [*FAKE_PAIRS.items(), ("commutator two", COMMUTATOR_TWO)],
+    ids=[*FAKE_PAIRS, "commutator two"],
+)
+def test_identity_checks_agree_with_the_direct_oracles(label, e):
+    assert check_klein_basis(e, 2).passed == (direct_klein_problems(e, 2) == [])
+    assert check_eigvec_tables(e, 2, 2).passed == (
+        direct_eigvec_problems(e, 2, 2) == []
+    )
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3))
+def test_identity_checks_agree_with_the_direct_oracles_on_drawn_recipes(gens):
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    assert check_klein_basis(e, 3).passed == (direct_klein_problems(e, 3) == [])
+    assert check_eigvec_tables(e, 2, 2).passed == (
+        direct_eigvec_problems(e, 2, 2) == []
+    )
+
+
+def test_identity_checks_multiply_few_term_pairs(monkeypatch):
+    # work, not time: sum of |a| * |b| over the element products formed.
+    # Evaluating the identities on the composite pair itself took 44 831.
+    pairs = [0]
+    mul = WeylElement.__mul__
+
+    def counted(a, b):
+        if isinstance(b, WeylElement):
+            pairs[0] += len(a._terms) * len(b._terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    e = PAIRS[2][1]
+    assert check_klein_basis(e, 8).passed and check_eigvec_tables(e, 4, 4).passed
+    assert pairs[0] < 2_000
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda e: check_klein_basis(e, 3),
+        lambda e: check_eigvec_tables(e, 2, 2),
+        # at imax = 0 next to nothing is checked, but the premise still is
+        lambda e: check_klein_basis(e, 0),
+        lambda e: check_eigvec_tables(e, 0, 0),
+    ],
+    ids=["klein_basis", "eigvec_tables", "klein_basis-imax0", "eigvec_tables-imax0"],
+)
+def test_identity_checks_fail_on_the_premise_alone(check):
+    res = check(COMMUTATOR_TWO)
+    assert res.witness == {"problems": ["premise fails: [y, x] = 2"]}
+
+
+def test_identity_checks_recompute_the_premise_and_ignore_verified():
+    # a genuine pair flagged unverified PASSes: the premise is recomputed
+    e = PAIRS[2][1]
+    unflagged = EndoPair(x=e.x, y=e.y, verified=False)
+    assert check_klein_basis(unflagged, 3).passed
+    assert check_eigvec_tables(unflagged, 2, 2).passed
