@@ -49,7 +49,6 @@ from .endos import (
     add_poly_x,
     add_poly_y,
     compile_recipe,
-    inverse_pair,
     linear,
     subalgebra_membership,
 )

@@ -19,15 +19,16 @@ therefore always "not at this slack".
 There is one way to find that expansion.  Aut(A1) is tame (Dixmier
 1968, Makar-Limanov 1984), and `decompose` reduces the degrees of
 (x, y) after Jung and van der Kulk by elementary steps y <- y - c*x^k or
-x <- x - c*y^k, down to an affine pair.  `certify` accepts the steps
-only when undoing them from the affine pair gives (x, y) back exactly.
-Then phi: X -> x, Y -> y is an affine automorphism after elementary ones,
-its inverse psi is known step by step, and psi(a) is the unique
-expansion of a: the solver pulls a back one elementary substitution at a
-time and reads the verdict off the support of psi(a).  A pair without a
-certified decomposition is refused: one whose [y, x] is not 1, or a
-stall, which on a commutator-one pair would be a counterexample to
-Dixmier's problem (Bull. SMF 96, 1968).
+x <- x - c*y^k, down to an affine pair, and returns the recipe that
+undoes them: one add_poly generator per step, then the affine pair's.
+`certify` accepts the recipe only when `compile_recipe` gives (x, y)
+back exactly.  Then phi: X -> x, Y -> y is a composite of automorphisms,
+its inverse psi is the inverse generators in reverse order, and psi(a)
+is the unique expansion of a: the solver pulls a back one generator at
+a time with `apply_endo` and reads the verdict off the support of
+psi(a).  A pair without a certified decomposition is refused: one whose
+[y, x] is not 1, or a stall, which on a commutator-one pair would be a
+counterexample to Dixmier's problem (Bull. SMF 96, 1968).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     ONE,
-    ZERO,
     X,
     Y,
     EndoPair,
@@ -65,6 +65,9 @@ class AddPolyX:
         f_of_x = linear_combination(zip(self.coeffs, powers(X, len(self.coeffs) - 1)))
         return build_endo(X, Y + f_of_x)
 
+    def inverse(self) -> AddPolyX:
+        return AddPolyX(tuple(-c for c in self.coeffs))
+
 
 @dataclass(frozen=True)
 class AddPolyY:
@@ -75,6 +78,9 @@ class AddPolyY:
     def pair(self) -> EndoPair:
         g_of_y = linear_combination(zip(self.coeffs, powers(Y, len(self.coeffs) - 1)))
         return build_endo(X + g_of_y, Y)
+
+    def inverse(self) -> AddPolyY:
+        return AddPolyY(tuple(-c for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,9 @@ class LinearGen:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("linear generator needs determinant 1")
         return build_endo(self.a * X + self.b * Y, self.c * X + self.d * Y)
+
+    def inverse(self) -> LinearGen:
+        return LinearGen(self.d, -self.b, -self.c, self.a)
 
 
 EndoGenerator = Union[AddPolyX, AddPolyY, LinearGen]
@@ -165,57 +174,18 @@ def _cut(side: str, a, va, b, vb):
     return side, c, k
 
 
-def _step(x: WeylElement, y: WeylElement, side: str, c, k: int):
-    """(x, y + c*x^k) for side "y", (x + c*y^k, y) for side "x"."""
-    return (x, y + c * x**k) if side == "y" else (x + c * y**k, y)
+def decompose(e: EndoPair) -> EndoRecipe:
+    """The recipe that compiles to (x, y), read off the degree reduction
+    after Jung and van der Kulk: while the (1,1)-leading form of y is c
+    times that of x^k, y <- y - c*x^k, else the same with x and y swapped,
+    down to v(x) = v(y) = 1.
 
-
-def _substitute(a: WeylElement, x: WeylElement, y: WeylElement) -> WeylElement:
-    """sum a[i,j] y^i x^j, the map of `apply_endo`, by Horner's rule in y:
-    c_0 + y (c_1 + y (...)) with c_i = sum_j a[i,j] x^j."""
-    x_pows = powers(x, max((j for _, j in a._terms), default=0))
-    rows: Dict[int, list] = {}
-    for (i, j), c in a._terms.items():
-        rows.setdefault(i, []).append((c, x_pows[j]))
-    acc = ZERO
-    for i in range(max(rows, default=-1), -1, -1):
-        acc = y * acc + linear_combination(rows.get(i, ()))
-    return acc
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Steps (side, c, k), each y <- y - c*x^k (side "y") or x <- x -
-    c*y^k (side "x"), that take (x, y) to the affine pair (self.x, self.y).
-    A step composes phi with eps: Y -> Y - c X^k (or X -> X - c Y^k), so
-    phi^-1 = eps_1 ... eps_T alpha^-1 with alpha: X -> self.x, Y -> self.y.
-    """
-
-    steps: Tuple[Tuple[str, Rat, int], ...]
-    x: WeylElement
-    y: WeylElement
-
-    def pull_back(self, a: WeylElement) -> WeylElement:
-        """phi^-1(a), one substitution at a time, so the intermediates stay
-        near the size of a."""
-        if (self.x, self.y) != (X, Y):
-            # x = a1 X + b1 Y + e1, y = a2 X + b2 Y + e2, a1 b2 - a2 b1 = 1
-            (a1, b1, e1), (a2, b2, e2) = (
-                [u.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0))]
-                for u in (self.x, self.y)
-            )
-            inv_x = b2 * X - b1 * Y + (b1 * e2 - b2 * e1)
-            inv_y = a1 * Y - a2 * X + (a2 * e1 - a1 * e2)
-            a = _substitute(a, inv_x, inv_y)
-        for side, c, k in reversed(self.steps):
-            a = _substitute(a, *_step(X, Y, side, -c, k))
-        return a
-
-
-def decompose(e: EndoPair) -> Decomposition:
-    """The degree reduction of (x, y) after Jung and van der Kulk: while
-    the (1,1)-leading form of y is c times that of x^k, y <- y - c*x^k,
-    else the same with x and y swapped, down to v(x) = v(y) = 1.
+    A step y <- y - c*x^k composes phi with Y -> Y - c X^k, so the recipe
+    undoes it with add_poly_x, f = c X^k; an x step with add_poly_y,
+    g = c Y^k.  The
+    affine end pair x = aX + bY + s, y = cX + dY + t closes the recipe as
+    add_poly_y([s]), add_poly_x([t]), linear(a, b, c, d).  Identity
+    generators are left out.
 
     [y, x] = 1 is recomputed before any product is formed; a pair without
     it raises UnverifiedEndoError.  A stall raises DomainError naming the
@@ -225,7 +195,7 @@ def decompose(e: EndoPair) -> Decomposition:
     defect = commutator(e.y, e.x)
     if defect != ONE:
         raise UnverifiedEndoError(f"no decomposition: [y, x] = {format_element(defect)}")
-    x, y, steps = e.x, e.y, []
+    x, y, gens = e.x, e.y, []
     vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
     while vx + vy > 2:  # [y, x] = 1 keeps both degrees >= 1
         step = _cut("y", y, vy, x, vx) or _cut("x", x, vx, y, vy)
@@ -234,36 +204,41 @@ def decompose(e: EndoPair) -> Decomposition:
                 f"degree reduction stalls at v(x) = {vx}, v(y) = {vy}, leading forms "
                 f"{format_element(_top(x, vx))} and {format_element(_top(y, vy))}"
             )
-        steps.append(step)
         side, c, k = step
-        x, y = _step(x, y, side, -c, k)
+        if side == "y":
+            y = y - c * x**k
+            gens.append(add_poly_x([0] * k + [c]))
+        else:
+            x = x - c * y**k
+            gens.append(add_poly_y([0] * k + [c]))
         vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
-    return Decomposition(tuple(steps), x, y)
+    # x = aX + bY + s, y = cX + dY + t
+    (a, b, s), (c, d, t) = (
+        [u.coefficient(*key) for key in ((0, 1), (1, 0), (0, 0))] for u in (x, y)
+    )
+    if s:
+        gens.append(add_poly_y([s]))
+    if t:
+        gens.append(add_poly_x([t]))
+    if (a, b, c, d) != (1, 0, 0, 1):
+        gens.append(linear(a, b, c, d))
+    return EndoRecipe(tuple(gens))
 
 
-def certify(e: EndoPair, dec: Decomposition) -> Decomposition:
-    """dec, once its affine pair has [y, x] = 1 and undoing its steps from
-    there gives (x, y) back exactly; else DomainError.  Then `pull_back`
-    is the inverse of phi: X -> x, Y -> y, and phi is injective because
-    A1 is simple, so it gives the only expansion of a over the y^i x^j."""
-    x, y = dec.x, dec.y
-    affine = max(weighted_degree(W11, x), weighted_degree(W11, y)) <= 1
-    if affine and commutator(y, x) == ONE:
-        for step in reversed(dec.steps):
-            x, y = _step(x, y, *step)
-        if (x, y) == (e.x, e.y):
-            return dec
-    raise DomainError("the decomposition does not replay to the pair")
-
-
-def inverse_pair(e: EndoPair) -> Optional[EndoPair]:
-    """(phi^-1(X), phi^-1(Y)) for phi: X -> x, Y -> y, pulled back along
-    the certified decomposition; None for a pair without one."""
+def certify(e: EndoPair, recipe: EndoRecipe) -> EndoRecipe:
+    """recipe, once `compile_recipe` turns its generators into (x, y)
+    exactly; else DomainError.  A raw override certifies nothing and is
+    not compiled.  Every generator is an automorphism, so phi: X -> x,
+    Y -> y is one, its inverse psi is the inverse generators in reverse
+    order, and psi(a) is the only expansion of a over the y^i x^j."""
     try:
-        dec = certify(e, decompose(e))
-    except DomainError:
-        return None
-    return EndoPair(x=dec.pull_back(X), y=dec.pull_back(Y), verified=True)
+        pair = compile_recipe(EndoRecipe(recipe.generators))
+    except (ValueError, UnverifiedEndoError):
+        pass
+    else:
+        if (pair.x, pair.y) == (e.x, e.y):
+            return recipe
+    raise DomainError("the decomposition does not replay to the pair")
 
 
 # -- membership in the image subalgebra ----------------------------------
@@ -289,19 +264,16 @@ class Membership:
 
 class MembershipSolver:
     """Membership queries for one pair: the expansion of a is psi(a),
-    pulled back along the pair's certified decomposition.  A pair without
-    one is refused when the solver is built: UnverifiedEndoError when
-    [y, x] is not 1, DomainError on a stall."""
+    pulled back along the pair's certified decomposition, one inverse
+    generator at a time.  A pair without one is refused when the solver
+    is built: UnverifiedEndoError when [y, x] is not 1, DomainError on a
+    stall."""
 
     def __init__(self, e: EndoPair):
+        recipe = certify(e, decompose(e))
+        self._inverse = [g.inverse().pair() for g in reversed(recipe.generators)]
         self._vx = weighted_degree(W11, e.x)
         self._vy = weighted_degree(W11, e.y)
-        if self._vx < 1 or self._vy < 1:
-            raise DomainError(
-                f"membership needs v(x), v(y) >= 1, got {self._vx}, {self._vy}: "
-                "a commutator-one pair has no scalar component"
-            )
-        self._decomposition = certify(e, decompose(e))
 
     def candidate_pairs(self, bound) -> Tuple[Tuple[int, int], ...]:
         """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order:
@@ -321,7 +293,10 @@ class MembershipSolver:
         vy, vx = self._vy, self._vx
         out = []
         for a in elements:
-            b = self._decomposition.pull_back(a)._terms  # empty iff a = 0
+            psi_a = a
+            for g in self._inverse:  # one at a time keeps psi_a near the size of a
+                psi_a = apply_endo(g, psi_a)
+            b = psi_a._terms  # empty iff a = 0
             bound = weighted_degree(W11, a) + slack
             member = all(i * vy + j * vx <= bound for (i, j) in b)
             order = sorted(b, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))

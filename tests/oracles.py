@@ -8,8 +8,9 @@ two is meaningful evidence.
 The slack membership solver expands elements over the products y^i x^j
 of a pair by one linear elimination.  It never decomposes the pair, so it
 is the differential reference for `MembershipSolver`, which pulls
-elements back along the pair's certified decomposition; it also decides
-membership for the suite's fake pairs, which have no decomposition.
+elements back through the inverse generators of the pair's certified
+recipe, the one `decompose` returns; it also decides membership for the
+suite's fake pairs, which have no decomposition.
 
 The direct identity checks evaluate the Klein-basis and eigenvector-table
 identities on the pair itself, forming products such as y^8 x^4 for the

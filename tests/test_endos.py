@@ -1,7 +1,5 @@
-"""Recipes, compilation, the certified decomposition and slack-bounded
-subalgebra membership."""
-
-import dataclasses
+"""Recipes, compilation, the decomposition of a pair into a recipe and
+slack-bounded subalgebra membership."""
 
 import pytest
 from hypothesis import given, settings
@@ -27,14 +25,13 @@ from weyl1 import (
     canonical_config,
     compile_recipe,
     endos,
-    inverse_pair,
     linear,
     rat,
     subalgebra_membership,
     theta,
     windows,
 )
-from weyl1.endos import Decomposition, certify, decompose
+from weyl1.endos import certify, decompose
 from weyl1.serialize import recipe_from_doc
 
 
@@ -136,8 +133,9 @@ def test_membership_requires_verified_pair():
 
 
 def test_membership_refuses_a_pair_with_a_scalar_component():
-    # a degree-0 y would keep candidate_pairs adding powers of y forever
-    with pytest.raises(DomainError, match="scalar component"):
+    # a degree-0 y would keep candidate_pairs adding powers of y forever;
+    # its [y, x] = 0 refuses it before
+    with pytest.raises(DomainError, match=r"no decomposition: \[y, x\] = 0"):
         MembershipSolver(EndoPair(x=X**2, y=ONE, verified=True))
 
 
@@ -178,6 +176,12 @@ DEEP4 = compile_recipe(EndoRecipe(generators=(
 )))
 
 
+def _inverse(recipe):
+    """psi = phi^-1 for the pair the recipe compiles to: the inverse
+    generators in reverse order."""
+    return compile_recipe(EndoRecipe(tuple(g.inverse() for g in reversed(recipe.generators))))
+
+
 def _records(solver, elements, slack):
     """Membership records with the witness as an ordered item list."""
     return [
@@ -187,8 +191,7 @@ def _records(solver, elements, slack):
 
 
 def _assert_paths_agree(e, elements, slacks):
-    psi = inverse_pair(e)
-    assert psi is not None
+    psi = _inverse(decompose(e))
     for a in (X, Y):  # psi after phi and phi after psi are the identity
         assert apply_endo(psi, apply_endo(e, a)) == a
         assert apply_endo(e, apply_endo(psi, a)) == a
@@ -213,7 +216,7 @@ def test_inverse_path_matches_slack_path(name):
 
 def test_composite_inverse_and_a_non_member():
     e = CANONICAL["composite"]
-    psi = inverse_pair(e)
+    psi = _inverse(decompose(e))
     assert psi.y == Y - X**2
     assert psi.x == X - (Y - X**2) ** 2
     # psi(X) uses y^2 of degree 8 > v(X) + 4, so X is not a member there
@@ -222,28 +225,37 @@ def test_composite_inverse_and_a_non_member():
 
 
 def test_decompositions_of_the_canonical_and_raw_pairs():
-    assert decompose(CANONICAL["identity"]) == Decomposition((), X, Y)
-    assert decompose(CANONICAL["triangular-x2"]) == Decomposition((("y", 1, 2),), X, Y)
-    assert decompose(CANONICAL["composite"]) == Decomposition(
-        (("y", 1, 2), ("x", 1, 2)), X, Y
-    )
-    dec = decompose(RAW)  # ends at an affine pair other than (X, Y)
-    assert dec == Decomposition((("x", 3, 2),), X - 12 * Y - 13, Y + 2)
-    assert certify(RAW, dec) is dec
-    assert dec.pull_back(RAW.x) == X and dec.pull_back(RAW.y) == Y
+    assert decompose(CANONICAL["identity"]) == EndoRecipe(())
+    assert decompose(CANONICAL["triangular-x2"]) == EndoRecipe((add_poly_x([0, 0, 1]),))
+    composite = decompose(CANONICAL["composite"])  # its config recipe
+    assert composite == EndoRecipe((add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1])))
+    assert [composite] == [
+        recipe_from_doc(doc)
+        for doc in canonical_config()["endomorphisms"]
+        if doc["name"] == "composite"
+    ]
+    rec = decompose(RAW)  # ends at an affine pair other than (X, Y)
+    assert rec == EndoRecipe((
+        add_poly_y([0, 0, 3]), add_poly_y([-13]), add_poly_x([2]), linear(1, -12, 0, 1),
+    ))
+    assert certify(RAW, rec) is rec
+    psi = _inverse(rec)
+    assert apply_endo(psi, RAW.x) == X and apply_endo(psi, RAW.y) == Y
 
 
 @pytest.mark.parametrize("field", ["c", "k"])
 def test_a_changed_step_is_refused_and_gets_no_verdict(field, monkeypatch):
     e = CANONICAL["composite"]
-    dec = decompose(e)
-    (side, c, k), rest = dec.steps[0], dec.steps[1:]
-    step = (side, c + 1, k) if field == "c" else (side, c, k + 1)
-    bad = dataclasses.replace(dec, steps=(step,) + rest)
+    rec = decompose(e)
+    first, rest = rec.generators[0], rec.generators[1:]
+    assert first == add_poly_x([0, 0, 1])  # y <- y - 1*x^2
+    changed = add_poly_x([0, 0, 2]) if field == "c" else add_poly_x([0, 0, 0, 1])
+    bad = EndoRecipe((changed,) + rest)
     with pytest.raises(DomainError, match="does not replay"):
         certify(e, bad)
+    psi = _inverse(bad)  # what the solver would pull back along
+    assert (apply_endo(psi, e.x), apply_endo(psi, e.y)) != (X, Y)
     monkeypatch.setattr(endos, "decompose", lambda pair: bad)
-    assert inverse_pair(e) is None
     with pytest.raises(DomainError, match="does not replay"):
         MembershipSolver(e).solve([X], 4)
 
@@ -252,8 +264,33 @@ def test_an_affine_pair_must_be_affine_and_commute_to_one():
     e = CANONICAL["identity"]
     for x, y in ((X, 2 * Y), (X + Y**2, Y)):
         with pytest.raises(DomainError, match="does not replay"):
-            certify(EndoPair(x=x, y=y, verified=True), Decomposition((), x, y))
-    assert certify(e, Decomposition((), X, Y)).steps == ()
+            certify(EndoPair(x=x, y=y, verified=True), EndoRecipe())
+    assert certify(e, EndoRecipe()).generators == ()
+
+
+def test_a_linear_generator_without_determinant_one_does_not_replay():
+    # compiling raises ValueError; certify reports it as the refusal
+    e = compile_recipe(EndoRecipe((linear(2, 0, 0, rat(1, 2)),)))
+    with pytest.raises(DomainError, match="does not replay"):
+        certify(e, EndoRecipe((linear(2, 0, 0, 1),)))
+
+
+def test_a_raw_override_is_no_certificate():
+    # a raw pair compiles to itself, but gives the solver nothing to pull back
+    with pytest.raises(DomainError, match="does not replay"):
+        certify(RAW, EndoRecipe(raw=(RAW.x, RAW.y)))
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [add_poly_x([1, -2, rat(1, 3)]), add_poly_y([0, 2, 0, -1]), linear(2, 1, 3, 2)],
+    ids=["add_poly_x", "add_poly_y", "linear"],
+)
+def test_a_generator_inverse_undoes_it(gen):
+    assert type(gen.inverse()) is type(gen)
+    for first, then in ((gen, gen.inverse()), (gen.inverse(), gen)):
+        pair = compile_recipe(EndoRecipe((first, then)))
+        assert (pair.x, pair.y) == (X, Y)
 
 
 def test_a_stall_names_the_degrees_and_leading_forms(monkeypatch):
@@ -286,6 +323,19 @@ _GENERATORS = st.one_of(
 _NON_MEMBERS = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), _RATS, min_size=1, max_size=3
 ).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3))
+def test_a_drawn_pair_decomposes_to_a_recipe_that_compiles_back(gens):
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    rec = decompose(e)
+    pair = compile_recipe(rec)
+    assert (pair.x, pair.y) == (e.x, e.y)
+    psi = _inverse(rec)
+    for a in (X, Y):  # psi after phi and phi after psi are the identity
+        assert apply_endo(psi, apply_endo(e, a)) == a
+        assert apply_endo(e, apply_endo(psi, a)) == a
 
 
 @settings(deadline=None, max_examples=15)

@@ -27,9 +27,9 @@ from weyl1 import (
     checks,
     commutator,
     format_element,
-    inverse_pair,
     rat,
 )
+from weyl1.endos import decompose
 
 FAKE_PAIRS = {
     "(X, 2Y)": EndoPair(x=X, y=2 * Y, verified=True),
@@ -144,7 +144,8 @@ def test_fake_pairs_get_no_inverse_before_any_product(monkeypatch):
             lambda a, b, fn=fn, name=name: products.append(name) or fn(a, b),
         )
     for e in FAKE_PAIRS.values():
-        assert inverse_pair(e) is None
+        with pytest.raises(UnverifiedEndoError, match="no decomposition"):
+            decompose(e)
     assert products == []
 
 
