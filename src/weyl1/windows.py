@@ -8,6 +8,14 @@ between windows.  Eigenspaces, centralizers, nilpotent closures, window
 slices of spans, chain bases and cokernel dimensions are all computed
 exactly from those matrices.
 
+`eigenvalue_scan` stops once the eigenspaces it has found fill V, the
+largest ad(a)-invariant subspace of the window; every later candidate is
+then empty, over any field extension:
+  - an eigenvector spans an invariant line, so it lies in V;
+  - eigenspaces of distinct eigenvalues are independent;
+  - so their dimensions sum to at most dim V, and once the sum is dim V
+    no other eigenvalue has a nonzero eigenspace.
+
 Every returned basis is canonical: coordinates in the window's monomial
 order, reduced row echelon form, first nonzero coordinate 1.
 """
@@ -22,6 +30,7 @@ from .core import WeylElement, commutator, linear_combination, monomial
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, Vector, canonical_basis, nullspace, rank, solve_many
+from .linalg import _Echelon
 from .maps import LinearMap, ad
 from .scalars import NEG_INF, Rat, coeff, demote, rat
 
@@ -224,17 +233,65 @@ def eigenvalue_scan(
     """Try each candidate eigenvalue; record the nonempty eigenspaces.
 
     The ad(a) window matrix is built once and shifted per candidate.
+    Candidates are tried integers first, by (denominator, |lam|, -lam), and
+    the scan stops once the eigenspaces found fill V, the largest
+    ad(a)-invariant subspace of the window (`_invariant_dim`):
+      - an eigenvector spans an invariant line, so it lies in V;
+      - eigenspaces of distinct eigenvalues are independent, so their
+        dimensions sum to at most dim V;
+      - once the sum is dim V, no other lam has a nonzero eigenspace, over
+        any field extension.
+    dim V is computed only when there is more than one candidate; a single
+    candidate is bounded by the window's dimension.  `found` is sorted by
+    eigenvalue.
     """
     if candidates is None:
         candidates = default_eigen_candidates(win.cap)
     cands = tuple(sorted({rat(c) for c in candidates}))
     ad_matrix = _ad_window_matrix(a, win)
+    room = _invariant_dim(win, ad_matrix) if len(cands) > 1 else win.dimension()
     found = []
-    for lam in cands:
+    for lam in sorted(cands, key=lambda q: (q.denominator, abs(q), -q)):
+        if not room:
+            break
         basis = eigenspace(a, lam, win, ad_matrix)
         if basis:
             found.append((lam, basis))
+            room -= len(basis)
+            if room < 0:
+                raise AssertionError("eigenspaces exceed the invariant subspace")
+    found.sort(key=lambda item: item[0])
     return EigenReport(a=a, window=win, candidates=cands, found=found)
+
+
+def _invariant_dim(win: Window, ad_matrix: Tuple[RatMatrix, Window]) -> int:
+    """Dimension of the largest ad(a)-invariant subspace V of the window.
+
+    Split the rows of the ad(a) window matrix into O, the rows at target
+    monomials outside the window, and I, the square block at the window's
+    own.  V is the intersection of the kernels of O I^j, j >= 0 (the
+    unobservable subspace, after Kalman).  One echelon takes the rows of O,
+    then the product with I of each row that added a pivot, until no row
+    adds one: its row space is then closed under I.
+    """
+    mat, tgt = ad_matrix
+    own = [tgt.index[key] for key in win.monomials]
+    block = [mat.sparse[r] for r in own]
+    inside = set(own)
+    queue = [row for r, row in enumerate(mat.sparse) if row and r not in inside]
+    queue.sort(key=min, reverse=True)
+    ech = _Echelon()
+    for row in queue:  # grows while it is read
+        lead = ech.insert(row)
+        if lead is not None:
+            product: Dict[int, Rat] = {}
+            for r, v in ech.rows[lead].items():
+                for c, w in block[r].items():
+                    product[c] = product.get(c, 0) + v * w
+            product = {c: v for c, v in product.items() if v}
+            if product:
+                queue.append(product)
+    return win.dimension() - len(ech.rows)
 
 
 def nilpotent_closure_window(

@@ -29,7 +29,7 @@ from weyl1 import (
     compile_recipe,
     run_suite,
 )
-from weyl1 import checks
+from weyl1 import checks, windows
 from weyl1.windows import Coordinates
 from weyl1.serialize import recipe_from_doc
 
@@ -123,6 +123,40 @@ def test_propagation_check(name, e):
 def test_eigvec_tables_check(name, e):
     res = check_eigvec_tables(e, 3, 3)
     assert res.passed, res.witness
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# eigenspaces computed by the cap-6 eigen check: the scan stops once they
+# fill the window's largest ad(h)-invariant subspace (a full scan is 33)
+EIGENSPACE_BOUND = {"identity": 13, "triangular-x2": 13, "composite": 6}
+
+
+@pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
+def test_eigen_check_stops_once_the_eigenspaces_fill_the_invariant_subspace(
+    name, e, monkeypatch
+):
+    calls = _count_calls(monkeypatch, windows, "eigenspace")
+    res = check_eigen_theorem(e, 6)
+    assert res.passed and res.params["candidates"] == 33
+    assert calls[0] <= EIGENSPACE_BOUND[name]
+
+
+def test_centralizer_check_computes_no_invariant_dimension(monkeypatch):
+    calls = _count_calls(monkeypatch, windows, "_invariant_dim")
+    for _, e in PAIRS:
+        assert check_centralizer_theorem(e, 6).passed
+    assert calls[0] == 0
 
 
 def test_eigen_dimensions_match_graded_count():

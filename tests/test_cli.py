@@ -5,10 +5,16 @@ import json
 
 import pytest
 
-from weyl1 import Y, identity_endo
+from weyl1 import Y, compile_recipe, format_element, identity_endo
 from weyl1.cli import main
 from weyl1.semigroup import MAX_HORIZON
-from weyl1.serialize import dumps, element_to_doc, endo_to_doc, load_config
+from weyl1.serialize import (
+    dumps,
+    element_to_doc,
+    endo_to_doc,
+    load_config,
+    recipe_from_doc,
+)
 from weyl1.checks import canonical_config
 
 # SHA-256 of the report `weyl1 verify --report` writes for the canonical
@@ -65,6 +71,32 @@ def test_drop_and_eig_scan(capsys):
     code, out, _ = run(capsys, "eig-scan", "H", "--cap", "3", "--candidates", "0,1,1/2")
     doc = json.loads(out)
     assert [f["lambda"] for f in doc["found"]] == ["0", "1"]
+
+
+# SHA-256 of `weyl1 eig-scan` output: every eigenspace basis of the scan,
+# which the canonical report digest does not cover
+EIG_SCAN_SHA256 = {
+    ("H", "--cap", "6"):
+        "f53c2e280bee25537e3e0de4defd8d7c0a8650cc2ba0fb6a12193516457fb32f",
+    ("X^2+Y^2", "--cap", "6"):
+        "4c9d3c93323c5fd246d9f8af476350995e89b57f259dc820546466062fdb81ea",
+    # h = y*x of the composite pair of the canonical config
+    ("2 - 5*Y*X + X^3 - 5*Y^3 + 3*Y^2*X^2 + 3*Y^4*X + Y^6",
+     "--cap", "6", "--rho", "1", "--eta", "2"):
+        "24d1805d76f8ff5a13c2f73fcf18cc79967084c469c17237c177b5b498612831",
+}
+
+
+@pytest.mark.parametrize("argv", list(EIG_SCAN_SHA256), ids=["H", "X^2+Y^2", "composite-h"])
+def test_eig_scan_bytes(argv, capsys):
+    code, out, _ = run(capsys, "eig-scan", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EIG_SCAN_SHA256[argv]
+
+
+def test_eig_scan_pins_the_composite_h():
+    e = compile_recipe(recipe_from_doc(canonical_config()["endomorphisms"][2]))
+    assert format_element(e.h) == list(EIG_SCAN_SHA256)[2][0]
 
 
 def test_centralizer_and_nilclosure(capsys):

@@ -1,5 +1,6 @@
 """sympy as an independent oracle for the exact echelon in `linalg` and
-the windowed cokernel dimensions and window slices built on it.
+the windowed cokernel dimensions, window slices and invariant subspaces
+built on it.
 
 sympy is used here only; the module is skipped when it is not installed.
 """
@@ -18,6 +19,8 @@ from weyl1 import (  # noqa: E402
     Weight,
     WeylElement,
     Window,
+    X,
+    Y,
     ad,
     add_poly_x,
     add_poly_y,
@@ -34,7 +37,10 @@ from weyl1.linalg import (  # noqa: E402
     solve_many,
 )
 from weyl1.scalars import demote  # noqa: E402
-from weyl1.windows import map_matrix  # noqa: E402
+from weyl1.checks import canonical_config  # noqa: E402
+from weyl1.serialize import recipe_from_doc  # noqa: E402
+from weyl1.windows import _ad_window_matrix, _invariant_dim, map_matrix  # noqa: E402
+from test_endos import _GENERATORS  # noqa: E402
 
 
 def _frac(e) -> Fraction:
@@ -201,3 +207,72 @@ def test_window_meet_matches_sympy(elems, weight, cap):
         want = []
     got = [[b.coefficient(*key) for key in win.monomials] for b in win.meet(elems)]
     assert got == want
+
+
+def _sym_invariant_dim(a, win) -> int:
+    """Dimension of the largest ad(a)-invariant subspace of the window, by
+    V_0 = W, V_(k+1) = {u in V_k : ad(a) u in V_k} until it stops shrinking.
+
+    V_k is the column span of B in window coordinates; u = B c lies in
+    V_(k+1) when A B c = E B d for some d, where A is the ad(a) matrix into
+    the enlarged window and E embeds the window's coordinates there.
+    """
+    m = ad(a)
+    tgt = win.enlarged(m)
+    mat = map_matrix(m, win, tgt)
+    a_sym = _sym(mat.rows, mat.ncols)
+    embed = sympy.Matrix(
+        tgt.dimension(), win.dimension(),
+        lambda r, c: int(tgt.monomials[r] == win.monomials[c]),
+    )
+    basis = sympy.eye(win.dimension())
+    while basis.cols:
+        kernel = sympy.Matrix.hstack(a_sym * basis, -embed * basis).nullspace()
+        if not kernel:
+            return 0
+        inner = sympy.Matrix.hstack(*[basis * vec[: basis.cols, :] for vec in kernel])
+        if inner.rank() == basis.cols:
+            break
+        basis = sympy.Matrix.hstack(*inner.columnspace())
+    return basis.cols
+
+
+_CANONICAL_H = {
+    doc["name"]: compile_recipe(recipe_from_doc(doc)).h
+    for doc in canonical_config()["endomorphisms"]
+}
+_CANONICAL_INVARIANT_DIMS = {  # by cap: identity, triangular-x2, composite
+    6: (28, 16, 6),
+    8: (45, 25, 9),
+}
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("name", list(_CANONICAL_H))
+def test_invariant_dim_of_the_canonical_h_matches_sympy(name, cap):
+    win = Window(W11, cap)
+    h = _CANONICAL_H[name]
+    got = _invariant_dim(win, _ad_window_matrix(h, win))
+    assert got == _sym_invariant_dim(h, win)
+    if cap in _CANONICAL_INVARIANT_DIMS:
+        assert got == _CANONICAL_INVARIANT_DIMS[cap][list(_CANONICAL_H).index(name)]
+
+
+def test_invariant_dim_of_an_invariant_window_matches_sympy():
+    # ad(X^2 + Y^2) keeps the (1,1) degree, so the whole window is invariant
+    win = Window(W11, 5)
+    a = X**2 + Y**2
+    assert _invariant_dim(win, _ad_window_matrix(a, win)) == win.dimension()
+    assert _sym_invariant_dim(a, win) == win.dimension()
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    st.lists(_GENERATORS, min_size=1, max_size=3),
+    st.sampled_from([W11, Weight(1, 2), Weight(2, 1)]),
+    st.integers(0, 3),
+)
+def test_invariant_dim_of_a_drawn_recipe_matches_sympy(gens, weight, cap):
+    h = compile_recipe(EndoRecipe(generators=tuple(gens))).h
+    win = Window(weight, cap)
+    assert _invariant_dim(win, _ad_window_matrix(h, win)) == _sym_invariant_dim(h, win)

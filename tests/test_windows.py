@@ -35,8 +35,10 @@ from weyl1 import (
     nilpotent_closure_window,
     rat,
 )
+from test_endos import _GENERATORS
+from weyl1 import windows
 from weyl1.linalg import rank
-from weyl1.windows import Coordinates
+from weyl1.windows import Coordinates, _ad_window_matrix, _invariant_dim
 
 IDENT = identity_endo()
 
@@ -109,16 +111,60 @@ def test_eigenvalue_scan_h():
         assert len(basis) == count
 
 
+def _assert_scan_matches_fresh_eigenspaces(a, win, cands=None):
+    # each candidate must get exactly the eigenspace a fresh computation
+    # gives, including the candidates after the scan stopped
+    report = eigenvalue_scan(a, win, cands)
+    fresh = [(lam, eigenspace(a, lam, win)) for lam in report.candidates]
+    assert report.found == [(lam, basis) for lam, basis in fresh if basis]
+    return report
+
+
 def test_eigenvalue_scan_matches_eigenspace_per_candidate():
-    # the scan builds the ad(h) matrix once; each candidate must still get
-    # exactly the eigenspace a fresh computation gives
+    # the scan builds the ad(h) matrix once and stops once the eigenspaces
+    # fill the invariant subspace
     e = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))
     win = Window(W11, 4)
     cands = [rat(k) for k in range(-4, 5)] + [rat(1, 2), rat(-3, 2)]
-    report = eigenvalue_scan(e.h, win, cands)
-    fresh = [(lam, eigenspace(e.h, lam, win)) for lam in report.candidates]
-    assert report.found == [(lam, basis) for lam, basis in fresh if basis]
+    report = _assert_scan_matches_fresh_eigenspaces(e.h, win, cands)
     assert [lam for lam, _ in report.found] == [rat(k) for k in (-1, 0, 1, 2)]
+
+
+_SCAN_WEIGHTS = [W11, Weight(1, 2), Weight(2, 1)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(_GENERATORS, min_size=1, max_size=3),
+    st.sampled_from(_SCAN_WEIGHTS),
+    st.integers(0, 4),
+)
+def test_eigenvalue_scan_matches_eigenspace_on_drawn_recipes(gens, weight, cap):
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    _assert_scan_matches_fresh_eigenspaces(e.h, Window(weight, cap))
+
+
+@pytest.mark.parametrize("weight", _SCAN_WEIGHTS, ids=["11", "12", "21"])
+@pytest.mark.parametrize(
+    "a", [X, X + Y**2, X**2 + Y**2, ONE], ids=["X", "X+Y^2", "X^2+Y^2", "1"]
+)
+def test_eigenvalue_scan_matches_eigenspace_past_the_invariant_subspace(a, weight):
+    # X, X + Y^2 and X^2 + Y^2 have eigenspaces that never fill the
+    # invariant subspace, so every candidate is tried; 1 fills it at once
+    win = Window(weight, 4)
+    report = _assert_scan_matches_fresh_eigenspaces(a, win)
+    assert [lam for lam, _ in report.found] == [0]
+    fills = sum(len(basis) for _, basis in report.found) == _invariant_dim(
+        win, _ad_window_matrix(a, win)
+    )
+    assert fills == (a == ONE)
+
+
+def test_eigenvalue_scan_refuses_eigenspaces_beyond_the_invariant_subspace(monkeypatch):
+    # an internal bound that is too small is a bug, not a verdict
+    monkeypatch.setattr(windows, "_invariant_dim", lambda win, ad_matrix: 1)
+    with pytest.raises(AssertionError, match="invariant subspace"):
+        eigenvalue_scan(H, Window(W11, 3))  # the 0-eigenspace holds 1 and H
 
 
 def test_eigenvalue_scan_x_and_scalar():
