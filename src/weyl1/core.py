@@ -249,19 +249,24 @@ def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylEleme
     """sum c * el over (c, el) pairs, accumulated in a single term map.
 
     Each pair is brought to int numerators over its own denominator
-    (the scalar's times its element's), and the sum is taken in ints over
-    the lcm of those, so the only division is one per output term.
+    (the scalar's times its element's) and summed by `_combine`.
     """
     cleared = []
-    common = 1
     for c, el in pairs:
         c = coeff(c)
-        if not c:
-            continue
-        ints, den = integral(el._terms)
-        den *= c.denominator
-        cleared.append((c.numerator, den, ints))
-        common = lcm(common, den)
+        if c:
+            ints, den = integral(el._terms)
+            cleared.append((c.numerator, den * c.denominator, ints))
+    return _combine(cleared)
+
+
+def _combine(cleared: List[Tuple[int, int, dict]]) -> WeylElement:
+    """sum (n / den) * ints over cleared (n, den, ints) triples.
+
+    The sum is taken in ints over the lcm of the denominators, so the only
+    division is one per output term.  The `ints` maps are only read.
+    """
+    common = lcm(*(den for _, den, _ in cleared))
     acc: dict = {}
     for n, den, ints in cleared:
         f = n * (common // den)

@@ -13,7 +13,8 @@ gives each map a degree shift bound used to size target windows.
 One class carries them all.  A `LinearMap` is an image rule (the image
 of one monomial), a degree-shift bound (a function of the weight) and a
 name; `ad`, `d_yx`, `d_xy`, `delta_xy` and `compose` only choose the
-three.  Linear extension and a per-map monomial cache are shared.
+three.  Linear extension and a per-map cache of cleared monomial images
+are shared (see `LinearMap`).
 
 The drop of a map at a with respect to a degree function v is
 v(m(a)) - v(a), with -inf when the image vanishes.
@@ -22,12 +23,12 @@ v(m(a)) - v(a), with -inf when the image vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .core import EndoPair, WeylElement, commutator, linear_combination, monomial
+from .core import EndoPair, WeylElement, _combine, commutator
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
-from .scalars import NEG_INF
+from .scalars import NEG_INF, integral
 
 Degree = Union[int, float]
 
@@ -37,9 +38,12 @@ class LinearMap:
 
     `image` gives the image of one monomial Y^i X^j (passed as an
     element), `shift` an upper bound for v(m(a)) - v(a) under a weight,
-    and `description` the map's name in reports.  Linear extension and a
-    per-map monomial cache live here.  Cache writes are idempotent, so
-    concurrent readers are safe.
+    and `description` the map's name in reports.  The cache maps (i, j)
+    to the image of Y^i X^j cleared once: the element, its int term map
+    and its denominator (`scalars.integral`).  A map applied to an element
+    sums those int maps in one pass (`core._combine`) into a fresh
+    element; the cached ones are only read.  Cache writes are idempotent,
+    so concurrent readers are safe.
     """
 
     def __init__(self, image: Callable, shift: Callable, description: str):
@@ -49,18 +53,22 @@ class LinearMap:
         self._cache = {}
 
     def _monomial_image(self, i: int, j: int) -> WeylElement:
-        return self._image(monomial(i, j))
+        return self._image(WeylElement._raw({(i, j): 1}))
 
     def __call__(self, a: WeylElement) -> WeylElement:
-        return linear_combination(
-            (c, self._cached_image(key)) for key, c in a._terms.items()
-        )
+        cleared = []
+        for key, c in a._terms.items():
+            _, ints, den = self._cached_image(key)
+            cleared.append((c.numerator, den * c.denominator, ints))
+        return _combine(cleared)
 
-    def _cached_image(self, key) -> WeylElement:
-        img = self._cache.get(key)
-        if img is None:
-            img = self._cache[key] = self._monomial_image(*key)
-        return img
+    def _cached_image(self, key) -> Tuple[WeylElement, dict, int]:
+        """(image, ints, den) of the monomial at key; see the class docstring."""
+        hit = self._cache.get(key)
+        if hit is None:
+            img = self._monomial_image(*key)
+            hit = self._cache[key] = (img, *integral(img._terms))
+        return hit
 
     def degree_shift(self, w: Weight) -> Degree:
         """Upper bound for v(m(a)) - v(a) under the weight w."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import WeylElement, commutator, linear_combination, monomial
+from .core import WeylElement, commutator, linear_combination
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, Vector, canonical_basis, nullspace, rank, solve_many
@@ -73,10 +73,13 @@ class Coordinates:
         return [self.element(vec) for vec in vecs]
 
     def matrix(self, columns: Sequence[WeylElement]) -> RatMatrix:
-        """Matrix whose c-th column holds the coordinates of columns[c]."""
-        return RatMatrix.from_columns(
-            [self.coords(el) for el in columns], self.dimension()
-        )
+        """Matrix whose c-th column holds the coordinates of columns[c],
+        filled straight from `coords` (values are stored form, nonzero)."""
+        sparse: List[Dict[int, Rat]] = [{} for _ in self.monomials]
+        for c, el in enumerate(columns):
+            for r, v in self.coords(el).items():
+                sparse[r][c] = v
+        return RatMatrix._stored(sparse, len(columns))
 
     def solve(
         self, space: Sequence[WeylElement], elems: Sequence[WeylElement]
@@ -116,7 +119,7 @@ class Window(Coordinates):
         return f"the window (weight ({self.weight.rho},{self.weight.eta}), cap {self.cap})"
 
     def basis_elements(self) -> List[WeylElement]:
-        return [monomial(i, j) for (i, j) in self.monomials]
+        return [WeylElement._raw({key: 1}) for key in self.monomials]
 
     def meet(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
         """Canonical basis of span(elems) cut to the window.
@@ -156,8 +159,9 @@ def _window_index(rho: int, eta: int, cap: int) -> Dict[Tuple[int, int], int]:
 
 
 def map_matrix(m: LinearMap, src: Window, tgt: Window) -> RatMatrix:
-    """Matrix of m from src to tgt, columns indexed by src monomials."""
-    return tgt.matrix([m(u) for u in src.basis_elements()])
+    """Matrix of m from src to tgt; column c is m's cached image of the
+    c-th src monomial."""
+    return tgt.matrix([m._cached_image(key)[0] for key in src.monomials])
 
 
 def eigenspace(
@@ -361,11 +365,14 @@ def coker_window_dim(
     """dim(target span) - rank(m restricted from src into it).
 
     src and tgt are windows or explicit spanning sets.  Images must lie
-    in the target span, else WindowEscapeError.
+    in the target span, else WindowEscapeError.  A window target takes one
+    rank; a spanning set two more, one of them to detect an escape.
     """
-    tgt_elems = tgt.basis_elements() if isinstance(tgt, Window) else list(tgt)
     src_elems = src.basis_elements() if isinstance(src, Window) else src
     imgs = [m(el) for el in src_elems]
+    if isinstance(tgt, Window):
+        return tgt.dimension() - rank(tgt.matrix(imgs))
+    tgt_elems = list(tgt)
     co = Coordinates(tgt_elems, imgs)
     dim = rank(co.matrix(tgt_elems))
     if rank(co.matrix(tgt_elems + imgs)) != dim:

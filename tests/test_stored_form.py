@@ -8,7 +8,9 @@ scalings and linear combinations clear denominators to ints and divide
 back once (`scalars.integral` / `over`); they are checked against the
 oracle and term-by-term Fraction sums on large, pairwise coprime
 denominators.  The one-pass commutator is also checked against a*b - b*a
-and against the Lie identities it must satisfy.
+and against the Lie identities it must satisfy.  Linear maps apply
+themselves from cleared cached monomial images; that path is checked
+against a linear combination of the monomial images, cold and warm.
 """
 
 import copy
@@ -27,9 +29,15 @@ from weyl1 import (
     WeylElement,
     Window,
     add_poly_x,
+    add_poly_y,
     apply_endo,
     commutator,
     compile_recipe,
+    compose,
+    d_xy,
+    d_yx,
+    delta_xy,
+    monomial,
     nullspace,
     rref,
     theta,
@@ -67,6 +75,10 @@ def mixed_elements(max_degree=3, max_terms=4):
 
 
 TRIANGULAR = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]),)))
+# a pair with rational coefficients, so pair-map images need clearing
+RATIONAL_PAIR = compile_recipe(EndoRecipe(generators=(
+    add_poly_x([0, Fraction(1, 2), Fraction(-2, 3)]), add_poly_y([0, 0, Fraction(3, 4)]),
+)))
 
 
 def stored(c) -> bool:
@@ -301,3 +313,34 @@ def test_linalg_leaves_int_input_rows_unchanged(rows, rhs):
     assert mat.sparse == before
     solve_many(mat.sparse, 4, [rhs[: len(rows)], {0: 1}])
     assert mat.sparse == before
+
+
+def _drawn_maps(a, e):
+    return {
+        "ad": ad(a),
+        "d_yx": d_yx(e),
+        "d_xy": d_xy(e),
+        "delta_xy": delta_xy(e),
+        "compose": compose(ad(a), d_yx(e)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_elements(max_degree=2, max_terms=3), mixed_elements(max_degree=3, max_terms=4),
+       st.sampled_from([TRIANGULAR, RATIONAL_PAIR]))
+def test_map_application_is_the_combination_of_its_monomial_images(a, b, e):
+    for name, m in _drawn_maps(a, e).items():
+        cold = m(b)  # every monomial image is a cache miss here
+        warm = m(b)  # and a hit here
+        want = linear_combination(
+            (c, m(monomial(i, j))) for (i, j), c in b.terms()
+        )
+        assert cold == warm == want, name
+        for out in (cold, warm):
+            assert_stored(out)
+            assert_public_rat(out)
+        for img, ints, den in m._cache.values():
+            assert_stored(img)
+            assert type(den) is int and den >= 1
+            assert all(type(v) is int and v for v in ints.values())
+            assert over(ints, den) == img._terms

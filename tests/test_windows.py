@@ -1,5 +1,7 @@
 """Windowed eigenspaces, centralizers, closures, chains, cokernels."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,8 +38,9 @@ from weyl1 import (
     rat,
 )
 from test_endos import _GENERATORS
-from weyl1 import windows
-from weyl1.linalg import rank
+from weyl1 import canonical_config, windows
+from weyl1.linalg import RatMatrix, rank
+from weyl1.serialize import recipe_from_doc
 from weyl1.windows import Coordinates, _ad_window_matrix, _invariant_dim
 
 IDENT = identity_endo()
@@ -86,6 +89,93 @@ def test_map_matrix_window_escape():
     win = Window(W11, 2)
     with pytest.raises(WindowEscapeError):
         map_matrix(ad(Y**3), win, win)  # raises degree, image escapes
+
+
+_CANONICAL_PAIRS = {
+    doc["name"]: compile_recipe(recipe_from_doc(doc))
+    for doc in canonical_config()["endomorphisms"]
+}
+
+
+def _column_by_column(m, win, tgt):
+    """The reference construction: apply m to each window monomial."""
+    return tgt.matrix([m(u) for u in win.basis_elements()])
+
+
+def _from_coordinate_columns(m, win, tgt):
+    """The same matrix through the dense-input constructor of linalg."""
+    cols = [tgt.coords(m(u)) for u in win.basis_elements()]
+    return RatMatrix.from_columns(cols, tgt.dimension())
+
+
+@pytest.mark.parametrize("cap", range(9))
+@pytest.mark.parametrize("name", list(_CANONICAL_PAIRS))
+def test_map_matrix_matches_the_column_by_column_construction(name, cap):
+    h = _CANONICAL_PAIRS[name].h
+    win = Window(W11, cap)
+    tgt = win.enlarged(ad(h))
+    got = map_matrix(ad(h), win, tgt)
+    assert got == _column_by_column(ad(h), win, tgt)
+    assert got == _from_coordinate_columns(ad(h), win, tgt)
+    assert (got.nrows, got.ncols) == (tgt.dimension(), win.dimension())
+
+
+@pytest.mark.parametrize("cap", range(2, 9))
+@pytest.mark.parametrize("name", list(_CANONICAL_PAIRS))
+def test_map_matrix_into_a_target_one_cap_too_small_escapes(name, cap):
+    m = ad(_CANONICAL_PAIRS[name].h)
+    win = Window(W11, cap)
+    small = Window(W11, win.enlarged(m).cap - 1)
+    with pytest.raises(WindowEscapeError, match=rf"window \(weight \(1,1\), cap {small.cap}\)"):
+        map_matrix(m, win, small)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.one_of(st.integers(-5, 5), st.fractions(-4, 4, max_denominator=3)),
+        max_size=3,
+    ).map(WeylElement),
+    st.sampled_from([W11, Weight(1, 2), Weight(2, 1)]),
+    st.integers(0, 4),
+)
+def test_map_matrix_matches_the_column_by_column_construction_on_drawn_elements(
+    a, weight, cap
+):
+    win = Window(weight, cap)
+    for m in (ad(a), compose(ad(a), ad(X))):
+        tgt = win.enlarged(m)
+        got = map_matrix(m, win, tgt)
+        assert got == _column_by_column(m, win, tgt)
+        assert got == _from_coordinate_columns(m, win, tgt)
+        assert map_matrix(m, win, tgt) == got  # from the warm cache
+
+
+def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatch):
+    # composite's cap-12 ad(h) window: one commutator per window monomial
+    # and no linear combination; a second matrix from the same map makes
+    # neither
+    calls = {"commutator": 0, "linear_combination": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        original = getattr(sys.modules["weyl1.core"], name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("weyl1") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted(name, original))
+    m = ad(_CANONICAL_PAIRS["composite"].h)
+    win = Window(W11, 12)
+    tgt = win.enlarged(m)
+    first = map_matrix(m, win, tgt)
+    assert calls == {"commutator": win.dimension(), "linear_combination": 0}
+    assert map_matrix(m, win, tgt) == first
+    assert calls == {"commutator": win.dimension(), "linear_combination": 0}
 
 
 def test_eigenspace_examples():
@@ -261,6 +351,20 @@ def test_coker_window_dims():
     assert coker_window_dim(compose(ad(ONE)), win1, win1) == 3
     win2 = Window(W11, 2)
     assert coker_window_dim(ad(H), win2, win2) == 2  # = dim of the kernel here
+
+
+@pytest.mark.parametrize("cap", range(7))
+@pytest.mark.parametrize("name", list(_CANONICAL_PAIRS))
+def test_coker_of_a_window_target_agrees_with_its_spanning_set(name, cap):
+    e = _CANONICAL_PAIRS[name]
+    win = Window(W11, cap)
+    for m in (ad(e.h), delta_xy(e), ad(e.x)):
+        tgt = win.enlarged(m)
+        spanning = tgt.basis_elements()
+        assert coker_window_dim(m, win, tgt) == coker_window_dim(m, win, spanning)
+        assert coker_window_dim(m, win.basis_elements(), tgt) == coker_window_dim(
+            m, win.basis_elements(), spanning
+        )
 
 
 def test_coker_escape():
