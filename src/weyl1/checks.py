@@ -18,6 +18,15 @@ for the pair and check the identities once on (X, Y); they never read
 the pair's `verified` flag.  The product rules are not covered: their
 samples are not images under phi, and the rules hold for any x and y.
 
+The eigen check certifies a PASS from dim V, the largest ad(h)-invariant
+subspace of its window, before it computes any eigenspace.  It checks
+exactly that the predicted h^k v_i' of the window are independent
+eigenvectors, for i.  Every eigenvector lies in V and eigenspaces of
+distinct eigenvalues are independent, so the dim E_lam sum to at most
+dim V.  When the predicted spans P_i, each inside E_i, fill V, then
+E_i = P_i for every i and every other eigenspace is zero, candidate or
+not: the candidate scan would PASS.
+
 Checks return a CheckResult carrying their full parameterization, a
 pass/fail verdict, and witness data on failure, so every verdict is
 reproducible from its own record.
@@ -56,8 +65,10 @@ from .scalars import Rat, rat
 from .serialize import recipe_from_doc
 from .windows import (
     Window,
-    eigenvalue_scan,
     centralizer_window,
+    eigen_candidates,
+    eigenvalue_scan,
+    invariant_dim,
     nilpotent_closure_window,
 )
 
@@ -92,20 +103,25 @@ def _eigen_problems(
     e: EndoPair, cap: int, candidates: Optional[Sequence]
 ) -> Tuple[Tuple[Rat, ...], List[str]]:
     """Compare each candidate's eigenspace of ad(h) in the (1,1) window of
-    the cap with its prediction; return the scanned candidates and the
-    problems found.
+    the cap with its prediction; return the candidates and the problems
+    found.
 
     The dimension of each candidate's eigenspace is predicted from degrees
     alone: the number of h^k v_i' inside the window, with v_i' = x^i for
     i >= 0 and y^(-i) for i < 0, and 0 for a non-integer candidate.  A
     nonempty eigenspace must also lie in the span of those h^k v_i'.
+
+    With more than one candidate the certificate (module docstring) is
+    tried first; when it holds, every eigenspace is its prediction and
+    none is computed.  Otherwise the candidates are scanned.
     """
     win = Window(W11, cap)
     h = e.h
-    report = eigenvalue_scan(h, win, candidates)
-    vh = weighted_degree(W11, h)
-    vx = weighted_degree(W11, e.x)
-    vy = weighted_degree(W11, e.y)
+    cands = eigen_candidates(cap, candidates)
+    if len(cands) > 1 and _eigen_certificate(e, win):
+        return cands, []
+    report = eigenvalue_scan(h, win, cands)
+    vh, vx, vy = (weighted_degree(W11, a) for a in (h, e.x, e.y))
 
     expected: Dict[Rat, int] = {}
     for lam in report.candidates:
@@ -132,6 +148,29 @@ def _eigen_problems(
             if win.basis([hk * vi for hk in h_pows[:count]]) != basis:
                 problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
     return report.candidates, problems
+
+
+def _eigen_certificate(e: EndoPair, win: Window) -> bool:
+    """True when the predicted eigenspaces of ad(h) fill V: each h^k v_i'
+    of the window is an eigenvector for i, all are independent, and there
+    are dim V of them.  False, and nothing checked, unless v(x), v(y) and
+    v(h) are positive integers."""
+    h, cap = e.h, win.cap
+    degs = [weighted_degree(W11, a) for a in (h, e.x, e.y)]
+    if not all(isinstance(v, int) and v > 0 for v in degs):
+        return False
+    vh, vx, vy = degs
+    h_pows = powers(h, cap // vh)
+    span: List[WeylElement] = []
+    for a, va, sign in ((e.x, vx, 1), (e.y, vy, -1)):
+        for n, vn in enumerate(powers(a, cap // va)):
+            if n or sign > 0:  # v_0' = 1 once
+                for hk in h_pows[: (cap - n * va) // vh + 1]:
+                    u = hk * vn
+                    if commutator(h, u) != sign * n * u:
+                        return False
+                    span.append(u)
+    return len(win.basis(span)) == len(span) == invariant_dim(h, win)
 
 
 def check_centralizer_theorem(e: EndoPair, cap: int) -> CheckResult:
@@ -188,7 +227,9 @@ def _klein_problems(imax: int) -> List[str]:
     return problems
 
 
-def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
+def check_klein_basis(
+    e: EndoPair, imax: int, identities: Optional[List[str]] = None
+) -> CheckResult:
     """y^i x^i and x^i y^i as products of shifted h's, and the delta chain.
 
     The chain delta(e_i) = e_(i-1) for e_i = (-1)^i / (i!)^2 u_i is checked
@@ -200,11 +241,12 @@ def check_klein_basis(e: EndoPair, imax: int) -> CheckResult:
     delta(phi(a)) = phi([X, [Y, a]]).  A FAIL names the premise with
     its defect, or an identity that fails on (X, Y), which is a fault of
     `core`.  At imax = 0 no identity is checked, and a pair with
-    [y, x] != 1 still FAILs on the premise.
+    [y, x] != 1 still FAILs on the premise.  `identities`, when given, is
+    `_klein_problems(imax)`, which `run_suite` evaluates once for all pairs.
     """
-    return _verdict(
-        "klein_basis", {"imax": imax}, _premise_problems(e) + _klein_problems(imax)
-    )
+    if identities is None:
+        identities = _klein_problems(imax)
+    return _verdict("klein_basis", {"imax": imax}, _premise_problems(e) + identities)
 
 
 def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElement:
@@ -410,19 +452,22 @@ def _eigvec_problems(imax: int, nmax: int) -> List[str]:
     return problems
 
 
-def check_eigvec_tables(e: EndoPair, imax: int, nmax: int) -> CheckResult:
+def check_eigvec_tables(
+    e: EndoPair, imax: int, nmax: int, identities: Optional[List[str]] = None
+) -> CheckResult:
     """The six eigenvector families of the maps d and d'.
 
     They are checked on (X, Y) and carried to (x, y) by phi (module
     docstring): every family member is phi of its (X, Y) counterpart, and
     d(phi(a)) = phi([Y, a]X), d'(phi(a)) = phi([X, a]Y).  A FAIL names the
     premise with its defect, or a family member that fails on (X, Y),
-    which is a fault of `core`.
+    which is a fault of `core`.  `identities`, when given, is
+    `_eigvec_problems(imax, nmax)`, which `run_suite` evaluates once.
     """
+    if identities is None:
+        identities = _eigvec_problems(imax, nmax)
     return _verdict(
-        "eigvec_tables",
-        {"imax": imax, "nmax": nmax},
-        _premise_problems(e) + _eigvec_problems(imax, nmax),
+        "eigvec_tables", {"imax": imax, "nmax": nmax}, _premise_problems(e) + identities
     )
 
 
@@ -465,11 +510,14 @@ def canonical_config() -> dict:
 
 
 def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
-    """Run every check over every configured pair, in declaration order."""
+    """Run every check over every configured pair, in declaration order;
+    the pair-free identities are evaluated once per call."""
     if config is None:
         config = canonical_config()
     params = config["params"]
     prop_elem = parse(params.get("propagation_element", "Y^2*X^3"))
+    klein = _klein_problems(params["klein_imax"])
+    eigvec = _eigvec_problems(params["eigvec_imax"], params["eigvec_nmax"])
     results: List[CheckResult] = []
     for doc in config["endomorphisms"]:
         name = doc["name"]
@@ -477,7 +525,7 @@ def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
         for res in (
             check_centralizer_theorem(e, params["centralizer_cap"]),
             check_eigen_theorem(e, params["eigen_cap"]),
-            check_klein_basis(e, params["klein_imax"]),
+            check_klein_basis(e, params["klein_imax"], klein),
             check_product_rules(e, params["product_samples"], params["seed"]),
             check_kernel_delta(e, params["kernel_cap"]),
             check_nilpotent_closure(
@@ -492,7 +540,7 @@ def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
                 params["propagation_power"],
                 params["membership_slack"],
             ),
-            check_eigvec_tables(e, params["eigvec_imax"], params["eigvec_nmax"]),
+            check_eigvec_tables(e, params["eigvec_imax"], params["eigvec_nmax"], eigvec),
         ):
             res.name = f"{res.name}[{name}]"
             results.append(res)

@@ -229,6 +229,14 @@ def default_eigen_candidates(cap: int, max_den: int = 4) -> Tuple[Rat, ...]:
     return tuple(sorted(vals))
 
 
+def eigen_candidates(cap: int, candidates: Optional[Sequence]) -> Tuple[Rat, ...]:
+    """The distinct candidates, sorted, as rationals; by default those of
+    `default_eigen_candidates(cap)`."""
+    if candidates is None:
+        return default_eigen_candidates(cap)
+    return tuple(sorted({rat(c) for c in candidates}))
+
+
 def eigenvalue_scan(
     a: WeylElement,
     win: Window,
@@ -249,9 +257,7 @@ def eigenvalue_scan(
     candidate is bounded by the window's dimension.  `found` is sorted by
     eigenvalue.
     """
-    if candidates is None:
-        candidates = default_eigen_candidates(win.cap)
-    cands = tuple(sorted({rat(c) for c in candidates}))
+    cands = eigen_candidates(win.cap, candidates)
     ad_matrix = _ad_window_matrix(a, win)
     room = _invariant_dim(win, ad_matrix) if len(cands) > 1 else win.dimension()
     found = []
@@ -266,6 +272,11 @@ def eigenvalue_scan(
                 raise AssertionError("eigenspaces exceed the invariant subspace")
     found.sort(key=lambda item: item[0])
     return EigenReport(a=a, window=win, candidates=cands, found=found)
+
+
+def invariant_dim(a: WeylElement, win: Window) -> int:
+    """Dimension of the largest ad(a)-invariant subspace V of the window."""
+    return _invariant_dim(win, _ad_window_matrix(a, win))
 
 
 def _invariant_dim(win: Window, ad_matrix: Tuple[RatMatrix, Window]) -> int:

@@ -5,13 +5,17 @@ workload.  It fails when an op fails its check (for verify-canonical,
 the report SHA-256 recorded in bench/workloads.py), when traced and
 untraced passes give different outputs, or when a tracer wrapper is
 left on a patched class.  So a change under src/ that breaks the
-benchmark shows up here first.
+benchmark shows up here first.  A second test checks that windows-deep's
+closure ops pass the suite's default nilpotent-closure bound.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import weyl1
+from weyl1 import checks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +31,21 @@ def test_bench_self_test_passes_every_workload():
     for name in workloads:
         assert [line for line in lines if line.startswith(f"PASS {name}:")], proc.stdout
     assert len(lines) == len(workloads), proc.stdout
+
+
+def test_windows_deep_closures_use_the_default_iteration_bound(monkeypatch):
+    # the closure ops pass their own max_iter; a change to the default
+    # bound must not leave windows-deep measuring the old one
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import WindowsDeep
+
+    seen = []
+    monkeypatch.setattr(
+        weyl1, "nilpotent_closure_window",
+        lambda m, win, max_iter: seen.append((win.cap, max_iter)),
+    )
+    ops = [op for label, op in WindowsDeep(weyl1, 1).ops if label.startswith("closure/")]
+    for op in ops:
+        op()
+    assert ops and len(seen) == len(ops)
+    assert all(n == checks.default_closure_max_iter(cap) for cap, n in seen)

@@ -10,11 +10,13 @@ from test_fake_pairs import FAKE_PAIRS
 from weyl1 import (
     H,
     ONE,
+    W11,
     X,
     Y,
     CheckResult,
     EndoPair,
     EndoRecipe,
+    Window,
     WeylElement,
     apply_endo,
     canonical_config,
@@ -213,6 +215,123 @@ def test_checks_fail_on_a_pair_with_commutator_two(check):
     assert not res.passed
     assert res.witness and res.witness["problems"]
     assert res.line().startswith("FAIL ")
+
+
+# -- the eigen certificate: a PASS from dim V, else the scan ---------------
+
+
+def _certified_and_scanned(e, cap, candidates=None):
+    """(line, witness) of the eigen check as it runs, and with the
+    certificate off, so that only the candidate scan decides."""
+    res = check_eigen_theorem(e, cap, candidates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_eigen_certificate", lambda *a: False)
+        scan = check_eigen_theorem(e, cap, candidates)
+    return (res.line(), res.witness), (scan.line(), scan.witness)
+
+
+@pytest.mark.parametrize("cap", range(2, 9))
+@pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
+def test_certified_eigen_record_equals_the_scan_record(name, e, cap):
+    assert checks._eigen_certificate(e, Window(W11, cap))
+    certified, scanned = _certified_and_scanned(e, cap)
+    assert certified == scanned and certified[0].startswith("PASS ")
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3), st.integers(2, 6))
+def test_certified_eigen_record_equals_the_scan_record_on_drawn_recipes(gens, cap):
+    # a drawn recipe is an automorphism, so the certificate must hold
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    assert checks._eigen_certificate(e, Window(W11, cap))
+    certified, scanned = _certified_and_scanned(e, cap)
+    assert certified == scanned
+
+
+# x and y of degree 3: at cap 2 only the eigenvalue 0 is predicted, with
+# the span of 1, and only dim V tells that H = YX is another eigenvector
+DEGREE_THREE = EndoPair(x=X**3, y=Y**3, verified=True)
+
+
+@pytest.mark.parametrize("cap", range(2, 7))
+@pytest.mark.parametrize(
+    "e",
+    [*FAKE_PAIRS.values(), COMMUTATOR_TWO, DEGREE_THREE],
+    ids=[*FAKE_PAIRS, "commutator two", "(X^3, Y^3)"],
+)
+def test_fake_pairs_give_the_scan_record(e, cap):
+    assert not checks._eigen_certificate(e, Window(W11, cap))
+    certified, scanned = _certified_and_scanned(e, cap)
+    assert certified == scanned and certified[0].startswith("FAIL ")
+
+
+@pytest.mark.parametrize("candidates", [["1/2", "-1/2", "0", "1", "-1"], ["1"]])
+@pytest.mark.parametrize(
+    "e",
+    [*(e for _, e in PAIRS), COMMUTATOR_TWO],
+    ids=[*(n for n, _ in PAIRS), "commutator two"],
+)
+def test_candidate_subsets_give_the_scan_record(e, candidates):
+    certified, scanned = _certified_and_scanned(e, 5, candidates)
+    assert certified == scanned
+
+
+@pytest.mark.parametrize(
+    "e,problems",
+    [
+        (EndoPair(x=ONE, y=Y, verified=True), [
+            "eigenvalue -4: dimension 0 != expected 1",
+            "eigenvalue -3: dimension 0 != expected 2",
+            "eigenvalue -2: dimension 0 != expected 3",
+            "eigenvalue -1: dimension 0 != expected 4",
+            "eigenvalue 1: dimension 0 != expected 5",
+            "eigenvalue 2: dimension 0 != expected 5",
+            "eigenvalue 3: dimension 0 != expected 5",
+            "eigenvalue 4: dimension 0 != expected 5",
+        ]),
+        (EndoPair(x=X, y=ONE, verified=True), [
+            "eigenvalue -4: dimension 0 != expected 5",
+            "eigenvalue -3: dimension 0 != expected 5",
+            "eigenvalue -2: dimension 0 != expected 5",
+            "eigenvalue -1: dimension 0 != expected 5",
+            "eigenvalue 1: dimension 0 != expected 4",
+            "eigenvalue 2: dimension 0 != expected 3",
+            "eigenvalue 3: dimension 0 != expected 2",
+            "eigenvalue 4: dimension 0 != expected 1",
+        ]),
+    ],
+    ids=["(1, Y)", "(X, 1)"],
+)
+def test_a_scalar_component_declines_the_certificate(e, problems):
+    # v(x) = 0 or v(y) = 0: the certificate declines, and the scan's FAIL
+    # record is the one the scan gave before there was a certificate
+    assert not checks._eigen_certificate(e, Window(W11, 4))
+    res = check_eigen_theorem(e, 4)
+    assert res.line() == "FAIL eigen_theorem (candidates=23, cap=4, weight=(1,1))"
+    assert res.witness == {"problems": problems}
+
+
+@pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
+def test_cap6_eigen_check_computes_no_eigenspace(name, e, monkeypatch):
+    # the scan computed 13 / 12 / 6 eigenspaces here
+    spaces = _count_calls(monkeypatch, windows, "eigenspace")
+    dims = _count_calls(monkeypatch, windows, "_invariant_dim")
+    assert check_eigen_theorem(e, 6).passed
+    assert (spaces[0], dims[0]) == (0, 1)
+    monkeypatch.setattr(checks, "_eigen_certificate", lambda *a: False)
+    assert check_eigen_theorem(e, 6).passed
+    assert 0 < spaces[0] <= EIGENSPACE_BOUND[name]
+
+
+def test_run_suite_evaluates_the_pair_free_identities_once_per_call(monkeypatch):
+    klein = _count_calls(monkeypatch, checks, "_klein_problems")
+    eigvec = _count_calls(monkeypatch, checks, "_eigvec_problems")
+    for runs in (1, 2):  # no cache outlives a call
+        assert all(r.passed for r in run_suite(canonical_config()))
+        assert klein[0] == eigvec[0] == runs
+    e = PAIRS[2][1]
+    assert check_klein_basis(e, 3).passed and check_eigvec_tables(e, 2, 2).passed
+    assert klein[0] == eigvec[0] == 3
 
 
 def test_checks_module_holds_exactly_the_suite_checks(monkeypatch):
