@@ -36,6 +36,13 @@ k = 0 terms cancel, so
     [Y^i1 X^j1, Y^i2 X^j2]
         = sum_{k>=1} (m_k(j1, i2) - m_k(j2, i1)) * Y^(i1+i2-k) * X^(j1+j2-k).
 
+m_k(b, c) = 0 for k >= 1 when b or c is 0.  So a product pair with X^0
+or Y^0 in the middle is the one term Y^(i1+i2) X^(j1+j2), and a bracket
+pair reads a side only when both of its exponents are nonzero; a pair
+with neither side commutes and is skipped.  `_bracket` runs that loop on
+cleared int term maps, for `commutator` and for the maps of `maps`,
+which clear their fixed elements once per map.
+
 The test suite validates both against the one-step rewriting oracle
 XY -> YX - 1.
 """
@@ -45,6 +52,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import lcm
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -159,6 +167,8 @@ class WeylElement:
         return _difference(other._terms, self._terms)
 
     def __mul__(self, other):
+        """Normal-ordered product by the closed form, fraction-free; a term
+        pair with X^0 or Y^0 in the middle goes straight into its one key."""
         if not isinstance(other, WeylElement):
             return self._scaled(other)
         a, da = integral(self._terms)
@@ -167,6 +177,14 @@ class WeylElement:
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
                 c = c1 * c2
+                if not (j1 and i2):  # X^0 or Y^0 in the middle: one key
+                    key = (i1 + i2, j1 + j2)
+                    v = acc.get(key, 0) + c
+                    if v:
+                        acc[key] = v
+                    else:
+                        acc.pop(key, None)
+                    continue
                 for k, m in enumerate(_reorder(j1, i2)):
                     key = (i1 + i2 - k, j1 + j2 - k)
                     v = acc.get(key, 0) + c * m
@@ -308,23 +326,34 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a*b - b*a, by the bracket closed form of the module
-    docstring: one fraction-free pass over term pairs, forming neither
-    product."""
+    docstring: one fraction-free pass over term pairs (`_bracket`),
+    forming neither product."""
     if not (isinstance(a, WeylElement) and isinstance(b, WeylElement)):
         return a * b - b * a  # a plain scalar operand, or a type error
     p, da = integral(a._terms)
     q, db = integral(b._terms)
+    return WeylElement._raw(over(_bracket(p, q), da * db))
+
+
+def _bracket(p: dict, q: dict) -> dict:
+    """Int term map of [P, Q] from the int term maps p and q (only read)
+    of P and Q; each term pair reads only the sides it has (module
+    docstring)."""
     acc: dict = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
-            m1 = _reorder(j1, i2)
-            m2 = _reorder(j2, i1)
-            n1, n2 = len(m1), len(m2)
-            if n1 == n2 == 1:
+            if j1 and i2:
+                m, c = _reorder(j1, i2), c1 * c2
+                if j2 and i1:  # both sides: their difference
+                    m2 = _reorder(j2, i1)
+                    m = [u - w for u, w in zip_longest(m, m2, fillvalue=0)]
+            elif j2 and i1:
+                m, c = _reorder(j2, i1), -c1 * c2
+            else:
                 continue  # the two terms commute
-            c, s, t = c1 * c2, i1 + i2, j1 + j2
-            for k in range(1, max(n1, n2)):
-                d = (m1[k] if k < n1 else 0) - (m2[k] if k < n2 else 0)
+            s, t = i1 + i2, j1 + j2
+            for k in range(1, len(m)):
+                d = m[k]
                 if d:
                     key = (s - k, t - k)
                     v = acc.get(key, 0) + c * d
@@ -332,7 +361,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
                         acc[key] = v
                     else:
                         acc.pop(key, None)
-    return WeylElement._raw(over(acc, da * db))
+    return acc
 
 
 def powers(a: WeylElement, n: int) -> List[WeylElement]:

@@ -21,16 +21,20 @@ back in the stored form of `scalars`: each pivot row is scaled to a
 leading 1 with `exact_div`, so an entry is an int when integral and a Rat
 with denominator > 1 otherwise.
 
-Every entry point inserts rows in one order: descending lead (leftmost
-nonzero) column, ties in the given order.  A new pivot column then lies
-left of the pivot rows already held, so they seldom need clearing and
-fill stays small (pivot where fill is least, after Markowitz, Management
-Sci. 3, 1957).  No result depends on the order: a row space has exactly
-one reduced row echelon form.
+Every entry of a pivot row lies at or right of its pivot, so only the
+pivot rows left of a new row's lead can hold its lead column; the echelon
+keeps its pivot columns sorted and back-substitutes into those rows
+alone.  Every entry point inserts rows in one order: descending lead
+(leftmost nonzero) column, ties in the given order.  A new pivot column
+then lies left of the pivot rows already held, so there are few such
+rows and fill stays small (pivot where fill is least, after Markowitz,
+Management Sci. 3, 1957).  No result depends on the order: a row space
+has exactly one reduced row echelon form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -156,15 +160,18 @@ class _Echelon:
     """Incremental reduced row echelon form over sparse integer rows.
 
     `rows` maps each pivot column to its row: primitive ints (content 1)
-    with a positive lead, holding no other pivot column.  No Rat enters
-    elimination; `normalized_rows` scales to leading 1s for the results.
-    `_echelon` inserts rows by descending lead column, ties in the given
-    order, to keep fill small (Markowitz 1957); the RREF reached is unique
-    whatever the order.
+    with a positive lead, holding no other pivot column.  A new lead
+    column is cleared only from the pivot rows left of it (`_cols` keeps
+    the pivots sorted; module docstring).  No Rat enters elimination;
+    `normalized_rows` scales to leading 1s for the results.  `_echelon`
+    inserts rows by descending lead column, ties in the given order, to
+    keep fill small (Markowitz 1957); the RREF reached is unique whatever
+    the order.
     """
 
     def __init__(self):
         self.rows: Dict[int, Dict[int, int]] = {}
+        self._cols: List[int] = []  # the pivot columns, ascending
 
     def insert(self, row: SparseRow) -> Optional[int]:
         """Reduce and absorb; returns the new pivot column or None."""
@@ -181,9 +188,13 @@ class _Echelon:
             return None
         lead = min(row)
         row = _primitive(row, lead)
-        for col, prow in rows.items():
+        cols = self._cols
+        at = bisect_left(cols, lead)
+        for col in cols[:at]:
+            prow = rows[col]
             if lead in prow:
                 rows[col] = _primitive(_eliminate(prow, row, lead), col)
+        cols.insert(at, lead)
         rows[lead] = row
         return lead
 

@@ -14,7 +14,10 @@ One class carries them all.  A `LinearMap` is an image rule (the image
 of one monomial), a degree-shift bound (a function of the weight) and a
 name; `ad`, `d_yx`, `d_xy`, `delta_xy` and `compose` only choose the
 three.  Linear extension and a per-map cache of cleared monomial images
-are shared (see `LinearMap`).
+are shared (see `LinearMap`).  `ad`, `d_yx`, `d_xy` and `delta_xy` clear
+their fixed elements once, when the map is made, and bracket each
+monomial with them through `core._bracket`, the loop `core.commutator`
+runs; delta brackets twice on int term maps and divides once.
 
 The drop of a map at a with respect to a degree function v is
 v(m(a)) - v(a), with -inf when the image vanishes.
@@ -25,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .core import EndoPair, WeylElement, _combine, commutator
+from .core import EndoPair, WeylElement, _bracket, _combine
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
-from .scalars import NEG_INF, integral
+from .scalars import NEG_INF, integral, over
 
 Degree = Union[int, float]
 
@@ -37,7 +40,8 @@ class LinearMap:
     """A linear self-map, evaluable on elements.
 
     `image` gives the image of one monomial Y^i X^j (passed as an
-    element), `shift` an upper bound for v(m(a)) - v(a) under a weight,
+    element with coefficient 1, so its term map is an int map already),
+    `shift` an upper bound for v(m(a)) - v(a) under a weight,
     and `description` the map's name in reports.  The cache maps (i, j)
     to the image of Y^i X^j cleared once: the element, its int term map
     and its denominator (`scalars.integral`).  A map applied to an element
@@ -81,10 +85,16 @@ class LinearMap:
         return f"<map {self.describe()}>"
 
 
+def _bracket_by(a: WeylElement) -> Callable[[WeylElement], WeylElement]:
+    """The image rule u -> [a, u], with a cleared once (`core._bracket`)."""
+    p, den = integral(a._terms)
+    return lambda u: WeylElement._raw(over(_bracket(p, u._terms), den))
+
+
 def ad(a: WeylElement) -> LinearMap:
     """ad(a): b -> [a, b].  Satisfies the Leibniz rule."""
     return LinearMap(
-        lambda u: commutator(a, u),
+        _bracket_by(a),
         lambda w: weighted_degree(w, a) - w.rho - w.eta,
         f"ad({a})",
     )
@@ -105,7 +115,8 @@ def _pair_shift(e: EndoPair, brackets: int) -> Callable[[Weight], Degree]:
 def _pair_map(e: EndoPair, what: str, name: str, left, right) -> LinearMap:
     """a -> [left, a] * right, where {left, right} = {x, y} of a verified e."""
     _require_verified(e, what)
-    return LinearMap(lambda u: commutator(left, u) * right, _pair_shift(e, 1), name)
+    bracket = _bracket_by(left)
+    return LinearMap(lambda u: bracket(u) * right, _pair_shift(e, 1), name)
 
 
 def d_yx(e: EndoPair) -> LinearMap:
@@ -121,8 +132,11 @@ def d_xy(e: EndoPair) -> LinearMap:
 def delta_xy(e: EndoPair) -> LinearMap:
     """delta: a -> [x, [y, a]], the composition ad(x) ad(y)."""
     _require_verified(e, "delta = ad(x) ad(y)")
+    (px, dx), (py, dy) = integral(e.x._terms), integral(e.y._terms)
     return LinearMap(
-        lambda u: commutator(e.x, commutator(e.y, u)), _pair_shift(e, 2), "ad(x) ad(y)"
+        lambda u: WeylElement._raw(over(_bracket(px, _bracket(py, u._terms)), dx * dy)),
+        _pair_shift(e, 2),
+        "ad(x) ad(y)",
     )
 
 

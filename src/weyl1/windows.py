@@ -241,6 +241,8 @@ def eigenvalue_scan(
     a: WeylElement,
     win: Window,
     candidates: Optional[Sequence] = None,
+    ad_matrix: Optional[Tuple[RatMatrix, Window]] = None,
+    invariant: Optional[int] = None,
 ) -> EigenReport:
     """Try each candidate eigenvalue; record the nonempty eigenspaces.
 
@@ -253,13 +255,17 @@ def eigenvalue_scan(
         dimensions sum to at most dim V;
       - once the sum is dim V, no other lam has a nonzero eigenspace, over
         any field extension.
-    dim V is computed only when there is more than one candidate; a single
-    candidate is bounded by the window's dimension.  `found` is sorted by
-    eigenvalue.
+    dim V is used only when there is more than one candidate; a single
+    candidate is bounded by the window's dimension.  ad_matrix and
+    invariant, when given, must be _ad_window_matrix(a, win) and dim V;
+    otherwise they are computed here.  `found` is sorted by eigenvalue.
     """
     cands = eigen_candidates(win.cap, candidates)
-    ad_matrix = _ad_window_matrix(a, win)
-    room = _invariant_dim(win, ad_matrix) if len(cands) > 1 else win.dimension()
+    ad_matrix = ad_matrix or _ad_window_matrix(a, win)
+    if len(cands) == 1:
+        room = win.dimension()
+    else:
+        room = _invariant_dim(win, ad_matrix) if invariant is None else invariant
     found = []
     for lam in sorted(cands, key=lambda q: (q.denominator, abs(q), -q)):
         if not room:
@@ -274,9 +280,12 @@ def eigenvalue_scan(
     return EigenReport(a=a, window=win, candidates=cands, found=found)
 
 
-def invariant_dim(a: WeylElement, win: Window) -> int:
-    """Dimension of the largest ad(a)-invariant subspace V of the window."""
-    return _invariant_dim(win, _ad_window_matrix(a, win))
+def invariant_dim(
+    a: WeylElement, win: Window, ad_matrix: Optional[Tuple[RatMatrix, Window]] = None
+) -> int:
+    """Dimension of the largest ad(a)-invariant subspace V of the window;
+    ad_matrix, when given, must be _ad_window_matrix(a, win)."""
+    return _invariant_dim(win, ad_matrix or _ad_window_matrix(a, win))
 
 
 def _invariant_dim(win: Window, ad_matrix: Tuple[RatMatrix, Window]) -> int:

@@ -6,10 +6,13 @@ the report SHA-256 recorded in bench/workloads.py), when traced and
 untraced passes give different outputs, or when a tracer wrapper is
 left on a patched class.  So a change under src/ that breaks the
 benchmark shows up here first.  A second test checks that windows-deep's
-closure ops pass the suite's default nilpotent-closure bound.
+closure ops pass the suite's default nilpotent-closure bound, and a
+third that a verify pass leaves no memo behind that the benchmark's
+`clear_process_caches` cannot empty.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +52,39 @@ def test_windows_deep_closures_use_the_default_iteration_bound(monkeypatch):
         op()
     assert ops and len(seen) == len(ops)
     assert all(n == checks.default_closure_max_iter(cap) for cap, n in seen)
+
+
+# run in a fresh interpreter, so that no earlier test has filled a memo
+_GROWTH_PROBE = """
+import json, sys
+import weyl1, weyl1.cli
+from weyl1 import canonical_config, run_suite
+
+def sizes():
+    return {
+        f"{name}.{attr}": len(value)
+        for name, mod in sorted(sys.modules.items())
+        if name == "weyl1" or name.startswith("weyl1.")
+        for attr, value in vars(mod).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+before = sizes()
+assert all(r.passed for r in run_suite(canonical_config()))
+print(json.dumps([before, sizes()]))
+"""
+
+
+def test_a_verify_pass_grows_no_module_level_container():
+    # verify-canonical measures a fresh process by emptying every functools
+    # cache before each pass; a memo kept in a module-level dict, list or
+    # set would survive that, and later passes would measure a warm one
+    proc = subprocess.run(
+        [sys.executable, "-c", _GROWTH_PROBE],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert {"weyl1.parsing._GENERATORS", "weyl1.cli._COMMANDS"} <= set(before)
+    assert after == before

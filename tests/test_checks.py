@@ -220,6 +220,12 @@ def test_checks_fail_on_a_pair_with_commutator_two(check):
 # -- the eigen certificate: a PASS from dim V, else the scan ---------------
 
 
+def _certifies(e, cap):
+    """The certificate's verdict on the cap's window, given its dim V."""
+    win = Window(W11, cap)
+    return checks._eigen_certificate(e, win, windows.invariant_dim(e.h, win))
+
+
 def _certified_and_scanned(e, cap, candidates=None):
     """(line, witness) of the eigen check as it runs, and with the
     certificate off, so that only the candidate scan decides."""
@@ -233,7 +239,7 @@ def _certified_and_scanned(e, cap, candidates=None):
 @pytest.mark.parametrize("cap", range(2, 9))
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_certified_eigen_record_equals_the_scan_record(name, e, cap):
-    assert checks._eigen_certificate(e, Window(W11, cap))
+    assert _certifies(e, cap)
     certified, scanned = _certified_and_scanned(e, cap)
     assert certified == scanned and certified[0].startswith("PASS ")
 
@@ -243,7 +249,7 @@ def test_certified_eigen_record_equals_the_scan_record(name, e, cap):
 def test_certified_eigen_record_equals_the_scan_record_on_drawn_recipes(gens, cap):
     # a drawn recipe is an automorphism, so the certificate must hold
     e = compile_recipe(EndoRecipe(generators=tuple(gens)))
-    assert checks._eigen_certificate(e, Window(W11, cap))
+    assert _certifies(e, cap)
     certified, scanned = _certified_and_scanned(e, cap)
     assert certified == scanned
 
@@ -260,9 +266,20 @@ DEGREE_THREE = EndoPair(x=X**3, y=Y**3, verified=True)
     ids=[*FAKE_PAIRS, "commutator two", "(X^3, Y^3)"],
 )
 def test_fake_pairs_give_the_scan_record(e, cap):
-    assert not checks._eigen_certificate(e, Window(W11, cap))
+    assert not _certifies(e, cap)
     certified, scanned = _certified_and_scanned(e, cap)
     assert certified == scanned and certified[0].startswith("FAIL ")
+
+
+def test_a_declined_certificate_shares_the_matrix_and_dim_v_with_the_scan(monkeypatch):
+    # (X^3, Y^3) at cap 2 is declined at the last step, the dim V
+    # comparison; the scan then reuses that ad(h) matrix and dim V
+    matrices = _count_calls(monkeypatch, windows, "map_matrix")
+    dims = _count_calls(monkeypatch, windows, "_invariant_dim")
+    res = check_eigen_theorem(DEGREE_THREE, 2)
+    assert (matrices[0], dims[0]) == (1, 1)
+    assert res.line() == "FAIL eigen_theorem (candidates=13, cap=2, weight=(1,1))"
+    assert res.witness == {"problems": ["eigenvalue 0: dimension 2 != expected 1"]}
 
 
 @pytest.mark.parametrize("candidates", [["1/2", "-1/2", "0", "1", "-1"], ["1"]])
@@ -305,7 +322,7 @@ def test_candidate_subsets_give_the_scan_record(e, candidates):
 def test_a_scalar_component_declines_the_certificate(e, problems):
     # v(x) = 0 or v(y) = 0: the certificate declines, and the scan's FAIL
     # record is the one the scan gave before there was a certificate
-    assert not checks._eigen_certificate(e, Window(W11, 4))
+    assert not _certifies(e, 4)
     res = check_eigen_theorem(e, 4)
     assert res.line() == "FAIL eigen_theorem (candidates=23, cap=4, weight=(1,1))"
     assert res.witness == {"problems": problems}

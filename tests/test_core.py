@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_mul, random_element, random_terms
 from weyl1 import (
@@ -65,6 +67,37 @@ def test_mul_matches_oracle_on_random_elements():
         tb = random_terms(rng)
         got = WeylElement(ta) * WeylElement(tb)
         assert got == WeylElement(oracle_mul(ta, tb))
+
+
+# terms of every shape the product and bracket loops tell apart: a pair
+# with X^0 or Y^0 in the middle on both sides commutes, one with it on one
+# side has a single reordering side, and two mixed terms have both
+_TERM_KEYS = st.one_of(
+    st.tuples(st.integers(1, 4), st.just(0)),  # pure Y
+    st.tuples(st.just(0), st.integers(1, 4)),  # pure X
+    st.just((0, 0)),  # constant
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),  # mixed
+)
+_TERM_COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+_ELEMENTS = st.dictionaries(_TERM_KEYS, _TERM_COEFFS, max_size=5).map(WeylElement)
+
+
+def _oracle_table(a):
+    return dict(a.terms())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ELEMENTS, _ELEMENTS)
+@example(Y**2 + 3, Y**3 - rat(1, 2))  # every pair commutes
+@example(X**2 + 2 * Y, Y**3 + rat(2, 3) * X)  # one side per pair
+@example(Y * X**2 - rat(1, 2) * Y**2 * X, 5 * Y**2 * X**3)  # both sides
+def test_product_and_bracket_match_the_rewrite_oracle(a, b):
+    ta, tb = _oracle_table(a), _oracle_table(b)
+    ab, ba = oracle_mul(ta, tb), oracle_mul(tb, ta)
+    assert a * b == WeylElement(ab)
+    bracket = WeylElement(ab) - WeylElement(ba)
+    assert commutator(a, b) == bracket
+    assert commutator(b, a) == -bracket
 
 
 def test_ring_axioms_on_random_triples():

@@ -6,6 +6,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import sympy
+except ImportError:  # the sympy comparison below is optional
+    sympy = None
+
 from weyl1 import (
     W11,
     RatMatrix,
@@ -175,3 +180,41 @@ def test_order_rule_bounds_elimination_work(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counting)
     assert len(centralizer_window(e.h, Window(W11, 16))) == 3
     assert len(calls) <= 2000
+
+
+@st.composite
+def sparse_rows_in_any_order(draw):
+    """Sparse stored-form rows, duplicates and zero rows among them, with
+    the width they live in, in a drawn order."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=8))
+    rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    sparse = RatMatrix(rows).sparse + [{}]
+    return draw(st.permutations(sparse)), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows_in_any_order())
+def test_echelon_keeps_every_pivot_column_in_its_own_row_only(drawn):
+    # rows arrive in any order, as the invariant-subspace echelon feeds
+    # them; a new pivot must be cleared from every pivot row that holds it
+    rows, ncols = drawn
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+        pivots = set(ech.rows)
+        for col, prow in ech.rows.items():
+            assert min(prow) == col and prow[col] > 0
+            assert pivots & set(prow) == {col}
+    got = ech.normalized_rows()
+    assert got == _echelon(rows).normalized_rows()
+    if sympy is not None:
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        reduced, pivots = sympy.Matrix(dense).rref()
+        assert sorted(ech.rows) == list(pivots)
+        want = [
+            {j: demote(Fraction(int(v.p), int(v.q))) for j, v in enumerate(reduced.row(r)) if v}
+            for r in range(len(pivots))
+        ]
+        assert got == want

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_element
+from test_endos import _GENERATORS
 from weyl1 import (
     H,
     NEG_INF,
@@ -14,8 +17,11 @@ from weyl1 import (
     Weight,
     X,
     Y,
+    EndoRecipe,
     ad,
     build_endo,
+    commutator,
+    compile_recipe,
     compose,
     d_xy,
     d_yx,
@@ -228,3 +234,38 @@ def test_describe_names_each_map():
     assert delta_xy(e).describe() == "ad(x) ad(y)"
     assert compose(d_yx(e), ad(X), delta_xy(e)).describe() == "[y, .]*x o ad(X) o ad(x) ad(y)"
     assert repr(ad(Y)) == "<map ad(Y)>"
+
+
+_MONOMIALS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4, unique=True
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3), _MONOMIALS)
+def test_monomial_images_equal_the_public_brackets_cold_and_warm(gens, keys):
+    # the maps bracket monomials with their fixed elements cleared once;
+    # each image must be what commutator and the product give, whether the
+    # map is new (cold) or has already formed other images (warm)
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    a = e.y * e.x + e.x
+    expected = {
+        "ad": lambda u: commutator(a, u),
+        "d_yx": lambda u: commutator(e.y, u) * e.x,
+        "d_xy": lambda u: commutator(e.x, u) * e.y,
+        "delta_xy": lambda u: commutator(e.x, commutator(e.y, u)),
+    }
+    makers = {
+        "ad": lambda: ad(a),
+        "d_yx": lambda: d_yx(e),
+        "d_xy": lambda: d_xy(e),
+        "delta_xy": lambda: delta_xy(e),
+    }
+    for name, make in makers.items():
+        warm = make()
+        for i, j in keys + keys[:1]:
+            u = monomial(i, j)
+            want = expected[name](u)
+            assert make()(u) == want, (name, i, j)
+            assert warm(u) == want, (name, i, j)
+            assert warm._cached_image((i, j))[0] == want, (name, i, j)

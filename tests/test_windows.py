@@ -153,10 +153,10 @@ def test_map_matrix_matches_the_column_by_column_construction_on_drawn_elements(
 
 
 def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatch):
-    # composite's cap-12 ad(h) window: one commutator per window monomial
+    # composite's cap-12 ad(h) window: one bracket per window monomial
     # and no linear combination; a second matrix from the same map makes
     # neither
-    calls = {"commutator": 0, "linear_combination": 0}
+    calls = {"_bracket": 0, "linear_combination": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -173,9 +173,9 @@ def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatc
     win = Window(W11, 12)
     tgt = win.enlarged(m)
     first = map_matrix(m, win, tgt)
-    assert calls == {"commutator": win.dimension(), "linear_combination": 0}
+    assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
     assert map_matrix(m, win, tgt) == first
-    assert calls == {"commutator": win.dimension(), "linear_combination": 0}
+    assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
 
 
 def test_eigenspace_examples():
