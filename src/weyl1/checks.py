@@ -13,10 +13,11 @@ for every pair with [y, x] = 1.  The map phi: X -> x, Y -> y extends to
 an algebra homomorphism exactly when [y, x] = 1, and then h = phi(H),
 d(phi(a)) = phi([Y, a]X), d'(phi(a)) = phi([X, a]Y) and delta(phi(a)) =
 phi([X, [Y, a]]), so phi maps each of these identities on (X, Y) to the
-same identity on (x, y).  Those two checks therefore recompute [y, x] = 1
-for the pair and check the identities once on (X, Y); they never read
-the pair's `verified` flag.  The product rules are not covered: their
-samples are not images under phi, and the rules hold for any x and y.
+same identity on (x, y).  Those two checks therefore read the premise
+[y, x] = 1 that the pair's certificate (`endos.MembershipSolver`)
+recomputed, never the pair's `verified` flag, and check the identities
+once on (X, Y).  The product rules are not covered: their samples are
+not images under phi, and the rules hold for any x and y.
 
 The eigen check certifies a PASS from dim V, the largest ad(h)-invariant
 subspace of its window, before it computes any eigenspace.  It checks
@@ -202,10 +203,10 @@ def check_eigen_theorem(
     )
 
 
-def _premise_problems(e: EndoPair) -> List[str]:
-    """The premise of the identity checks, [y, x] = 1, recomputed; the
-    pair's `verified` flag is never read."""
-    c = commutator(e.y, e.x)
+def _premise_problems(cert: MembershipSolver) -> List[str]:
+    """The premise of the identity checks, [y, x] = 1, as the pair's
+    certificate recomputed it; the pair's `verified` flag is never read."""
+    c = cert.premise
     return [] if c == ONE else [f"premise fails: [y, x] = {format_element(c)}"]
 
 
@@ -232,7 +233,7 @@ def _klein_problems(imax: int) -> List[str]:
 
 
 def check_klein_basis(
-    e: EndoPair, imax: int, identities: Optional[List[str]] = None
+    cert: MembershipSolver, imax: int, identities: Optional[List[str]] = None
 ) -> CheckResult:
     """y^i x^i and x^i y^i as products of shifted h's, and the delta chain.
 
@@ -250,7 +251,7 @@ def check_klein_basis(
     """
     if identities is None:
         identities = _klein_problems(imax)
-    return _verdict("klein_basis", {"imax": imax}, _premise_problems(e) + identities)
+    return _verdict("klein_basis", {"imax": imax}, _premise_problems(cert) + identities)
 
 
 def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElement:
@@ -363,7 +364,7 @@ def default_closure_max_iter(cap: int) -> int:
 
 
 def check_nilpotent_closure(
-    e: EndoPair,
+    cert: MembershipSolver,
     cap: int,
     max_iter: Optional[int] = None,
     slack: Optional[int] = None,
@@ -374,8 +375,10 @@ def check_nilpotent_closure(
     Defaults: max_iter = 4*cap + 1 and slack = 7*cap, which suffice for
     the canonical pairs.  They are not enough for every pair: a deeper
     recipe can FAIL at them, so a FAIL holds within the printed max_iter
-    and slack.  A pair that membership refuses FAILs with the refusal.
+    and slack, which its witness names.  A pair that membership refuses
+    FAILs with the refusal.
     """
+    e = cert.pair
     if max_iter is None:
         max_iter = default_closure_max_iter(cap)
     if slack is None:
@@ -384,7 +387,7 @@ def check_nilpotent_closure(
     win = Window(W11, cap)
     monos = win.basis_elements()
     try:
-        verdicts = MembershipSolver(e).solve(monos, slack)
+        verdicts = cert.solve(monos, slack)
     except DomainError as exc:
         return _verdict("nilpotent_closure", params, [str(exc)])
     members = [m for m, v in zip(monos, verdicts) if v.member]
@@ -398,24 +401,25 @@ def check_nilpotent_closure(
         if basis != members:
             problems.append(
                 f"{label} closure (dim {len(basis)}) != membership window "
-                f"(dim {len(members)})"
+                f"(dim {len(members)}) within max_iter {max_iter} and slack {slack}"
             )
     return _verdict("nilpotent_closure", params, problems)
 
 
 def check_propagation(
-    e: EndoPair, a: WeylElement, n: int, slack: int = 4
+    cert: MembershipSolver, a: WeylElement, n: int, slack: int = 4
 ) -> CheckResult:
     """If (d d')^n(a) lies in the image subalgebra then so does a.  A pair
     that membership refuses FAILs with the refusal."""
     params = {"n": n, "slack": slack}
+    e = cert.pair
     d = d_yx(e)
     dp = d_xy(e)
     img = a
     for _ in range(n):
         img = d(dp(img))
     try:
-        m_img, m_a = MembershipSolver(e).solve([img, a], slack)
+        m_img, m_a = cert.solve([img, a], slack)
     except DomainError as exc:
         return _verdict("propagation", params, [str(exc)])
     problems: List[str] = []
@@ -457,7 +461,7 @@ def _eigvec_problems(imax: int, nmax: int) -> List[str]:
 
 
 def check_eigvec_tables(
-    e: EndoPair, imax: int, nmax: int, identities: Optional[List[str]] = None
+    cert: MembershipSolver, imax: int, nmax: int, identities: Optional[List[str]] = None
 ) -> CheckResult:
     """The six eigenvector families of the maps d and d'.
 
@@ -471,7 +475,7 @@ def check_eigvec_tables(
     if identities is None:
         identities = _eigvec_problems(imax, nmax)
     return _verdict(
-        "eigvec_tables", {"imax": imax, "nmax": nmax}, _premise_problems(e) + identities
+        "eigvec_tables", {"imax": imax, "nmax": nmax}, _premise_problems(cert) + identities
     )
 
 
@@ -515,7 +519,8 @@ def canonical_config() -> dict:
 
 def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
     """Run every check over every configured pair, in declaration order;
-    the pair-free identities are evaluated once per call."""
+    the pair-free identities are evaluated once per call.  Each pair's
+    certificate is built once and passed to the four checks that use it."""
     if config is None:
         config = canonical_config()
     params = config["params"]
@@ -526,25 +531,26 @@ def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
     for doc in config["endomorphisms"]:
         name = doc["name"]
         e = compile_recipe(recipe_from_doc(doc))
+        cert = MembershipSolver(e)
         for res in (
             check_centralizer_theorem(e, params["centralizer_cap"]),
             check_eigen_theorem(e, params["eigen_cap"]),
-            check_klein_basis(e, params["klein_imax"], klein),
+            check_klein_basis(cert, params["klein_imax"], klein),
             check_product_rules(e, params["product_samples"], params["seed"]),
             check_kernel_delta(e, params["kernel_cap"]),
             check_nilpotent_closure(
-                e,
+                cert,
                 params["closure_cap"],
                 params.get("closure_max_iter"),
                 params.get("closure_slack"),
             ),
             check_propagation(
-                e,
+                cert,
                 apply_endo(e, prop_elem),
                 params["propagation_power"],
                 params["membership_slack"],
             ),
-            check_eigvec_tables(e, params["eigvec_imax"], params["eigvec_nmax"], eigvec),
+            check_eigvec_tables(cert, params["eigvec_imax"], params["eigvec_nmax"], eigvec),
         ):
             res.name = f"{res.name}[{name}]"
             results.append(res)

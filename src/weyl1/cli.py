@@ -149,37 +149,30 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("normalize", help="canonical Y^i X^j form of an expression")
     s.add_argument("expr")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
 
     s = sub.add_parser("mul", help="exact product of two elements")
     s.add_argument("a")
     s.add_argument("b")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
 
     s = sub.add_parser("comm", help="commutator [a, b]")
     s.add_argument("a")
     s.add_argument("b")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
 
     s = sub.add_parser("grade", help="graded components alpha_n(H) v_n")
     s.add_argument("expr")
-    s.add_argument("--out")
 
     s = sub.add_parser("degree", help="weighted degree v_(rho,eta)")
     s.add_argument("expr")
     _add_weight_flags(s)
-    s.add_argument("--out")
 
     s = sub.add_parser("newton", help="Newton polygon of the support")
     s.add_argument("expr")
-    s.add_argument("--out")
 
     s = sub.add_parser("generic", help="first generic weight for an element")
     s.add_argument("expr")
     s.add_argument("--bound", type=_int_at_least(1), default=16)
-    s.add_argument("--out")
 
     s = sub.add_parser("drop", help="drop v(m(a)) - v(a) of a map at an element")
     s.add_argument("expr")
@@ -187,20 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--of", help="element defining ad(.)")
     s.add_argument("--endo", help="endomorphism document for dyx/dxy/delta")
     _add_weight_flags(s)
-    s.add_argument("--out")
 
     s = sub.add_parser("eig-scan", help="windowed eigenvalue scan of ad(a)")
     s.add_argument("expr")
     s.add_argument("--cap", type=_int_at_least(0), required=True)
     _add_weight_flags(s)
     s.add_argument("--candidates", help="comma-separated rationals, each p or p/q")
-    s.add_argument("--out")
 
     s = sub.add_parser("centralizer", help="windowed centralizer basis")
     s.add_argument("expr")
     s.add_argument("--cap", type=_int_at_least(0), required=True)
     _add_weight_flags(s)
-    s.add_argument("--out")
 
     s = sub.add_parser("nilclosure", help="windowed nilpotent closure of a map")
     s.add_argument("--map", required=True, choices=["ad", "dyx", "dxy", "delta"])
@@ -209,29 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=_int_at_least(0), required=True)
     s.add_argument("--max-iter", type=_int_at_least(1), default=None)
     _add_weight_flags(s)
-    s.add_argument("--out")
 
     s = sub.add_parser("endo-compile", help="compile a recipe or raw pair")
     s.add_argument("--recipe", help="recipe document (generators and/or raw pair)")
     s.add_argument("--raw", nargs=2, metavar=("X_EXPR", "Y_EXPR"))
-    s.add_argument("--out")
 
     s = sub.add_parser("endo-apply", help="apply an endomorphism to an element")
     s.add_argument("expr")
     s.add_argument("--endo", required=True)
     s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
 
     s = sub.add_parser("membership", help="membership in the image subalgebra")
     s.add_argument("expr")
     s.add_argument("--endo", required=True)
     s.add_argument("--slack", type=_int_at_least(0), default=4)
-    s.add_argument("--out")
 
     s = sub.add_parser("semigroup", help="gaps and bounds of a numerical monoid")
     s.add_argument("generators", nargs="+", type=_int_at_least(1))
     s.add_argument("--horizon", type=_int_at_least(1), default=None)
-    s.add_argument("--out")
+
+    for s in sub.choices.values():  # every command but verify, added below
+        s.add_argument("--out")
 
     s = sub.add_parser("verify", help="run the windowed verification suite")
     s.add_argument("--config", help="verify-config document (default: canonical)")

@@ -6,9 +6,11 @@ A recipe composes elementary commutator-preserving generators:
     add_poly_y(g):  X -> X + g(Y),   Y -> Y
     linear(a,b,c,d) with ad - bc = 1:  X -> aX + bY,  Y -> cX + dY
 
-or overrides the pair (x, y) directly, in which case [y, x] = 1 is
-checked.  Generators apply left to right, so a recipe [g1, g2] compiles
-to the endomorphism "g2 after g1".
+or overrides the pair (x, y) directly.  Generators apply left to right,
+so a recipe [g1, g2] compiles to the endomorphism "g2 after g1".  A
+generator's pair needs no check, since [Y + f(X), X] = [Y, X + g(Y)] = 1
+and [cX + dY, aX + bY] = ad - bc; `compile_recipe` checks [y, x] = 1 of
+the result once.
 
 Membership of an element a in the subalgebra generated by a verified
 pair (x, y) is decided within a stated slack: the monomials y^i x^j are
@@ -16,19 +18,17 @@ a basis of that subalgebra, and a is a member when its expansion uses
 only pairs with v11(y^i x^j) <= v11(a) + slack.  A negative verdict is
 therefore always "not at this slack".
 
-There is one way to find that expansion.  Aut(A1) is tame (Dixmier
-1968, Makar-Limanov 1984), and `decompose` reduces the degrees of
-(x, y) after Jung and van der Kulk by elementary steps y <- y - c*x^k or
-x <- x - c*y^k, down to an affine pair, and returns the recipe that
-undoes them: one add_poly generator per step, then the affine pair's.
-`certify` accepts the recipe only when `compile_recipe` gives (x, y)
-back exactly.  Then phi: X -> x, Y -> y is a composite of automorphisms,
-its inverse psi is the inverse generators in reverse order, and psi(a)
-is the unique expansion of a: the solver pulls a back one generator at
-a time with `apply_endo` and reads the verdict off the support of
-psi(a).  A pair without a certified decomposition is refused: one whose
-[y, x] is not 1, or a stall, which on a commutator-one pair would be a
-counterexample to Dixmier's problem (Bull. SMF 96, 1968).
+Aut(A1) is tame (Dixmier 1968, Makar-Limanov 1984), and `decompose`
+reduces the degrees of (x, y) after Jung and van der Kulk by elementary
+steps y <- y - c*x^k or x <- x - c*y^k, down to an affine pair, and
+returns the recipe that undoes them.  `certify` accepts the recipe only
+when `compile_recipe` gives (x, y) back exactly.  Then phi: X -> x,
+Y -> y is a composite of automorphisms, its inverse psi is the inverse
+generators in reverse order, and psi(a) is the unique expansion of a.
+`MembershipSolver(e)` is the pair's one certificate.  Building it never
+raises: it recomputes [y, x] once and keeps either the certified recipe
+with psi, which `expand` applies, or the refusal, which `expand` and
+`solve` raise.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class AddPolyX:
 
     def pair(self) -> EndoPair:
         f_of_x = linear_combination(zip(self.coeffs, powers(X, len(self.coeffs) - 1)))
-        return build_endo(X, Y + f_of_x)
+        return EndoPair(X, Y + f_of_x, verified=True)  # [Y + f(X), X] = [Y, X] = 1
 
     def inverse(self) -> AddPolyX:
         return AddPolyX(tuple(-c for c in self.coeffs))
@@ -77,7 +77,7 @@ class AddPolyY:
 
     def pair(self) -> EndoPair:
         g_of_y = linear_combination(zip(self.coeffs, powers(Y, len(self.coeffs) - 1)))
-        return build_endo(X + g_of_y, Y)
+        return EndoPair(X + g_of_y, Y, verified=True)  # [Y, X + g(Y)] = [Y, X] = 1
 
     def inverse(self) -> AddPolyY:
         return AddPolyY(tuple(-c for c in self.coeffs))
@@ -95,7 +95,7 @@ class LinearGen:
     def pair(self) -> EndoPair:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("linear generator needs determinant 1")
-        return build_endo(self.a * X + self.b * Y, self.c * X + self.d * Y)
+        return EndoPair(self.a * X + self.b * Y, self.c * X + self.d * Y, verified=True)
 
     def inverse(self) -> LinearGen:
         return LinearGen(self.d, -self.b, -self.c, self.a)
@@ -126,26 +126,18 @@ class EndoRecipe:
 
 
 def compile_recipe(recipe: EndoRecipe) -> EndoPair:
-    """Compose the generators left to right; verify the result.
-
-    A raw override bypasses the generators but still must verify.
-    """
-    if recipe.raw is not None:
-        pair = build_endo(*recipe.raw)
-        if not pair.verified:
-            raise UnverifiedEndoError(
-                "raw pair fails [y, x] = 1; commutator is "
-                f"{pair.defect}"
-            )
-        return pair
-    x_cur, y_cur = X, Y
-    for gen in recipe.generators:
+    """Compose the generators left to right, or take the raw override
+    instead; verify [y, x] = 1 of the result."""
+    gens = recipe.generators if recipe.raw is None else ()
+    x_cur, y_cur = recipe.raw or (X, Y)
+    for gen in gens:
         gpair = gen.pair()
         x_cur = apply_endo(gpair, x_cur)
         y_cur = apply_endo(gpair, y_cur)
     pair = build_endo(x_cur, y_cur)
     if not pair.verified:
-        raise UnverifiedEndoError("composite pair failed verification")
+        kind = "composite" if recipe.raw is None else "raw"
+        raise UnverifiedEndoError(f"{kind} pair fails [y, x] = 1; commutator is {pair.defect}")
     return pair
 
 
@@ -182,19 +174,22 @@ def decompose(e: EndoPair) -> EndoRecipe:
 
     A step y <- y - c*x^k composes phi with Y -> Y - c X^k, so the recipe
     undoes it with add_poly_x, f = c X^k; an x step with add_poly_y,
-    g = c Y^k.  The
-    affine end pair x = aX + bY + s, y = cX + dY + t closes the recipe as
-    add_poly_y([s]), add_poly_x([t]), linear(a, b, c, d).  Identity
-    generators are left out.
+    g = c Y^k.  The affine end pair x = aX + bY + s, y = cX + dY + t
+    closes the recipe as add_poly_y([s]), add_poly_x([t]),
+    linear(a, b, c, d).  Identity generators are left out.
 
     [y, x] = 1 is recomputed before any product is formed; a pair without
     it raises UnverifiedEndoError.  A stall raises DomainError naming the
     degrees and leading forms: on a commutator-one pair it would be a
     counterexample to Dixmier's problem (Bull. SMF 96, 1968).
     """
-    defect = commutator(e.y, e.x)
-    if defect != ONE:
-        raise UnverifiedEndoError(f"no decomposition: [y, x] = {format_element(defect)}")
+    return _reduce(e, commutator(e.y, e.x))
+
+
+def _reduce(e: EndoPair, premise: WeylElement) -> EndoRecipe:
+    """`decompose` for a pair whose [y, x] was recomputed as premise."""
+    if premise != ONE:
+        raise UnverifiedEndoError(f"no decomposition: [y, x] = {format_element(premise)}")
     x, y, gens = e.x, e.y, []
     vx, vy = weighted_degree(W11, x), weighted_degree(W11, y)
     while vx + vy > 2:  # [y, x] = 1 keeps both degrees >= 1
@@ -228,9 +223,7 @@ def decompose(e: EndoPair) -> EndoRecipe:
 def certify(e: EndoPair, recipe: EndoRecipe) -> EndoRecipe:
     """recipe, once `compile_recipe` turns its generators into (x, y)
     exactly; else DomainError.  A raw override certifies nothing and is
-    not compiled.  Every generator is an automorphism, so phi: X -> x,
-    Y -> y is one, its inverse psi is the inverse generators in reverse
-    order, and psi(a) is the only expansion of a over the y^i x^j."""
+    not compiled."""
     try:
         pair = compile_recipe(EndoRecipe(recipe.generators))
     except (ValueError, UnverifiedEndoError):
@@ -263,45 +256,57 @@ class Membership:
 
 
 class MembershipSolver:
-    """Membership queries for one pair: the expansion of a is psi(a),
-    pulled back along the pair's certified decomposition, one inverse
-    generator at a time.  A pair without one is refused when the solver
-    is built: UnverifiedEndoError when [y, x] is not 1, DomainError on a
-    stall."""
+    """The one certificate of a pair (module docstring) and membership
+    queries against it.  `premise` is [y, x] as recomputed; `recipe` is
+    the decomposition `certify` accepted, or None, and then `refusal` is
+    UnverifiedEndoError when [y, x] is not 1, else DomainError for a
+    stall or a recipe that does not replay."""
 
     def __init__(self, e: EndoPair):
-        recipe = certify(e, decompose(e))
-        self._inverse = [g.inverse().pair() for g in reversed(recipe.generators)]
+        self.pair = e
+        self.premise = commutator(e.y, e.x)
+        self.recipe = self.refusal = None
+        try:
+            self.recipe = certify(e, _reduce(e, self.premise))
+        except DomainError as exc:
+            self.refusal = exc
+        gens = self.recipe.generators if self.recipe else ()
+        self._inverse = [g.inverse().pair() for g in reversed(gens)]
         self._vx = weighted_degree(W11, e.x)
         self._vy = weighted_degree(W11, e.y)
 
-    def candidate_pairs(self, bound) -> Tuple[Tuple[int, int], ...]:
-        """Pairs with v11(y^i x^j) = i*v(y) + j*v(x) <= bound, scan order:
-        the monomials of the window of weight (v(y), v(x)) and that cap."""
-        return Window(Weight(self._vy, self._vx), bound).monomials
+    def _raise_refusal(self) -> None:
+        if self.refusal is not None:
+            raise self.refusal.with_traceback(None)
+
+    def expand(self, a: WeylElement) -> WeylElement:
+        """psi(a) = sum c[i,j] Y^i X^j for the unique expansion a = sum
+        c[i,j] y^i x^j, pulled back one inverse generator at a time, which
+        keeps it near the size of a."""
+        self._raise_refusal()
+        for g in self._inverse:
+            a = apply_endo(g, a)
+        return a
 
     def solve(self, elements: Sequence[WeylElement], slack: int) -> List[Membership]:
         """One verdict per element, independent of the batch.
 
-        The expansion a = sum c[i,j] y^i x^j is psi(a), and a is a member
-        at this slack iff every (i, j) it uses has i*v(y) + j*v(x) <=
-        v11(a) + slack.  The witness lists the pairs in scan order.  A
-        negative slack is refused.
+        a is a member at this slack iff every (i, j) that psi(a) uses has
+        i*v(y) + j*v(x) <= v11(a) + slack.  The witness lists the pairs in
+        scan order.  A negative slack is refused.
         """
+        self._raise_refusal()
         if slack < 0:
             raise ValueError(f"membership slack must be >= 0, got {slack}")
         vy, vx = self._vy, self._vx
         out = []
         for a in elements:
-            psi_a = a
-            for g in self._inverse:  # one at a time keeps psi_a near the size of a
-                psi_a = apply_endo(g, psi_a)
-            b = psi_a._terms  # empty iff a = 0
+            b = self.expand(a)._terms  # empty iff a = 0
             bound = weighted_degree(W11, a) + slack
             member = all(i * vy + j * vx <= bound for (i, j) in b)
             order = sorted(b, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
             witness = {p: b[p] for p in order} if member else None
-            tried = len(self.candidate_pairs(bound)) if b else 0
+            tried = len(Window(Weight(vy, vx), bound).monomials) if b else 0
             out.append(Membership(member, witness, slack, bound, tried))
         return out
 

@@ -126,6 +126,7 @@ class SlackMembershipSolver:
     when its expansion stays within its own bound v11(a) + slack.  The
     witness lists its pairs in column order, which is the scan order of
     `candidate_pairs`.  It trusts `verified` and never checks [y, x] = 1.
+    With its `pair`, a check that takes a certificate takes it in its place.
     """
 
     def __init__(self, e):
@@ -133,6 +134,7 @@ class SlackMembershipSolver:
 
         if not e.verified:
             raise UnverifiedEndoError("membership needs a verified pair")
+        self.pair = e
         self.x, self.y = e.x, e.y
         self._vx, self._vy = weighted_degree(W11, e.x), weighted_degree(W11, e.y)
         if self._vx < 1 or self._vy < 1:

@@ -6,9 +6,10 @@ the report SHA-256 recorded in bench/workloads.py), when traced and
 untraced passes give different outputs, or when a tracer wrapper is
 left on a patched class.  So a change under src/ that breaks the
 benchmark shows up here first.  A second test checks that windows-deep's
-closure ops pass the suite's default nilpotent-closure bound, and a
-third that a verify pass leaves no memo behind that the benchmark's
-`clear_process_caches` cannot empty.
+closure ops pass the suite's default nilpotent-closure bound, a third
+that a verify pass leaves no memo behind that the benchmark's
+`clear_process_caches` cannot empty, and a fourth that the tracer still
+counts the suite's membership solves.
 """
 
 import json
@@ -88,3 +89,21 @@ def test_a_verify_pass_grows_no_module_level_container():
     before, after = json.loads(proc.stdout)
     assert {"weyl1.parsing._GENERATORS", "weyl1.cli._COMMANDS"} <= set(before)
     assert after == before
+
+
+def test_the_tracer_counts_the_suites_membership_solves(monkeypatch):
+    # the tracer hooks MembershipSolver.solve by name and skips a method
+    # it cannot find without a word, so a restructured certificate could
+    # drop the endos counters unnoticed: two solves per pair, closure and
+    # propagation
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer(weyl1)
+    tracer.install()
+    try:
+        assert all(r.passed for r in weyl1.run_suite(weyl1.canonical_config()))
+    finally:
+        tracer.uninstall()
+    assert tracer.count["endos.solve_calls"] == 6
+    assert tracer.leftovers() == []

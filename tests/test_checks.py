@@ -1,5 +1,7 @@
 """The windowed verification suite over the canonical pairs."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from weyl1 import (
     CheckResult,
     EndoPair,
     EndoRecipe,
+    MembershipSolver,
     Window,
     WeylElement,
     apply_endo,
@@ -31,7 +34,7 @@ from weyl1 import (
     compile_recipe,
     run_suite,
 )
-from weyl1 import checks, windows
+from weyl1 import checks, core, endos, windows
 from weyl1.windows import Coordinates
 from weyl1.serialize import recipe_from_doc
 
@@ -62,7 +65,7 @@ def test_eigen_check(name, e):
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_klein_check(name, e):
-    res = check_klein_basis(e, 6)
+    res = check_klein_basis(MembershipSolver(e), 6)
     assert res.passed, res.witness
 
 
@@ -110,20 +113,20 @@ def test_kernel_delta_fails_when_kernel_meets_centralizer_beyond_scalars():
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_nilpotent_closure_check(name, e):
-    res = check_nilpotent_closure(e, 3)
+    res = check_nilpotent_closure(MembershipSolver(e), 3)
     assert res.passed, res.witness
     assert res.params["max_iter"] == 13 and res.params["slack"] == 21
 
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_propagation_check(name, e):
-    res = check_propagation(e, apply_endo(e, Y**2 * X**3), 2)
+    res = check_propagation(MembershipSolver(e), apply_endo(e, Y**2 * X**3), 2)
     assert res.passed, res.witness
 
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_eigvec_tables_check(name, e):
-    res = check_eigvec_tables(e, 3, 3)
+    res = check_eigvec_tables(MembershipSolver(e), 3, 3)
     assert res.passed, res.witness
 
 
@@ -183,13 +186,13 @@ def test_checkresult_failure_carries_witness():
     # an intentionally undersized closure bound cannot kill the window,
     # so the closure is a proper subspace and the check reports it
     e = PAIRS[2][1]
-    res = check_nilpotent_closure(e, 3, max_iter=1, slack=21)
+    res = check_nilpotent_closure(MembershipSolver(e), 3, max_iter=1, slack=21)
     assert not res.passed
     assert res.witness == {
         "problems": [
-            "ad_x closure (dim 2) != membership window (dim 10)",
-            "ad_y closure (dim 1) != membership window (dim 10)",
-            "delta closure (dim 3) != membership window (dim 10)",
+            "ad_x closure (dim 2) != membership window (dim 10) within max_iter 1 and slack 21",
+            "ad_y closure (dim 1) != membership window (dim 10) within max_iter 1 and slack 21",
+            "delta closure (dim 3) != membership window (dim 10) within max_iter 1 and slack 21",
         ]
     }
     assert res.line().startswith("FAIL ")
@@ -205,8 +208,8 @@ COMMUTATOR_TWO = EndoPair(x=X, y=2 * Y, verified=True)
         lambda e: check_eigen_theorem(e, 4),
         # ad(h) X = 2X here, so the predicted eigenvalue 1 has no eigenvector
         lambda e: check_eigen_theorem(e, 4, candidates=["1"]),
-        lambda e: check_klein_basis(e, 3),
-        lambda e: check_eigvec_tables(e, 2, 2),
+        lambda e: check_klein_basis(MembershipSolver(e), 3),
+        lambda e: check_eigvec_tables(MembershipSolver(e), 2, 2),
     ],
     ids=["eigen_theorem", "eigen_theorem-missing", "klein_basis", "eigvec_tables"],
 )
@@ -346,9 +349,40 @@ def test_run_suite_evaluates_the_pair_free_identities_once_per_call(monkeypatch)
     for runs in (1, 2):  # no cache outlives a call
         assert all(r.passed for r in run_suite(canonical_config()))
         assert klein[0] == eigvec[0] == runs
-    e = PAIRS[2][1]
-    assert check_klein_basis(e, 3).passed and check_eigvec_tables(e, 2, 2).passed
+    cert = MembershipSolver(PAIRS[2][1])
+    assert check_klein_basis(cert, 3).passed and check_eigvec_tables(cert, 2, 2).passed
     assert klein[0] == eigvec[0] == 3
+
+
+def test_run_suite_builds_one_certificate_per_pair(monkeypatch):
+    # [y, x] of a pair, or of one of its generators or their inverses, is
+    # formed by compile_recipe, by the certificate's premise and by
+    # certify's replay: three times per pair, and by nothing else
+    operands = []
+    for doc in canonical_config()["endomorphisms"]:
+        recipe = recipe_from_doc(doc)
+        pairs = [compile_recipe(recipe)]
+        for g in recipe.generators:
+            pairs += [g.pair(), g.inverse().pair()]
+        operands += [(p.y, p.x) for p in pairs]
+    forms, certificates = [0], [0]
+    commutator, init = core.commutator, endos.MembershipSolver.__init__
+
+    def counted(a, b):
+        forms[0] += any(a == y and b == x for y, x in operands)
+        return commutator(a, b)
+
+    def counted_init(self, e):
+        certificates[0] += 1
+        init(self, e)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "weyl1" and vars(mod).get("commutator") is commutator:
+            monkeypatch.setattr(mod, "commutator", counted)
+    monkeypatch.setattr(endos.MembershipSolver, "__init__", counted_init)
+    assert all(r.passed for r in run_suite(canonical_config()))
+    assert forms[0] <= 9
+    assert certificates[0] == 3
 
 
 def test_checks_module_holds_exactly_the_suite_checks(monkeypatch):
@@ -398,8 +432,9 @@ def test_direct_oracles_hold_on_the_canonical_pairs(name, e):
     ids=[*FAKE_PAIRS, "commutator two"],
 )
 def test_identity_checks_agree_with_the_direct_oracles(label, e):
-    assert check_klein_basis(e, 2).passed == (direct_klein_problems(e, 2) == [])
-    assert check_eigvec_tables(e, 2, 2).passed == (
+    cert = MembershipSolver(e)
+    assert check_klein_basis(cert, 2).passed == (direct_klein_problems(e, 2) == [])
+    assert check_eigvec_tables(cert, 2, 2).passed == (
         direct_eigvec_problems(e, 2, 2) == []
     )
 
@@ -408,8 +443,9 @@ def test_identity_checks_agree_with_the_direct_oracles(label, e):
 @given(st.lists(_GENERATORS, min_size=1, max_size=3))
 def test_identity_checks_agree_with_the_direct_oracles_on_drawn_recipes(gens):
     e = compile_recipe(EndoRecipe(generators=tuple(gens)))
-    assert check_klein_basis(e, 3).passed == (direct_klein_problems(e, 3) == [])
-    assert check_eigvec_tables(e, 2, 2).passed == (
+    cert = MembershipSolver(e)
+    assert check_klein_basis(cert, 3).passed == (direct_klein_problems(e, 3) == [])
+    assert check_eigvec_tables(cert, 2, 2).passed == (
         direct_eigvec_problems(e, 2, 2) == []
     )
 
@@ -425,20 +461,20 @@ def test_identity_checks_multiply_few_term_pairs(monkeypatch):
             pairs[0] += len(a._terms) * len(b._terms)
         return mul(a, b)
 
+    cert = MembershipSolver(PAIRS[2][1])  # built before products are counted
     monkeypatch.setattr(WeylElement, "__mul__", counted)
-    e = PAIRS[2][1]
-    assert check_klein_basis(e, 8).passed and check_eigvec_tables(e, 4, 4).passed
+    assert check_klein_basis(cert, 8).passed and check_eigvec_tables(cert, 4, 4).passed
     assert pairs[0] < 2_000
 
 
 @pytest.mark.parametrize(
     "check",
     [
-        lambda e: check_klein_basis(e, 3),
-        lambda e: check_eigvec_tables(e, 2, 2),
+        lambda e: check_klein_basis(MembershipSolver(e), 3),
+        lambda e: check_eigvec_tables(MembershipSolver(e), 2, 2),
         # at imax = 0 next to nothing is checked, but the premise still is
-        lambda e: check_klein_basis(e, 0),
-        lambda e: check_eigvec_tables(e, 0, 0),
+        lambda e: check_klein_basis(MembershipSolver(e), 0),
+        lambda e: check_eigvec_tables(MembershipSolver(e), 0, 0),
     ],
     ids=["klein_basis", "eigvec_tables", "klein_basis-imax0", "eigvec_tables-imax0"],
 )
@@ -451,5 +487,5 @@ def test_identity_checks_recompute_the_premise_and_ignore_verified():
     # a genuine pair flagged unverified PASSes: the premise is recomputed
     e = PAIRS[2][1]
     unflagged = EndoPair(x=e.x, y=e.y, verified=False)
-    assert check_klein_basis(unflagged, 3).passed
-    assert check_eigvec_tables(unflagged, 2, 2).passed
+    assert check_klein_basis(MembershipSolver(unflagged), 3).passed
+    assert check_eigvec_tables(MembershipSolver(unflagged), 2, 2).passed

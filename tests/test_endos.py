@@ -23,6 +23,7 @@ from weyl1 import (
     apply_endo,
     build_endo,
     canonical_config,
+    commutator,
     compile_recipe,
     endos,
     linear,
@@ -135,8 +136,9 @@ def test_membership_requires_verified_pair():
 def test_membership_refuses_a_pair_with_a_scalar_component():
     # a degree-0 y would keep candidate_pairs adding powers of y forever;
     # its [y, x] = 0 refuses it before
+    cert = MembershipSolver(EndoPair(x=X**2, y=ONE, verified=True))
     with pytest.raises(DomainError, match=r"no decomposition: \[y, x\] = 0"):
-        MembershipSolver(EndoPair(x=X**2, y=ONE, verified=True))
+        cert.solve([Y], 4)
 
 
 def test_membership_refuses_a_negative_slack():
@@ -255,7 +257,7 @@ def test_a_changed_step_is_refused_and_gets_no_verdict(field, monkeypatch):
         certify(e, bad)
     psi = _inverse(bad)  # what the solver would pull back along
     assert (apply_endo(psi, e.x), apply_endo(psi, e.y)) != (X, Y)
-    monkeypatch.setattr(endos, "decompose", lambda pair: bad)
+    monkeypatch.setattr(endos, "_reduce", lambda pair, premise: bad)
     with pytest.raises(DomainError, match="does not replay"):
         MembershipSolver(e).solve([X], 4)
 
@@ -307,8 +309,9 @@ def test_a_stall_names_the_degrees_and_leading_forms(monkeypatch):
 
 def test_a_pair_without_commutator_one_is_refused():
     e = EndoPair(x=X**2, y=Y**2, verified=True)
+    cert = MembershipSolver(e)
     with pytest.raises(UnverifiedEndoError, match=r"\[y, x\]"):
-        MembershipSolver(e)
+        cert.solve([X], 4)
 
 
 _RATS = st.fractions(-2, 2, max_denominator=3)
@@ -343,6 +346,24 @@ def test_a_drawn_pair_decomposes_to_a_recipe_that_compiles_back(gens):
 def test_inverse_path_matches_slack_path_on_drawn_recipes(gens, other):
     e = compile_recipe(EndoRecipe(generators=tuple(gens)))
     _assert_paths_agree(e, _queries(e, 2) + [other], (0, 2, 4, 9))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_GENERATORS)
+def test_a_generator_pair_and_its_inverse_commute_to_one(gen):
+    # the generators build their pairs unchecked, as verified
+    for p in (gen.pair(), gen.inverse().pair()):
+        assert p.verified and commutator(p.y, p.x) == ONE
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3), _NON_MEMBERS, _NON_MEMBERS)
+def test_expand_is_psi_on_drawn_recipes(gens, a, b):
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    cert = MembershipSolver(e)
+    assert cert.refusal is None and cert.premise == ONE
+    assert apply_endo(e, cert.expand(a)) == a  # phi after psi
+    assert cert.expand(apply_endo(e, b)) == b  # psi after phi
 
 
 def test_pairs_tried_counts_each_elements_own_pairs():

@@ -7,7 +7,8 @@ an allowed check that starts to FAIL must leave the list.
 
 Membership refuses these pairs, since they have no decomposition, so the
 checks built on it FAIL with the refusal.  To see what those checks
-compare, some tests inject the slack oracle, which trusts `verified`.
+compare, some tests pass the slack oracle, which trusts `verified`, as
+the certificate.
 """
 
 import pytest
@@ -42,14 +43,16 @@ FAKE_PAIRS = {
 CALLS = {
     "centralizer_theorem": lambda e: checks.check_centralizer_theorem(e, 4),
     "eigen_theorem": lambda e: checks.check_eigen_theorem(e, 3),
-    "klein_basis": lambda e: checks.check_klein_basis(e, 2),
+    "klein_basis": lambda e: checks.check_klein_basis(MembershipSolver(e), 2),
     "product_rules": lambda e: checks.check_product_rules(e, 3, 20260809),
     "kernel_delta": lambda e: checks.check_kernel_delta(e, 2),
-    "nilpotent_closure": lambda e: checks.check_nilpotent_closure(e, 2, None, None),
-    "propagation": lambda e: checks.check_propagation(
-        e, apply_endo(e, Y**2 * X**3), 1, 4
+    "nilpotent_closure": lambda e: checks.check_nilpotent_closure(
+        MembershipSolver(e), 2, None, None
     ),
-    "eigvec_tables": lambda e: checks.check_eigvec_tables(e, 2, 2),
+    "propagation": lambda e: checks.check_propagation(
+        MembershipSolver(e), apply_endo(e, Y**2 * X**3), 1, 4
+    ),
+    "eigvec_tables": lambda e: checks.check_eigvec_tables(MembershipSolver(e), 2, 2),
 }
 
 ALLOWED_TO_PASS = {
@@ -98,11 +101,10 @@ def test_centralizer_witness_names_the_extra_dimension():
     assert res.witness == {"problems": ["eigenvalue 0: dimension 3 != expected 2"]}
 
 
-def test_propagation_fails_for_a_chosen_element(monkeypatch):
+def test_propagation_fails_for_a_chosen_element():
     # d'(X) = [X^2, X] Y^2 = 0 is a member, X is not: the check can FAIL
     # when the element is not an image to begin with
-    monkeypatch.setattr(checks, "MembershipSolver", SlackMembershipSolver)
-    res = checks.check_propagation(FAKE_PAIRS["(X^2, Y^2)"], X, 1)
+    res = checks.check_propagation(SlackMembershipSolver(FAKE_PAIRS["(X^2, Y^2)"]), X, 1)
     assert not res.passed
     assert res.witness["problems"]
 
@@ -119,16 +121,17 @@ def test_eigen_witness_names_a_basis_outside_the_predicted_span():
     }
 
 
-def test_closure_witness_compares_spans_not_dimensions(monkeypatch):
+def test_closure_witness_compares_spans_not_dimensions():
     # the delta closure has the dimension of the membership window but
-    # another span, so the comparison must be one of spans
-    monkeypatch.setattr(checks, "MembershipSolver", SlackMembershipSolver)
-    res = CALLS["nilpotent_closure"](FAKE_PAIRS["(X^2, Y^2)"])
+    # another span, so the comparison must be one of spans; each line
+    # names the bounds it holds within
+    cert = SlackMembershipSolver(FAKE_PAIRS["(X^2, Y^2)"])
+    res = checks.check_nilpotent_closure(cert, 2, None, None)
     assert res.witness == {
         "problems": [
-            "ad_x closure (dim 6) != membership window (dim 3)",
-            "ad_y closure (dim 6) != membership window (dim 3)",
-            "delta closure (dim 3) != membership window (dim 3)",
+            "ad_x closure (dim 6) != membership window (dim 3) within max_iter 9 and slack 14",
+            "ad_y closure (dim 6) != membership window (dim 3) within max_iter 9 and slack 14",
+            "delta closure (dim 3) != membership window (dim 3) within max_iter 9 and slack 14",
         ]
     }
 
@@ -159,6 +162,18 @@ def test_membership_checks_fail_with_the_refusal(name):
         }
 
 
+@pytest.mark.parametrize("label", sorted(FAKE_PAIRS))
+def test_a_fake_pairs_certificate_raises_its_refusal_on_use(label):
+    e = FAKE_PAIRS[label]
+    cert = MembershipSolver(e)  # built without raising
+    message = f"no decomposition: [y, x] = {format_element(commutator(e.y, e.x))}"
+    assert cert.premise == commutator(e.y, e.x) and cert.recipe is None
+    for use in (lambda: cert.expand(X), lambda: cert.solve([X], 4), lambda: cert.solve([], 4)):
+        with pytest.raises(UnverifiedEndoError) as err:
+            use()
+        assert err.value is cert.refusal and str(err.value) == message
+
+
 # member flags of the cap-2 window monomials 1, X, Y, X^2, YX, Y^2 at
 # slacks 0 and 4, which the slack oracle decides
 FAKE_MEMBERS = {
@@ -170,12 +185,12 @@ FAKE_MEMBERS = {
 
 
 @pytest.mark.parametrize("label", sorted(FAKE_PAIRS))
-def test_fake_pairs_keep_their_membership_verdicts(label, monkeypatch):
-    monkeypatch.setattr(checks, "MembershipSolver", SlackMembershipSolver)
-    with pytest.raises(UnverifiedEndoError):
-        MembershipSolver(FAKE_PAIRS[label])
-    solver = checks.MembershipSolver(FAKE_PAIRS[label])
+def test_fake_pairs_keep_their_membership_verdicts(label):
     monos = Window(W11, 2).basis_elements()
+    cert = MembershipSolver(FAKE_PAIRS[label])
+    with pytest.raises(UnverifiedEndoError):
+        cert.solve(monos, 0)
+    solver = SlackMembershipSolver(FAKE_PAIRS[label])
     flags = tuple(
         "".join("1" if m.member else "0" for m in solver.solve(monos, slack))
         for slack in (0, 4)
