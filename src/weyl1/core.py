@@ -10,19 +10,21 @@ and that is how elements are stored: a sparse map from exponent pairs
 canonical, so equality is structural and the zero element is the empty
 map.  Elements are immutable; every operation returns a fresh value.
 
-Coefficients are kept in the stored form of `scalars`: an int when
-integral, else a Rat with denominator > 1, never a float.  Every
-operation restores that form on its result.  `terms()`, `coefficient()`
-and `scalar_value()` still hand out Rat values.
+An element carries its cleared form: nonzero Python int numerators over
+their least positive common denominator (`scalars`), with den 1 for zero.
+That form is canonical, so `==` compares it.  Products, commutators,
+powers, scalings, sums, linear combinations, `theta`, `apply_endo` and
+the map images of `maps` read and write it: their inner loops run on
+ints, and each result is reduced by one gcd of its denominator and
+numerators.  Elements with integer coefficients, which dominate the
+verification suite, have den 1 and skip the gcd.
 
-Products, commutators, scalings and linear combinations are
-fraction-free: each clears its operands' denominators once on the way in
-(`integral`), runs its inner loop on Python ints over one common
-denominator, and divides once per output term on the way out (`over`).
-Elements with integer coefficients, which dominate the verification
-suite, skip both steps.  Addition and subtraction stay on the stored
-values: they do one scalar operation per term, and clearing would not
-save any.
+The stored form `_terms`, an int when integral and else a Rat with
+denominator > 1 as `scalars` describes it, is a view: it is built from
+the cleared form the first time something reads it, and kept.
+`terms()`, `coefficient()` and `scalar_value()` hand out Rat values.
+A stored-form map comes in only through the constructor and `_raw`,
+which clear it once (`integral`).
 
 Products are normal ordered with the closed form
 
@@ -40,8 +42,7 @@ m_k(b, c) = 0 for k >= 1 when b or c is 0.  So a product pair with X^0
 or Y^0 in the middle is the one term Y^(i1+i2) X^(j1+j2), and a bracket
 pair reads a side only when both of its exponents are nonzero; a pair
 with neither side commutes and is skipped.  `_bracket` runs that loop on
-cleared int term maps, for `commutator` and for the maps of `maps`,
-which clear their fixed elements once per map.
+cleared numerators, for `commutator` and for the map images of `maps`.
 
 The test suite validates both against the one-step rewriting oracle
 XY -> YX - 1.
@@ -53,7 +54,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import UnverifiedEndoError
@@ -76,9 +77,13 @@ def _reorder(b: int, c: int) -> Tuple[int, ...]:
 
 
 class WeylElement:
-    """An element of the algebra in canonical Y^i X^j form."""
+    """An element of the algebra in canonical Y^i X^j form.
 
-    __slots__ = ("_terms",)
+    `_ints` and `_den` are the cleared form, `_terms` the stored form
+    built from it on first read (module docstring).
+    """
+
+    __slots__ = ("_ints", "_den", "_stored")
 
     def __init__(self, terms: Optional[Mapping[ExponentPair, Scalar]] = None):
         data = {}
@@ -93,14 +98,37 @@ class WeylElement:
                         data[(i, j)] = demote(q)
                     else:
                         data.pop((i, j), None)
-        self._terms = data
+        self._ints, self._den = integral(data)
+        self._stored = data
 
     @classmethod
     def _raw(cls, terms: dict) -> "WeylElement":
         # internal: terms already canonical (no zeros, stored-form values)
         self = object.__new__(cls)
-        self._terms = terms
+        self._ints, self._den = integral(terms)
+        self._stored = terms
         return self
+
+    @classmethod
+    def _cleared(cls, ints: dict, den: int = 1) -> "WeylElement":
+        # internal: nonzero int numerators over den >= 1, reduced here by
+        # one gcd to the cleared form; an empty map gets den 1
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {k: v // g for k, v in ints.items()}
+        self = object.__new__(cls)
+        self._ints, self._den, self._stored = ints, den, None
+        return self
+
+    @property
+    def _terms(self) -> dict:
+        """The stored form, built from the cleared form on first read."""
+        t = self._stored
+        if t is None:
+            t = self._stored = over(self._ints, self._den)
+        return t
 
     # -- inspection ----------------------------------------------------
 
@@ -112,27 +140,25 @@ class WeylElement:
         )
 
     def support(self):
-        return set(self._terms)
+        return set(self._ints)
 
     def coefficient(self, i: int, j: int):
         return Rat(self._terms.get((i, j), 0))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._ints
 
     def is_scalar(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0)}
+        return self._ints.keys() <= {(0, 0)}
 
     def scalar_value(self):
         """The value of a scalar element; raises on non-scalars."""
-        if self.is_zero():
-            return Rat(0)
-        if set(self._terms) == {(0, 0)}:
-            return Rat(self._terms[(0, 0)])
-        raise ValueError("element is not a scalar")
+        if not self.is_scalar():
+            raise ValueError("element is not a scalar")
+        return self.coefficient(0, 0)
 
     def monomial_count(self) -> int:
-        return len(self._terms)
+        return len(self._ints)
 
     # -- ring structure ------------------------------------------------
 
@@ -140,42 +166,34 @@ class WeylElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = demote(v)
-            else:
-                out.pop(key, None)
-        return WeylElement._raw(out)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement._raw({k: -c for k, c in self._terms.items()})
+        return WeylElement._cleared({k: -v for k, v in self._ints.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _difference(self._terms, other._terms)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _difference(other._terms, self._terms)
+        return _sum(other, self, -1)
 
     def __mul__(self, other):
-        """Normal-ordered product by the closed form, fraction-free; a term
-        pair with X^0 or Y^0 in the middle goes straight into its one key."""
+        """Normal-ordered product by the closed form on the cleared forms;
+        a term pair with X^0 or Y^0 in the middle goes straight into its
+        one key."""
         if not isinstance(other, WeylElement):
             return self._scaled(other)
-        a, da = integral(self._terms)
-        b, db = integral(other._terms)
         acc: dict = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
+        for (i1, j1), c1 in self._ints.items():
+            for (i2, j2), c2 in other._ints.items():
                 c = c1 * c2
                 if not (j1 and i2):  # X^0 or Y^0 in the middle: one key
                     key = (i1 + i2, j1 + j2)
@@ -192,7 +210,7 @@ class WeylElement:
                         acc[key] = v
                     else:
                         acc.pop(key, None)
-        return WeylElement._raw(over(acc, da * db))
+        return WeylElement._cleared(acc, self._den * other._den)
 
     def __rmul__(self, other):
         # only reached for a non-element on the left; scalars are central
@@ -203,16 +221,19 @@ class WeylElement:
             return NotImplemented
         c = coeff(c)
         if not c:
-            return WeylElement._raw({})
-        ints, den = integral(self._terms)
+            return ZERO
         n = c.numerator
-        return WeylElement._raw(
-            over({k: n * v for k, v in ints.items()}, den * c.denominator)
+        return WeylElement._cleared(
+            {k: n * v for k, v in self._ints.items()}, self._den * c.denominator
         )
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
+        if len(self._ints) == 1:
+            ((i, j), c), = self._ints.items()
+            if not (i and j):  # c Y^i or c X^j: (c Y^i)^n = c^n Y^(i n)
+                return WeylElement._cleared({(i * n, j * n): c**n}, self._den**n)
         # one product per step, as in `powers`, but keeping no lower
         # power; squaring a dense power costs far more than multiplying
         # it by the (usually small) base
@@ -224,17 +245,17 @@ class WeylElement:
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, WeylElement):
-            return self._terms == other._terms
         if isinstance(other, (int, Rat, numbers.Rational)):
-            return self._terms == WeylElement({(0, 0): other})._terms
+            other = WeylElement({(0, 0): other})
+        if isinstance(other, WeylElement):
+            return self._den == other._den and self._ints == other._ints
         return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._ints)
 
     def __str__(self):
         return format_element(self)
@@ -251,16 +272,19 @@ def _coerce(value) -> Union[WeylElement, type(NotImplemented)]:
     return NotImplemented
 
 
-def _difference(p: dict, q: dict) -> WeylElement:
-    """p - q for stored-form term maps, subtracted into one copy of p."""
-    out = dict(p)
-    for key, c in q.items():
-        v = out.get(key, 0) - c
-        if v:
-            out[key] = demote(v)
+def _sum(a: WeylElement, b: WeylElement, sign: int) -> WeylElement:
+    """a + sign * b on the cleared forms, added into one copy of a's
+    numerators; two den-1 operands need no scaling and no gcd."""
+    den = a._den if a._den == b._den else lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    out = dict(a._ints) if fa == 1 else {k: fa * v for k, v in a._ints.items()}
+    for key, v in b._ints.items():
+        s = out.get(key, 0) + fb * v
+        if s:
+            out[key] = s
         else:
             out.pop(key, None)
-    return WeylElement._raw(out)
+    return WeylElement._cleared(out, den)
 
 
 def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylElement:
@@ -273,16 +297,15 @@ def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylEleme
     for c, el in pairs:
         c = coeff(c)
         if c:
-            ints, den = integral(el._terms)
-            cleared.append((c.numerator, den * c.denominator, ints))
+            cleared.append((c.numerator, c.denominator * el._den, el._ints))
     return _combine(cleared)
 
 
 def _combine(cleared: List[Tuple[int, int, dict]]) -> WeylElement:
     """sum (n / den) * ints over cleared (n, den, ints) triples.
 
-    The sum is taken in ints over the lcm of the denominators, so the only
-    division is one per output term.  The `ints` maps are only read.
+    The sum is taken in ints over the lcm of the denominators and reduced
+    by one gcd.  The `ints` maps are only read.
     """
     common = lcm(*(den for _, den, _ in cleared))
     acc: dict = {}
@@ -294,7 +317,7 @@ def _combine(cleared: List[Tuple[int, int, dict]]) -> WeylElement:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-    return WeylElement._raw(over(acc, common))
+    return WeylElement._cleared(acc, common)
 
 
 def monomial(i: int, j: int, c: Scalar = 1) -> WeylElement:
@@ -326,13 +349,11 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a*b - b*a, by the bracket closed form of the module
-    docstring: one fraction-free pass over term pairs (`_bracket`),
-    forming neither product."""
+    docstring: one pass over the term pairs of the cleared forms
+    (`_bracket`), forming neither product."""
     if not (isinstance(a, WeylElement) and isinstance(b, WeylElement)):
         return a * b - b * a  # a plain scalar operand, or a type error
-    p, da = integral(a._terms)
-    q, db = integral(b._terms)
-    return WeylElement._raw(over(_bracket(p, q), da * db))
+    return WeylElement._cleared(_bracket(a._ints, b._ints), a._den * b._den)
 
 
 def _bracket(p: dict, q: dict) -> dict:
@@ -376,16 +397,15 @@ def powers(a: WeylElement, n: int) -> List[WeylElement]:
 def theta(a: WeylElement) -> WeylElement:
     """The automorphism X -> Y, Y -> -X (hence H -> -H + 1)."""
     # substitute, then normal order: (-X)^i * Y^j
-    return linear_combination(
-        (-c if i % 2 else c, monomial(0, i) * monomial(j, 0))
-        for (i, j), c in a._terms.items()
-    )
+    return _combine([
+        (-c if i % 2 else c, a._den, (X**i * Y**j)._ints) for (i, j), c in a._ints.items()
+    ])
 
 
 def theta_prime(a: WeylElement) -> WeylElement:
     """The anti-automorphism X -> Y, Y -> X (so H -> H)."""
     # term by term: reversal sends Y^i X^j to Y^j X^i, already normal
-    return WeylElement._raw({(j, i): c for (i, j), c in a._terms.items()})
+    return WeylElement._cleared({(j, i): c for (i, j), c in a._ints.items()}, a._den)
 
 
 @dataclass(frozen=True)
@@ -423,17 +443,21 @@ def identity_endo() -> EndoPair:
 
 
 def apply_endo(e: EndoPair, a: WeylElement) -> WeylElement:
-    """Image of a under X -> x, Y -> y, i.e. sum a[i,j] * y^i * x^j."""
+    """Image of a under X -> x, Y -> y, grouped by powers of y:
+    sum_i y^i * (sum_j a[i,j] * x^j), one product per distinct i."""
     if not e.verified:
         raise UnverifiedEndoError(
             "refusing to apply an unverified pair; commutator defect: "
             f"{format_element(e.defect) if e.defect is not None else '?'}"
         )
-    y_pow = powers(e.y, max((i for (i, _) in a._terms), default=0))
-    x_pow = powers(e.x, max((j for (_, j) in a._terms), default=0))
-    return linear_combination(
-        (c, y_pow[i] * x_pow[j]) for (i, j), c in a._terms.items()
-    )
+    ints = a._ints
+    y_pow = powers(e.y, max((i for (i, _) in ints), default=0))
+    x_pow = powers(e.x, max((j for (_, j) in ints), default=0))
+    rows: dict = {}  # i -> the cleared terms of sum_j a[i,j] * x^j
+    for (i, j), c in ints.items():
+        rows.setdefault(i, []).append((c, x_pow[j]._den, x_pow[j]._ints))
+    images = [y_pow[i] * _combine(row) for i, row in rows.items()]
+    return _combine([(1, a._den * el._den, el._ints) for el in images])
 
 
 # -- canonical printing ------------------------------------------------

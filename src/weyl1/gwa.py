@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .core import H, WeylElement, linear_combination, monomial, powers
 from .degrees import Weight, weighted_degree
-from .scalars import RAT_ONE, Rat, integral, rat, rat_str
+from .scalars import RAT_ONE, Rat, rat, rat_str
 
 Poly = Tuple[Rat, ...]
 
@@ -414,7 +414,7 @@ def to_graded(a: WeylElement) -> GradedElement:
         Y^i X^j = (H+i-1)(H+i-2)...(H+1)H * X^(j-i)        for i <= j,
         Y^i X^j = (H+i-1)(H+i-2)...(H+i-j) * Y^(i-j)       for i > j.
     """
-    ints, den = integral(a._terms)
+    ints, den = a._ints, a._den
     acc: Dict[int, List[int]] = {}
     for (i, j), v in ints.items():
         p = _shifted_product(0 if i <= j else i - j, i)

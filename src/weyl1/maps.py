@@ -13,11 +13,13 @@ gives each map a degree shift bound used to size target windows.
 One class carries them all.  A `LinearMap` is an image rule (the image
 of one monomial), a degree-shift bound (a function of the weight) and a
 name; `ad`, `d_yx`, `d_xy`, `delta_xy` and `compose` only choose the
-three.  Linear extension and a per-map cache of cleared monomial images
-are shared (see `LinearMap`).  `ad`, `d_yx`, `d_xy` and `delta_xy` clear
-their fixed elements once, when the map is made, and bracket each
-monomial with them through `core._bracket`, the loop `core.commutator`
-runs; delta brackets twice on int term maps and divides once.
+three.  Linear extension and a per-map cache of monomial images are
+shared (see `LinearMap`).  Everything here runs on the cleared forms of
+`core`: `ad`, `d_yx`, `d_xy` and `delta_xy` bracket each monomial with
+the int numerators of their fixed elements through `core._bracket`, the
+loop `core.commutator` runs (delta brackets twice and reduces once), and
+a map applied to an element sums the cleared images of its monomials.
+No Rat is formed until something reads an image's stored form.
 
 The drop of a map at a with respect to a degree function v is
 v(m(a)) - v(a), with -inf when the image vanishes.
@@ -26,12 +28,12 @@ v(m(a)) - v(a), with -inf when the image vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from .core import EndoPair, WeylElement, _bracket, _combine
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
-from .scalars import NEG_INF, integral, over
+from .scalars import NEG_INF
 
 Degree = Union[int, float]
 
@@ -40,14 +42,13 @@ class LinearMap:
     """A linear self-map, evaluable on elements.
 
     `image` gives the image of one monomial Y^i X^j (passed as an
-    element with coefficient 1, so its term map is an int map already),
+    element with coefficient 1, whose cleared form is {(i, j): 1} over 1),
     `shift` an upper bound for v(m(a)) - v(a) under a weight,
     and `description` the map's name in reports.  The cache maps (i, j)
-    to the image of Y^i X^j cleared once: the element, its int term map
-    and its denominator (`scalars.integral`).  A map applied to an element
-    sums those int maps in one pass (`core._combine`) into a fresh
-    element; the cached ones are only read.  Cache writes are idempotent,
-    so concurrent readers are safe.
+    to the image of Y^i X^j.  A map applied to an element sums the
+    cleared forms of those images in one pass (`core._combine`) into a
+    fresh element; the cached ones are only read.  Cache writes are
+    idempotent, so concurrent readers are safe.
     """
 
     def __init__(self, image: Callable, shift: Callable, description: str):
@@ -57,22 +58,21 @@ class LinearMap:
         self._cache = {}
 
     def _monomial_image(self, i: int, j: int) -> WeylElement:
-        return self._image(WeylElement._raw({(i, j): 1}))
+        return self._image(WeylElement._cleared({(i, j): 1}))
 
     def __call__(self, a: WeylElement) -> WeylElement:
         cleared = []
-        for key, c in a._terms.items():
-            _, ints, den = self._cached_image(key)
-            cleared.append((c.numerator, den * c.denominator, ints))
+        for key, c in a._ints.items():
+            img = self._cached_image(key)
+            cleared.append((c, a._den * img._den, img._ints))
         return _combine(cleared)
 
-    def _cached_image(self, key) -> Tuple[WeylElement, dict, int]:
-        """(image, ints, den) of the monomial at key; see the class docstring."""
-        hit = self._cache.get(key)
-        if hit is None:
-            img = self._monomial_image(*key)
-            hit = self._cache[key] = (img, *integral(img._terms))
-        return hit
+    def _cached_image(self, key) -> WeylElement:
+        """Image of the monomial at key; see the class docstring."""
+        img = self._cache.get(key)
+        if img is None:
+            img = self._cache[key] = self._monomial_image(*key)
+        return img
 
     def degree_shift(self, w: Weight) -> Degree:
         """Upper bound for v(m(a)) - v(a) under the weight w."""
@@ -86,9 +86,9 @@ class LinearMap:
 
 
 def _bracket_by(a: WeylElement) -> Callable[[WeylElement], WeylElement]:
-    """The image rule u -> [a, u], with a cleared once (`core._bracket`)."""
-    p, den = integral(a._terms)
-    return lambda u: WeylElement._raw(over(_bracket(p, u._terms), den))
+    """The image rule u -> [a, u] for monomials u (`core._bracket`)."""
+    p, den = a._ints, a._den
+    return lambda u: WeylElement._cleared(_bracket(p, u._ints), den)
 
 
 def ad(a: WeylElement) -> LinearMap:
@@ -132,9 +132,9 @@ def d_xy(e: EndoPair) -> LinearMap:
 def delta_xy(e: EndoPair) -> LinearMap:
     """delta: a -> [x, [y, a]], the composition ad(x) ad(y)."""
     _require_verified(e, "delta = ad(x) ad(y)")
-    (px, dx), (py, dy) = integral(e.x._terms), integral(e.y._terms)
+    px, py, den = e.x._ints, e.y._ints, e.x._den * e.y._den
     return LinearMap(
-        lambda u: WeylElement._raw(over(_bracket(px, _bracket(py, u._terms)), dx * dy)),
+        lambda u: WeylElement._cleared(_bracket(px, _bracket(py, u._ints)), den),
         _pair_shift(e, 2),
         "ad(x) ad(y)",
     )

@@ -4,25 +4,27 @@ All coefficients in this package are exact rationals: reduced, arbitrary
 precision, positive denominator.  The rational type `Rat` is the stdlib
 fractions.Fraction; its string format is "p" or "p/q".
 
-Stored form.  Element terms in `core` and the results of `linalg` hold
-every integral scalar as a plain Python int and every other one as a Rat
-with denominator > 1, never as a float.  int*int and int+int then never go
-through the rational type.  (Inside its elimination `linalg` goes further:
-echelon rows are primitive int rows, and a Rat appears only when a result
-row is scaled to a leading 1.)  Nothing outside can tell:
-Rat(n) == n and hash(Rat(n)) == hash(n), and the public accessors that
-promise a Rat (WeylElement.terms, coefficient, scalar_value) still return
-one.  `coeff` coerces into the stored form, `demote` restores it after
-arithmetic, and `exact_div` divides without ever producing a float.
+Stored form.  The stored view of an element's terms in `core` and the
+results of `linalg` hold every integral scalar as a plain Python int and
+every other one as a Rat with denominator > 1, never as a float.  int*int
+and int+int then never go through the rational type.  Nothing outside
+can tell: Rat(n) == n and hash(Rat(n)) == hash(n), and the public
+accessors that promise a Rat (WeylElement.terms, coefficient,
+scalar_value) still return one.  `coeff` coerces into the stored form,
+`demote` restores it after arithmetic, and `exact_div` divides without
+ever producing a float.
 
-Fraction-free arithmetic.  `integral` clears the denominators of a
-{key: scalar} map once, giving Python int numerators over one common
-denominator, and `over` divides them back into the stored form.  `core`
-multiplies and combines elements through this pair, `linalg` brings
-every echelon row in through `integral`, and `gwa` clears its dense
-coefficient tuples the same way (`gwa._clear`/`_out`), so the inner loops
-of all three run on plain ints and touch a Rat at most once per output
-entry.
+Cleared form.  `integral` clears the denominators of a {key: scalar} map
+once, giving nonzero Python int numerators over their least positive
+common denominator, and `over` divides them back into the stored form.
+The cleared form is what `core` computes with: an element carries it
+from operation to operation, `integral` runs only where a stored-form
+map comes in (an element built from a mapping, a `linalg` row), and
+`over` only when an element's stored view is first read.  Inside its
+elimination `linalg` keeps primitive int rows, and a Rat appears only
+when a result row is scaled to a leading 1; `gwa` clears its dense
+coefficient tuples the same way (`gwa._clear`/`_out`).  So the inner
+loops of all three run on plain ints.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def coeff(value):
     """Coerce like `rat`, into the stored form: int when integral."""
     if type(value) is int:
         return value
-    return demote(rat(value))
+    return demote(value if type(value) is Rat else rat(value))
 
 
 def exact_div(a, b):
@@ -77,7 +79,8 @@ def exact_div(a, b):
 
 def integral(entries: dict):
     """(ints, den): den is the lcm of the values' denominators, and ints
-    holds every nonzero value times den as a Python int.
+    holds every nonzero value times den as a Python int.  This is the
+    cleared form: no smaller den works, so gcd(den, *ints) is 1.
 
     When every value is already a nonzero int, `entries` itself comes back
     with den = 1, uncopied: a caller that updates `ints` in place must copy

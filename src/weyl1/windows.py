@@ -161,7 +161,7 @@ def _window_index(rho: int, eta: int, cap: int) -> Dict[Tuple[int, int], int]:
 def map_matrix(m: LinearMap, src: Window, tgt: Window) -> RatMatrix:
     """Matrix of m from src to tgt; column c is m's cached image of the
     c-th src monomial."""
-    return tgt.matrix([m._cached_image(key)[0] for key in src.monomials])
+    return tgt.matrix([m._cached_image(key) for key in src.monomials])
 
 
 def eigenspace(

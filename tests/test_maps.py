@@ -268,4 +268,4 @@ def test_monomial_images_equal_the_public_brackets_cold_and_warm(gens, keys):
             want = expected[name](u)
             assert make()(u) == want, (name, i, j)
             assert warm(u) == want, (name, i, j)
-            assert warm._cached_image((i, j))[0] == want, (name, i, j)
+            assert warm._cached_image((i, j)) == want, (name, i, j)

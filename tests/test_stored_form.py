@@ -339,7 +339,8 @@ def test_map_application_is_the_combination_of_its_monomial_images(a, b, e):
         for out in (cold, warm):
             assert_stored(out)
             assert_public_rat(out)
-        for img, ints, den in m._cache.values():
+        for img in m._cache.values():
+            ints, den = img._ints, img._den
             assert_stored(img)
             assert type(den) is int and den >= 1
             assert all(type(v) is int and v for v in ints.values())
