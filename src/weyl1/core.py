@@ -5,26 +5,21 @@ Y*X - X*Y = 1.  Every element has a unique normal form
 
     sum  a[i, j] * Y^i * X^j      (all Y's to the left of all X's)
 
-and that is how elements are stored: a sparse map from exponent pairs
-(i, j) to nonzero exact rational coefficients.  The representation is
-canonical, so equality is structural and the zero element is the empty
-map.  Elements are immutable; every operation returns a fresh value.
+and that is how elements are held: a sparse map from exponent pairs
+(i, j) to nonzero exact rational coefficients, in one form, the cleared
+form: nonzero Python int numerators over their least positive common
+denominator (`scalars`), with den 1 for zero.  The representation is
+canonical, so `==` compares it and the zero element is the empty map.
+Elements are immutable; every operation returns a fresh value.
 
-An element carries its cleared form: nonzero Python int numerators over
-their least positive common denominator (`scalars`), with den 1 for zero.
-That form is canonical, so `==` compares it.  Products, commutators,
-powers, scalings, sums, linear combinations, `theta`, `apply_endo` and
-the map images of `maps` read and write it: their inner loops run on
-ints, and each result is reduced by one gcd of its denominator and
-numerators.  Elements with integer coefficients, which dominate the
-verification suite, have den 1 and skip the gcd.
-
-The stored form `_terms`, an int when integral and else a Rat with
-denominator > 1 as `scalars` describes it, is a view: it is built from
-the cleared form the first time something reads it, and kept.
-`terms()`, `coefficient()` and `scalar_value()` hand out Rat values.
-A stored-form map comes in only through the constructor and `_raw`,
-which clear it once (`integral`).
+Products, commutators, powers, scalings, sums, linear combinations,
+`theta`, `apply_endo` and the map images of `maps` read and write the
+cleared form: their inner loops run on ints, and each result is reduced
+by one gcd of its denominator and numerators.  Elements with integer
+coefficients, which dominate the verification suite, have den 1 and
+skip the gcd.  A mapping comes in only through the constructor, which
+clears it once (`integral`).  `terms()`, `coefficient()` and
+`scalar_value()` build their Rat values on each call and keep none.
 
 Products are normal ordered with the closed form
 
@@ -58,7 +53,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import UnverifiedEndoError
-from .scalars import RAT_ONE, Rat, coeff, demote, integral, over, rat_str
+from .scalars import RAT_ONE, Rat, coeff, integral, rat_str
 
 ExponentPair = Tuple[int, int]
 Scalar = Union[int, str, Rat]
@@ -77,13 +72,10 @@ def _reorder(b: int, c: int) -> Tuple[int, ...]:
 
 
 class WeylElement:
-    """An element of the algebra in canonical Y^i X^j form.
+    """An element of the algebra in canonical Y^i X^j form, held as its
+    cleared form `_ints` over `_den` (module docstring)."""
 
-    `_ints` and `_den` are the cleared form, `_terms` the stored form
-    built from it on first read (module docstring).
-    """
-
-    __slots__ = ("_ints", "_den", "_stored")
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, terms: Optional[Mapping[ExponentPair, Scalar]] = None):
         data = {}
@@ -93,21 +85,8 @@ class WeylElement:
                     raise ValueError(f"negative exponent pair {(i, j)}")
                 q = coeff(c)
                 if q:
-                    q = data.get((i, j), 0) + q
-                    if q:
-                        data[(i, j)] = demote(q)
-                    else:
-                        data.pop((i, j), None)
+                    data[(i, j)] = q
         self._ints, self._den = integral(data)
-        self._stored = data
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "WeylElement":
-        # internal: terms already canonical (no zeros, stored-form values)
-        self = object.__new__(cls)
-        self._ints, self._den = integral(terms)
-        self._stored = terms
-        return self
 
     @classmethod
     def _cleared(cls, ints: dict, den: int = 1) -> "WeylElement":
@@ -119,23 +98,16 @@ class WeylElement:
                 den //= g
                 ints = {k: v // g for k, v in ints.items()}
         self = object.__new__(cls)
-        self._ints, self._den, self._stored = ints, den, None
+        self._ints, self._den = ints, den
         return self
-
-    @property
-    def _terms(self) -> dict:
-        """The stored form, built from the cleared form on first read."""
-        t = self._stored
-        if t is None:
-            t = self._stored = over(self._ints, self._den)
-        return t
 
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> Iterable[Tuple[ExponentPair, Rat]]:
         """Term stream in the canonical (i+j, i) ascending order."""
+        den = self._den
         return sorted(
-            ((key, Rat(c)) for key, c in self._terms.items()),
+            ((key, Rat(c, den)) for key, c in self._ints.items()),
             key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
         )
 
@@ -143,7 +115,7 @@ class WeylElement:
         return set(self._ints)
 
     def coefficient(self, i: int, j: int):
-        return Rat(self._terms.get((i, j), 0))
+        return Rat(self._ints.get((i, j), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._ints
@@ -252,7 +224,10 @@ class WeylElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a scalar equals its value (`__eq__`), so it hashes as that value
+        if self.is_scalar():
+            return hash(self.coefficient(0, 0))
+        return hash((self._den, frozenset(self._ints.items())))
 
     def __bool__(self):
         return bool(self._ints)

@@ -51,7 +51,7 @@ from .core import (
 )
 from .degrees import W11, Weight, weighted_degree
 from .errors import DomainError, UnverifiedEndoError
-from .scalars import Rat, exact_div, rat
+from .scalars import Rat, rat
 from .windows import Window
 
 
@@ -146,7 +146,7 @@ def compile_recipe(recipe: EndoRecipe) -> EndoPair:
 
 def _top(a: WeylElement, va) -> WeylElement:
     """The terms of a of (1,1)-degree va: its leading form when va = v11(a)."""
-    return WeylElement._raw({key: v for key, v in a._terms.items() if sum(key) == va})
+    return WeylElement._cleared({key: v for key, v in a._ints.items() if sum(key) == va}, a._den)
 
 
 def _cut(side: str, a, va, b, vb):
@@ -156,12 +156,12 @@ def _cut(side: str, a, va, b, vb):
     if va % vb:
         return None
     k = va // vb
-    top_a, top_b = _top(a, va)._terms, _top(_top(b, vb) ** k, va)._terms
-    if top_a.keys() != top_b.keys():
+    top_a, top_b = _top(a, va), _top(_top(b, vb) ** k, va)
+    if top_a._ints.keys() != top_b._ints.keys():
         return None
-    first = next(iter(top_a))
-    c = exact_div(top_a[first], top_b[first])
-    if any(v != c * top_b[mono] for mono, v in top_a.items()):
+    first = next(iter(top_a._ints))
+    c = top_a.coefficient(*first) / top_b.coefficient(*first)
+    if top_a != c * top_b:
         return None
     return side, c, k
 
@@ -301,12 +301,13 @@ class MembershipSolver:
         vy, vx = self._vy, self._vx
         out = []
         for a in elements:
-            b = self.expand(a)._terms  # empty iff a = 0
+            b = self.expand(a)
+            used = b._ints  # empty iff a = 0
             bound = weighted_degree(W11, a) + slack
-            member = all(i * vy + j * vx <= bound for (i, j) in b)
-            order = sorted(b, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
-            witness = {p: b[p] for p in order} if member else None
-            tried = len(Window(Weight(vy, vx), bound).monomials) if b else 0
+            member = all(i * vy + j * vx <= bound for (i, j) in used)
+            order = sorted(used, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
+            witness = {p: b.coefficient(*p) for p in order} if member else None
+            tried = len(Window(Weight(vy, vx), bound).monomials) if used else 0
             out.append(Membership(member, witness, slack, bound, tried))
         return out
 

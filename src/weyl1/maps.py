@@ -19,7 +19,7 @@ shared (see `LinearMap`).  Everything here runs on the cleared forms of
 the int numerators of their fixed elements through `core._bracket`, the
 loop `core.commutator` runs (delta brackets twice and reduces once), and
 a map applied to an element sums the cleared images of its monomials.
-No Rat is formed until something reads an image's stored form.
+No Rat is formed until something reads an image's coefficients.
 
 The drop of a map at a with respect to a degree function v is
 v(m(a)) - v(a), with -inf when the image vanishes.

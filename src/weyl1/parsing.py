@@ -58,9 +58,9 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes "²" and "３"
             start = k
-            while k < n and text[k].isdigit():
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             out.append(_Token("nat", text[start:k], start))
             continue

@@ -4,27 +4,29 @@ All coefficients in this package are exact rationals: reduced, arbitrary
 precision, positive denominator.  The rational type `Rat` is the stdlib
 fractions.Fraction; its string format is "p" or "p/q".
 
-Stored form.  The stored view of an element's terms in `core` and the
-results of `linalg` hold every integral scalar as a plain Python int and
-every other one as a Rat with denominator > 1, never as a float.  int*int
-and int+int then never go through the rational type.  Nothing outside
-can tell: Rat(n) == n and hash(Rat(n)) == hash(n), and the public
-accessors that promise a Rat (WeylElement.terms, coefficient,
-scalar_value) still return one.  `coeff` coerces into the stored form,
+Stored form.  The rows `linalg` takes, the results it hands back and the
+coordinates `Coordinates.coords` gives it hold every integral scalar as
+a plain Python int and every other one as a Rat with denominator > 1,
+never as a float.  int*int and int+int then never go through the
+rational type.  Nothing outside can tell: Rat(n) == n and
+hash(Rat(n)) == hash(n).  `coeff` coerces into the stored form,
 `demote` restores it after arithmetic, and `exact_div` divides without
 ever producing a float.
 
 Cleared form.  `integral` clears the denominators of a {key: scalar} map
 once, giving nonzero Python int numerators over their least positive
 common denominator, and `over` divides them back into the stored form.
-The cleared form is what `core` computes with: an element carries it
-from operation to operation, `integral` runs only where a stored-form
-map comes in (an element built from a mapping, a `linalg` row), and
-`over` only when an element's stored view is first read.  Inside its
-elimination `linalg` keeps primitive int rows, and a Rat appears only
-when a result row is scaled to a leading 1; `gwa` clears its dense
-coefficient tuples the same way (`gwa._clear`/`_out`).  So the inner
-loops of all three run on plain ints.
+The cleared form is the one form an element of `core` has: it goes from
+operation to operation, `integral` runs only where a map of scalars
+comes in (an element built from a mapping, a `linalg` row), and `over`
+only where an element's coordinates go to `linalg`
+(`Coordinates.coords`).  The public accessors that promise a Rat
+(WeylElement.terms, coefficient, scalar_value) build it from the
+cleared form on each call.  Inside its elimination `linalg` keeps
+primitive int rows, and a Rat appears only when a result row is scaled
+to a leading 1; `gwa` clears its dense coefficient tuples the same way
+(`gwa._clear`/`_out`).  So the inner loops of all three run on plain
+ints.
 """
 
 from __future__ import annotations

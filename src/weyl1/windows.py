@@ -32,7 +32,7 @@ from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, Vector, canonical_basis, nullspace, rank, solve_many
 from .linalg import _Echelon
 from .maps import LinearMap, ad
-from .scalars import NEG_INF, Rat, coeff, demote, rat
+from .scalars import NEG_INF, Rat, coeff, demote, over, rat
 
 
 class Coordinates:
@@ -47,7 +47,7 @@ class Coordinates:
     """
 
     def __init__(self, *groups: Sequence[WeylElement]):
-        keys = {key for group in groups for el in group for key in el._terms}
+        keys = {key for group in groups for el in group for key in el._ints}
         self.monomials = sorted(keys, key=lambda p: (p[0] + p[1], p[0]))
         self.index = {key: r for r, key in enumerate(self.monomials)}
 
@@ -60,7 +60,7 @@ class Coordinates:
     def coords(self, a: WeylElement) -> Dict[int, Rat]:
         idx = self.index
         try:
-            return {idx[key]: c for key, c in a._terms.items()}
+            return {idx[key]: c for key, c in over(a._ints, a._den).items()}
         except KeyError as exc:
             i, j = exc.args[0]
             raise WindowEscapeError(
@@ -119,7 +119,7 @@ class Window(Coordinates):
         return f"the window (weight ({self.weight.rho},{self.weight.eta}), cap {self.cap})"
 
     def basis_elements(self) -> List[WeylElement]:
-        return [WeylElement._raw({key: 1}) for key in self.monomials]
+        return [WeylElement._cleared({key: 1}) for key in self.monomials]
 
     def meet(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
         """Canonical basis of span(elems) cut to the window.
@@ -129,7 +129,7 @@ class Window(Coordinates):
         """
         index = self.index
         outside = [
-            WeylElement._raw({k: c for k, c in el._terms.items() if k not in index})
+            WeylElement._cleared({k: v for k, v in el._ints.items() if k not in index}, el._den)
             for el in elems
         ]
         combos = nullspace(Coordinates(outside).matrix(outside))
@@ -373,7 +373,7 @@ def build_chain_basis(
             raise ChainBasisError("chain equation m(e_i) = e_(i-1) is unsolvable")
         # remove the kernel component so the choice is deterministic
         e = linear_combination((c, elems[k]) for k, c in sol.items())
-        chain.append(e - e._terms.get(lead, 0) * e0)
+        chain.append(e - e.coefficient(*lead) * e0)
     return chain
 
 

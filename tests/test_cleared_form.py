@@ -1,28 +1,35 @@
 """Cleared form of elements, property-tested with hypothesis.
 
-An element carries nonzero int numerators over their least positive
+An element holds only nonzero int numerators over their least positive
 common denominator (`_ints`, `_den`); arithmetic reads and writes that
-form, and the stored form `_terms` is built from it on first read.  Every
-operation must hand back the canonical cleared form, its stored view
-must be `over(ints, den)`, and its value must agree with the rewrite
-oracle.  `==` compares cleared forms and `hash` reads the stored form,
-so both must agree between an element built from a mapping and the same
-value built by arithmetic.  Powers, pull-backs and commutators of
+form.  Every operation must hand back the canonical cleared form, and
+its value must agree with the rewrite oracle.  `==` and `hash` read the
+cleared form, so both must agree between an element built from a
+mapping and the same value built by arithmetic; a scalar element hashes
+as its value, which it equals.  Powers, pull-backs and commutators of
 rational elements must form no Fraction until their terms are read.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_monomial_product, oracle_mul
-from test_stored_form import NONZERO, RATIONAL_PAIR, SCALARS, TRIANGULAR, mixed_elements
+from test_stored_form import (
+    NONZERO,
+    RATIONAL_PAIR,
+    SCALARS,
+    TRIANGULAR,
+    assert_cleared,
+    cleared,
+    mixed_elements,
+)
 from weyl1 import (
     ONE,
     EndoRecipe,
     WeylElement,
+    Y,
     add_poly_x,
     add_poly_y,
     apply_endo,
@@ -32,6 +39,7 @@ from weyl1 import (
     d_yx,
     delta_xy,
     monomial,
+    scalar,
     theta,
 )
 from weyl1.core import linear_combination, powers
@@ -42,14 +50,6 @@ from weyl1.scalars import over
 COMPOSITE = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))
 PAIRS = st.sampled_from([TRIANGULAR, RATIONAL_PAIR, COMPOSITE])
 SMALL = mixed_elements(max_degree=2, max_terms=3)
-
-
-def assert_cleared(a: WeylElement):
-    ints, den = a._ints, a._den
-    assert type(den) is int and den >= 1
-    assert all(type(v) is int and v for v in ints.values()), ints
-    assert gcd(den, *ints.values()) == 1, (ints, den)  # den is 1 for zero
-    assert over(ints, den) == a._terms
 
 
 # -- oracle tables: {(i, j): Fraction}, no zero values -------------------
@@ -80,11 +80,9 @@ def power(t: dict, n: int) -> dict:
 
 
 def assert_agrees(out: WeylElement, want: dict):
-    """out is in cleared form and its stored view is the oracle's table,
-    ints where integral and Rats with denominator > 1 otherwise."""
+    """out is in cleared form and its value is the oracle's table."""
     assert_cleared(out)
-    assert out._terms == {k: v for k, v in want.items() if v}
-    assert all(type(v) is int or v.denominator > 1 for v in out._terms.values())
+    assert over(out._ints, out._den) == {k: v for k, v in want.items() if v}
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,8 +144,7 @@ def test_grouped_pull_back_is_the_term_by_term_sum(a, e):
     ys, xs = powers(e.y, 4), powers(e.x, 4)
     want = linear_combination((c, ys[i] * xs[j]) for (i, j), c in a.terms())
     got = apply_endo(e, a)
-    assert (got._ints, got._den) == (want._ints, want._den)
-    assert got._terms == want._terms
+    assert cleared(got) == cleared(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -173,6 +170,14 @@ def test_eq_and_hash_agree_between_mappings_and_arithmetic(a, b, c):
     assert (a * 0 + c) == c and hash(a * 0 + c) == hash(WeylElement({(0, 0): c}))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(0), st.integers(-(10**30), 10**30), st.fractions(), SCALARS))
+def test_a_scalar_element_hashes_as_the_value_it_equals(c):
+    for s in (scalar(c), scalar(c) * ONE, monomial(1, 0) * c - c * Y + c):
+        assert s == c and hash(s) == hash(c)
+        assert len({s, c}) == 1 and {c: 1}[s] == 1
+
+
 # one-term elements c * Y^i or c * X^j, the shape `**` raises directly
 AXIS_MONOMIALS = st.builds(
     lambda i, c, on_y: monomial(i, 0, c) if on_y else monomial(0, i, c),
@@ -187,7 +192,7 @@ def test_pow_is_repeated_multiplication(a, n):
     for _ in range(n):
         want = want * a
     got = a**n
-    assert got == want and got._terms == want._terms
+    assert got == want and cleared(got) == cleared(want)
     assert_cleared(got)
 
 

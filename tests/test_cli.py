@@ -277,6 +277,22 @@ def test_float_coefficient_document_is_bad_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("expr", ["X^²", "X^３", "٢*Y"])
+def test_a_non_ascii_digit_is_bad_input(capsys, expr):
+    code, out, err = run(capsys, "normalize", expr)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "unexpected character" in doc["detail"]
+
+
+def test_a_non_ascii_digit_in_the_propagation_element_is_bad_input(tmp_path, capsys):
+    params = dict(canonical_config()["params"], propagation_element="Y^²*X")
+    code, out, err = run(capsys, "verify", "--config", _write_config(tmp_path, params))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "unexpected character" in doc["detail"]
+
+
 def _write_config(tmp_path, params):
     cfg = canonical_config()
     cfg["params"] = params

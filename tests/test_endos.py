@@ -32,7 +32,8 @@ from weyl1 import (
     theta,
     windows,
 )
-from weyl1.endos import certify, decompose
+from weyl1.degrees import weighted_degree
+from weyl1.endos import _cut, certify, decompose
 from weyl1.serialize import recipe_from_doc
 
 
@@ -245,6 +246,34 @@ def test_decompositions_of_the_canonical_and_raw_pairs():
     assert apply_endo(psi, RAW.x) == X and apply_endo(psi, RAW.y) == Y
 
 
+@pytest.mark.parametrize(
+    "a,b,c",
+    [
+        (Y**2 + 3 * X, 2 * Y + 1, rat(1, 4)),
+        (3 * Y**2 + 6 * Y * X + 3 * X**2 + X, 2 * Y + 2 * X + 1, rat(3, 4)),
+        (rat(2, 3) * Y**2 * X**2 + Y, rat(6, 5) * Y * X + X, rat(25, 54)),
+    ],
+)
+def test_a_cut_reads_the_ratio_of_the_leading_forms(a, b, c):
+    va, vb = weighted_degree(W11, a), weighted_degree(W11, b)
+    k = va // vb
+    assert _cut("y", a, va, b, vb) == ("y", c, k)
+    assert weighted_degree(W11, a - c * b**k) < va
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (Y**2 + Y * X + X**2, Y + X),  # same support, not proportional
+        (Y * X, Y + 1),  # lead(b)^2 = Y^2 lacks the monomial Y*X
+        (Y**2 + X, Y * X + X),  # lead(b)^1 = Y*X lacks Y^2
+        (Y**3, Y**2 + X),  # v(a) = 3 is no multiple of v(b) = 2
+    ],
+)
+def test_no_cut_unless_one_leading_form_is_a_multiple_of_a_power(a, b):
+    assert _cut("x", a, weighted_degree(W11, a), b, weighted_degree(W11, b)) is None
+
+
 @pytest.mark.parametrize("field", ["c", "k"])
 def test_a_changed_step_is_refused_and_gets_no_verdict(field, monkeypatch):
     e = CANONICAL["composite"]
@@ -408,7 +437,7 @@ def test_deep_recipe_membership_multiplies_few_term_pairs(monkeypatch):
 
     def counted(a, b):
         if isinstance(b, WeylElement):
-            pairs[0] += len(a._terms) * len(b._terms)
+            pairs[0] += a.monomial_count() * b.monomial_count()
         return mul(a, b)
 
     monkeypatch.setattr(WeylElement, "__mul__", counted)

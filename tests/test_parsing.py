@@ -58,6 +58,15 @@ def test_error_positions():
         parse("1/0")
 
 
+@pytest.mark.parametrize("text,pos", [("X^²", 2), ("X^３", 2), ("٢*Y", 0), ("1٣*X", 1)])
+def test_a_non_ascii_digit_is_an_unexpected_character(text, pos):
+    # str.isdigit() and int() accept these; element documents do not
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == pos
+    assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+
+
 def test_exponent_guard():
     with pytest.raises(ParseError):
         parse(f"X^{MAX_EXPONENT + 1}")

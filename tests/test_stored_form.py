@@ -1,8 +1,11 @@
 """Stored form of scalars, property-tested with hypothesis.
 
-Every coefficient an element stores, and every entry the echelon code
-hands back, is an int when it is integral and a Rat with denominator > 1
-otherwise, never a float.  The public accessors still return Rat, and
+An element holds only its cleared form: nonzero int numerators over
+their least positive common denominator.  The stored form it hands
+linalg (`over` of that form, as `Coordinates.coords` does), and every
+entry the echelon code hands back, is an int when it is integral and a
+Rat with denominator > 1 otherwise, never a float.  The public
+accessors still return Rat, and
 products still agree with the rewrite oracle.  Products, commutators,
 scalings and linear combinations clear denominators to ints and divide
 back once (`scalars.integral` / `over`); they are checked against the
@@ -16,6 +19,7 @@ against a linear combination of the monomial images, cold and warm.
 import copy
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -87,8 +91,22 @@ def stored(c) -> bool:
     return isinstance(c, Rat) and c.denominator > 1
 
 
+def cleared(a: WeylElement):
+    return a._ints, a._den
+
+
+def assert_cleared(a: WeylElement):
+    ints, den = a._ints, a._den
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in ints.values()), ints
+    assert gcd(den, *ints.values()) == 1, (ints, den)  # den is 1 for zero
+
+
 def assert_stored(a: WeylElement):
-    assert all(stored(c) for c in a._terms.values()), a._terms
+    """a is in the cleared form, and the stored form linalg gets from it
+    holds ints and Rats with denominator > 1."""
+    assert_cleared(a)
+    assert all(stored(c) for c in over(a._ints, a._den).values()), a
 
 
 def assert_public_rat(a: WeylElement):
@@ -246,9 +264,9 @@ def test_commutator_jacobi_and_leibniz(a, b, c):
 def test_scalar_operands_commute(a, c):
     s = WeylElement({(0, 0): c})
     for u, v in ((s, a), (a, s), (WeylElement(), a), (a, WeylElement()), (c, a), (a, c)):
-        assert commutator(u, v)._terms == {}
-    assert commutator(Y, X)._terms == {(0, 0): 1}
-    assert commutator(X, Y)._terms == {(0, 0): -1}
+        assert cleared(commutator(u, v)) == ({}, 1)
+    assert cleared(commutator(Y, X)) == ({(0, 0): 1}, 1)
+    assert cleared(commutator(X, Y)) == ({(0, 0): -1}, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,8 +286,7 @@ def test_cancelling_denominators_give_ints():
         (linear_combination([(third, X + Y), (Fraction(2, 3), X + Y)]), {(0, 1): 1, (1, 0): 1}),
         (linear_combination([(half, X), (Fraction(-1, 2), X), (third, 3 * Y)]), {(1, 0): 1}),
     ):
-        assert out._terms == want
-        assert all(type(v) is int for v in out._terms.values())
+        assert out._den == 1 and out._ints == want  # every coefficient an int
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,8 +357,4 @@ def test_map_application_is_the_combination_of_its_monomial_images(a, b, e):
             assert_stored(out)
             assert_public_rat(out)
         for img in m._cache.values():
-            ints, den = img._ints, img._den
             assert_stored(img)
-            assert type(den) is int and den >= 1
-            assert all(type(v) is int and v for v in ints.values())
-            assert over(ints, den) == img._terms
