@@ -2,8 +2,9 @@
 
 A window is the finite span of the monomials with bounded weighted
 degree.  Restricting ad(a) to a window turns eigenvector and
-centralizer questions into exact rational nullspace computations, and
-the answers are re-verified in the full algebra.
+centralizer questions into exact kernels of int matrices (the
+coefficients' numerators over one denominator), and the answers are
+re-verified in the full algebra.
 """
 
 from weyl1 import (

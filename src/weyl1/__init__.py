@@ -75,7 +75,7 @@ from .gwa import (
     supp_monoid,
     to_graded,
 )
-from .linalg import RatMatrix, canonical_basis, nullspace, rank, rref, solve
+from .linalg import RatMatrix, kernel, rank, row_basis
 from .maps import (
     DropReport,
     LinearMap,

@@ -55,7 +55,7 @@ def _tokenize(text: str) -> List[_Token]:
     n = len(text)
     while k < n:
         ch = text[k]
-        if ch.isspace():
+        if ch in " \t\r\n":  # ASCII blanks only: str.isspace() also takes "\u3000"
             k += 1
             continue
         if "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes "²" and "３"

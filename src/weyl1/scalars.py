@@ -4,29 +4,19 @@ All coefficients in this package are exact rationals: reduced, arbitrary
 precision, positive denominator.  The rational type `Rat` is the stdlib
 fractions.Fraction; its string format is "p" or "p/q".
 
-Stored form.  The rows `linalg` takes, the results it hands back and the
-coordinates `Coordinates.coords` gives it hold every integral scalar as
-a plain Python int and every other one as a Rat with denominator > 1,
-never as a float.  int*int and int+int then never go through the
-rational type.  Nothing outside can tell: Rat(n) == n and
-hash(Rat(n)) == hash(n).  `coeff` coerces into the stored form,
-`demote` restores it after arithmetic, and `exact_div` divides without
-ever producing a float.
-
 Cleared form.  `integral` clears the denominators of a {key: scalar} map
 once, giving nonzero Python int numerators over their least positive
-common denominator, and `over` divides them back into the stored form.
-The cleared form is the one form an element of `core` has: it goes from
-operation to operation, `integral` runs only where a map of scalars
-comes in (an element built from a mapping, a `linalg` row), and `over`
-only where an element's coordinates go to `linalg`
-(`Coordinates.coords`).  The public accessors that promise a Rat
-(WeylElement.terms, coefficient, scalar_value) build it from the
-cleared form on each call.  Inside its elimination `linalg` keeps
-primitive int rows, and a Rat appears only when a result row is scaled
-to a leading 1; `gwa` clears its dense coefficient tuples the same way
-(`gwa._clear`/`_out`).  So the inner loops of all three run on plain
-ints.
+common denominator.  That is the one form an element of `core` has: it
+goes from operation to operation, and `integral` runs only where a map
+of scalars comes in (an element built from a mapping).  `linalg` takes
+the numerators as its rows and hands back cleared rows, which become
+elements with no division (`windows.Coordinates`); `gwa` clears its
+dense coefficient tuples the same way (`gwa._clear`/`_out`).  So the
+inner loops of all three run on plain ints.  The public accessors that
+promise a Rat (WeylElement.terms, coefficient, scalar_value) build it
+from the cleared form on each call.  `coeff` coerces a scalar coming in
+to an int when it is integral and a Rat otherwise, never a float, so
+int*int and int+int never go through the rational type.
 """
 
 from __future__ import annotations
@@ -59,24 +49,12 @@ def rat(value, den=None):
     return Rat(value)
 
 
-def demote(q):
-    """q as an int when it is integral, else q unchanged (stored form)."""
-    return q if type(q) is int or q.denominator != 1 else int(q)
-
-
 def coeff(value):
-    """Coerce like `rat`, into the stored form: int when integral."""
+    """Coerce like `rat`, to an int when integral and a Rat otherwise."""
     if type(value) is int:
         return value
-    return demote(value if type(value) is Rat else rat(value))
-
-
-def exact_div(a, b):
-    """a / b in the stored form; int / int never becomes a float."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Rat(a, b) if r else q
-    return demote(a / b)
+    q = value if type(value) is Rat else rat(value)
+    return q if q.denominator != 1 else int(q)
 
 
 def integral(entries: dict):
@@ -102,13 +80,6 @@ def integral(entries: dict):
         for k, v in entries.items()
         if v
     }, den
-
-
-def over(ints: dict, den: int) -> dict:
-    """{k: v / den} in the stored form; `ints` itself when den is 1."""
-    if den == 1:
-        return ints
-    return {k: exact_div(v, den) for k, v in ints.items()}
 
 
 def rat_str(q) -> str:

@@ -24,24 +24,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import WeylElement, commutator, linear_combination
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
-from .linalg import RatMatrix, Vector, canonical_basis, nullspace, rank, solve_many
-from .linalg import _Echelon
+from .linalg import RatMatrix, kernel, rank, row_basis, solutions
+from .linalg import _Echelon, _echelon
 from .maps import LinearMap, ad
-from .scalars import NEG_INF, Rat, coeff, demote, over, rat
+from .scalars import NEG_INF, Rat, rat
 
 
 class Coordinates:
     """Coordinates on an ordered basis of monomials.
 
-    Elements go to sparse {position: coefficient} dicts, canonical span
-    bases, matrix columns and expansions over a spanning list, and vectors
-    come back as elements.  Built from groups of elements, the basis is
-    the union of their supports sorted by (i+j, i) as in a (1,1) window,
+    An element's coordinates are its int numerators keyed by position
+    (`coords`): the element is them over its own denominator.  Where
+    elements are rows (`basis`), that denominator drops, because scaling a
+    row keeps its row space.  Where they are columns (`matrix`, `solve`),
+    the matrix is cleared to L, the lcm of their denominators, and carries
+    L.  Cleared rows from `linalg` come back as elements through
+    `element` with no division.  Built from groups of elements, the basis
+    is the union of their supports sorted by (i+j, i) as in a (1,1) window,
     so every element of the groups has coordinates here; a monomial
     outside the basis raises WindowEscapeError.
     """
@@ -57,10 +62,10 @@ class Coordinates:
     def dimension(self) -> int:
         return len(self.monomials)
 
-    def coords(self, a: WeylElement) -> Dict[int, Rat]:
+    def coords(self, a: WeylElement) -> Dict[int, int]:
         idx = self.index
         try:
-            return {idx[key]: c for key, c in over(a._ints, a._den).items()}
+            return {idx[key]: c for key, c in a._ints.items()}
         except KeyError as exc:
             i, j = exc.args[0]
             raise WindowEscapeError(
@@ -69,32 +74,33 @@ class Coordinates:
 
     def basis(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
         """Canonical basis of span(elems), as elements."""
-        vecs = canonical_basis([self.coords(el) for el in elems], self.dimension())
-        return [self.element(vec) for vec in vecs]
+        return [self.element(*row) for row in row_basis([self.coords(el) for el in elems])]
 
     def matrix(self, columns: Sequence[WeylElement]) -> RatMatrix:
         """Matrix whose c-th column holds the coordinates of columns[c],
-        filled straight from `coords` (values are stored form, nonzero)."""
-        sparse: List[Dict[int, Rat]] = [{} for _ in self.monomials]
+        over L, the lcm of their denominators: column c is its numerators
+        times L / den."""
+        den = lcm(*(el._den for el in columns))
+        sparse: List[Dict[int, int]] = [{} for _ in self.monomials]
         for c, el in enumerate(columns):
+            scale = den // el._den
             for r, v in self.coords(el).items():
-                sparse[r][c] = v
-        return RatMatrix._stored(sparse, len(columns))
+                sparse[r][c] = v * scale
+        return RatMatrix(sparse, len(columns), den)
 
     def solve(
         self, space: Sequence[WeylElement], elems: Sequence[WeylElement]
-    ) -> List[Optional[Dict[int, Rat]]]:
-        """Per element, its expansion over the list space as a sparse
-        {position: coefficient} dict (free variables zero), or None when it
-        lies outside span(space); one elimination serves every element."""
-        return solve_many(
-            self.matrix(space).sparse, len(space), [self.coords(el) for el in elems]
-        )
+    ) -> List[Optional[Tuple[Dict[int, int], int]]]:
+        """Per element, its expansion over the list space as a cleared row
+        (ints keyed by position in space, den; free variables zero), or
+        None when it lies outside span(space); one elimination serves every
+        element."""
+        return solutions(self.matrix(space), [(self.coords(el), el._den) for el in elems])
 
-    def element(self, vec: Vector) -> WeylElement:
+    def element(self, ints: Dict[int, int], den: int = 1) -> WeylElement:
+        """The element with numerators ints (keyed by position) over den."""
         monos = self.monomials
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        return WeylElement({monos[k]: v for k, v in items if v})
+        return WeylElement._cleared({monos[k]: v for k, v in ints.items()}, den)
 
 
 @dataclass(frozen=True)
@@ -125,15 +131,18 @@ class Window(Coordinates):
         """Canonical basis of span(elems) cut to the window.
 
         The slice is spanned by the combinations of elems whose parts
-        outside the window cancel: one nullspace of those outside parts.
+        outside the window cancel: one kernel of those outside parts.
         """
         index = self.index
         outside = [
             WeylElement._cleared({k: v for k, v in el._ints.items() if k not in index}, el._den)
             for el in elems
         ]
-        combos = nullspace(Coordinates(outside).matrix(outside))
-        return self.basis([linear_combination(zip(vec, elems)) for vec in combos])
+        combos = kernel(Coordinates(outside).matrix(outside))
+        # a combination's scale does not matter to the span: drop its den
+        return self.basis([
+            linear_combination((v, elems[k]) for k, v in ints.items()) for ints, _ in combos
+        ])
 
     def enlarged(self, m: LinearMap) -> "Window":
         """Window guaranteed to hold images of this one under m."""
@@ -173,24 +182,31 @@ def eigenspace(
     """Basis of {u in the window : [a, u] = lam * u}, exactly.
 
     Computed as the kernel of the matrix of ad(a) - lam restricted to the
-    window (target enlarged to hold the images).  The returned elements
-    satisfy the eigen equation in the full algebra, not merely modulo the
-    window.  ad_matrix, when given, must be _ad_window_matrix(a, win); it
+    window (target enlarged to hold the images).  With A'' the numerators
+    of the ad(a) matrix over L and lam = p/q, that matrix is A''/L - lam on
+    the window's own rows; those rows are scaled by q L to q A'' - p L and
+    the others stay A'', since scaling a row keeps the kernel.  The
+    returned elements satisfy the eigen equation in the full algebra, not
+    merely modulo the window.  ad_matrix, when given, must be _ad_window_matrix(a, win); it
     is left unchanged, so one matrix serves every candidate of a scan.
     """
-    lam = coeff(lam)
+    lam = rat(lam)
     mat, tgt = ad_matrix if ad_matrix is not None else _ad_window_matrix(a, win)
     if lam:
-        mat = mat.copy()
+        q, shift = lam.denominator, lam.numerator * mat.den
+        sparse = list(mat.sparse)
         tgt_idx = tgt.index
         for c, key in enumerate(win.monomials):
-            row = mat.sparse[tgt_idx[key]]
-            v = demote(row.get(c, 0) - lam)
+            r = tgt_idx[key]
+            row = {k: q * v for k, v in sparse[r].items()}
+            v = row.get(c, 0) - shift
             if v:
                 row[c] = v
             else:
                 del row[c]
-    basis = [win.element(vec) for vec in nullspace(mat)]
+            sparse[r] = row
+        mat = RatMatrix(sparse, mat.ncols)
+    basis = [win.element(*row) for row in kernel(mat)]
     for u in basis:  # exactness re-check in plain arithmetic
         if commutator(a, u) != lam * u:
             raise AssertionError("eigenvector failed exact re-verification")
@@ -308,7 +324,7 @@ def _invariant_dim(win: Window, ad_matrix: Tuple[RatMatrix, Window]) -> int:
     for row in queue:  # grows while it is read
         lead = ech.insert(row)
         if lead is not None:
-            product: Dict[int, Rat] = {}
+            product: Dict[int, int] = {}
             for r, v in ech.rows[lead].items():
                 for c, w in block[r].items():
                     product[c] = product.get(c, 0) + v * w
@@ -337,8 +353,7 @@ def nilpotent_closure_window(
             cur = m(cur)
         finals.append(cur)
     # common coordinates for whatever monomials survived
-    kernel = nullspace(Coordinates(finals).matrix(finals))
-    return [win.element(vec) for vec in kernel]
+    return [win.element(*row) for row in kernel(Coordinates(finals).matrix(finals))]
 
 
 def build_chain_basis(
@@ -351,28 +366,46 @@ def build_chain_basis(
     e_0 is the kernel vector with coefficient 1 at its leading (first)
     monomial, so the constant 1 when the kernel is the scalars, and each
     later e_i is pinned by zeroing its coefficient at that monomial.
+
+    One echelon serves the whole chain.  Its rows are (m(e), e) for e in
+    elems, image coordinates left of the element's, so they span the
+    graph of m on span(elems): its rank is dim span(elems), and its rows
+    whose image part is zero are ker m in reduced echelon form.  Reducing
+    (e_(i-1), 0, 1), with a marker column last, leaves s (0, -u, 1) with
+    m(u) = e_(i-1) and s > 0, or a nonzero image part when there is no u.
     """
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
         raise ChainBasisError("no nonzero elements to span a chain")
     images = [m(el) for el in elems]
     co = Coordinates(elems, images)
-    kernel = co.basis(
-        [linear_combination(zip(vec, elems)) for vec in nullspace(co.matrix(images))]
-    )
-    if len(kernel) != 1:
+    n = co.dimension()
+    graph = []
+    for img, el in zip(images, elems):
+        row = {r: v * el._den for r, v in co.coords(img).items()}
+        row.update((n + r, v * img._den) for r, v in co.coords(el).items())
+        graph.append(row)
+    ech = _echelon(graph)
+    kernel_basis = [
+        co.element({k - n: v for k, v in row.items()}, p)
+        for row, p in ech.cleared_rows()
+        if min(row) >= n
+    ]
+    if len(kernel_basis) != 1:
         raise ChainBasisError(
-            f"kernel on the span has dimension {len(kernel)}, expected 1"
+            f"kernel on the span has dimension {len(kernel_basis)}, expected 1"
         )
-    e0 = kernel[0]
+    e0 = kernel_basis[0]
     lead = co.monomials[min(co.coords(e0))]
     chain = [e0]
-    for _ in range(rank(co.matrix(elems)) - 1):
-        sol = co.solve(images, [chain[-1]])[0]
-        if sol is None:
+    for _ in range(len(ech.rows) - 1):
+        prev = chain[-1]
+        row = ech.reduce({**co.coords(prev), 2 * n: prev._den})
+        if min(row) < n:
             raise ChainBasisError("chain equation m(e_i) = e_(i-1) is unsolvable")
+        s = row.pop(2 * n)
+        e = co.element({k - n: -v for k, v in row.items()}, s)
         # remove the kernel component so the choice is deterministic
-        e = linear_combination((c, elems[k]) for k, c in sol.items())
         chain.append(e - e.coefficient(*lead) * e0)
     return chain
 

@@ -17,10 +17,16 @@ identities on the pair itself, forming products such as y^8 x^4 for the
 composite pair.  The suite checks them once on (X, Y) and carries them
 over by phi under the premise [y, x] = 1; these are the per-pair
 reference for that argument, and they keep the large products under test.
+
+The dense matrix surface turns rational rows and vectors into the
+cleared rows `linalg` takes and reads its cleared results back as dense
+Fraction rows, so tests can state matrices as lists and compare with
+sympy.  It lives here because nothing in the package needs it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +186,9 @@ class SlackMembershipSolver:
                 continue
             bound = deg + slack
             tried = len(self.candidate_pairs(bound))
-            witness = None if sol is None else {pairs[c]: sol[c] for c in sorted(sol)}
+            witness = None if sol is None else {
+                pairs[c]: Fraction(v, sol[1]) for c, v in sorted(sol[0].items())
+            }
             if witness is None or any(i * vy + j * vx > bound for (i, j) in witness):
                 out.append(Membership(False, None, slack, bound, tried))
             else:
@@ -249,3 +257,86 @@ def direct_eigvec_problems(e, imax, nmax):
             if dp(u) != -i * u:
                 problems.append(f"d'(x^{n} x^{i}y^{i}) != -{i} u")
     return problems
+
+
+# -- the dense matrix surface ---------------------------------------------
+
+
+def cleared_vector(vec):
+    """A dense or {index: scalar} vector as a cleared row (ints, den)."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    vals = {k: Fraction(v) for k, v in items if v}
+    den = lcm(*(v.denominator for v in vals.values()))
+    return {k: int(v * den) for k, v in vals.items()}, den
+
+
+def dense(row, ncols):
+    """A cleared row (ints, den) as a dense list of Fractions."""
+    ints, den = row
+    return [Fraction(ints.get(j, 0), den) for j in range(ncols)]
+
+
+def dense_matrix(rows, ncols=None):
+    """A RatMatrix from dense rows of scalars, cleared to one denominator."""
+    from weyl1.linalg import RatMatrix
+
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    width = widths.pop() if widths else ncols or 0
+    if ncols is not None and ncols != width:
+        raise ValueError("ncols disagrees with row length")
+    den = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    sparse = [{j: int(Fraction(v) * den) for j, v in enumerate(row) if v} for row in rows]
+    return RatMatrix(sparse, width, den)
+
+
+def from_columns(columns, nrows):
+    """A RatMatrix whose j-th column is the dense or {row: scalar} columns[j]."""
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in enumerate(dense(cleared_vector(col), nrows)):
+            rows[i][j] = v
+    return dense_matrix(rows, len(columns))
+
+
+def values(mat):
+    """The matrix a RatMatrix stands for, as dense rows of Fractions."""
+    return [dense((row, mat.den), mat.ncols) for row in mat.sparse]
+
+
+def mul_vector(mat, vec):
+    """The product of the matrix a RatMatrix stands for with a dense vector."""
+    return [
+        sum((v * Fraction(x) for v, x in zip(row, vec)), Fraction(0)) for row in values(mat)
+    ]
+
+
+def nullspace(mat):
+    """Canonical kernel basis of a RatMatrix as dense rows."""
+    from weyl1.linalg import kernel
+
+    return [dense(row, mat.ncols) for row in kernel(mat)]
+
+
+def rref(mat):
+    """Reduced row echelon form of a RatMatrix (dense rows) and its pivots."""
+    from weyl1.linalg import row_basis
+
+    basis = row_basis(mat.sparse)
+    return [dense(row, mat.ncols) for row in basis], [min(ints) for ints, _ in basis]
+
+
+def canonical_basis(vectors, ncols):
+    """Canonical basis of the span of dense or {index: scalar} vectors."""
+    from weyl1.linalg import row_basis
+
+    return [dense(row, ncols) for row in row_basis([cleared_vector(v)[0] for v in vectors])]
+
+
+def solve(mat, rhs):
+    """Particular solution of A x = b (free variables zero, dense), or None."""
+    from weyl1.linalg import solutions
+
+    (sol,) = solutions(mat, [cleared_vector(rhs)])
+    return None if sol is None else dense(sol, mat.ncols)

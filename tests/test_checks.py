@@ -32,6 +32,7 @@ from weyl1 import (
     check_product_rules,
     check_propagation,
     compile_recipe,
+    rat,
     run_suite,
 )
 from weyl1 import checks, core, endos, windows
@@ -405,13 +406,16 @@ def test_span_helpers():
     assert co.basis([H, ONE]) == co.basis([H + 1, ONE])
     assert co.basis([H]) != co.basis([X])
     space = [ONE, H, H**2]
-    assert Coordinates(space).solve(space, [3 * H**2 + H - 1]) == [{0: -1, 1: 1, 2: 3}]
+    assert Coordinates(space).solve(space, [3 * H**2 + H - 1]) == [({0: -1, 1: 1, 2: 3}, 1)]
+    # a right-hand side over 2 gives a solution over 2
+    half = rat(1, 2) * (3 * H**2 + H - 1)
+    assert Coordinates(space).solve(space, [half]) == [({0: -1, 1: 1, 2: 3}, 2)]
     assert Coordinates([ONE, H, X]).solve([ONE, H], [X]) == [None]
     co = Coordinates([H, ONE])
     assert co.basis([H, 2 * H, ONE + H]) == co.basis([ONE, H])
     space = [ONE, H]
     co = Coordinates(space, [3 * H - 1, X])
-    assert co.solve(space, [3 * H - 1, X]) == [{0: -1, 1: 3}, None]
+    assert co.solve(space, [3 * H - 1, X]) == [({0: -1, 1: 3}, 1), None]
 
 
 # -- the identity checks: premise on the pair, identities on (X, Y) --------

@@ -24,6 +24,7 @@ from test_stored_form import (
     assert_cleared,
     cleared,
     mixed_elements,
+    over,
 )
 from weyl1 import (
     ONE,
@@ -44,7 +45,6 @@ from weyl1 import (
 )
 from weyl1.core import linear_combination, powers
 from weyl1.maps import ad
-from weyl1.scalars import over
 
 # the composite pair of the canonical verify config
 COMPOSITE = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))

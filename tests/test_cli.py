@@ -285,6 +285,14 @@ def test_a_non_ascii_digit_is_bad_input(capsys, expr):
     assert doc["error"] == "input" and "unexpected character" in doc["detail"]
 
 
+@pytest.mark.parametrize("expr", ["X\u3000+\x1cY", "X +\x0bY", "X\xa0"])
+def test_a_non_ascii_blank_is_bad_input(capsys, expr):
+    code, out, err = run(capsys, "normalize", expr)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "unexpected character" in doc["detail"]
+
+
 def test_a_non_ascii_digit_in_the_propagation_element_is_bad_input(tmp_path, capsys):
     params = dict(canonical_config()["params"], propagation_element="Y^²*X")
     code, out, err = run(capsys, "verify", "--config", _write_config(tmp_path, params))

@@ -405,7 +405,7 @@ def test_pairs_tried_counts_each_elements_own_pairs():
 
 
 def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):
-    calls = {"basis_product": 0, "solve_many": 0}
+    calls = {"basis_product": 0, "solutions": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -417,15 +417,15 @@ def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):
         SlackMembershipSolver, "basis_product",
         counted("basis_product", SlackMembershipSolver.basis_product),
     )
-    monkeypatch.setattr(windows, "solve_many", counted("solve_many", windows.solve_many))
+    monkeypatch.setattr(windows, "solutions", counted("solutions", windows.solutions))
     e = CANONICAL["composite"]
     monos = Window(W11, 4).basis_elements()
     assert not hasattr(MembershipSolver, "basis_product")
     assert all(MembershipSolver(e).solve(monos, 28))
-    assert calls == {"basis_product": 0, "solve_many": 0}
+    assert calls == {"basis_product": 0, "solutions": 0}
     # the counters see the slack oracle: 81 pairs with 4i + 2j <= 32
     assert all(SlackMembershipSolver(e).solve(monos, 28))
-    assert calls == {"basis_product": 81, "solve_many": 1}
+    assert calls == {"basis_product": 81, "solutions": 1}
 
 
 def test_deep_recipe_membership_multiplies_few_term_pairs(monkeypatch):

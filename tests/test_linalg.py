@@ -1,4 +1,9 @@
-"""Exact elimination: kernels, ranks, canonical bases, solving."""
+"""Exact elimination: kernels, ranks, canonical bases, solving.
+
+`linalg` takes int rows (a `RatMatrix` is int rows over one denominator)
+and returns cleared rows (ints, den).  The dense helpers of `oracles`
+state matrices as lists of scalars and read results back as Fractions.
+"""
 
 import random
 from fractions import Fraction
@@ -11,75 +16,97 @@ try:
 except ImportError:  # the sympy comparison below is optional
     sympy = None
 
+from oracles import (
+    canonical_basis,
+    cleared_vector,
+    dense,
+    dense_matrix,
+    from_columns,
+    mul_vector,
+    nullspace,
+    rref,
+    solve,
+    values,
+)
+from test_stored_form import assert_cleared_row
 from weyl1 import (
     W11,
     RatMatrix,
     Window,
-    canonical_basis,
     canonical_config,
     centralizer_window,
     compile_recipe,
+    kernel,
     linalg,
-    nullspace,
     rank,
     rat,
-    rref,
-    solve,
+    row_basis,
 )
-from weyl1.linalg import _echelon, _Echelon, solve_many
-from weyl1.scalars import demote
+from weyl1.linalg import _echelon, _Echelon, solutions
 from weyl1.serialize import recipe_from_doc
 
 
 def test_nullspace_trivial_cases():
-    assert nullspace(RatMatrix.identity(3)) == []
-    basis = nullspace(RatMatrix.zeros(2, 3))
-    assert basis == [
+    assert kernel(dense_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+    assert nullspace(dense_matrix([[0, 0, 0], [0, 0, 0]])) == [
         [1, 0, 0],
         [0, 1, 0],
         [0, 0, 1],
     ]
+    assert kernel(RatMatrix([{}, {}], 3)) == [({0: 1}, 1), ({1: 1}, 1), ({2: 1}, 1)]
 
 
 def test_nullspace_rank_one():
-    basis = nullspace(RatMatrix([[1, 2], [2, 4]]))
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] == 1 and v[1] == rat(-1, 2)  # proportional to (-2, 1)
-    assert rank(RatMatrix([[1, 2], [2, 4]])) == 1
+    m = dense_matrix([[1, 2], [2, 4]])
+    basis = kernel(m)
+    assert basis == [({0: 2, 1: -1}, 2)]  # 1, -1/2: proportional to (-2, 1)
+    v = dense(basis[0], 2)
+    assert v[0] == 1 and v[1] == rat(-1, 2)
+    assert rank(m) == 1
 
 
 def test_nullspace_resubstitutes_to_zero():
     rng = random.Random(67)
     for _ in range(30):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        m = RatMatrix(
+        m = dense_matrix(
             [[rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)] for _ in range(nrows)]
         )
+        basis = kernel(m)
+        for row in basis:
+            assert_cleared_row(row)
         for v in nullspace(m):
-            assert all(s == 0 for s in m.mul_vector(v))
-        assert len(nullspace(m)) + rank(m) == ncols
+            assert all(s == 0 for s in mul_vector(m, v))
+        assert len(basis) + rank(m) == ncols
 
 
 def test_rref_is_canonical():
-    rows, pivots = rref(RatMatrix([[0, 2, 4], [0, 1, 2], [3, 0, 0]]))
+    rows, pivots = rref(dense_matrix([[0, 2, 4], [0, 1, 2], [3, 0, 0]]))
     assert pivots == [0, 1]
     assert rows == [[1, 0, 0], [0, 1, 2]]
     # leading entries are 1 and pivot columns are cleared
-    again, _ = rref(RatMatrix(rows))
+    again, _ = rref(dense_matrix(rows))
     assert again == rows
+    assert row_basis([{1: 2, 2: 4}, {1: 1, 2: 2}, {0: 3}]) == [({0: 1}, 1), ({1: 1, 2: 2}, 1)]
 
 
 def test_canonical_basis_is_span_invariant():
     b1 = canonical_basis([[1, 1, 0], [0, 1, 1]], 3)
     b2 = canonical_basis([[1, 2, 1], [2, 3, 1], [1, 1, 0]], 3)
     assert b1 == b2
+    assert row_basis([{0: 1, 1: 1}, {1: 1, 2: 1}]) == row_basis(
+        [{0: 1, 1: 2, 2: 1}, {0: 2, 1: 3, 2: 1}, {0: 1, 1: 1}]
+    )
 
 
 def test_solve_particular_and_inconsistent():
-    a = RatMatrix([[1, 1], [0, 1]])
+    a = dense_matrix([[1, 1], [0, 1]])
     assert solve(a, [3, 1]) == [2, 1]
-    assert solve(RatMatrix([[1], [0]]), [2, 1]) is None
+    assert solutions(a, [({0: 3, 1: 1}, 1)]) == [({0: 2, 1: 1}, 1)]
+    assert solve(dense_matrix([[1], [0]]), [2, 1]) is None
+    # A = [[1, 1], [0, 1]] / 2 and b = (3, 1) / 5 give x = (4/5, 2/5)
+    half = RatMatrix([{0: 1, 1: 1}, {1: 1}], 2, 2)
+    assert solutions(half, [({0: 3, 1: 1}, 5)]) == [({0: 4, 1: 2}, 5)]
 
 
 def test_solve_many_is_per_column_consistent():
@@ -89,42 +116,49 @@ def test_solve_many_is_per_column_consistent():
         rows = [
             [rat(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)
         ]
-        m = RatMatrix(rows)
+        m = dense_matrix(rows)
         rhs = [[rat(rng.randint(-3, 3)) for _ in range(nrows)] for _ in range(3)]
-        sols = solve_many(m.sparse, ncols, rhs)
+        sols = solutions(m, [cleared_vector(b) for b in rhs])
         for b, s in zip(rhs, sols):
             single = solve(m, b)
             if s is None:
                 assert single is None
             else:
-                dense = [s.get(j, rat(0)) for j in range(ncols)]
-                assert single == dense
-                assert m.mul_vector(dense) == [rat(v) for v in b]
+                x = dense(s, ncols)
+                assert single == x
+                assert mul_vector(m, x) == [rat(v) for v in b]
 
 
 def test_solution_stable_under_extra_columns():
     # appending columns on the right keeps the particular solution
     rows = [[1, 0], [0, 1]]
     wide = [[1, 0, 5], [0, 1, 7]]
-    s1 = solve_many(RatMatrix(rows).sparse, 2, [[2, 3]])[0]
-    s2 = solve_many(RatMatrix(wide).sparse, 3, [[2, 3]])[0]
-    assert s1 == {0: 2, 1: 3}
-    assert s2 == {0: 2, 1: 3}
+    s1 = solutions(dense_matrix(rows), [({0: 2, 1: 3}, 1)])[0]
+    s2 = solutions(dense_matrix(wide), [({0: 2, 1: 3}, 1)])[0]
+    assert s1 == ({0: 2, 1: 3}, 1)
+    assert s2 == ({0: 2, 1: 3}, 1)
 
 
 def test_matrix_validation():
     import pytest
 
     with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3]])
-    m = RatMatrix.from_columns([[1, 0], [0, 1]], 2)
-    assert m.column(0) == [1, 0]
+        dense_matrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        dense_matrix([[1, 2]], 3)
+    assert dense_matrix([], 3).ncols == 3
+    m = from_columns([[1, 0], {1: rat(1, 2)}], 2)
+    assert (m.sparse, m.ncols, m.den) == ([{0: 2}, {1: 1}], 2, 2)
+    assert values(m) == [[1, 0], [0, rat(1, 2)]]
+    assert m.nrows == 2 and m.rows == [(2, 0), (0, 1)]  # the numerators
+    # the same numerators over another denominator are another matrix
+    assert m == RatMatrix([{0: 2}, {1: 1}], 2, 2) != RatMatrix([{0: 2}, {1: 1}], 2)
 
 
 _ENTRIES = st.one_of(
     st.just(0),
     st.integers(-3, 3),
-    st.builds(Fraction, st.integers(-5, 5), st.integers(2, 4)).map(demote),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(2, 4)),
 )
 
 
@@ -140,7 +174,7 @@ def permuted_systems(draw):
     rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
     rhs = draw(st.lists(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)),
                         max_size=2))
-    rhs.append(RatMatrix(rows).mul_vector([1] * ncols))
+    rhs.append(mul_vector(dense_matrix(rows), [1] * ncols))
     return rows, ncols, rhs, draw(st.permutations(range(len(rows))))
 
 
@@ -149,19 +183,19 @@ def permuted_systems(draw):
 def test_outputs_do_not_depend_on_row_order(system):
     rows, ncols, rhs, perm = system
     shuffled = [rows[i] for i in perm]
-    a, b = RatMatrix(rows), RatMatrix(shuffled)
+    a, b = dense_matrix(rows), dense_matrix(shuffled)
     assert rref(b) == rref(a)
     assert rank(b) == rank(a)
-    assert nullspace(b) == nullspace(a)
+    assert kernel(b) == kernel(a)
     assert canonical_basis(shuffled, ncols) == canonical_basis(rows, ncols)
-    sols = solve_many(a.sparse, ncols, rhs)
-    assert solve_many(b.sparse, ncols, [[col[i] for i in perm] for col in rhs]) == sols
+    sols = solutions(a, [cleared_vector(col) for col in rhs])
+    assert solutions(b, [cleared_vector([col[i] for i in perm]) for col in rhs]) == sols
     assert sols[-1] is not None
     # the order rule only saves work: rows inserted as given reach the same RREF
     as_given = _Echelon()
     for row in b.sparse:
         as_given.insert(row)
-    assert as_given.normalized_rows() == _echelon(a.sparse).normalized_rows()
+    assert as_given.cleared_rows() == _echelon(a.sparse).cleared_rows()
 
 
 def test_order_rule_bounds_elimination_work(monkeypatch):
@@ -184,13 +218,13 @@ def test_order_rule_bounds_elimination_work(monkeypatch):
 
 @st.composite
 def sparse_rows_in_any_order(draw):
-    """Sparse stored-form rows, duplicates and zero rows among them, with
-    the width they live in, in a drawn order."""
+    """Sparse int rows, duplicates and zero rows among them, with the
+    width they live in, in a drawn order."""
     ncols = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=8))
     rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
-    sparse = RatMatrix(rows).sparse + [{}]
+    sparse = [cleared_vector(row)[0] for row in rows] + [{}]
     return draw(st.permutations(sparse)), ncols
 
 
@@ -207,14 +241,14 @@ def test_echelon_keeps_every_pivot_column_in_its_own_row_only(drawn):
         for col, prow in ech.rows.items():
             assert min(prow) == col and prow[col] > 0
             assert pivots & set(prow) == {col}
-    got = ech.normalized_rows()
-    assert got == _echelon(rows).normalized_rows()
+    got = ech.cleared_rows()
+    assert got == _echelon(rows).cleared_rows()
+    for row in got:
+        assert_cleared_row(row)
     if sympy is not None:
-        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-        reduced, pivots = sympy.Matrix(dense).rref()
+        reduced, pivots = sympy.Matrix([dense((row, 1), ncols) for row in rows]).rref()
         assert sorted(ech.rows) == list(pivots)
         want = [
-            {j: demote(Fraction(int(v.p), int(v.q))) for j, v in enumerate(reduced.row(r)) if v}
-            for r in range(len(pivots))
+            [Fraction(int(v.p), int(v.q)) for v in reduced.row(r)] for r in range(len(pivots))
         ]
-        assert got == want
+        assert [dense(row, ncols) for row in got] == want

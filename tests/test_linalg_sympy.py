@@ -1,11 +1,14 @@
 """sympy as an independent oracle for the exact echelon in `linalg` and
-the windowed cokernel dimensions, window slices and invariant subspaces
-built on it.
+the windowed kernels, eigenspaces, solutions, cokernel dimensions, window
+slices and invariant subspaces built on it.  Every basis `linalg` hands
+back is cleared rows (ints, den): primitive, with lead den, so each row
+is its RREF row times den.
 
 sympy is used here only; the module is skipped when it is not installed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ sympy = pytest.importorskip("sympy")
 from weyl1 import (  # noqa: E402
     W11,
     EndoRecipe,
+    H,
     Weight,
     WeylElement,
     Window,
@@ -25,22 +29,32 @@ from weyl1 import (  # noqa: E402
     add_poly_x,
     add_poly_y,
     coker_window_dim,
+    commutator,
     compile_recipe,
     delta_xy,
 )
-from weyl1.linalg import (  # noqa: E402
-    RatMatrix,
-    canonical_basis,
-    nullspace,
-    rank,
-    rref,
-    solve_many,
-)
-from weyl1.scalars import demote  # noqa: E402
+from weyl1.linalg import kernel, rank, row_basis, solutions  # noqa: E402
 from weyl1.checks import canonical_config  # noqa: E402
 from weyl1.serialize import recipe_from_doc  # noqa: E402
-from weyl1.windows import _ad_window_matrix, _invariant_dim, map_matrix  # noqa: E402
+from weyl1.windows import (  # noqa: E402
+    Coordinates,
+    _ad_window_matrix,
+    _invariant_dim,
+    eigenspace,
+    map_matrix,
+)
+from oracles import (  # noqa: E402
+    cleared_vector,
+    dense,
+    dense_matrix,
+    from_columns,
+    mul_vector,
+    nullspace,
+    rref,
+    values,
+)
 from test_endos import _GENERATORS  # noqa: E402
+from test_stored_form import assert_cleared_row  # noqa: E402
 
 
 def _frac(e) -> Fraction:
@@ -56,16 +70,16 @@ def _sym_rref_rows(m: "sympy.Matrix"):
     return [[_frac(reduced[r, c]) for c in range(m.cols)] for r in range(len(pivots))], list(pivots)
 
 
-def _sparse(mat: RatMatrix):
-    return [{j: v for j, v in enumerate(row) if v} for row in mat.rows]
+def _column(mat, j):
+    return [row[j] for row in values(mat)]
 
 
-# scalars in the stored form: ints, and p/q with q > 1, zeros weighted up
-# so that products of the factors below are sparse as well as deficient
+# ints and p/q with q > 1, zeros weighted up so that products of the
+# factors below are sparse as well as deficient
 _SCALARS = st.one_of(
     st.just(0),
     st.integers(-6, 6),
-    st.builds(Fraction, st.integers(-9, 9), st.integers(2, 7)).map(demote),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(2, 7)),
 )
 
 
@@ -80,44 +94,52 @@ def deficient_matrices(draw):
     c = draw(st.lists(st.lists(_SCALARS, min_size=ncols, max_size=ncols),
                       min_size=inner, max_size=inner))
     rows = [
-        [demote(sum((Fraction(b[i][k]) * c[k][j] for k in range(inner)), Fraction(0)))
+        [sum((Fraction(b[i][k]) * c[k][j] for k in range(inner)), Fraction(0))
          for j in range(ncols)]
         for i in range(nrows)
     ]
-    return RatMatrix(rows)
+    return dense_matrix(rows)
 
 
-def _check_against_sympy(mat: RatMatrix, rhs_columns):
-    sym = _sym(mat.rows, mat.ncols)
-    dense, pivots = rref(mat)
+def _check_against_sympy(mat, rhs_columns):
+    sym = _sym(values(mat), mat.ncols)
+    reduced, pivots = rref(mat)
     want, want_pivots = _sym_rref_rows(sym)
-    assert dense == want and pivots == want_pivots
+    assert reduced == want and pivots == want_pivots
     assert rank(mat) == len(want_pivots)
-    assert canonical_basis(_sparse(mat), mat.ncols) == want
+    basis = row_basis(mat.sparse)
+    for row in basis:
+        assert_cleared_row(row)
+    assert [dense(row, mat.ncols) for row in basis] == want
 
-    kernel = sym.nullspace()
-    if kernel:
-        want_kernel, _ = _sym_rref_rows(sympy.Matrix.hstack(*kernel).T)
+    sym_kernel = sym.nullspace()
+    if sym_kernel:
+        want_kernel, _ = _sym_rref_rows(sympy.Matrix.hstack(*sym_kernel).T)
     else:
         want_kernel = []
+    for row in kernel(mat):
+        assert_cleared_row(row)
     assert nullspace(mat) == want_kernel
 
-    sols = solve_many(_sparse(mat), mat.ncols, rhs_columns)
+    sols = solutions(mat, [cleared_vector(b) for b in rhs_columns])
     for b, sol in zip(rhs_columns, sols):
         col = sympy.Matrix([sympy.Rational(v) for v in b])
         consistent = sympy.Matrix.hstack(sym, col).rank() == len(want_pivots)
         assert (sol is None) == (not consistent)
         if sol is not None:
-            assert set(sol) <= set(pivots)  # free variables are zero
-            x = [sol.get(j, 0) for j in range(mat.ncols)]
-            assert mat.mul_vector(x) == list(b)
+            assert_cleared_row(sol, basis=False)
+            assert set(sol[0]) <= set(pivots)  # free variables are zero
+            assert mul_vector(mat, dense(sol, mat.ncols)) == list(b)
 
     # the same matrix from sparse {row: value} columns, and the same
-    # solutions for sparse right-hand sides
-    columns = [{i: v for i, v in enumerate(mat.column(j)) if v} for j in range(mat.ncols)]
-    assert RatMatrix.from_columns(columns, mat.nrows) == mat
-    sparse_rhs = [{i: v for i, v in enumerate(b) if v} for b in rhs_columns]
-    assert solve_many(mat.sparse, mat.ncols, sparse_rhs) == sols
+    # solutions for right-hand sides over another denominator
+    columns = [{i: v for i, v in enumerate(_column(mat, j)) if v} for j in range(mat.ncols)]
+    assert from_columns(columns, mat.nrows) == mat
+    scaled = solutions(mat, [(ints, 7 * den) for ints, den in map(cleared_vector, rhs_columns)])
+    assert scaled == [
+        None if sol is None else cleared_vector([Fraction(v, 7) for v in dense(sol, mat.ncols)])
+        for sol in sols
+    ]
 
 
 @settings(deadline=None)
@@ -125,7 +147,7 @@ def _check_against_sympy(mat: RatMatrix, rhs_columns):
 def test_echelon_matches_sympy(mat, data):
     xs = data.draw(st.lists(st.lists(_SCALARS, min_size=mat.ncols, max_size=mat.ncols),
                             max_size=2))
-    consistent = [mat.mul_vector(x) for x in xs]  # in the column space
+    consistent = [mul_vector(mat, x) for x in xs]  # in the column space
     free = data.draw(st.lists(st.lists(_SCALARS, min_size=mat.nrows, max_size=mat.nrows),
                               max_size=2))
     _check_against_sympy(mat, consistent + free)
@@ -140,8 +162,8 @@ def test_ad_h_window_matrix_matches_sympy():
     assert mat.nrows > mat.ncols > rank(mat)
     # the constant 1 is outside this window's image, the last column inside
     unit = [1] + [0] * (mat.nrows - 1)
-    assert solve_many(_sparse(mat), mat.ncols, [unit]) == [None]
-    _check_against_sympy(mat, [unit, mat.column(mat.ncols - 1)])
+    assert solutions(mat, [cleared_vector(unit)]) == [None]
+    _check_against_sympy(mat, [unit, _column(mat, mat.ncols - 1)])
 
 
 def _sym_rank(elems) -> int:
@@ -209,6 +231,92 @@ def test_window_meet_matches_sympy(elems, weight, cap):
     assert got == want
 
 
+def _sym_columns(cols, monomials) -> "sympy.Matrix":
+    """The coefficients of cols at monomials, one column per element."""
+    return sympy.Matrix(len(monomials), len(cols), lambda r, c: sympy.Rational(
+        cols[c].coefficient(*monomials[r])))
+
+
+def _coefficient_rows(elems, monomials):
+    return [[u.coefficient(*key) for key in monomials] for u in elems]
+
+
+# coefficients with denominators up to 6, so the columns of one matrix
+# carry different ones
+_RATIONAL_ELEMENTS = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]),
+    st.fractions(-4, 4, max_denominator=6).filter(bool),
+    max_size=4,
+).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_RATIONAL_ELEMENTS, min_size=1, max_size=7))
+def test_kernel_of_columns_with_denominators_matches_sympy(cols):
+    # the int matrix carries L, the lcm of the columns' denominators
+    co = Coordinates(cols)
+    mat = co.matrix(cols)
+    assert mat.den == lcm(*(el._den for el in cols))
+    assert all(type(v) is int and v for row in mat.sparse for v in row.values())
+    got = kernel(mat)
+    for row in got:
+        assert_cleared_row(row)
+    sym_kernel = _sym_columns(cols, co.monomials).nullspace()
+    want = _sym_rref_rows(sympy.Matrix.hstack(*sym_kernel).T)[0] if sym_kernel else []
+    assert [dense(row, len(cols)) for row in got] == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.fractions(-3, 3, max_denominator=4).filter(lambda c: c.denominator > 1),
+    st.integers(-3, 3),
+    st.one_of(st.just(WeylElement()), _POOLED_ELEMENTS),
+    st.integers(0, 4),
+)
+def test_eigenspace_at_a_fractional_shift_matches_sympy(c, k, extra, cap):
+    # ad(c H) has eigenvalue c (j - i) at Y^i X^j, so lam = c k is a
+    # fractional eigenvalue whenever |k| <= cap; extra perturbs a
+    a = c * H + extra
+    lam = c * k
+    win = Window(W11, cap)
+    tgt = win.enlarged(ad(a))
+    shifted = [commutator(a, u) - lam * u for u in win.basis_elements()]
+    sym_kernel = _sym_columns(shifted, tgt.monomials).nullspace()
+    want = _sym_rref_rows(sympy.Matrix.hstack(*sym_kernel).T)[0] if sym_kernel else []
+    got = eigenspace(a, lam, win)
+    assert _coefficient_rows(got, win.monomials) == want
+    if extra.is_zero() and abs(k) <= cap:
+        assert got
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_RATIONAL_ELEMENTS, min_size=1, max_size=5),
+       st.lists(_RATIONAL_ELEMENTS, min_size=1, max_size=3), st.data())
+def test_solve_with_denominators_matches_sympy(space, elems, data):
+    # half the right-hand sides lie in span(space) by construction
+    elems += [
+        sum((Fraction(n, 5) * u for n, u in zip(data.draw(st.lists(
+            st.integers(-3, 3), min_size=len(space), max_size=len(space))), space)),
+            WeylElement())
+        for _ in elems
+    ]
+    co = Coordinates(space, elems)
+    sols = co.solve(space, elems)
+    a_sym = _sym_columns(space, co.monomials)
+    for el, sol in zip(elems, sols):
+        b = _sym_columns([el], co.monomials)
+        try:
+            x, params = a_sym.gauss_jordan_solve(b)
+        except ValueError:  # b lies outside the column space
+            assert sol is None
+            continue
+        # the particular solution with the free variables zero
+        x = x.subs({t: 0 for t in params})
+        assert sol is not None
+        assert_cleared_row(sol, basis=False)
+        assert dense(sol, len(space)) == [_frac(v) for v in x]
+
+
 def _sym_invariant_dim(a, win) -> int:
     """Dimension of the largest ad(a)-invariant subspace of the window, by
     V_0 = W, V_(k+1) = {u in V_k : ad(a) u in V_k} until it stops shrinking.
@@ -220,7 +328,7 @@ def _sym_invariant_dim(a, win) -> int:
     m = ad(a)
     tgt = win.enlarged(m)
     mat = map_matrix(m, win, tgt)
-    a_sym = _sym(mat.rows, mat.ncols)
+    a_sym = _sym(values(mat), mat.ncols)
     embed = sympy.Matrix(
         tgt.dimension(), win.dimension(),
         lambda r, c: int(tgt.monomials[r] == win.monomials[c]),

@@ -188,6 +188,15 @@ def test_nilpotency_degree():
     assert nilpotency_degree(ad(X), monomial(0, 0, 0), 10) == 0
 
 
+def test_nilpotency_degree_at_its_bound():
+    # ad(X)^3(Y^3) = -6 and ad(X)^4(Y^3) = 0: degree 4 is found with
+    # max_iter 4 and not with 3, so the bound is exact on both sides
+    assert nilpotency_degree(ad(X), Y**3, 3) is None
+    assert nilpotency_degree(ad(X), Y**3, 4) == 4
+    assert nilpotency_degree(ad(X), ONE, 0) is None
+    assert nilpotency_degree(ad(X), monomial(0, 0, 0), 0) == 0
+
+
 def test_degree_shift_bounds_hold():
     rng = random.Random(101)
     e = build_endo(X, Y + X**2)

@@ -67,6 +67,24 @@ def test_a_non_ascii_digit_is_an_unexpected_character(text, pos):
     assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
 
 
+@pytest.mark.parametrize(
+    "text,pos",
+    [("X\u3000+\x1cY", 1), ("X +\x1cY", 3), ("X\xa0+ Y", 1), ("X\x0b+ Y", 1),
+     ("X\f", 1), ("\u2028X", 0), ("X\x85", 1)],
+)
+def test_a_non_ascii_blank_is_an_unexpected_character(text, pos):
+    # str.isspace() accepts these; only space, tab, CR and LF separate tokens
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == pos
+    assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+
+
+def test_ascii_blanks_separate_tokens():
+    assert parse(" X\t+\r\nY \n") == X + Y
+    assert parse("\t1 /\r2 * [ Y ,\nX ]") == parse("1/2*[Y,X]")
+
+
 def test_exponent_guard():
     with pytest.raises(ParseError):
         parse(f"X^{MAX_EXPONENT + 1}")

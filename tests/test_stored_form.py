@@ -1,15 +1,14 @@
-"""Stored form of scalars, property-tested with hypothesis.
+"""The cleared form through arithmetic and linalg, property-tested with
+hypothesis.
 
 An element holds only its cleared form: nonzero int numerators over
-their least positive common denominator.  The stored form it hands
-linalg (`over` of that form, as `Coordinates.coords` does), and every
-entry the echelon code hands back, is an int when it is integral and a
-Rat with denominator > 1 otherwise, never a float.  The public
-accessors still return Rat, and
-products still agree with the rewrite oracle.  Products, commutators,
-scalings and linear combinations clear denominators to ints and divide
-back once (`scalars.integral` / `over`); they are checked against the
-oracle and term-by-term Fraction sums on large, pairwise coprime
+their least positive common denominator.  linalg takes those numerators
+as its rows (a matrix carries the lcm of its columns' denominators) and
+hands back cleared rows (ints, den), never a Rat or a float.  The public
+accessors still return Rat, and products still agree with the rewrite
+oracle.  Products, commutators, scalings and linear combinations work
+on the int numerators and reduce by one gcd; they are checked against
+the oracle and term-by-term Fraction sums on large, pairwise coprime
 denominators.  The one-pass commutator is also checked against a*b - b*a
 and against the Lie identities it must satisfy.  Linear maps apply
 themselves from cleared cached monomial images; that path is checked
@@ -25,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_mul
+from oracles import cleared_vector, dense, dense_matrix
 from weyl1 import (
     W11,
     X,
@@ -42,14 +42,12 @@ from weyl1 import (
     d_yx,
     delta_xy,
     monomial,
-    nullspace,
-    rref,
     theta,
 )
 from weyl1.core import linear_combination, powers
-from weyl1.linalg import RatMatrix, rank, solve_many
+from weyl1.linalg import kernel, rank, row_basis, solutions
 from weyl1.maps import ad
-from weyl1.scalars import Rat, integral, over
+from weyl1.scalars import Rat, integral
 from weyl1.windows import map_matrix
 
 # ints, p/q with q > 1, and integral fractions such as 4/2, which must
@@ -85,10 +83,9 @@ RATIONAL_PAIR = compile_recipe(EndoRecipe(generators=(
 )))
 
 
-def stored(c) -> bool:
-    if type(c) is int:
-        return True
-    return isinstance(c, Rat) and c.denominator > 1
+def over(ints: dict, den: int) -> dict:
+    """The values of a cleared map: each numerator over den."""
+    return {k: Fraction(v, den) for k, v in ints.items()}
 
 
 def cleared(a: WeylElement):
@@ -102,11 +99,15 @@ def assert_cleared(a: WeylElement):
     assert gcd(den, *ints.values()) == 1, (ints, den)  # den is 1 for zero
 
 
-def assert_stored(a: WeylElement):
-    """a is in the cleared form, and the stored form linalg gets from it
-    holds ints and Rats with denominator > 1."""
-    assert_cleared(a)
-    assert all(stored(c) for c in over(a._ints, a._den).values()), a
+def assert_cleared_row(row, basis=True):
+    """A cleared row (ints, den) from linalg; a basis row is primitive and
+    its lead is den (its RREF row has a leading 1)."""
+    ints, den = row
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in ints.values()), ints
+    assert gcd(den, *ints.values()) == 1, row
+    if basis:
+        assert gcd(*ints.values()) == 1 and ints[min(ints)] == den, row
 
 
 def assert_public_rat(a: WeylElement):
@@ -122,10 +123,10 @@ def oracle_product(a, b):
 @settings(max_examples=150, deadline=None)
 @given(elements(), elements(), SCALARS)
 def test_ring_operations_keep_the_stored_form(a, b, c):
-    assert_stored(a)
+    assert_cleared(a)
     assert_public_rat(a)
     for out in (a + b, a - b, -a, a * b, c * a, a * c, commutator(a, b), theta(a)):
-        assert_stored(out)
+        assert_cleared(out)
         assert_public_rat(out)
     assert a * b == oracle_product(a, b)
     assert c * a == a * c == WeylElement({(0, 0): c}) * a
@@ -135,18 +136,18 @@ def test_ring_operations_keep_the_stored_form(a, b, c):
 @given(elements(max_degree=2), NONZERO)
 def test_scalars_and_accumulator(a, c):
     s = WeylElement({(0, 0): c})
-    assert_stored(s)
+    assert_cleared(s)
     assert type(s.scalar_value()) is Rat and s.scalar_value() == c
     combo = linear_combination([(c, a), (-c, a), (1, a)])
     assert combo == a
-    assert_stored(combo)
+    assert_cleared(combo)
 
 
 @settings(max_examples=40, deadline=None)
 @given(elements(max_degree=2, max_terms=3))
 def test_apply_endo_keeps_the_stored_form(a):
     img = apply_endo(TRIANGULAR, a)
-    assert_stored(img)
+    assert_cleared(img)
     # an endomorphism is multiplicative; check it on a against itself
     assert apply_endo(TRIANGULAR, a * a) == img * img
 
@@ -157,17 +158,18 @@ def test_window_kernels_keep_the_stored_form(a):
     win = Window(W11, 3)
     m = ad(a)
     mat = map_matrix(m, win, win.enlarged(m))
-    # the carrier holds no explicit zeros, and its dense view agrees
-    assert all(v and stored(v) for row in mat.sparse for v in row.values())
-    assert all(stored(v) for row in mat.rows for v in row if v)
+    # the carrier holds nonzero ints and no explicit zeros over the least
+    # common denominator of its columns, and its dense view agrees
+    entries = [v for row in mat.sparse for v in row.values()]
+    assert all(type(v) is int and v for v in entries)
+    assert type(mat.den) is int and mat.den >= 1 and gcd(mat.den, *entries) == 1
     assert [{j: v for j, v in enumerate(row) if v} for row in mat.rows] == mat.sparse
-    kernel = nullspace(mat)
-    assert all(stored(v) for vec in kernel for v in vec if v)
-    dense, _ = rref(mat)
-    assert all(stored(v) for row in dense for v in row if v)
-    for vec in kernel:
-        u = win.element(vec)
-        assert_stored(u)
+    basis = kernel(mat)
+    for row in basis + row_basis(mat.sparse):
+        assert_cleared_row(row)
+    for ints, den in basis:
+        u = win.element(ints, den)
+        assert_cleared(u)
         assert commutator(a, u).is_zero()
 
 
@@ -175,15 +177,15 @@ def test_window_kernels_keep_the_stored_form(a):
 @given(st.lists(st.lists(SCALARS, min_size=3, max_size=3), min_size=1, max_size=4),
        st.lists(SCALARS, min_size=4, max_size=4))
 def test_solutions_keep_the_stored_form(rows, rhs):
-    mat = RatMatrix(rows)
-    assert all(v and stored(v) for row in mat.sparse for v in row.values())
-    assert mat.rows == [tuple(row) for row in rows]
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    (sol,) = solve_many(sparse, 3, [rhs[: len(rows)]])
+    mat = dense_matrix(rows)
+    assert all(type(v) is int and v for row in mat.sparse for v in row.values())
+    assert [[Fraction(v, mat.den) for v in row] for row in mat.rows] == rows
+    (sol,) = solutions(mat, [cleared_vector(rhs[: len(rows)])])
     if sol is not None:
-        assert all(stored(v) for v in sol.values())
-        for row, b in zip(rows, rhs):
-            assert sum(row[j] * v for j, v in sol.items()) == b
+        assert_cleared_row(sol, basis=False)
+        x = dense(sol, 3)
+        for row, c in zip(rows, rhs):
+            assert sum(row[j] * v for j, v in enumerate(x)) == c
 
 
 # large primes: every coefficient drawn below gets its own, so all the
@@ -231,7 +233,7 @@ def test_fraction_free_arithmetic_on_coprime_denominators(drawn, n):
          fraction_sum([(Fraction(n, p), a), (2, b), (Fraction(1, 3), c)])),
     ):
         assert out == want
-        assert_stored(out)
+        assert_cleared(out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +245,7 @@ def test_commutator_is_the_difference_of_both_products(a, b):
     for key, v in oracle_mul(dict(b.terms()), dict(a.terms())).items():
         want[key] = want.get(key, 0) - v
     assert c == WeylElement(want)
-    assert_stored(c)
+    assert_cleared(c)
     assert_public_rat(c)
     assert commutator(b, a) == -c
     assert commutator(a, a).is_zero()
@@ -274,7 +276,7 @@ def test_scalar_operands_commute(a, c):
 def test_pow_is_the_last_consecutive_power(a, n):
     p = a**n
     assert p == powers(a, n)[-1]
-    assert_stored(p)
+    assert_cleared(p)
 
 
 def test_cancelling_denominators_give_ints():
@@ -294,7 +296,7 @@ def test_cancelling_denominators_give_ints():
 def test_linear_combination_of_a_one_shot_generator(pairs):
     out = linear_combination((c, el) for c, el in pairs)
     assert out == fraction_sum(pairs)
-    assert_stored(out)
+    assert_cleared(out)
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,7 +307,7 @@ def test_integral_round_trip(t):
     assert all(type(v) is int and v for v in ints.values())
     assert set(ints) == {k for k, v in t.items() if v}
     assert over(ints, den) == {k: v for k, v in t.items() if v}
-    assert all(stored(v) for v in over(ints, den).values())
+    assert gcd(den, *ints.values()) == 1
     if all(type(v) is int and v for v in t.values()):
         assert ints is t and den == 1
 
@@ -320,15 +322,16 @@ def test_linalg_leaves_int_input_rows_unchanged(rows, rhs):
     # a dependent row: some input row is always eliminated against a pivot
     rows = rows + [[2 * v for v in rows[0]]]
     assume(any(any(row) for row in rows))
-    mat = RatMatrix(rows)
+    mat = dense_matrix(rows)
     before = copy.deepcopy(mat.sparse)
-    rref(mat)
+    row_basis(mat.sparse)
     assert mat.sparse == before
-    nullspace(mat)
+    kernel(mat)
     assert mat.sparse == before
     rank(mat)
     assert mat.sparse == before
-    solve_many(mat.sparse, 4, [rhs[: len(rows)], {0: 1}])
+    b = {i: v for i, v in enumerate(rhs[: len(rows)]) if v}
+    solutions(mat, [(b, 1), ({0: 1}, 3)])
     assert mat.sparse == before
 
 
@@ -354,7 +357,7 @@ def test_map_application_is_the_combination_of_its_monomial_images(a, b, e):
         )
         assert cold == warm == want, name
         for out in (cold, warm):
-            assert_stored(out)
+            assert_cleared(out)
             assert_public_rat(out)
         for img in m._cache.values():
-            assert_stored(img)
+            assert_cleared(img)

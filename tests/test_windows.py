@@ -1,6 +1,7 @@
 """Windowed eigenspaces, centralizers, closures, chains, cokernels."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +38,10 @@ from weyl1 import (
     nilpotent_closure_window,
     rat,
 )
+from oracles import from_columns
 from test_endos import _GENERATORS
-from weyl1 import canonical_config, windows
-from weyl1.linalg import RatMatrix, rank
+from weyl1 import canonical_config, linalg, windows
+from weyl1.linalg import rank
 from weyl1.serialize import recipe_from_doc
 from weyl1.windows import Coordinates, _ad_window_matrix, _invariant_dim
 
@@ -103,9 +105,11 @@ def _column_by_column(m, win, tgt):
 
 
 def _from_coordinate_columns(m, win, tgt):
-    """The same matrix through the dense-input constructor of linalg."""
-    cols = [tgt.coords(m(u)) for u in win.basis_elements()]
-    return RatMatrix.from_columns(cols, tgt.dimension())
+    """The same matrix from the images' rational coordinates, cleared by
+    the dense test helper."""
+    imgs = [m(u) for u in win.basis_elements()]
+    cols = [{r: Fraction(v, img._den) for r, v in tgt.coords(img).items()} for img in imgs]
+    return from_columns(cols, tgt.dimension())
 
 
 @pytest.mark.parametrize("cap", range(9))
@@ -339,6 +343,35 @@ def test_chain_basis_failures():
     with pytest.raises(ChainBasisError):
         # ad(H) does not preserve span{X}
         build_chain_basis(ad(Y), [X])
+    with pytest.raises(ChainBasisError, match="unsolvable"):
+        # ad(H) kills 1 and fixes X: 1 is not an image
+        build_chain_basis(ad(H), [ONE, X])
+
+
+def test_chain_basis_of_a_dependent_rational_spanning_set():
+    # dependent elements with denominators span the same chain
+    dl = delta_xy(IDENT)
+    want = build_chain_basis(dl, [ONE, H, H**2, H**3])
+    elems = [rat(1, 3) * ONE, rat(2, 5) * H, H + rat(1, 7) * H**2, rat(-5, 2) * H**2, H**3 - H]
+    assert build_chain_basis(dl, elems) == want
+
+
+@pytest.mark.parametrize("length", [2, 5, 9])
+def test_chain_basis_takes_one_echelon_whatever_its_length(monkeypatch, length):
+    # one elimination of the graph of m serves every chain step: [h^k,
+    # k < 9] on the composite pair took 12 when each step solved anew
+    made = []
+    init = linalg._Echelon.__init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(linalg._Echelon, "__init__", counting)
+    e = _CANONICAL_PAIRS["composite"]
+    chain = build_chain_basis(delta_xy(e), [e.h**k for k in range(length)])
+    assert len(chain) == length
+    assert len(made) == 1
 
 
 def test_coker_window_dims():
