@@ -11,67 +11,66 @@ Together they give the product of two components in closed form,
 with c_mn a run of shifted linear factors H + k (see `localized_mul`),
 so `localized_mul` reduces one rational function per pair of components.
 
-Public form.  A polynomial in H (`Poly`) is a tuple of Rat coefficients,
-ascending degree, zero = (); every entry is a Rat, even an integral one.
-A rational function in H (`RatFun`) keeps a monic denominator and a
-reduced fraction (gcd 1), so membership of a localized element in the
-plain algebra is a syntactic test on denominators.
-
-Int internals.  The arithmetic behind that form is fraction-free, as in
-`core` and `linalg`: `_clear` turns a Poly into a list of Python int
-coefficients over one common denominator, products, sums, divisions and
-shifts run on those lists, and each coefficient of a result becomes a Rat
-exactly once, on the way out (`_out`).  Gcds come from a primitive
-pseudo-remainder sequence (Collins, JACM 14, 1967; Brown & Traub, JACM
-18, 1971), and dividing by a primitive gcd stays exact in ints (Gauss's
-lemma).  The shift H -> H - m is a ring automorphism of K[H] that keeps
-leading coefficients, so a shifted reduced fraction with a monic
-denominator is still reduced and monic, and `rf_shift` takes no gcd.
+Cleared form.  A polynomial in H (`Poly`) is a tuple of Rat coefficients,
+ascending degree, zero = (), every entry a Rat even when integral; inside,
+an int polynomial is a list or tuple of ints without a trailing zero.  A
+`RatFun` holds ints and builds Rats only when `num` or `den` is read: it
+is (n / c) / d, an int tuple n over an int c > 0, divided by an int tuple
+d that is primitive with a positive lead, with gcd(c, content n) = 1 and
+gcd(n, d) = 1.  The form is canonical, so `==` and `hash` compare the
+triple, and d = (1,) for a polynomial.  A `GradedElement` is int rows
+over their least denominator; `components` builds its Polys.  Gcds come
+from a primitive pseudo-remainder sequence (Collins, JACM 14, 1967; Brown
+& Traub, JACM 18, 1971); by Gauss's lemma, division by a primitive gcd is
+exact in ints and products of primitive polynomials are primitive.
+H -> H - m is an automorphism of Z[H] that keeps leads and contents, so
+`rf_shift` takes no gcd.  `to_graded` sends Y^i X^j to a rising factorial;
+`from_graded` inverts it with p(H) Y^m = Y^m p(H - m) and the Stirling
+numbers of the second kind, H^k = sum_l (-1)^(k-l) S(k, l) Y^l X^l.  The
+maps and their inverses have int coefficients, so neither divides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .core import H, WeylElement, linear_combination, monomial, powers
+from .core import WeylElement
 from .degrees import Weight, weighted_degree
-from .scalars import RAT_ONE, Rat, rat, rat_str
+from .scalars import RAT_ONE, Rat, coeff, rat_str
 
 Poly = Tuple[Rat, ...]
+Ints = Tuple[int, ...]
 
 POLY_ZERO: Poly = ()
 POLY_ONE: Poly = (RAT_ONE,)
 
 
 # -- int coefficient lists -----------------------------------------------
-# An int polynomial is a list of Python ints, ascending degree, without a
-# trailing zero; [] is zero.
 
 
-def _clear(p: Poly) -> Tuple[List[int], int]:
-    """(ints, den): den is the lcm of p's denominators, ints[k] = p[k] * den."""
-    den = lcm(*[c.denominator for c in p])
-    if den == 1:
-        return [c.numerator for c in p], 1
-    return [c.numerator * (den // c.denominator) for c in p], den
+def _clear(p: Iterable) -> Tuple[List[int], int]:
+    """(ints, den): scalars p over their least den, trailing zeros dropped."""
+    q = [coeff(c) for c in p]
+    den = lcm(*[c.denominator for c in q])
+    ints = [c.numerator * (den // c.denominator) for c in q]
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints, den
 
 
-def _out(ints: List[int], den: int, f: int = 1) -> Poly:
-    """The Poly f * ints / den, each coefficient a Rat built once.
-
-    The list keeps the tuple at its exact size: a tuple built from a
-    generator is allocated at a guessed size and shrunk, and each one
-    freed then stays on the interpreter's tuple free list for its size.
-    """
+def _out(ints: Iterable[int], den: int, f: int = 1) -> Poly:
+    """The Poly f * ints / den, each coefficient a Rat built once (from a
+    list, which sizes the tuple exactly, as a generator does not)."""
     return tuple([Rat(f * v, den) for v in ints])
 
 
-def _mul(a: List[int], b: List[int]) -> List[int]:
-    if not a or not b:
-        return []
+def _mul(a: Ints, b: Ints) -> List[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < 2:
+        return [x * b[0] for x in a] if b else []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -80,7 +79,7 @@ def _mul(a: List[int], b: List[int]) -> List[int]:
     return out
 
 
-def _axpy(f: int, a: List[int], g: int, b: List[int]) -> List[int]:
+def _axpy(f: int, a: Ints, g: int, b: Ints) -> List[int]:
     """f*a + g*b."""
     if len(a) < len(b):
         f, a, g, b = g, b, f, a
@@ -92,13 +91,10 @@ def _axpy(f: int, a: List[int], g: int, b: List[int]) -> List[int]:
     return out
 
 
-def _divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int], int]:
-    """(q, r, s) with s*a = q*b + r and deg r < deg b, for b != 0.
-
-    s is the power of lc(b) that the steps needed.  A step scales by
-    lc(b) only when lc(b) does not divide the leading remainder
-    coefficient, so s = 1 when a primitive b divides a exactly.
-    """
+def _divmod(a: Ints, b: Ints) -> Tuple[List[int], List[int], int]:
+    """(q, r, s) with s*a = q*b + r and deg r < deg b, for b != 0: a step
+    scales by lc(b) only when it does not divide the top remainder
+    coefficient, so s = 1 when a primitive b divides a."""
     rem = list(a)
     lead, nb = b[-1], len(b)
     quo = [0] * max(0, len(a) - nb + 1)
@@ -121,15 +117,13 @@ def _divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int], int]:
     return quo, rem, s
 
 
-def _primitive(a: List[int]) -> List[int]:
+def _primitive(a: Ints) -> Ints:
     """a over its content, with a positive leading coefficient."""
-    c = gcd(*a)
-    if a[-1] < 0:
-        c = -c
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
     return a if c == 1 else [v // c for v in a]
 
 
-def _gcd(a: List[int], b: List[int]) -> List[int]:
+def _gcd(a: Ints, b: Ints) -> Ints:
     """Primitive gcd of nonzero a and b, positive leading coefficient,
     by the primitive pseudo-remainder sequence."""
     a, b = _primitive(a), _primitive(b)
@@ -143,7 +137,7 @@ def _gcd(a: List[int], b: List[int]) -> List[int]:
     return [1]
 
 
-def _shift(a: List[int], m: int) -> List[int]:
+def _shift(a: Ints, m: int) -> List[int]:
     """a(H - m), by the Ruffini-Horner Taylor shift."""
     a = list(a)
     for i in range(len(a) - 1):
@@ -157,10 +151,7 @@ def _shift(a: List[int], m: int) -> List[int]:
 
 def poly(coeffs) -> Poly:
     """Normalize a coefficient iterable (ascending degree) to a Poly."""
-    out = [rat(c) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return _out(*_clear(coeffs))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -188,33 +179,25 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 def poly_shift(p: Poly, m: int) -> Poly:
     """Substitute H -> H - m (the m-fold twist sigma^m)."""
-    if m == 0 or len(p) < 2:
-        return p
     a, den = _clear(p)
     return _out(_shift(a, m), den)
 
 
 def poly_str(p: Poly, var: str = "H") -> str:
-    if not p:
-        return "0"
     chunks = []
     for k, c in enumerate(p):
-        if not c:
-            continue
-        if k == 0:
+        if c:
             body = rat_str(abs(c))
-        else:
-            v = var if k == 1 else f"{var}^{k}"
-            body = v if abs(c) == RAT_ONE else f"{rat_str(abs(c))}*{v}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+            if k:
+                v = var if k == 1 else f"{var}^{k}"
+                body = v if body == "1" else f"{body}*{v}"
+            sign = ("- " if c < 0 else "+ ") if chunks else ("-" if c < 0 else "")
+            chunks.append(sign + body)
+    return " ".join(chunks) or "0"
 
 
 @lru_cache(maxsize=None)
-def _shifted_product(lo: int, hi: int) -> Tuple[int, ...]:
+def _shifted_product(lo: int, hi: int) -> Ints:
     """Int coefficients of prod_{k=lo}^{hi-1} (H + k), 1 for hi <= lo."""
     out = [1]
     for k in range(lo, hi):
@@ -222,142 +205,176 @@ def _shifted_product(lo: int, hi: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _stirling(k: int) -> Ints:
+    """c with H^k = sum_l c[l] * Y^l X^l, so c[l] = (-1)^(k-l) S(k, l), by
+    H * Y^l X^l = Y^(l+1) X^(l+1) - l * Y^l X^l; ask for k = 0, 1, ..."""
+    if not k:
+        return (1,)
+    out = [0] * (k + 1)
+    for l, c in enumerate(_stirling(k - 1)):
+        out[l] -= l * c
+        out[l + 1] += c
+    return tuple(out)
+
+
 # -- rational functions in H --------------------------------------------
 
 
-@dataclass(frozen=True)
 class RatFun:
-    """num/den with den monic and gcd(num, den) = 1; zero is 0/1."""
+    """(n / c) / d in the cleared form (module docstring), built from a
+    numerator and an optional denominator, Polys or scalar sequences."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("n", "c", "d")
+
+    def __new__(cls, num, den=None):
+        n, cn = _clear(num)
+        d, cd = _clear(POLY_ONE if den is None else den)
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        return _ratfun([cd * v for v in n], d, cn)  # (n / cn) / (d / cd)
+
+    @classmethod
+    def _cleared(cls, n: Ints, c: int = 1, d: Ints = (1,)) -> "RatFun":
+        self = object.__new__(cls)
+        self.n, self.c, self.d = n, c, d
+        return self
+
+    @property
+    def num(self) -> Poly:
+        """The reduced numerator over the monic `den`."""
+        return _out(self.n, self.c * self.d[-1])
+
+    @property
+    def den(self) -> Poly:
+        return _out(self.d, self.d[-1])
 
     def is_polynomial(self) -> bool:
-        return self.den == POLY_ONE
+        return len(self.d) == 1
+
+    def __eq__(self, other):
+        return isinstance(other, RatFun) and (
+            (self.n, self.c, self.d) == (other.n, other.c, other.d))
+
+    def __hash__(self):
+        return hash((self.n, self.c, self.d))
 
     def __str__(self):
-        if self.den == POLY_ONE:
+        if len(self.d) == 1:
             return poly_str(self.num)
         return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
 
+    def __repr__(self):
+        return f"<RatFun {self}>"
 
-RF_ZERO = RatFun(POLY_ZERO, POLY_ONE)
+    def __reduce__(self):  # copy and pickle the triple, not through __new__
+        return RatFun._cleared, (self.n, self.c, self.d)
 
 
-def _ratfun(n: List[int], d: List[int], sn: int = 1, sd: int = 1) -> RatFun:
-    """The RatFun (sn/sd) * n/d for int polynomials n and d != 0: divide
-    out the primitive gcd exactly, then make the denominator monic."""
+RF_ZERO = RatFun._cleared(())
+ratfun = RatFun
+
+
+def _ratfun(n: Ints, d: Ints, c: int) -> RatFun:
+    """The RatFun n / (c * d) for int polynomials n and d != 0 and an int
+    c != 0: divide out the primitive gcd of n and d exactly, move d's
+    content and sign into c, and divide out gcd(c, content n)."""
     if not n:
         return RF_ZERO
     if len(n) > 1 and len(d) > 1:
         g = _gcd(n, d)
-        if len(g) > 1:
-            n = _divmod(n, g)[0]
-            d = _divmod(d, g)[0]
-    lead = d[-1]
-    num = _out(n, sd * lead, sn)
-    return RatFun(num, POLY_ONE if len(d) == 1 else _out(d, lead))
-
-
-def ratfun(num, den=None) -> RatFun:
-    num = num if isinstance(num, tuple) else poly(num)
-    den = POLY_ONE if den is None else (den if isinstance(den, tuple) else poly(den))
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    n, dn = _clear(num)
-    d, dd = _clear(den)
-    return _ratfun(n, d, dd, dn)
+        n, d = _divmod(n, g)[0], _divmod(d, g)[0]
+    pd = _primitive(d)
+    c *= d[-1] // pd[-1]  # d's content, with the sign of its lead
+    k = gcd(c, *n) if c > 0 else -gcd(c, *n)
+    return RatFun._cleared(tuple([v // k for v in n]), c // k, tuple(pd))
 
 
 def rf_add(a: RatFun, b: RatFun) -> RatFun:
-    n1, dn1 = _clear(a.num)
-    n2, dn2 = _clear(b.num)
-    d1, dd1 = _clear(a.den)
-    d2, dd2 = _clear(b.den)
-    n = _axpy(dd1 * dn2, _mul(n1, d2), dd2 * dn1, _mul(n2, d1))
-    return _ratfun(n, _mul(d1, d2), 1, dn1 * dn2)
+    c = lcm(a.c, b.c)
+    fa, fb = c // a.c, c // b.c
+    if a.d == b.d:
+        return _ratfun(_axpy(fa, a.n, fb, b.n), a.d, c)
+    return _ratfun(_axpy(fa, _mul(a.n, b.d), fb, _mul(b.n, a.d)), _mul(a.d, b.d), c)
 
 
 def rf_neg(a: RatFun) -> RatFun:
-    return RatFun(tuple(-c for c in a.num), a.den)
+    return RatFun._cleared(tuple([-v for v in a.n]), a.c, a.d)
 
 
-def rf_mul(a: RatFun, b: RatFun, c: Tuple[int, ...] = (1,)) -> RatFun:
+def rf_mul(a: RatFun, b: RatFun, c: Ints = (1,)) -> RatFun:
     """a * b * c for an int polynomial c, with one reduction."""
-    n1, dn1 = _clear(a.num)
-    n2, dn2 = _clear(b.num)
-    d1, dd1 = _clear(a.den)
-    d2, dd2 = _clear(b.den)
-    n = _mul(n1, n2)
-    if len(c) > 1:
-        n = _mul(n, c)
-    return _ratfun(n, _mul(d1, d2), dd1 * dd2, dn1 * dn2)
+    return _ratfun(_mul(_mul(a.n, b.n), c), _mul(a.d, b.d), a.c * b.c)
 
 
-def rf_scale(c, a: RatFun) -> RatFun:
-    c = rat(c)
-    if not c:
-        return RF_ZERO
-    return RatFun(tuple(c * x for x in a.num), a.den)
+def rf_scale(k, a: RatFun) -> RatFun:
+    k = coeff(k)
+    return _ratfun([k.numerator * v for v in a.n] if k else [], a.d, k.denominator * a.c)
 
 
 def rf_shift(a: RatFun, m: int) -> RatFun:
-    """sigma^m applied coefficient-wise: H -> H - m in num and den.
-
-    sigma^m is a ring automorphism of K[H] that keeps leading
-    coefficients, so the result is reduced and monic without a gcd.
-    """
-    return RatFun(poly_shift(a.num, m), poly_shift(a.den, m))
+    """sigma^m coefficient-wise, H -> H - m in n and d: no gcd (module doc)."""
+    return RatFun._cleared(tuple(_shift(a.n, m)), a.c, tuple(_shift(a.d, m))) if m else a
 
 
 # -- graded and localized elements ---------------------------------------
 
 
-class GradedElement:
-    """sum_n alpha_n(H) * v_n with polynomial coefficients."""
+def _index(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"component index must be an int, got {n!r}")
+    return int(n)
 
-    __slots__ = ("components",)
+
+class GradedElement:
+    """sum_n alpha_n(H) * v_n with polynomial coefficients, as int rows
+    over their least common denominator; built from {n: scalar sequence}."""
+
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, components: Optional[Mapping[int, Poly]] = None):
-        data: Dict[int, Poly] = {}
-        if components:
-            for n, p in components.items():
-                p = p if isinstance(p, tuple) else poly(p)
-                if p:
-                    data[int(n)] = p
-        self.components = data
+        rows = {_index(n): _clear(p) for n, p in (components or {}).items()}
+        self._den = den = lcm(*[d for _, d in rows.values()])
+        self._rows = {n: tuple([v * (den // d) for v in r]) for n, (r, d) in rows.items() if r}
+
+    @classmethod
+    def _cleared(cls, rows: Dict[int, Ints], den: int) -> "GradedElement":
+        self = object.__new__(cls)
+        self._rows, self._den = rows, den
+        return self
+
+    @property
+    def components(self) -> Dict[int, Poly]:
+        return {n: _out(row, self._den) for n, row in self._rows.items()}
 
     def items(self):
         return sorted(self.components.items())
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self._rows
 
     def __eq__(self, other):
-        return isinstance(other, GradedElement) and self.components == other.components
+        return isinstance(other, GradedElement) and (self._den, self._rows) == (
+            other._den, other._rows)
 
     def __hash__(self):
-        return hash(frozenset(self.components.items()))
+        return hash((self._den, frozenset(self._rows.items())))
 
     def __repr__(self):
-        if not self.components:
-            return "<GradedElement 0>"
-        parts = [f"[{n}] {poly_str(p)}" for n, p in self.items()]
+        parts = [f"[{n}] {poly_str(p)}" for n, p in self.items()] or ["0"]
         return "<GradedElement " + " ; ".join(parts) + ">"
 
 
 class LocalizedElement:
-    """sum_n alpha_n(H) * v_n with rational-function coefficients."""
+    """sum_n alpha_n(H) * v_n with rational-function coefficients, each a
+    RatFun or a numerator `ratfun` takes."""
 
     __slots__ = ("components",)
 
     def __init__(self, components: Optional[Mapping[int, RatFun]] = None):
-        data: Dict[int, RatFun] = {}
-        if components:
-            for n, f in components.items():
-                if f.num:
-                    data[int(n)] = f
-        self.components = data
+        fs = {_index(n): f if isinstance(f, RatFun) else RatFun(f)
+              for n, f in (components or {}).items()}
+        self.components: Dict[int, RatFun] = {n: f for n, f in fs.items() if f.n}
 
     def items(self):
         return sorted(self.components.items())
@@ -368,11 +385,7 @@ class LocalizedElement:
     def __add__(self, other):
         out = dict(self.components)
         for n, f in other.components.items():
-            s = rf_add(out[n], f) if n in out else f
-            if s.num:
-                out[n] = s
-            else:
-                out.pop(n, None)
+            out[n] = rf_add(out[n], f) if n in out else f
         return LocalizedElement(out)
 
     def __neg__(self):
@@ -391,19 +404,16 @@ class LocalizedElement:
         return hash(frozenset(self.components.items()))
 
     def __repr__(self):
-        if not self.components:
-            return "<LocalizedElement 0>"
-        parts = [f"[{n}] {f}" for n, f in self.items()]
+        parts = [f"[{n}] {f}" for n, f in self.items()] or ["0"]
         return "<LocalizedElement " + " ; ".join(parts) + ">"
 
 
 def graded_component(n: int, coeff) -> LocalizedElement:
     """Convenience constructor for alpha(H) * v_n in the localized algebra."""
-    f = coeff if isinstance(coeff, RatFun) else ratfun(coeff)
-    return LocalizedElement({n: f})
+    return LocalizedElement({n: coeff})
 
 
-# -- conversions ---------------------------------------------------------
+# -- conversions, degrees and the localized product ----------------------
 
 
 def to_graded(a: WeylElement) -> GradedElement:
@@ -424,28 +434,25 @@ def to_graded(a: WeylElement) -> GradedElement:
         for k, c in enumerate(p):
             row[k] += v * c
     # the monomials of one component have distinct degrees in H and monic
-    # products, so no component cancels and none has a trailing zero
-    return GradedElement({n: _out(row, den) for n, row in acc.items()})
-
-
-def _v_element(n: int) -> WeylElement:
-    return monomial(0, n) if n >= 0 else monomial(-n, 0)
+    # products, so no component cancels; a's den stays the least one
+    return GradedElement._cleared({n: tuple(row) for n, row in acc.items()}, den)
 
 
 def from_graded(g: GradedElement) -> WeylElement:
-    """Inverse of to_graded, evaluated with plain algebra arithmetic."""
-    h_pows = powers(H, max(map(len, g.components.values()), default=0) - 1)
-    return linear_combination(
-        (1, linear_combination(zip(p, h_pows)) * _v_element(n)) for n, p in g.items()
-    )
+    """Inverse of to_graded, in ints (module docstring)."""
+    table = [_stirling(k) for k in range(max(map(len, g._rows.values()), default=0))]
+    acc: Dict[Tuple[int, int], int] = {}
+    for n, row in g._rows.items():
+        m = max(0, -n)  # alpha * Y^m = Y^m * sigma^m(alpha)
+        for k, p in enumerate(_shift(row, m)):
+            for l, s in enumerate(table[k]):
+                acc[l + m, l + m + n] = acc.get((l + m, l + m + n), 0) + p * s
+    return WeylElement._cleared({k: v for k, v in acc.items() if v}, g._den)
 
 
 def graded_degree(a: WeylElement) -> Union[int, float]:
-    """Largest graded component present; -inf for 0.
-
-    Each monomial Y^i X^j sits in the single component j - i, so this is
-    the weighted degree of weight (-1, 1).
-    """
+    """Largest graded component present, -inf for 0: Y^i X^j sits in the
+    single component j - i, so this is the weighted degree for (-1, 1)."""
     return weighted_degree(Weight(-1, 1), a)
 
 
@@ -462,10 +469,7 @@ def supp_monoid(elems: Iterable[WeylElement]) -> set:
 def embed(a: WeylElement) -> LocalizedElement:
     """The plain algebra inside its localization."""
     g = to_graded(a)
-    return LocalizedElement({n: RatFun(p, POLY_ONE) for n, p in g.components.items()})
-
-
-# -- localized multiplication --------------------------------------------
+    return LocalizedElement({n: _ratfun(row, (1,), g._den) for n, row in g._rows.items()})
 
 
 def localized_mul(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
@@ -486,19 +490,15 @@ def localized_mul(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
             else:
                 c = _shifted_product(-m, min(-m - n, 0))
             f = rf_mul(alpha, rf_shift(beta, m), c)
-            prev = total.get(m + n)
-            s = rf_add(prev, f) if prev is not None else f
-            if s.num:
-                total[m + n] = s
-            else:
-                total.pop(m + n, None)
+            total[m + n] = rf_add(total[m + n], f) if m + n in total else f
     return LocalizedElement(total)
 
 
 def in_A1(a: LocalizedElement) -> Tuple[bool, Optional[WeylElement]]:
     """Whether every reduced coefficient is polynomial; witness if so."""
-    for f in a.components.values():
-        if not f.is_polynomial():
-            return False, None
-    g = GradedElement({n: f.num for n, f in a.components.items()})
-    return True, from_graded(g)
+    comps = a.components
+    if any(len(f.d) > 1 for f in comps.values()):
+        return False, None
+    den = lcm(*[f.c for f in comps.values()])
+    rows = {n: tuple([v * (den // f.c) for v in f.n]) for n, f in comps.items()}
+    return True, from_graded(GradedElement._cleared(rows, den))

@@ -5,8 +5,8 @@ numerators of elements in their cleared form (`core`), re-keyed to
 positions by `windows.Coordinates`.  A `RatMatrix` is such rows over one
 positive denominator `den`, so the matrix it stands for is sparse / den.
 Scaling a row, or the whole matrix, keeps its row space, its kernel and
-its rank, so only `solutions` reads `den`.  No floating point is used
-anywhere, and no Rat is built.
+its rank, so no entry point here reads `den` (`windows.eigenspace` does,
+to shift by an eigenvalue).  No floating point is used, no Rat is built.
 
 Results leave as cleared rows: (ints, den) with nonzero int numerators,
 den >= 1 and gcd(den, *ints) = 1, the form `WeylElement._cleared` takes.
@@ -181,37 +181,3 @@ def kernel(matrix: RatMatrix) -> List[Cleared]:
         vectors.append(vec)
     return row_basis(vectors)
 
-
-def solutions(matrix: RatMatrix, rhs: Sequence[Cleared]) -> List[Optional[Cleared]]:
-    """Solve A x = b for several right-hand sides with one elimination.
-
-    A is the matrix, and each b a cleared column (ints keyed by row, den).
-    The solution, when it exists, is the particular one with all free
-    variables zero (pivot columns are chosen left to right, so the answer
-    is stable when extra columns are appended on the right).  With A'' the
-    numerators over L = matrix.den and b'' over d, A'' y = b'' gives
-    x = y * L / d.  Returns, per rhs, a cleared row keyed by column, or
-    None.
-    """
-    ncols = matrix.ncols
-    # augmented columns sit to the right of the real ones, so a row can
-    # only pivot there when its coefficient part reduced to zero; such
-    # constraint rows encode the inconsistent right-hand sides
-    aug = [dict(row) for row in matrix.sparse]
-    for r, (ints, _) in enumerate(rhs):
-        for i, v in ints.items():
-            aug[i][ncols + r] = v
-    rows = _echelon(aug).rows
-    out: List[Optional[Cleared]] = []
-    for r, (_, den) in enumerate(rhs):
-        aug_col = ncols + r
-        hits = [(col, row[col], row[aug_col]) for col, row in rows.items() if aug_col in row]
-        if any(col >= ncols for col, _, _ in hits):
-            out.append(None)
-            continue
-        big = lcm(*(p for _, p, _ in hits))
-        ints = {col: v * (big // p) * matrix.den for col, p, v in hits}
-        den *= big
-        g = gcd(den, *ints.values())
-        out.append(({k: v // g for k, v in ints.items()}, den // g))
-    return out

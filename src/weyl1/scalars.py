@@ -10,8 +10,8 @@ common denominator.  That is the one form an element of `core` has: it
 goes from operation to operation, and `integral` runs only where a map
 of scalars comes in (an element built from a mapping).  `linalg` takes
 the numerators as its rows and hands back cleared rows, which become
-elements with no division (`windows.Coordinates`); `gwa` clears its
-dense coefficient tuples the same way (`gwa._clear`/`_out`).  So the
+elements with no division (`windows.Coordinates`); `gwa` keeps its
+rational functions and graded components cleared the same way.  So the
 inner loops of all three run on plain ints.  The public accessors that
 promise a Rat (WeylElement.terms, coefficient, scalar_value) build it
 from the cleared form on each call.  `coeff` coerces a scalar coming in

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .core import WeylElement, commutator, linear_combination
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
-from .linalg import RatMatrix, kernel, rank, row_basis, solutions
+from .linalg import RatMatrix, kernel, rank, row_basis
 from .linalg import _Echelon, _echelon
 from .maps import LinearMap, ad
 from .scalars import NEG_INF, Rat, rat
@@ -42,8 +42,8 @@ class Coordinates:
     An element's coordinates are its int numerators keyed by position
     (`coords`): the element is them over its own denominator.  Where
     elements are rows (`basis`), that denominator drops, because scaling a
-    row keeps its row space.  Where they are columns (`matrix`, `solve`),
-    the matrix is cleared to L, the lcm of their denominators, and carries
+    row keeps its row space.  Where they are columns (`matrix`), the
+    matrix is cleared to L, the lcm of their denominators, and carries
     L.  Cleared rows from `linalg` come back as elements through
     `element` with no division.  Built from groups of elements, the basis
     is the union of their supports sorted by (i+j, i) as in a (1,1) window,
@@ -87,15 +87,6 @@ class Coordinates:
             for r, v in self.coords(el).items():
                 sparse[r][c] = v * scale
         return RatMatrix(sparse, len(columns), den)
-
-    def solve(
-        self, space: Sequence[WeylElement], elems: Sequence[WeylElement]
-    ) -> List[Optional[Tuple[Dict[int, int], int]]]:
-        """Per element, its expansion over the list space as a cleared row
-        (ints keyed by position in space, den; free variables zero), or
-        None when it lies outside span(space); one elimination serves every
-        element."""
-        return solutions(self.matrix(space), [(self.coords(el), el._den) for el in elems])
 
     def element(self, ints: Dict[int, int], den: int = 1) -> WeylElement:
         """The element with numerators ints (keyed by position) over den."""

@@ -18,15 +18,23 @@ composite pair.  The suite checks them once on (X, Y) and carries them
 over by phi under the premise [y, x] = 1; these are the per-pair
 reference for that argument, and they keep the large products under test.
 
+The product inverse of the graded view sums each graded component over
+the powers of H = Y*X and multiplies by X^n or Y^m in the algebra, the
+reference for the closed Stirling-number inverse in `gwa.from_graded`.
+
 The dense matrix surface turns rational rows and vectors into the
 cleared rows `linalg` takes and reads its cleared results back as dense
 Fraction rows, so tests can state matrices as lists and compare with
 sympy.  It lives here because nothing in the package needs it.
+
+So does solving A x = b against a column space (`solutions`,
+`coordinates_solve`): the package reduces against one echelon instead, and
+only the slack membership solver and the linear-algebra tests use it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +133,22 @@ def oracle_localized_mul(a, b):
     return total
 
 
+def oracle_from_graded(g):
+    """The element sum_n alpha_n(H) * v_n of a GradedElement, by products
+    in the algebra: each alpha_n is summed over the powers of H = Y*X and
+    multiplied by v_n = X^n or Y^(-n).  The package inverts to_graded in
+    closed form instead (Stirling numbers of the second kind)."""
+    from weyl1 import H
+    from weyl1.core import linear_combination, monomial, powers
+
+    comps = g.components
+    h_pows = powers(H, max(map(len, comps.values()), default=0) - 1)
+    return linear_combination(
+        (1, linear_combination(zip(p, h_pows)) * (monomial(0, n) if n >= 0 else monomial(-n, 0)))
+        for n, p in sorted(comps.items())
+    )
+
+
 class SlackMembershipSolver:
     """Membership in K<x, y> by elimination, with `MembershipSolver`'s
     interface and records: a batch is expanded over the y^i x^j with
@@ -177,7 +201,7 @@ class SlackMembershipSolver:
         if finite:
             pairs = self.candidate_pairs(max(finite) + slack)
             columns = [self.basis_product(i, j) for (i, j) in pairs]
-            sols = Coordinates(columns, elements).solve(columns, elements)
+            sols = coordinates_solve(Coordinates(columns, elements), columns, elements)
         vy, vx = self._vy, self._vx
         out = []
         for deg, sol in zip(degrees, sols):
@@ -194,6 +218,51 @@ class SlackMembershipSolver:
             else:
                 out.append(Membership(True, witness, slack, bound, tried))
         return out
+
+
+def solutions(matrix, rhs):
+    """Solve A x = b for several right-hand sides with one elimination.
+
+    A is a RatMatrix, and each b a cleared column (ints keyed by row, den).
+    The solution, when it exists, is the particular one with all free
+    variables zero (pivot columns are chosen left to right, so the answer
+    is stable when extra columns are appended on the right).  With A'' the
+    numerators over L = matrix.den and b'' over d, A'' y = b'' gives
+    x = y * L / d.  Returns, per rhs, a cleared row keyed by column, or
+    None.
+    """
+    from weyl1.linalg import _echelon
+
+    ncols = matrix.ncols
+    # augmented columns sit to the right of the real ones, so a row can
+    # only pivot there when its coefficient part reduced to zero; such
+    # constraint rows encode the inconsistent right-hand sides
+    aug = [dict(row) for row in matrix.sparse]
+    for r, (ints, _) in enumerate(rhs):
+        for i, v in ints.items():
+            aug[i][ncols + r] = v
+    rows = _echelon(aug).rows
+    out = []
+    for r, (_, den) in enumerate(rhs):
+        aug_col = ncols + r
+        hits = [(col, row[col], row[aug_col]) for col, row in rows.items() if aug_col in row]
+        if any(col >= ncols for col, _, _ in hits):
+            out.append(None)
+            continue
+        big = lcm(*(p for _, p, _ in hits))
+        ints = {col: v * (big // p) * matrix.den for col, p, v in hits}
+        den *= big
+        g = gcd(den, *ints.values())
+        out.append(({k: v // g for k, v in ints.items()}, den // g))
+    return out
+
+
+def coordinates_solve(co, space, elems):
+    """Per element, its expansion over the list space as a cleared row
+    (ints keyed by position in space, den; free variables zero), or None
+    when it lies outside span(space), in the coordinates co; one
+    elimination serves every element."""
+    return solutions(co.matrix(space), [(co.coords(el), el._den) for el in elems])
 
 
 def direct_klein_problems(e, imax):
@@ -336,7 +405,5 @@ def canonical_basis(vectors, ncols):
 
 def solve(mat, rhs):
     """Particular solution of A x = b (free variables zero, dense), or None."""
-    from weyl1.linalg import solutions
-
     (sol,) = solutions(mat, [cleared_vector(rhs)])
     return None if sol is None else dense(sol, mat.ncols)

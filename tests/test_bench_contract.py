@@ -9,7 +9,10 @@ benchmark shows up here first.  A second test checks that windows-deep's
 closure ops pass the suite's default nilpotent-closure bound, a third
 that a verify pass leaves no memo behind that the benchmark's
 `clear_process_caches` cannot empty, and a fourth that the tracer still
-counts the suite's membership solves.
+counts the suite's membership solves.  The self-test runs seeds 3 and 4,
+so a last test runs one pass of each workload with a recorded seed-1
+output digest and requires that digest: a measured run reports
+`correct: false` without it.
 """
 
 import json
@@ -107,3 +110,19 @@ def test_the_tracer_counts_the_suites_membership_solves(monkeypatch):
         tracer.uninstall()
     assert tracer.count["endos.solve_calls"] == 6
     assert tracer.leftovers() == []
+
+
+def test_a_seed_1_pass_gives_the_recorded_digests(monkeypatch):
+    # the digests hash the printed outputs (GradedElement components,
+    # LocalizedElement reprs, elements), so a changed repr shows here
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from clock import Clock
+    from run import Runner
+    from workloads import DEFAULT_SEED, RECORDED_DIGESTS, WORKLOADS
+
+    assert DEFAULT_SEED == 1 and set(RECORDED_DIGESTS) == {"windows-deep", "arith-graded"}
+    for name in sorted(RECORDED_DIGESTS):
+        runner = Runner(WORKLOADS[name](weyl1, DEFAULT_SEED), Clock())
+        runner.one_pass()
+        assert runner.attempted and not runner.failed, name
+        assert not runner.wrong_digest, name

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_eigvec_problems, direct_klein_problems
+from oracles import coordinates_solve, direct_eigvec_problems, direct_klein_problems
 from test_endos import _GENERATORS
 from test_fake_pairs import FAKE_PAIRS
 from weyl1 import (
@@ -406,16 +406,17 @@ def test_span_helpers():
     assert co.basis([H, ONE]) == co.basis([H + 1, ONE])
     assert co.basis([H]) != co.basis([X])
     space = [ONE, H, H**2]
-    assert Coordinates(space).solve(space, [3 * H**2 + H - 1]) == [({0: -1, 1: 1, 2: 3}, 1)]
+    want = [({0: -1, 1: 1, 2: 3}, 1)]
+    assert coordinates_solve(Coordinates(space), space, [3 * H**2 + H - 1]) == want
     # a right-hand side over 2 gives a solution over 2
     half = rat(1, 2) * (3 * H**2 + H - 1)
-    assert Coordinates(space).solve(space, [half]) == [({0: -1, 1: 1, 2: 3}, 2)]
-    assert Coordinates([ONE, H, X]).solve([ONE, H], [X]) == [None]
+    assert coordinates_solve(Coordinates(space), space, [half]) == [({0: -1, 1: 1, 2: 3}, 2)]
+    assert coordinates_solve(Coordinates([ONE, H, X]), [ONE, H], [X]) == [None]
     co = Coordinates([H, ONE])
     assert co.basis([H, 2 * H, ONE + H]) == co.basis([ONE, H])
     space = [ONE, H]
     co = Coordinates(space, [3 * H - 1, X])
-    assert co.solve(space, [3 * H - 1, X]) == [({0: -1, 1: 3}, 1), None]
+    assert coordinates_solve(co, space, [3 * H - 1, X]) == [({0: -1, 1: 3}, 1), None]
 
 
 # -- the identity checks: premise on the pair, identities on (X, Y) --------

@@ -26,6 +26,7 @@ from weyl1 import (
     commutator,
     compile_recipe,
     endos,
+    linalg,
     linear,
     rat,
     subalgebra_membership,
@@ -405,7 +406,9 @@ def test_pairs_tried_counts_each_elements_own_pairs():
 
 
 def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):
-    calls = {"basis_product": 0, "solutions": 0}
+    # every elimination, the slack oracle's solve included, runs through
+    # linalg._echelon (windows imports it by name)
+    calls = {"basis_product": 0, "eliminations": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -417,15 +420,17 @@ def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):
         SlackMembershipSolver, "basis_product",
         counted("basis_product", SlackMembershipSolver.basis_product),
     )
-    monkeypatch.setattr(windows, "solutions", counted("solutions", windows.solutions))
+    eliminate = counted("eliminations", linalg._echelon)
+    monkeypatch.setattr(linalg, "_echelon", eliminate)
+    monkeypatch.setattr(windows, "_echelon", eliminate)
     e = CANONICAL["composite"]
     monos = Window(W11, 4).basis_elements()
     assert not hasattr(MembershipSolver, "basis_product")
     assert all(MembershipSolver(e).solve(monos, 28))
-    assert calls == {"basis_product": 0, "solutions": 0}
+    assert calls == {"basis_product": 0, "eliminations": 0}
     # the counters see the slack oracle: 81 pairs with 4i + 2j <= 32
     assert all(SlackMembershipSolver(e).solve(monos, 28))
-    assert calls == {"basis_product": 81, "solutions": 1}
+    assert calls == {"basis_product": 81, "eliminations": 1}
 
 
 def test_deep_recipe_membership_multiplies_few_term_pairs(monkeypatch):

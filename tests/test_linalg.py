@@ -25,6 +25,7 @@ from oracles import (
     mul_vector,
     nullspace,
     rref,
+    solutions,
     solve,
     values,
 )
@@ -42,7 +43,7 @@ from weyl1 import (
     rat,
     row_basis,
 )
-from weyl1.linalg import _echelon, _Echelon, solutions
+from weyl1.linalg import _echelon, _Echelon
 from weyl1.serialize import recipe_from_doc
 
 

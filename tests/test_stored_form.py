@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_mul
-from oracles import cleared_vector, dense, dense_matrix
+from oracles import cleared_vector, dense, dense_matrix, solutions
 from weyl1 import (
     W11,
     X,
@@ -45,7 +45,7 @@ from weyl1 import (
     theta,
 )
 from weyl1.core import linear_combination, powers
-from weyl1.linalg import kernel, rank, row_basis, solutions
+from weyl1.linalg import kernel, rank, row_basis
 from weyl1.maps import ad
 from weyl1.scalars import Rat, integral
 from weyl1.windows import map_matrix
