@@ -88,7 +88,7 @@ from .maps import (
     drop_profile,
     nilpotency_degree,
 )
-from .parsing import ParseError, parse, parse_expr, print_element
+from .parsing import ParseError, parse, print_element
 from .scalars import NEG_INF, Rat, rat
 from .semigroup import SemigroupData, semigroup_analyze
 from .windows import (

@@ -123,14 +123,15 @@ class EndoRecipe:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
+        if self.generators and self.raw is not None:
+            raise ValueError("a recipe takes generators or a raw pair, not both")
 
 
 def compile_recipe(recipe: EndoRecipe) -> EndoPair:
-    """Compose the generators left to right, or take the raw override
-    instead; verify [y, x] = 1 of the result."""
-    gens = recipe.generators if recipe.raw is None else ()
+    """Compose the generators left to right, or take the raw pair; verify
+    [y, x] = 1 of the result."""
     x_cur, y_cur = recipe.raw or (X, Y)
-    for gen in gens:
+    for gen in recipe.generators:
         gpair = gen.pair()
         x_cur = apply_endo(gpair, x_cur)
         y_cur = apply_endo(gpair, y_cur)
@@ -222,8 +223,8 @@ def _reduce(e: EndoPair, premise: WeylElement) -> EndoRecipe:
 
 def certify(e: EndoPair, recipe: EndoRecipe) -> EndoRecipe:
     """recipe, once `compile_recipe` turns its generators into (x, y)
-    exactly; else DomainError.  A raw override certifies nothing and is
-    not compiled."""
+    exactly; else DomainError.  A raw pair certifies nothing and is not
+    compiled."""
     try:
         pair = compile_recipe(EndoRecipe(recipe.generators))
     except (ValueError, UnverifiedEndoError):

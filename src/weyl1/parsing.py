@@ -12,17 +12,18 @@ and left-associative):
 'H' is surface syntax for Y*X; brackets are commutators.  The leading
 minus exists so canonical printer output like "-1 + Y*X" parses back.
 format_element (re-exported here as print_element) and parse are mutually
-inverse on canonical forms.
+inverse on canonical forms.  The descent turns one token stream into a
+postfix program, run only once the whole text has parsed: a syntax error
+is reported before any power is formed.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import re
+import sys
 
-from .core import H, WeylElement, X, Y, commutator, format_element, scalar
-from .scalars import rat
+from .core import H, ZERO, WeylElement, X, Y, commutator, format_element
 
 MAX_EXPONENT = 4096
 #: Deepest nesting of parentheses and commutator brackets.  The parser
@@ -37,186 +38,135 @@ class ParseError(ValueError):
         self.position = position
 
 
-# AST nodes: ('num', Rat) ('gen', name) ('neg', t) ('add'|'sub'|'mul', l, r)
-# ('pow', t, n) ('comm', l, r)
-Expr = Tuple
+# Only space, tab, CR and LF are blanks, and only ASCII digits make a
+# numeral (str.isspace() also takes "　", str.isdigit() "²" and "３").
+# A token is (kind, text, pos): the kind of a numeral is "nat", that of
+# a generator or operator its own text.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:([0-9]+)|([-+*/^()\[\],XYH])|([^ \t\r\n]))")
 
 
-@dataclass
-class _Token:
-    kind: str  # 'nat' 'name' 'op'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> List[_Token]:
-    out = []
-    k = 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        if ch in " \t\r\n":  # ASCII blanks only: str.isspace() also takes "\u3000"
-            k += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes "²" and "３"
-            start = k
-            while k < n and "0" <= text[k] <= "9":
-                k += 1
-            out.append(_Token("nat", text[start:k], start))
-            continue
-        if ch in "XYH":
-            out.append(_Token("name", ch, k))
-            k += 1
-            continue
-        if ch in "+-*/^()[],":
-            out.append(_Token("op", ch, k))
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", k)
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.depth = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def take(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of input, wanted {text or kind}", len(self.text))
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(f"expected {text or kind}, found {tok.text!r}", tok.pos)
-        self.k += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.text in ops
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-        return node
-
-    def expr(self) -> Expr:
-        if self.at_op("-"):
-            self.take("op", "-")
-            node: Expr = ("neg", self.term())
-        else:
-            node = self.term()
-        while self.at_op("+", "-"):
-            op = self.take("op").text
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.at_op("*"):
-            self.take("op", "*")
-            node = ("mul", node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        node = self.atom()
-        if self.at_op("^"):
-            tok = self.take("op", "^")
-            num = self.take("nat")
-            n = int(num.text)
-            if n > MAX_EXPONENT:
-                raise ParseError(f"exponent {n} exceeds the limit {MAX_EXPONENT}", num.pos)
-            node = ("pow", node, n)
-        return node
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        if tok.kind == "op" and tok.text in ("(", "["):
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"nesting deeper than the limit {MAX_NESTING}", tok.pos
-                )
-            self.depth += 1
-            node = self.group(tok.text)
-            self.depth -= 1
-            return node
-        if tok.kind == "name":
-            self.take("name")
-            return ("gen", tok.text)
-        if tok.kind == "nat":
-            self.take("nat")
-            value = rat(int(tok.text))
-            if self.at_op("/"):
-                self.take("op", "/")
-                den = self.take("nat")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                value = rat(int(tok.text), int(den.text))
-            return ("num", value)
-        raise ParseError(f"expected an atom, found {tok.text!r}", tok.pos)
-
-    def group(self, opener: str) -> Expr:
-        self.take("op", opener)
-        if opener == "(":
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        lhs = self.expr()
-        self.take("op", ",")
-        rhs = self.expr()
-        self.take("op", "]")
-        return ("comm", lhs, rhs)
+def _nat(tok: tuple, what: str = "numeral", limit: int | None = None) -> int:
+    # a value above the limit or a digit run int() refuses is bad input
+    _, text, pos = tok
+    try:
+        n = int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits() if limit is None else limit
+        raise ParseError(f"{what} of {len(text)} digits exceeds the limit {limit}", pos) from None
+    if limit is not None and n > limit:
+        raise ParseError(f"{what} {n} exceeds the limit {limit}", pos)
+    return n
 
 
 _GENERATORS = {"X": X, "Y": Y, "H": H}
 
 
-_CHAINS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+class _Parser:
+    """Recursive descent that appends the postfix program: an element is
+    pushed, "+", "-", "*" and "[" (commutator) pop two operands, "neg"
+    negates the top and an int raises it to that power."""
+
+    def __init__(self, text: str):
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            tok, pos = m[group], m.start(group)
+            if group == 3:
+                raise ParseError(f"unexpected character {tok!r}", pos)
+            self.tokens.append(("nat" if group == 1 else tok, tok, pos))
+        self.tokens.append(("end", "", len(text)))
+        self.k = 0
+        self.depth = 0
+        self.program = []
+
+    def accept(self, *kinds: str) -> tuple | None:
+        tok = self.tokens[self.k]
+        if tok[0] in kinds:
+            self.k += 1
+            return tok
+        return None
+
+    def expect(self, want: str) -> tuple:
+        tok = self.accept(want)
+        if tok is None:
+            kind, text, pos = self.tokens[self.k]
+            if kind == "end":
+                raise ParseError(f"unexpected end of input, wanted {want}", pos)
+            raise ParseError(f"expected {want}, found {text!r}", pos)
+        return tok
+
+    def expr(self) -> None:
+        negate = self.accept("-")
+        self.term()
+        if negate:
+            self.program.append("neg")
+        while op := self.accept("+", "-"):
+            self.term()
+            self.program.append(op[0])
+
+    def term(self) -> None:
+        self.factor()
+        while self.accept("*"):
+            self.factor()
+            self.program.append("*")
+
+    def factor(self) -> None:
+        self.atom()
+        if self.accept("^"):
+            self.program.append(_nat(self.expect("nat"), "exponent", MAX_EXPONENT))
+
+    def atom(self) -> None:
+        kind, text, pos = tok = self.tokens[self.k]
+        self.k += 1
+        if kind in ("(", "["):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting deeper than the limit {MAX_NESTING}", pos)
+            self.depth += 1
+            self.expr()
+            if kind == "[":
+                self.expect(",")
+                self.expr()
+                self.program.append("[")
+            self.expect(")" if kind == "(" else "]")
+            self.depth -= 1
+        elif kind in _GENERATORS:
+            self.program.append(_GENERATORS[kind])
+        elif kind == "nat":
+            n, d = _nat(tok), 1
+            if self.accept("/"):
+                den = self.expect("nat")
+                d = _nat(den)
+                if d == 0:
+                    raise ParseError("zero denominator", den[2])
+            self.program.append(WeylElement._cleared({(0, 0): n}, d) if n else ZERO)
+        elif kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        else:
+            raise ParseError(f"expected an atom, found {text!r}", pos)
 
 
-def eval_expr(node: Expr) -> WeylElement:
-    """Evaluate an AST to its unique element."""
-    op = node[0]
-    if op in _CHAINS:
-        # walk the left spine of X + X + ... + X instead of recursing down
-        # it, so a long flat sum or product cannot exhaust the stack
-        links = []
-        while node[0] in _CHAINS:
-            links.append(node)
-            node = node[1]
-        acc = eval_expr(node)
-        for kind, _, rhs in reversed(links):
-            acc = _CHAINS[kind](acc, eval_expr(rhs))
-        return acc
-    if op == "num":
-        return scalar(node[1])
-    if op == "gen":
-        return _GENERATORS[node[1]]
-    if op == "neg":
-        return -eval_expr(node[1])
-    if op == "pow":
-        return eval_expr(node[1]) ** node[2]
-    if op == "comm":
-        return commutator(eval_expr(node[1]), eval_expr(node[2]))
-    raise ValueError(f"unknown AST node {op!r}")
-
-
-def parse_expr(text: str) -> Expr:
-    return _Parser(text).parse()
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "[": commutator}
 
 
 def parse(text: str) -> WeylElement:
     """Parse to the exact element the expression denotes."""
-    return eval_expr(parse_expr(text))
+    parser = _Parser(text)
+    parser.expr()
+    kind, rest, pos = parser.tokens[parser.k]
+    if kind != "end":
+        raise ParseError(f"trailing input {rest!r}", pos)
+    stack = []
+    for op in parser.program:
+        if isinstance(op, WeylElement):
+            stack.append(op)
+        elif isinstance(op, int):
+            stack[-1] = stack[-1] ** op
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        else:
+            rhs = stack.pop()
+            stack[-1] = _BINARY[op](stack[-1], rhs)
+    return stack[0]
 
 
 #: Canonical printing lives next to the element type; mirrored here so the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .core import EndoPair, WeylElement, build_endo, format_element
 from .degrees import Polygon, Weight
@@ -54,6 +55,9 @@ def _doc_rat(value):
         return rat(value)
     except ZeroDivisionError as exc:
         raise DocError(f"zero denominator in {value!r}") from exc
+    except ValueError as exc:  # a part longer than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise DocError(f"rational {value[:20]}... has a part of more than {limit} digits") from exc
 
 
 def element_to_doc(a: WeylElement) -> dict:
@@ -120,7 +124,8 @@ def endo_from_doc(doc: dict) -> EndoPair:
 
 
 def recipe_from_doc(doc: dict) -> EndoRecipe:
-    """Recipe document: {"generators": [...], "raw": null or {"x", "y"}}.
+    """Recipe document: {"generators": [...]} or {"raw": {"x", "y"}}, not
+    both (a null raw or an empty generators list counts as absent).
 
     A generator is {"kind": "add_poly_x" or "add_poly_y", "coeffs": [...]}
     or {"kind": "linear", "a": ..., "b": ..., "c": ..., "d": ...}; raw
@@ -149,7 +154,10 @@ def recipe_from_doc(doc: dict) -> EndoRecipe:
         if not (isinstance(raw, dict) and all(isinstance(raw.get(k), str) for k in "xy")):
             raise DocError("recipe 'raw' needs string 'x' and 'y'")
         raw = (parse(raw["x"]), parse(raw["y"]))
-    return EndoRecipe(generators=tuple(out), raw=raw)
+    try:
+        return EndoRecipe(generators=tuple(out), raw=raw)
+    except ValueError as exc:
+        raise DocError(str(exc)) from exc
 
 
 def graded_to_doc(a: WeylElement) -> dict:
@@ -351,5 +359,5 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise DocError(f"invalid JSON: {exc}") from exc

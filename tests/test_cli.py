@@ -197,6 +197,10 @@ def test_exit_codes():
     buf_out, buf_err = io.StringIO(), io.StringIO()
     with redirect_stdout(buf_out), redirect_stderr(buf_err):
         assert main(["normalize", "X +"]) == 2  # syntax error
+        # a numeral longer than int() converts (4 300 digits) is bad input too
+        assert main(["normalize", "1" * 5000]) == 2
+        assert main(["normalize", "X^" + "1" * 5000]) == 2
+        assert main(["normalize", "1/" + "1" * 5000]) == 2
         assert main(["newton", "0"]) == 3  # domain: zero has no polygon
         assert main(["generic", "X + Y", "--bound", "1"]) == 3  # only (1,1), a tie
         assert main(["normalize", "@/nonexistent/file.json"]) == 2
@@ -427,6 +431,9 @@ def test_canonical_verify_report_is_golden(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256
 
 
+TRIANGULAR = {"generators": [{"kind": "add_poly_x", "coeffs": ["0", "0", "1"]}]}
+
+
 def _element_doc(**term):
     return dict(element_to_doc(Y), terms=[dict({"y": 1, "x": 0, "c": "1"}, **term)])
 
@@ -444,15 +451,24 @@ def _element_doc(**term):
         (["normalize", "@DOC"], _element_doc(y=-1)),
         (["normalize", "@DOC"], _element_doc(c="1.5")),
         (["degree", "@DOC"], _element_doc(y=5000)),
+        (["normalize", "@DOC"], _element_doc(c="1" * 5000)),
+        # JSON text, since Python will not print an int of 5 000 digits either
+        (["normalize", "@DOC"], json.dumps(_element_doc()).replace('"y": 1', '"y": ' + "1" * 5000)),
+        (["endo-compile", "--recipe", "DOC"], dict(TRIANGULAR, raw={"x": "X", "y": "Y"})),
+        (["verify", "--config", "DOC"],
+         dict(canonical_config(), endomorphisms=[
+             dict(TRIANGULAR, name="triangular-x2", raw={"x": "X", "y": "Y"})])),
     ],
     ids=["config-entry-without-name", "generator-without-coeffs", "raw-without-y",
          "generator-kind-not-a-string",
          "endo-without-x", "negative-exponent", "decimal-coefficient",
-         "exponent-above-the-limit"],
+         "exponent-above-the-limit", "coefficient-of-5000-digits",
+         "exponent-of-5000-digits", "recipe-with-generators-and-raw",
+         "config-entry-with-generators-and-raw"],
 )
 def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, *[a.replace("DOC", str(path)) for a in argv])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and json.loads(err)["error"] == "input"
@@ -460,7 +476,12 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
 
 # a list naming no rational is refused too: neither an empty scan nor a
 # silent fall back to the default candidates
-@pytest.mark.parametrize("candidates", ["abc", "1/0", "1e0,0.5", "", ",,"])
+@pytest.mark.parametrize(
+    "candidates",
+    ["abc", "1/0", "1e0,0.5", "", ",,",
+     pytest.param("1" * 5000, id="5000-digits"),
+     pytest.param("0,1/" + "1" * 5000, id="denominator-of-5000-digits")],
+)
 def test_eig_scan_candidates_are_strict_rationals(capsys, candidates):
     code, out, err = run(capsys, "eig-scan", "Y*X", "--cap", "2", "--candidates", candidates)
     assert code == 2 and out == ""

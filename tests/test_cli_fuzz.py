@@ -42,6 +42,7 @@ MAPS = st.sampled_from(["ad", "dyx", "dxy", "delta", "nope"])
 CANDIDATES = st.sampled_from(["0,1", "1/2", "abc", "-1,2/3", ""])
 GENERATORS = st.lists(st.integers(-1, 12).map(str), max_size=3)
 HORIZONS = st.integers(-2, 40).map(str)
+RECIPES = st.sampled_from(["recipe", "raw_recipe"])
 
 JSON = st.recursive(
     st.none()
@@ -71,13 +72,14 @@ def _small_config():
 BASES = {
     "element": element_to_doc(Y**2 - rat(1, 2) * X),
     "endo": endo_to_doc(build_endo(X, Y + X**2)),
+    # a recipe takes generators or a raw pair, never both
     "recipe": {
         "generators": [
             {"kind": "add_poly_x", "coeffs": ["0", "0", "1"]},
             {"kind": "linear", "a": "1", "b": "1", "c": "0", "d": "1"},
         ],
-        "raw": {"x": "X", "y": "Y"},
     },
+    "raw_recipe": {"raw": {"x": "X", "y": "Y"}},
     "config": _small_config(),
 }
 
@@ -157,7 +159,7 @@ def invocations(draw):
         + opt("--candidates", draw(CANDIDATES)),
         "centralizer": lambda: [element()] + req("--cap", draw(INTS)),
         "nilclosure": lambda: maps() + req("--cap", draw(INTS)) + opt("--max-iter", draw(INTS)),
-        "endo-compile": lambda: opt("--recipe", doc("recipe"))
+        "endo-compile": lambda: opt("--recipe", doc(draw(RECIPES)))
         + opt("--raw", element(), element()),
         "endo-apply": lambda: [element()] + req("--endo", doc("endo")),
         "membership": lambda: [element()]

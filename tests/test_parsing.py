@@ -1,12 +1,16 @@
 """Expression grammar and the canonical printer round trip."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_element
-from weyl1 import H, ONE, X, Y, ZERO, parse, print_element, rat
-from weyl1.parsing import MAX_EXPONENT, MAX_NESTING, ParseError, parse_expr
+from weyl1 import H, ONE, X, Y, ZERO, WeylElement, parse, print_element, rat
+from weyl1.parsing import MAX_EXPONENT, MAX_NESTING, ParseError
 
 
 def test_commutator_bracket():
@@ -58,6 +62,24 @@ def test_error_positions():
         parse("1/0")
 
 
+DIGITS = sys.get_int_max_str_digits()  # 4 300 unless the environment sets it
+
+
+@pytest.mark.parametrize(
+    "text,pos,message",
+    [("1" * 5000, 0, f"numeral of 5000 digits exceeds the limit {DIGITS}"),
+     ("X - 2/" + "1" * 5000, 6, f"numeral of 5000 digits exceeds the limit {DIGITS}"),
+     ("X^" + "1" * 5000, 2, f"exponent of 5000 digits exceeds the limit {MAX_EXPONENT}")],
+    ids=["numeral", "denominator", "exponent"],
+)
+def test_a_numeral_longer_than_int_converts_is_a_parse_error(text, pos, message):
+    # int() refuses the digit run with a plain ValueError
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == pos
+    assert str(err.value) == f"{message} (at position {pos})"
+
+
 @pytest.mark.parametrize("text,pos", [("X^²", 2), ("X^３", 2), ("٢*Y", 0), ("1٣*X", 1)])
 def test_a_non_ascii_digit_is_an_unexpected_character(text, pos):
     # str.isdigit() and int() accept these; element documents do not
@@ -101,6 +123,26 @@ def test_nesting_guard():
         parse("[X," * (MAX_NESTING + 1) + "Y" + "]" * (MAX_NESTING + 1))
 
 
+@pytest.mark.parametrize("text", ["(X+Y)^4096 +", "(X+Y)^4096)"])
+def test_the_whole_text_parses_before_anything_is_evaluated(monkeypatch, text):
+    calls = []
+
+    def counted(name):
+        original = getattr(WeylElement, name)
+
+        def method(a, b):
+            calls.append(name)
+            return original(a, b)
+        return method
+
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(WeylElement, name, counted(name))
+    with pytest.raises(ParseError):
+        parse(text)
+    assert calls == []
+    assert parse("(X+Y)^2") == (X + Y) ** 2 and calls  # the counters do count
+
+
 def test_long_chains_evaluate():
     assert parse(" - ".join(["X"] * 3001)) == -2999 * X
     assert parse("*".join(["X"] * 3000)) == X**3000
@@ -120,6 +162,14 @@ def test_roundtrip_random_elements():
         assert parse(print_element(a)) == a
 
 
-def test_ast_shape():
-    ast = parse_expr("[Y,X]^2")
-    assert ast[0] == "pow" and ast[1][0] == "comm"
+
+_COEFFS = st.builds(
+    Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)), _COEFFS, max_size=8))
+def test_print_then_parse_is_the_identity(terms):
+    a = WeylElement(terms)
+    assert parse(print_element(a)) == a
