@@ -14,7 +14,11 @@ One class carries them all.  A `LinearMap` is an image rule (the image
 of one monomial), a degree-shift bound (a function of the weight) and a
 name; `ad`, `d_yx`, `d_xy`, `delta_xy` and `compose` only choose the
 three.  Linear extension and a per-map cache of monomial images are
-shared (see `LinearMap`).  Everything here runs on the cleared forms of
+shared (see `LinearMap`).  The four constructors are memoized by their
+fixed element or pair (`functools.lru_cache`, at most 64 maps each): equal
+inputs get one map, so the image cache is per fixed element and
+process-wide, and every window and check built on ad(h) reuses the
+images already formed.  Everything here runs on the cleared forms of
 `core`: `ad`, `d_yx`, `d_xy` and `delta_xy` bracket each monomial with
 the int numerators of their fixed elements through `core._bracket`, the
 loop `core.commutator` runs (delta brackets twice and reduces once), and
@@ -28,6 +32,7 @@ v(m(a)) - v(a), with -inf when the image vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Union
 
 from .core import EndoPair, WeylElement, _bracket, _combine
@@ -48,7 +53,10 @@ class LinearMap:
     to the image of Y^i X^j.  A map applied to an element sums the
     cleared forms of those images in one pass (`core._combine`) into a
     fresh element; the cached ones are only read.  Cache writes are
-    idempotent, so concurrent readers are safe.
+    idempotent, so concurrent readers are safe.  A map from `ad`, `d_yx`,
+    `d_xy` or `delta_xy` is shared by every caller with an equal fixed
+    element or pair, so its cache lives as long as the constructor's memo
+    keeps it (the 64 most recent maps per constructor).
     """
 
     def __init__(self, image: Callable, shift: Callable, description: str):
@@ -91,6 +99,7 @@ def _bracket_by(a: WeylElement) -> Callable[[WeylElement], WeylElement]:
     return lambda u: WeylElement._cleared(_bracket(p, u._ints), den)
 
 
+@lru_cache(maxsize=64, typed=True)
 def ad(a: WeylElement) -> LinearMap:
     """ad(a): b -> [a, b].  Satisfies the Leibniz rule."""
     return LinearMap(
@@ -119,16 +128,19 @@ def _pair_map(e: EndoPair, what: str, name: str, left, right) -> LinearMap:
     return LinearMap(lambda u: bracket(u) * right, _pair_shift(e, 1), name)
 
 
+@lru_cache(maxsize=64, typed=True)
 def d_yx(e: EndoPair) -> LinearMap:
     """d: a -> [y, a] * x."""
     return _pair_map(e, "d = [y, .]x", "[y, .]*x", e.y, e.x)
 
 
+@lru_cache(maxsize=64, typed=True)
 def d_xy(e: EndoPair) -> LinearMap:
     """d': a -> [x, a] * y."""
     return _pair_map(e, "d' = [x, .]y", "[x, .]*y", e.x, e.y)
 
 
+@lru_cache(maxsize=64, typed=True)
 def delta_xy(e: EndoPair) -> LinearMap:
     """delta: a -> [x, [y, a]], the composition ad(x) ad(y)."""
     _require_verified(e, "delta = ad(x) ad(y)")

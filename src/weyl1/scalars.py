@@ -21,8 +21,11 @@ int*int and int+int never go through the rational type.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as Rat
-from math import lcm
+from math import lcm, log10
+
+from .errors import DomainError
 
 RAT_BACKEND = "fractions"
 
@@ -83,5 +86,17 @@ def integral(entries: dict):
 
 
 def rat_str(q) -> str:
-    """Canonical string form: "p" when the denominator is 1, else "p/q"."""
-    return str(q)
+    """Canonical string form: "p" when the denominator is 1, else "p/q".
+
+    Python prints ints of at most `sys.get_int_max_str_digits()` digits
+    (4300 by default); a longer numerator or denominator is a DomainError
+    naming its size and that limit.  The limit itself is left as it is.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        bits = max(abs(q.numerator), q.denominator).bit_length()
+        raise DomainError(
+            f"cannot print a coefficient of about {int(bits * log10(2)) + 1} digits:"
+            f" integers print with at most {sys.get_int_max_str_digits()} digits"
+        ) from None

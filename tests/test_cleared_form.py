@@ -124,6 +124,8 @@ def test_pull_backs_and_map_images_return_the_canonical_cleared_form(a, b, e):
         (v, oracle_mul(power(ty, i), power(tx, j))) for (i, j), v in ta.items()
     ))
     assert_agrees(apply_endo(e, a), endo_want)
+    for make in (ad, d_yx, d_xy, delta_xy):
+        make.cache_clear()  # new maps with empty image caches
     for m, want in (
         (ad(a), bracket(ta, tb)),
         (d_yx(e), oracle_mul(bracket(ty, tb), tx)),

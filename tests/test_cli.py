@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
-from weyl1 import Y, compile_recipe, format_element, identity_endo
+from weyl1 import Y, ad, compile_recipe, d_xy, d_yx, delta_xy, format_element, identity_endo
 from weyl1.cli import main
 from weyl1.semigroup import MAX_HORIZON
 from weyl1.serialize import (
@@ -429,6 +430,39 @@ def test_canonical_verify_report_is_golden(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--report", str(report))
     assert code == 0 and len(out.splitlines()) == 24
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256
+
+
+def test_warm_maps_give_the_same_bytes(tmp_path, capsys):
+    # the map constructors' memo outlives a command: a second verify and a
+    # second eig-scan in one process read the images the first formed
+    for make in (ad, d_yx, d_xy, delta_xy):
+        make.cache_clear()
+    for name in ("cold.json", "warm.json"):
+        hits = ad.cache_info().hits + delta_xy.cache_info().hits
+        report = tmp_path / name
+        code, _, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256
+    assert ad.cache_info().hits + delta_xy.cache_info().hits > hits
+    argv = ("X^2+Y^2", "--cap", "6")
+    for _ in range(2):
+        code, out, _ = run(capsys, "eig-scan", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EIG_SCAN_SHA256[argv]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_coefficient_too_long_to_print_is_a_domain_error(capsys, flags):
+    # 100^4096 has 8 193 digits; Python prints ints of at most 4 300 by
+    # default, and the package leaves that process-wide limit alone
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "normalize", "100^4096", *flags)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "domain"
+    detail = json.loads(err)["detail"]
+    assert "8193 digits" in detail and f"at most {limit} digits" in detail
+    assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 TRIANGULAR = {"generators": [{"kind": "add_poly_x", "coeffs": ["0", "0", "1"]}]}

@@ -1,6 +1,7 @@
 """Map evaluation, drops, drop laws, and locally nilpotent iteration."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from weyl1 import (
     X,
     Y,
     EndoRecipe,
+    LinearMap,
     ad,
     build_endo,
+    canonical_config,
     commutator,
     compile_recipe,
     compose,
@@ -31,6 +34,8 @@ from weyl1 import (
     identity_endo,
     monomial,
     nilpotency_degree,
+    parse,
+    run_suite,
     weighted_degree,
 )
 
@@ -264,17 +269,68 @@ def test_monomial_images_equal_the_public_brackets_cold_and_warm(gens, keys):
         "d_xy": lambda u: commutator(e.x, u) * e.y,
         "delta_xy": lambda u: commutator(e.x, commutator(e.y, u)),
     }
-    makers = {
-        "ad": lambda: ad(a),
-        "d_yx": lambda: d_yx(e),
-        "d_xy": lambda: d_xy(e),
-        "delta_xy": lambda: delta_xy(e),
-    }
-    for name, make in makers.items():
-        warm = make()
+    makers = {"ad": (ad, a), "d_yx": (d_yx, e), "d_xy": (d_xy, e), "delta_xy": (delta_xy, e)}
+    for name, (make, arg) in makers.items():
+        warm = make(arg)
         for i, j in keys + keys[:1]:
             u = monomial(i, j)
             want = expected[name](u)
-            assert make()(u) == want, (name, i, j)
+            make.cache_clear()  # the constructors share maps; this one is new
+            cold = make(arg)
+            assert cold is not warm
+            assert cold(u) == want, (name, i, j)
             assert warm(u) == want, (name, i, j)
             assert warm._cached_image((i, j)) == want, (name, i, j)
+
+
+def test_equal_fixed_elements_and_pairs_share_one_map():
+    # the constructors are memoized by value: an equal element or pair
+    # built separately gets the same map, and with it the images formed
+    a = H + X**2
+    assert ad(a) is ad(parse(str(a)))
+    assert ad(a) is not ad(a + ONE)
+    e = build_endo(X, Y + X**2)
+    twin = build_endo(parse(str(e.x)), parse(str(e.y)))
+    assert twin is not e and twin == e
+    for make in (d_yx, d_xy, delta_xy):
+        assert make(e) is make(twin)
+        assert make(e) is not make(IDENT)
+    assert d_yx(e) is not d_xy(e)
+
+
+def test_a_non_element_is_refused_as_before_with_an_equal_scalar_map_cached():
+    # typed memo keys: ad(3) must not hit the entry of the equal element 3
+    three = ONE * 3
+    assert three == 3 and hash(three) == hash(3)
+    assert ad(three)(X) == 0
+    for bad in (3, "X"):
+        for _ in range(2):
+            with pytest.raises(AttributeError, match="_ints"):
+                ad(bad)
+
+
+def test_an_unverified_pair_is_refused_on_every_call():
+    # an exception is not memoized: each call checks the pair again
+    e = build_endo(X**2, Y)
+    assert not e.verified
+    for make in (d_yx, d_xy, delta_xy):
+        for _ in range(3):
+            with pytest.raises(UnverifiedEndoError):
+                make(e)
+
+
+def test_a_canonical_run_forms_each_monomial_image_of_a_map_once(monkeypatch):
+    # every check and window of one run_suite shares the maps of its fixed
+    # elements and pairs, so no (map, monomial) image is computed twice
+    for make in (ad, d_yx, d_xy, delta_xy):
+        make.cache_clear()
+    formed = Counter()
+    original = LinearMap._monomial_image
+
+    def counted(self, i, j):
+        formed[self, i, j] += 1
+        return original(self, i, j)
+
+    monkeypatch.setattr(LinearMap, "_monomial_image", counted)
+    assert all(r.passed for r in run_suite(canonical_config()))
+    assert formed and max(formed.values()) == 1

@@ -336,6 +336,8 @@ def test_linalg_leaves_int_input_rows_unchanged(rows, rhs):
 
 
 def _drawn_maps(a, e):
+    for make in (ad, d_yx, d_xy, delta_xy):
+        make.cache_clear()  # new maps with empty image caches
     return {
         "ad": ad(a),
         "d_yx": d_yx(e),

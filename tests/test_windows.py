@@ -157,9 +157,14 @@ def test_map_matrix_matches_the_column_by_column_construction_on_drawn_elements(
 
 
 def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatch):
-    # composite's cap-12 ad(h) window: one bracket per window monomial
-    # and no linear combination; a second matrix from the same map makes
-    # neither
+    # composite's cap-12 ad(h) window, from an emptied memo: one bracket
+    # per window monomial and no linear combination; a second matrix from
+    # the same map makes neither, nor does the map of an equal h formed
+    # separately, which is the same map
+    pair = _CANONICAL_PAIRS["composite"]
+    h, h2 = pair.h, pair.y * pair.x
+    assert h2 is not h and h2 == h
+    ad.cache_clear()
     calls = {"_bracket": 0, "linear_combination": 0}
 
     def counted(name, fn):
@@ -173,12 +178,15 @@ def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatc
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("weyl1") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted(name, original))
-    m = ad(_CANONICAL_PAIRS["composite"].h)
+    m = ad(h)
     win = Window(W11, 12)
     tgt = win.enlarged(m)
     first = map_matrix(m, win, tgt)
     assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
     assert map_matrix(m, win, tgt) == first
+    assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
+    assert ad(h2) is m
+    assert map_matrix(ad(h2), win, tgt) == first
     assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
 
 
