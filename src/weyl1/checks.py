@@ -66,7 +66,6 @@ from .scalars import Rat, rat
 from .serialize import recipe_from_doc
 from .windows import (
     Window,
-    _ad_window_matrix,
     centralizer_window,
     eigen_candidates,
     eigenvalue_scan,
@@ -115,17 +114,15 @@ def _eigen_problems(
 
     With more than one candidate the certificate (module docstring) is
     tried first; when it holds, every eigenspace is its prediction and
-    none is computed.  Otherwise the candidates are scanned.  The ad(h)
-    window matrix and dim V are computed once, for both.
+    none is computed.  Otherwise the candidates are scanned, reading the
+    ad(h) window matrix and dim V from the same `windows` memos.
     """
     win = Window(W11, cap)
     h = e.h
     cands = eigen_candidates(cap, candidates)
-    ad_matrix = _ad_window_matrix(h, win)
-    dim_v = invariant_dim(h, win, ad_matrix) if len(cands) > 1 else None
-    if dim_v is not None and _eigen_certificate(e, win, dim_v):
+    if len(cands) > 1 and _eigen_certificate(e, win):
         return cands, []
-    report = eigenvalue_scan(h, win, cands, ad_matrix, dim_v)
+    report = eigenvalue_scan(h, win, cands)
     vh, vx, vy = (weighted_degree(W11, a) for a in (h, e.x, e.y))
 
     expected: Dict[Rat, int] = {}
@@ -155,11 +152,11 @@ def _eigen_problems(
     return report.candidates, problems
 
 
-def _eigen_certificate(e: EndoPair, win: Window, dim_v: int) -> bool:
+def _eigen_certificate(e: EndoPair, win: Window) -> bool:
     """True when the predicted eigenspaces of ad(h) fill V: each h^k v_i'
     of the window is an eigenvector for i, all are independent, and there
-    are dim_v = dim V of them.  False, and nothing checked, unless v(x),
-    v(y) and v(h) are positive integers."""
+    are dim V of them (`windows.invariant_dim`).  False, and nothing
+    checked, unless v(x), v(y) and v(h) are positive integers."""
     h, cap = e.h, win.cap
     degs = [weighted_degree(W11, a) for a in (h, e.x, e.y)]
     if not all(isinstance(v, int) and v > 0 for v in degs):
@@ -175,7 +172,7 @@ def _eigen_certificate(e: EndoPair, win: Window, dim_v: int) -> bool:
                     if commutator(h, u) != sign * n * u:
                         return False
                     span.append(u)
-    return len(win.basis(span)) == len(span) == dim_v
+    return len(win.basis(span)) == len(span) == invariant_dim(h, win)
 
 
 def check_centralizer_theorem(e: EndoPair, cap: int) -> CheckResult:

@@ -123,9 +123,9 @@ def _int_at_least(low: int):
     return parse_int
 
 
-def _add_weight_flags(sub, default=(1, 1)):
-    sub.add_argument("--rho", type=int, default=default[0])
-    sub.add_argument("--eta", type=int, default=default[1])
+def _add_weight_flags(sub, kind=int):
+    sub.add_argument("--rho", type=kind, default=1)
+    sub.add_argument("--eta", type=kind, default=1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("eig-scan", help="windowed eigenvalue scan of ad(a)")
     s.add_argument("expr")
     s.add_argument("--cap", type=_int_at_least(0), required=True)
-    _add_weight_flags(s)
+    _add_weight_flags(s, _int_at_least(1))
     s.add_argument("--candidates", help="comma-separated rationals, each p or p/q")
 
     s = sub.add_parser("centralizer", help="windowed centralizer basis")
     s.add_argument("expr")
     s.add_argument("--cap", type=_int_at_least(0), required=True)
-    _add_weight_flags(s)
+    _add_weight_flags(s, _int_at_least(1))
 
     s = sub.add_parser("nilclosure", help="windowed nilpotent closure of a map")
     s.add_argument("--map", required=True, choices=["ad", "dyx", "dxy", "delta"])
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--endo", help="endomorphism document for dyx/dxy/delta")
     s.add_argument("--cap", type=_int_at_least(0), required=True)
     s.add_argument("--max-iter", type=_int_at_least(1), default=None)
-    _add_weight_flags(s)
+    _add_weight_flags(s, _int_at_least(1))
 
     s = sub.add_parser("endo-compile", help="compile a recipe or raw pair")
     s.add_argument("--recipe", help="recipe document (generators and/or raw pair)")

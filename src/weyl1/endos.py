@@ -49,10 +49,9 @@ from .core import (
     linear_combination,
     powers,
 )
-from .degrees import W11, Weight, weighted_degree
+from .degrees import W11, weighted_degree
 from .errors import DomainError, UnverifiedEndoError
 from .scalars import Rat, rat
-from .windows import Window
 
 
 @dataclass(frozen=True)
@@ -308,9 +307,14 @@ class MembershipSolver:
             member = all(i * vy + j * vx <= bound for (i, j) in used)
             order = sorted(used, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
             witness = {p: b.coefficient(*p) for p in order} if member else None
-            tried = len(Window(Weight(vy, vx), bound).monomials) if used else 0
+            tried = _pairs_within(vy, vx, bound) if used else 0
             out.append(Membership(member, witness, slack, bound, tried))
         return out
+
+
+def _pairs_within(vy: int, vx: int, bound: int) -> int:
+    """The number of pairs (i, j) with i*vy + j*vx <= bound, counted by i."""
+    return sum((bound - i * vy) // vx + 1 for i in range(bound // vy + 1))
 
 
 def subalgebra_membership(

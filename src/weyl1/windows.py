@@ -16,6 +16,10 @@ then empty, over any field extension:
   - so their dimensions sum to at most dim V, and once the sum is dim V
     no other eigenvalue has a nonzero eigenspace.
 
+The ad(a) window matrix and dim V are memoized by (a, window), at most
+64 each, as the map constructors are: an eigenspace, a scan and the eigen
+check's certificate share them, and only read the matrix.
+
 Every returned basis is canonical: coordinates in the window's monomial
 order, reduced row echelon form, first nonzero coordinate 1.
 """
@@ -164,25 +168,21 @@ def map_matrix(m: LinearMap, src: Window, tgt: Window) -> RatMatrix:
     return tgt.matrix([m._cached_image(key) for key in src.monomials])
 
 
-def eigenspace(
-    a: WeylElement,
-    lam,
-    win: Window,
-    ad_matrix: Optional[Tuple[RatMatrix, Window]] = None,
-) -> List[WeylElement]:
+def eigenspace(a: WeylElement, lam, win: Window) -> List[WeylElement]:
     """Basis of {u in the window : [a, u] = lam * u}, exactly.
 
     Computed as the kernel of the matrix of ad(a) - lam restricted to the
     window (target enlarged to hold the images).  With A'' the numerators
     of the ad(a) matrix over L and lam = p/q, that matrix is A''/L - lam on
     the window's own rows; those rows are scaled by q L to q A'' - p L and
-    the others stay A'', since scaling a row keeps the kernel.  The
-    returned elements satisfy the eigen equation in the full algebra, not
-    merely modulo the window.  ad_matrix, when given, must be _ad_window_matrix(a, win); it
-    is left unchanged, so one matrix serves every candidate of a scan.
+    the others stay A'', since scaling a row keeps the kernel.  The ad(a)
+    matrix is the memoized `_ad_window_matrix(a, win)`, shared by every
+    candidate of a scan: the shifted rows are copies, and `kernel` copies
+    every row it reduces.  The returned elements satisfy the eigen
+    equation in the full algebra, not merely modulo the window.
     """
     lam = rat(lam)
-    mat, tgt = ad_matrix if ad_matrix is not None else _ad_window_matrix(a, win)
+    mat, tgt = _ad_window_matrix(a, win)
     if lam:
         q, shift = lam.denominator, lam.numerator * mat.den
         sparse = list(mat.sparse)
@@ -204,8 +204,10 @@ def eigenspace(
     return basis
 
 
+@lru_cache(maxsize=64, typed=True)
 def _ad_window_matrix(a: WeylElement, win: Window) -> Tuple[RatMatrix, Window]:
-    """Matrix of ad(a) from the window into the enlargement holding its images."""
+    """Matrix of ad(a) from the window into the enlargement holding its
+    images, memoized by (a, win); its readers leave it unchanged."""
     m = ad(a)
     tgt = win.enlarged(m)
     return map_matrix(m, win, tgt), tgt
@@ -226,14 +228,10 @@ class EigenReport:
     found: List[Tuple[Rat, List[WeylElement]]]
 
 
-def default_eigen_candidates(cap: int, max_den: int = 4) -> Tuple[Rat, ...]:
-    """Integers in [-cap, cap] plus the fractions +-p/q, q <= max_den, p <= cap."""
-    vals = {rat(k) for k in range(-cap, cap + 1)}
-    for q in range(2, max_den + 1):
-        for p in range(1, cap + 1):
-            vals.add(rat(p, q))
-            vals.add(rat(-p, q))
-    return tuple(sorted(vals))
+def default_eigen_candidates(cap: int) -> Tuple[Rat, ...]:
+    """The rationals p/q with |p| <= cap and q <= 4: the integers in
+    [-cap, cap] plus the fractions +-p/q, 2 <= q <= 4, 1 <= p <= cap."""
+    return tuple(sorted({rat(p, q) for q in (1, 2, 3, 4) for p in range(-cap, cap + 1)}))
 
 
 def eigen_candidates(cap: int, candidates: Optional[Sequence]) -> Tuple[Rat, ...]:
@@ -245,39 +243,30 @@ def eigen_candidates(cap: int, candidates: Optional[Sequence]) -> Tuple[Rat, ...
 
 
 def eigenvalue_scan(
-    a: WeylElement,
-    win: Window,
-    candidates: Optional[Sequence] = None,
-    ad_matrix: Optional[Tuple[RatMatrix, Window]] = None,
-    invariant: Optional[int] = None,
+    a: WeylElement, win: Window, candidates: Optional[Sequence] = None
 ) -> EigenReport:
     """Try each candidate eigenvalue; record the nonempty eigenspaces.
 
-    The ad(a) window matrix is built once and shifted per candidate.
+    Every candidate shifts the one memoized ad(a) window matrix.
     Candidates are tried integers first, by (denominator, |lam|, -lam), and
     the scan stops once the eigenspaces found fill V, the largest
-    ad(a)-invariant subspace of the window (`_invariant_dim`):
+    ad(a)-invariant subspace of the window (`invariant_dim`):
       - an eigenvector spans an invariant line, so it lies in V;
       - eigenspaces of distinct eigenvalues are independent, so their
         dimensions sum to at most dim V;
       - once the sum is dim V, no other lam has a nonzero eigenspace, over
         any field extension.
     dim V is used only when there is more than one candidate; a single
-    candidate is bounded by the window's dimension.  ad_matrix and
-    invariant, when given, must be _ad_window_matrix(a, win) and dim V;
-    otherwise they are computed here.  `found` is sorted by eigenvalue.
+    candidate is bounded by the window's dimension.  `found` is sorted by
+    eigenvalue.
     """
     cands = eigen_candidates(win.cap, candidates)
-    ad_matrix = ad_matrix or _ad_window_matrix(a, win)
-    if len(cands) == 1:
-        room = win.dimension()
-    else:
-        room = _invariant_dim(win, ad_matrix) if invariant is None else invariant
+    room = invariant_dim(a, win) if len(cands) > 1 else win.dimension()
     found = []
     for lam in sorted(cands, key=lambda q: (q.denominator, abs(q), -q)):
         if not room:
             break
-        basis = eigenspace(a, lam, win, ad_matrix)
+        basis = eigenspace(a, lam, win)
         if basis:
             found.append((lam, basis))
             room -= len(basis)
@@ -287,25 +276,20 @@ def eigenvalue_scan(
     return EigenReport(a=a, window=win, candidates=cands, found=found)
 
 
-def invariant_dim(
-    a: WeylElement, win: Window, ad_matrix: Optional[Tuple[RatMatrix, Window]] = None
-) -> int:
-    """Dimension of the largest ad(a)-invariant subspace V of the window;
-    ad_matrix, when given, must be _ad_window_matrix(a, win)."""
-    return _invariant_dim(win, ad_matrix or _ad_window_matrix(a, win))
-
-
-def _invariant_dim(win: Window, ad_matrix: Tuple[RatMatrix, Window]) -> int:
-    """Dimension of the largest ad(a)-invariant subspace V of the window.
+@lru_cache(maxsize=64, typed=True)
+def invariant_dim(a: WeylElement, win: Window) -> int:
+    """Dimension of the largest ad(a)-invariant subspace V of the window,
+    memoized by (a, win).
 
     Split the rows of the ad(a) window matrix into O, the rows at target
     monomials outside the window, and I, the square block at the window's
     own.  V is the intersection of the kernels of O I^j, j >= 0 (the
     unobservable subspace, after Kalman).  One echelon takes the rows of O,
     then the product with I of each row that added a pivot, until no row
-    adds one: its row space is then closed under I.
+    adds one: its row space is then closed under I.  The matrix is only
+    read: the echelon copies every row it reduces.
     """
-    mat, tgt = ad_matrix
+    mat, tgt = _ad_window_matrix(a, win)
     own = [tgt.index[key] for key in win.monomials]
     block = [mat.sparse[r] for r in own]
     inside = set(own)

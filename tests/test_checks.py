@@ -158,11 +158,12 @@ def test_eigen_check_stops_once_the_eigenspaces_fill_the_invariant_subspace(
     assert calls[0] <= EIGENSPACE_BOUND[name]
 
 
-def test_centralizer_check_computes_no_invariant_dimension(monkeypatch):
-    calls = _count_calls(monkeypatch, windows, "_invariant_dim")
+def test_centralizer_check_computes_no_invariant_dimension():
+    windows.invariant_dim.cache_clear()
     for _, e in PAIRS:
         assert check_centralizer_theorem(e, 6).passed
-    assert calls[0] == 0
+    info = windows.invariant_dim.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_eigen_dimensions_match_graded_count():
@@ -225,9 +226,8 @@ def test_checks_fail_on_a_pair_with_commutator_two(check):
 
 
 def _certifies(e, cap):
-    """The certificate's verdict on the cap's window, given its dim V."""
-    win = Window(W11, cap)
-    return checks._eigen_certificate(e, win, windows.invariant_dim(e.h, win))
+    """The certificate's verdict on the cap's window."""
+    return checks._eigen_certificate(e, Window(W11, cap))
 
 
 def _certified_and_scanned(e, cap, candidates=None):
@@ -277,11 +277,13 @@ def test_fake_pairs_give_the_scan_record(e, cap):
 
 def test_a_declined_certificate_shares_the_matrix_and_dim_v_with_the_scan(monkeypatch):
     # (X^3, Y^3) at cap 2 is declined at the last step, the dim V
-    # comparison; the scan then reuses that ad(h) matrix and dim V
+    # comparison; the scan then reuses that ad(h) matrix and dim V, from
+    # emptied memos: one matrix formed and one dim V computed
+    windows._ad_window_matrix.cache_clear()
+    windows.invariant_dim.cache_clear()
     matrices = _count_calls(monkeypatch, windows, "map_matrix")
-    dims = _count_calls(monkeypatch, windows, "_invariant_dim")
     res = check_eigen_theorem(DEGREE_THREE, 2)
-    assert (matrices[0], dims[0]) == (1, 1)
+    assert (matrices[0], windows.invariant_dim.cache_info().misses) == (1, 1)
     assert res.line() == "FAIL eigen_theorem (candidates=13, cap=2, weight=(1,1))"
     assert res.witness == {"problems": ["eigenvalue 0: dimension 2 != expected 1"]}
 
@@ -336,9 +338,9 @@ def test_a_scalar_component_declines_the_certificate(e, problems):
 def test_cap6_eigen_check_computes_no_eigenspace(name, e, monkeypatch):
     # the scan computed 13 / 12 / 6 eigenspaces here
     spaces = _count_calls(monkeypatch, windows, "eigenspace")
-    dims = _count_calls(monkeypatch, windows, "_invariant_dim")
+    windows.invariant_dim.cache_clear()
     assert check_eigen_theorem(e, 6).passed
-    assert (spaces[0], dims[0]) == (0, 1)
+    assert (spaces[0], windows.invariant_dim.cache_info().misses) == (0, 1)
     monkeypatch.setattr(checks, "_eigen_certificate", lambda *a: False)
     assert check_eigen_theorem(e, 6).passed
     assert 0 < spaces[0] <= EIGENSPACE_BOUND[name]

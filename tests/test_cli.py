@@ -54,6 +54,15 @@ def test_degree(capsys):
     assert code == 0 and out == "-inf\n"
 
 
+def test_degree_and_drop_take_any_integer_weight(capsys):
+    # only windows need positive weights (see the out-of-range flag cases)
+    code, out, _ = run(capsys, "degree", "--rho", "0", "--eta", "-2", "Y*X + X^3")
+    assert code == 0 and out == "-2\n"
+    # [X, Y^2] = -2Y: v = -1 against v(Y^2) = -2 at weight (-1, 1)
+    code, out, _ = run(capsys, "drop", "--map", "ad", "--of", "X", "--rho", "-1", "Y^2")
+    assert code == 0 and out == "1\n"
+
+
 def test_grade_newton_generic(capsys):
     code, out, _ = run(capsys, "grade", "Y^2*X^2")
     assert code == 0 and json.loads(out)["components"] == [{"n": 0, "alpha": "H + H^2"}]
@@ -370,10 +379,18 @@ def test_verify_config_accepts_a_negative_seed():
         (["semigroup", "2", "3", "--horizon", "-5"], "--horizon"),
         (["semigroup", "2", "3", "--horizon", "0"], "--horizon"),
         (["generic", "X", "--bound", "0"], "--bound"),
+        (["eig-scan", "X", "--cap", "2", "--rho", "0"], "--rho"),
+        (["eig-scan", "X", "--cap", "2", "--eta", "-1"], "--eta"),
+        (["centralizer", "X", "--cap", "2", "--rho", "-3"], "--rho"),
+        (["centralizer", "X", "--cap", "2", "--eta", "0"], "--eta"),
+        (["nilclosure", "--map", "ad", "--of", "X", "--cap", "2", "--rho", "0"], "--rho"),
+        (["nilclosure", "--map", "ad", "--of", "X", "--cap", "2", "--eta", "-2"], "--eta"),
     ],
     ids=["centralizer-cap", "eig-scan-cap", "nilclosure-cap", "nilclosure-max-iter",
          "membership-slack", "semigroup-zero-generator", "semigroup-negative-generator",
-         "semigroup-negative-horizon", "semigroup-zero-horizon", "generic-bound"],
+         "semigroup-negative-horizon", "semigroup-zero-horizon", "generic-bound",
+         "eig-scan-rho", "eig-scan-eta", "centralizer-rho", "centralizer-eta",
+         "nilclosure-rho", "nilclosure-eta"],
 )
 def test_out_of_range_flag_is_bad_input(tmp_path, capsys, argv, flag):
     # the same values are bad input in a verify config (exit 2), not domain errors

@@ -145,20 +145,27 @@ def invocations(draw):
     def maps():
         return req("--map", draw(MAPS)) + opt("--of", element()) + opt("--endo", doc("endo"))
 
+    def weight():
+        return opt("--rho", draw(INTS)) + opt("--eta", draw(INTS))
+
     commands = {
         "normalize": lambda: [element()] + opt("--json"),
         "mul": lambda: [element(), element()] + opt("--json"),
         "comm": lambda: [element(), element()] + opt("--json"),
         "grade": lambda: [element()],
         "newton": lambda: [element()],
-        "degree": lambda: [element()] + opt("--rho", draw(INTS)) + opt("--eta", draw(INTS)),
+        "degree": lambda: [element()] + weight(),
         "generic": lambda: [element()] + opt("--bound", draw(INTS)),
-        "drop": lambda: [element()] + maps() + opt("--rho", draw(INTS)),
+        "drop": lambda: [element()] + maps() + weight(),
         "eig-scan": lambda: [element()]
         + req("--cap", draw(INTS))
+        + weight()
         + opt("--candidates", draw(CANDIDATES)),
-        "centralizer": lambda: [element()] + req("--cap", draw(INTS)),
-        "nilclosure": lambda: maps() + req("--cap", draw(INTS)) + opt("--max-iter", draw(INTS)),
+        "centralizer": lambda: [element()] + req("--cap", draw(INTS)) + weight(),
+        "nilclosure": lambda: maps()
+        + req("--cap", draw(INTS))
+        + opt("--max-iter", draw(INTS))
+        + weight(),
         "endo-compile": lambda: opt("--recipe", doc(draw(RECIPES)))
         + opt("--raw", element(), element()),
         "endo-apply": lambda: [element()] + req("--endo", doc("endo")),

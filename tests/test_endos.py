@@ -14,6 +14,7 @@ from weyl1 import (
     EndoRecipe,
     MembershipSolver,
     UnverifiedEndoError,
+    Weight,
     Window,
     WeylElement,
     X,
@@ -403,6 +404,15 @@ def test_pairs_tried_counts_each_elements_own_pairs():
         batch = solver.solve([Y, Y**6, 0 * X], 4)
         assert [m.pairs_tried for m in batch] == [12, 36, 0]
         assert solver.solve([0 * X], 4)[0].pairs_tried == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 60))
+def test_pairs_tried_in_closed_form_counts_the_window_monomials(vy, vx, bound):
+    # the pairs (i, j) with i*vy + j*vx <= bound are the monomials Y^i X^j
+    # of the (vy, vx) window of that cap
+    want = len(Window(Weight(vy, vx), bound).monomials)
+    assert endos._pairs_within(vy, vx, bound) == want
 
 
 def test_inverse_path_builds_no_basis_product_and_solves_nothing(monkeypatch):

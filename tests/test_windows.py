@@ -43,7 +43,7 @@ from test_endos import _GENERATORS
 from weyl1 import canonical_config, linalg, windows
 from weyl1.linalg import rank
 from weyl1.serialize import recipe_from_doc
-from weyl1.windows import Coordinates, _ad_window_matrix, _invariant_dim
+from weyl1.windows import Coordinates, _ad_window_matrix, invariant_dim
 
 IDENT = identity_endo()
 
@@ -256,17 +256,63 @@ def test_eigenvalue_scan_matches_eigenspace_past_the_invariant_subspace(a, weigh
     win = Window(weight, 4)
     report = _assert_scan_matches_fresh_eigenspaces(a, win)
     assert [lam for lam, _ in report.found] == [0]
-    fills = sum(len(basis) for _, basis in report.found) == _invariant_dim(
-        win, _ad_window_matrix(a, win)
-    )
+    fills = sum(len(basis) for _, basis in report.found) == invariant_dim(a, win)
     assert fills == (a == ONE)
 
 
 def test_eigenvalue_scan_refuses_eigenspaces_beyond_the_invariant_subspace(monkeypatch):
     # an internal bound that is too small is a bug, not a verdict
-    monkeypatch.setattr(windows, "_invariant_dim", lambda win, ad_matrix: 1)
+    monkeypatch.setattr(windows, "invariant_dim", lambda a, win: 1)
     with pytest.raises(AssertionError, match="invariant subspace"):
         eigenvalue_scan(H, Window(W11, 3))  # the 0-eigenspace holds 1 and H
+
+
+@pytest.mark.parametrize(
+    "a", [_CANONICAL_PAIRS["composite"].h, X + Y**2], ids=["composite h", "X+Y^2"]
+)
+def test_the_memoized_ad_window_matrix_is_only_read(a):
+    # a scan over the default candidates shifts it once per candidate it
+    # tries (X + Y^2 never fills V, so all 33) and dim V eliminates its
+    # rows; afterwards it still equals a freshly built matrix
+    _ad_window_matrix.cache_clear()
+    invariant_dim.cache_clear()
+    win = Window(W11, 6)
+    eigenvalue_scan(a, win)
+    invariant_dim(a, win)
+    assert _ad_window_matrix.cache_info().misses == 1
+    m = ad(a)
+    tgt = win.enlarged(m)
+    assert _ad_window_matrix(a, win) == (map_matrix(m, win, tgt), tgt)
+
+
+def test_an_equal_element_hits_the_window_memos():
+    pair = _CANONICAL_PAIRS["composite"]
+    h, h2 = pair.h, pair.y * pair.x
+    assert h2 is not h and h2 == h
+    _ad_window_matrix.cache_clear()
+    invariant_dim.cache_clear()
+    first, dim = _ad_window_matrix(h, Window(W11, 5)), invariant_dim(h, Window(W11, 5))
+    assert _ad_window_matrix(h2, Window(W11, 5)) is first
+    assert invariant_dim(h2, Window(W11, 5)) == dim
+    # (hits, misses): dim V of h read the matrix once more
+    assert invariant_dim.cache_info()[:2] == (1, 1)
+    assert _ad_window_matrix.cache_info()[:2] == (2, 1)
+    # another window or another element is another entry
+    assert _ad_window_matrix(h, Window(W11, 4)) is not first
+    assert _ad_window_matrix(h + 1, Window(W11, 5)) is not first
+    assert _ad_window_matrix.cache_info().misses == 3
+
+
+def test_cache_clear_empties_the_window_memos():
+    win = Window(W11, 3)
+    first = _ad_window_matrix(H, win)
+    invariant_dim(H, win)
+    for memo in (_ad_window_matrix, invariant_dim):
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    again = _ad_window_matrix(H, win)
+    assert again is not first and again == first
+    assert _ad_window_matrix.cache_info()[:2] == (0, 1)
 
 
 def test_eigenvalue_scan_x_and_scalar():
