@@ -374,6 +374,16 @@ def check_nilpotent_closure(
     recipe can FAIL at them, so a FAIL holds within the printed max_iter
     and slack, which its witness names.  A pair that membership refuses
     FAILs with the refusal.
+
+    The closures iterate only what the Leibniz bound leaves open
+    (`nilpotent_closure_window`).  ad(x) and ad(y) are derivations, so
+    nu(Y^i X^j) <= i(nu(Y) - 1) + j(nu(X) - 1) + 1 from D^(p+q-1)(uv) =
+    sum_k C(p+q-1, k) D^k(u) D^(p+q-1-k)(v); delta reads the indices the
+    ad(x) and ad(y) closures found, since [x, y], recomputed, is a scalar
+    for a genuine pair and then delta^n = ad(x)^n ad(y)^n.  The default
+    max_iter is exactly the bound of composite ad(y), with nu(X) = 5 and
+    nu(Y) = 3, at X^cap: cap (5 - 1) + 1.  So the default is tight: X^cap
+    dies at step 4*cap + 1 and not before.
     """
     e = cert.pair
     if max_iter is None:

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import EndoPair, WeylElement, _bracket, _combine
+from .core import EndoPair, WeylElement, _bracket, _combine, commutator
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
 from .scalars import NEG_INF
@@ -57,13 +57,31 @@ class LinearMap:
     `d_xy` or `delta_xy` is shared by every caller with an equal fixed
     element or pair, so its cache lives as long as the constructor's memo
     keeps it (the 64 most recent maps per constructor).
+
+    Two marks let `windows.nilpotent_closure_window` bound nilpotency
+    indices instead of iterating: `derivation` is set by `ad`, whose map
+    obeys the Leibniz rule, and `factors` by `delta_xy`, as (ad(x), ad(y))
+    when they commute.  `_orders` holds, for a derivation, the index of X
+    (key (0, 1)) and of Y (key (1, 0)) once a closure has found it: the
+    least n with m^n of the monomial 0.  Every other map carries neither
+    mark and is iterated.
     """
 
-    def __init__(self, image: Callable, shift: Callable, description: str):
+    def __init__(
+        self,
+        image: Callable,
+        shift: Callable,
+        description: str,
+        derivation: bool = False,
+        factors: Optional[Tuple["LinearMap", "LinearMap"]] = None,
+    ):
         self._image = image
         self._shift = shift
         self._description = description
         self._cache = {}
+        self.derivation = derivation
+        self.factors = factors
+        self._orders: Dict[Tuple[int, int], int] = {}
 
     def _monomial_image(self, i: int, j: int) -> WeylElement:
         return self._image(WeylElement._cleared({(i, j): 1}))
@@ -106,6 +124,7 @@ def ad(a: WeylElement) -> LinearMap:
         _bracket_by(a),
         lambda w: weighted_degree(w, a) - w.rho - w.eta,
         f"ad({a})",
+        derivation=True,
     )
 
 
@@ -142,13 +161,20 @@ def d_xy(e: EndoPair) -> LinearMap:
 
 @lru_cache(maxsize=64, typed=True)
 def delta_xy(e: EndoPair) -> LinearMap:
-    """delta: a -> [x, [y, a]], the composition ad(x) ad(y)."""
+    """delta: a -> [x, [y, a]], the composition ad(x) ad(y).
+
+    It carries the factors (ad(x), ad(y)) only when [x, y], recomputed
+    here rather than read from `verified`, is a scalar: then [ad x, ad y]
+    = ad [x, y] = 0, so delta^n = ad(x)^n ad(y)^n = ad(y)^n ad(x)^n.
+    """
     _require_verified(e, "delta = ad(x) ad(y)")
     px, py, den = e.x._ints, e.y._ints, e.x._den * e.y._den
+    commuting = commutator(e.x, e.y).is_scalar()
     return LinearMap(
         lambda u: WeylElement._cleared(_bracket(px, _bracket(py, u._ints)), den),
         _pair_shift(e, 2),
         "ad(x) ad(y)",
+        factors=(ad(e.x), ad(e.y)) if commuting else None,
     )
 
 

@@ -20,6 +20,14 @@ The ad(a) window matrix and dim V are memoized by (a, window), at most
 64 each, as the map constructors are: an eigenspace, a scan and the eigen
 check's certificate share them, and only read the matrix.
 
+`nilpotent_closure_window` iterates a monomial only when no bound proves
+it dies within max_iter.  With nu(u) the least n such that m^n(u) = 0:
+  - a derivation D has D^(p+q-1)(uv) = sum_k C(p+q-1, k) D^k(u)
+    D^(p+q-1-k)(v) = 0 when D^p u = 0 and D^q v = 0, so under ad(a)
+    nu(Y^i X^j) <= i(nu(Y) - 1) + j(nu(X) - 1) + 1;
+  - when [x, y], recomputed, is a scalar, [ad x, ad y] = ad [x, y] = 0,
+    so delta^n = ad(x)^n ad(y)^n and nu_delta <= min(nu_ad(x), nu_ad(y)).
+
 Every returned basis is canonical: coordinates in the window's monomial
 order, reduced row echelon form, first nonzero coordinate 1.
 """
@@ -28,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import WeylElement, commutator, linear_combination
+from .core import ZERO, WeylElement, commutator, linear_combination
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, kernel, rank, row_basis
@@ -315,20 +323,56 @@ def nilpotent_closure_window(
     """Basis of {u in the window : m^k(u) = 0 for some k <= max_iter}.
 
     Kernels of successive powers are nested, so this is the kernel of
-    m^max_iter on the window.  Images are iterated as exact elements, so
+    m^max_iter on the window: the kernel of the final images m^max_iter(u)
+    of the window monomials u.  Images are iterated as exact elements, so
     no window bound on the iterates is needed.
+
+    A monomial whose index nu (least n with m^n(u) = 0) is bounded by at
+    most max_iter gets the final image 0 with no iteration
+    (`_leibniz_bound`):
+      - for a derivation D with D^p u = 0 and D^q v = 0, D^(p+q-1)(uv) =
+        sum_k C(p+q-1, k) D^k(u) D^(p+q-1-k)(v) = 0, so nu(Y^i X^j) <=
+        i(nu(Y) - 1) + j(nu(X) - 1) + 1;
+      - for delta = ad(x) ad(y) with [x, y] a scalar, recomputed when the
+        map is built, ad x and ad y commute, so delta^n = ad(x)^n ad(y)^n
+        = ad(y)^n ad(x)^n and nu_delta <= min(nu_ad(x), nu_ad(y)).
+    nu(X) and nu(Y) come from the orbits of X and Y, which the window
+    order iterates before every monomial that needs them; they are kept
+    on the derivation, so delta reads those its factors' closures found.
+    A monomial whose bound needs an index not found within its orbit's
+    max_iter steps is iterated.  Other maps are iterated throughout.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     finals = []
-    for cur in win.basis_elements():
-        for _ in range(max_iter):
-            if cur.is_zero():
-                break
-            cur = m(cur)
+    for key in win.monomials:
+        if _leibniz_bound(m, key) <= max_iter:
+            finals.append(ZERO)
+            continue
+        cur, n = WeylElement._cleared({key: 1}), 0
+        while n < max_iter and not cur.is_zero():
+            cur, n = m(cur), n + 1
+        if m.derivation and key in ((0, 1), (1, 0)) and cur.is_zero():
+            m._orders[key] = n
         finals.append(cur)
     # common coordinates for whatever monomials survived
     return [win.element(*row) for row in kernel(Coordinates(finals).matrix(finals))]
+
+
+def _leibniz_bound(m: LinearMap, key: Tuple[int, int]) -> Union[int, float]:
+    """Upper bound for the index of Y^i X^j, key = (i, j), under m: for a
+    derivation i(nu(Y) - 1) + j(nu(X) - 1) + 1, for commuting factors the
+    least of their bounds (see `nilpotent_closure_window`); inf where an
+    index it needs is not known, and for any other map.
+    """
+    if m.factors:
+        return min(_leibniz_bound(f, key) for f in m.factors)
+    if not m.derivation:
+        return inf
+    i, j = key
+    nu_y = m._orders.get((1, 0), inf) if i else 1
+    nu_x = m._orders.get((0, 1), inf) if j else 1
+    return i * (nu_y - 1) + j * (nu_x - 1) + 1
 
 
 def build_chain_basis(

@@ -118,6 +118,45 @@ def test_centralizer_and_nilclosure(capsys):
     assert code == 0 and doc["dimension"] == 6
 
 
+# SHA-256 of `weyl1 nilclosure` output on the composite pair of the
+# canonical config (x = X + Y^2); the closure certifies most monomials
+# from the indices of X and Y, and these are the bytes of plain iteration
+_COMPOSITE_Y = "-Y + X^2 + 2*Y^2*X + Y^4"
+NILCLOSURE_SHA256 = {
+    ("ad", "--of", _COMPOSITE_Y, "--cap", "4"):
+        "bb2a4fcba5556c68498c95c638b6ca1eb852d86735514c714720e47b0d129f15",
+    ("ad", "--of", "X + Y^2", "--cap", "4"):
+        "430b7d195570f1ed061f90ebcb95b134f0782753b4d443934d7225f23b9f9baf",
+    # one step short of the bound 17 of X^4, which stays out
+    ("ad", "--of", _COMPOSITE_Y, "--cap", "4", "--max-iter", "16"):
+        "f0482fbe1a548c9846b6d5e3ac0ffbaa49e93e67508c9ab5e9745cb4e2c32ddb",
+    ("ad", "--of", _COMPOSITE_Y, "--cap", "4", "--rho", "1", "--eta", "2"):
+        "5590596abbf081fdb2497896fb87a003b1af014f0ab024808f26888871162371",
+    ("delta", "--cap", "4"):
+        "d7e05719c3e3c4bf0c5b375d388e3d71b2d21adb338fa139edcf531504c419c1",
+    ("delta", "--cap", "4", "--max-iter", "3"):
+        "5afdbe0118aad51be5d98a317aa1e7cc8f9032791560f53100a9c7943fc5c422",
+    ("dyx", "--cap", "3"):
+        "4cf5fc28264a899e6c274daec8d1a00bbb7d5426702d7b6be5791ea464648014",
+}
+
+
+@pytest.mark.parametrize("argv", list(NILCLOSURE_SHA256), ids=[
+    "ad-y", "ad-x", "ad-y-short", "ad-y-12", "delta", "delta-short", "dyx",
+])
+def test_nilclosure_bytes(argv, tmp_path, capsys):
+    e = compile_recipe(recipe_from_doc(canonical_config()["endomorphisms"][2]))
+    assert format_element(e.y) == _COMPOSITE_Y
+    extra = []
+    if argv[0] != "ad":
+        epath = tmp_path / "endo.json"
+        epath.write_text(dumps(endo_to_doc(e)))
+        extra = ["--endo", str(epath)]
+    code, out, _ = run(capsys, "nilclosure", "--map", *argv, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NILCLOSURE_SHA256[argv]
+
+
 def test_endo_workflow(tmp_path, capsys):
     recipe = {
         "name": "triangular",

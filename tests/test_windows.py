@@ -40,8 +40,10 @@ from weyl1 import (
 )
 from oracles import from_columns
 from test_endos import _GENERATORS
+from test_fake_pairs import FAKE_PAIRS
 from weyl1 import canonical_config, linalg, windows
 from weyl1.linalg import rank
+from weyl1.maps import LinearMap, nilpotency_degree
 from weyl1.serialize import recipe_from_doc
 from weyl1.windows import Coordinates, _ad_window_matrix, invariant_dim
 
@@ -234,6 +236,12 @@ def test_eigenvalue_scan_matches_eigenspace_per_candidate():
 
 _SCAN_WEIGHTS = [W11, Weight(1, 2), Weight(2, 1)]
 
+_ELEMENTS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(-4, 4, max_denominator=3),
+    max_size=3,
+).map(WeylElement)
+
 
 @settings(deadline=None, max_examples=30)
 @given(
@@ -342,6 +350,127 @@ def test_nilpotent_closure_windows():
     assert closure == centralizer_window(H, win)
     with pytest.raises(ValueError):
         nilpotent_closure_window(ad(X), win, 0)
+
+
+def _plain(m):
+    """m's image rule with no marks: every monomial is iterated."""
+    return LinearMap(m._image, m._shift, m.describe())
+
+
+def _fresh(m):
+    """A copy of m with its marks and no index found yet."""
+    factors = m.factors and tuple(_fresh(f) for f in m.factors)
+    return LinearMap(m._image, m._shift, m.describe(), m.derivation, factors)
+
+
+def _largest_index(m, win, limit):
+    """The largest nilpotency index of a window monomial under m, or None
+    when one exceeds limit."""
+    found = [nilpotency_degree(m, u, limit) for u in win.basis_elements()]
+    return None if None in found else max(found)
+
+
+def _assert_closures_match_iteration(maps, win, limit=24, fallback=(1, 2, 3)):
+    # every closure must equal that of the unmarked map, at one below, at
+    # and one above each map's largest index, where the Leibniz bound of
+    # an automorphism's ad(x) and ad(y) is tight; the maps run in order,
+    # so a delta listed before its factors finds none of their indices
+    max_iters = set()
+    for m in maps:
+        top = _largest_index(_plain(m), win, limit)
+        max_iters.update(fallback if top is None else (top - 1, top, top + 1))
+    for n in sorted(k for k in max_iters if k >= 1):
+        for m in maps:
+            expect = nilpotent_closure_window(_plain(m), win, n)
+            assert nilpotent_closure_window(m, win, n) == expect, (m, win, n)
+
+
+def _check_order(e):
+    """delta, ad(x), ad(y), delta again, all fresh; delta's factors are the
+    ad(x) and ad(y) of the list when it has any."""
+    dl = _fresh(delta_xy(e))
+    ax, ay = dl.factors or (_fresh(ad(e.x)), _fresh(ad(e.y)))
+    return [dl, ax, ay, dl]
+
+
+@pytest.mark.parametrize("weight", _SCAN_WEIGHTS, ids=["11", "12", "21"])
+@pytest.mark.parametrize("name", list(_CANONICAL_PAIRS))
+def test_certified_closure_matches_iteration_on_canonical_pairs(name, weight):
+    _assert_closures_match_iteration(_check_order(_CANONICAL_PAIRS[name]), Window(weight, 4))
+
+
+@pytest.mark.parametrize("max_iter, dim", [(16, 14), (17, 15), (18, 15)])
+def test_certified_closure_at_the_bound_of_composite_ad_y(max_iter, dim):
+    # nu(X) = 5 and nu(Y) = 3, so X^4 has the bound 4 * 4 + 1 = 17 and
+    # dies at exactly 17 steps: at 16 it is the one monomial left out
+    e = _CANONICAL_PAIRS["composite"]
+    m, win = _fresh(ad(e.y)), Window(W11, 4)
+    nilpotent_closure_window(m, win, 17)  # finds nu(X) and nu(Y)
+    closure = nilpotent_closure_window(m, win, max_iter)
+    assert closure == nilpotent_closure_window(_plain(m), win, max_iter)
+    assert len(closure) == dim
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    st.lists(_GENERATORS, min_size=1, max_size=3),
+    st.sampled_from(_SCAN_WEIGHTS),
+    st.integers(0, 3),
+)
+def test_certified_closure_matches_iteration_on_drawn_recipes(gens, weight, cap):
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    assert delta_xy(e).factors == (ad(e.x), ad(e.y))
+    _assert_closures_match_iteration(_check_order(e), Window(weight, cap))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_ELEMENTS, st.sampled_from(_SCAN_WEIGHTS), st.integers(0, 3), st.integers(1, 6))
+def test_certified_closure_matches_iteration_on_drawn_elements(a, weight, cap, max_iter):
+    # most drawn ad(a) are not nilpotent: X or Y never dies, and only the
+    # monomials whose bound needs no missing index are certified
+    m = _fresh(ad(a))
+    assert m.derivation and ad(a).derivation
+    _assert_closures_match_iteration([m, m], Window(weight, cap), 8, (max_iter,))
+
+
+@pytest.mark.parametrize("name", list(FAKE_PAIRS))
+def test_certified_closure_matches_iteration_on_fake_pairs(name):
+    # delta carries its factors only where [x, y] is a scalar, whatever
+    # `verified` says: (X^2, Y) and (X^2, Y^2) have none
+    e = FAKE_PAIRS[name]
+    factors = delta_xy(e).factors
+    assert (factors is not None) == commutator(e.x, e.y).is_scalar()
+    _assert_closures_match_iteration(_check_order(e), Window(W11, 3), 12)
+
+
+def test_certified_closure_matches_iteration_on_other_maps():
+    # ad(H) is a derivation that is not nilpotent; a composition carries
+    # no mark and is iterated throughout
+    both = compose(ad(X), ad(Y))
+    assert not both.derivation and both.factors is None
+    for m in (_fresh(ad(H)), both):
+        _assert_closures_match_iteration([m, m], Window(W11, 4), 12)
+
+
+def test_closure_applies_the_map_only_along_the_orbits_of_x_and_y(monkeypatch):
+    # composite ad(y) at cap 4 and max_iter 17 applied the map 135 times
+    # when every monomial was iterated; the certificate iterates only X
+    # (nu = 5) and Y (nu = 3), and then delta reads its factors' indices:
+    # at max_iter 9 only ad(x)'s bounds (at most 9) certify delta, so
+    # delta must take the least of its factors' bounds
+    e = _CANONICAL_PAIRS["composite"]
+    win = Window(W11, 4)
+    calls = []
+    apply = LinearMap.__call__
+    monkeypatch.setattr(LinearMap, "__call__", lambda m, a: calls.append(m) or apply(m, a))
+    assert nilpotent_closure_window(ad(e.y), win, 17) == win.basis_elements()
+    assert len(calls) <= 8
+    dl, ax, ay, _ = _check_order(e)
+    for m, max_iter, count in ((ay, 17, 8), (ay, 17, 0), (ax, 17, 5), (dl, 17, 0), (dl, 9, 0)):
+        calls.clear()
+        assert nilpotent_closure_window(m, win, max_iter) == win.basis_elements()
+        assert len(calls) == count
+    assert ay._orders == {(0, 1): 5, (1, 0): 3}
 
 
 def test_chain_basis_identity_delta():
@@ -475,13 +604,6 @@ def test_window_is_the_coordinates_of_its_monomials():
     assert Coordinates(elems).monomials == list(win.monomials)
     assert win.coords(3 * H - X**2) == {win.index[(1, 1)]: 3, win.index[(0, 2)]: -1}
     assert win.element(win.coords(3 * H - X**2)) == 3 * H - X**2
-
-
-_ELEMENTS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.fractions(-4, 4, max_denominator=3),
-    max_size=3,
-).map(WeylElement)
 
 
 @settings(deadline=None, max_examples=40)
