@@ -29,11 +29,24 @@ then lies left of the pivot rows already held, so there are few such
 rows and fill stays small (pivot where fill is least, after Markowitz,
 Management Sci. 3, 1957).  No result depends on the order: a row space
 has exactly one reduced row echelon form.
+
+Before any row is inserted, `_echelon` peels singleton rows, the first
+step of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
+'90).  A row {c: v} puts the unit vector e_c in the row space, so it
+becomes the pivot row {c: 1} and c is deleted from every other row, which
+subtracts a multiple of e_c and keeps the row space; a deletion may leave
+another singleton, and peeling repeats until none is left.  The RREF row
+at a peeled pivot c is e_c itself (it differs from e_c by a row-space
+vector that is zero at every pivot), so only the rows left are
+eliminated and the RREF reached is the same.  In the ad(h) window
+matrices most columns are peeled: 203 of 231 in the triangular-x2
+centralizer at cap 20.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,12 +68,6 @@ class RatMatrix:
         """Dense view of the numerators: one tuple per row."""
         cols = range(self.ncols)
         return [tuple(row.get(j, 0) for j in cols) for row in self.sparse]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and (self.ncols, self.den, self.sparse) == (other.ncols, other.den, other.sparse)
-        )
 
 
 def _primitive(row: SparseRow, lead: int) -> SparseRow:
@@ -99,7 +106,8 @@ class _Echelon:
     column is cleared only from the pivot rows left of it (`_cols` keeps
     the pivots sorted; module docstring).  `_echelon` inserts rows by
     descending lead column, ties in the given order, to keep fill small
-    (Markowitz 1957); the RREF reached is unique whatever the order.
+    (Markowitz 1957), after it has set the unit rows of peeled columns
+    (module docstring); the RREF reached is unique whatever the order.
     """
 
     def __init__(self):
@@ -142,9 +150,50 @@ class _Echelon:
         return [(row, row[col]) for col, row in sorted(self.rows.items())]
 
 
+def _peel(rows: Sequence[SparseRow]) -> Tuple[List[int], List[SparseRow]]:
+    """The columns that singleton rows force to zero, peeled until no row
+    is a singleton, and the rows left with those columns deleted.
+
+    Each row keeps the count and the sum of its columns not yet peeled, so
+    at count 1 the sum is the column left; each column keeps the rows that
+    hold it, so a peel touches only those.  A row that lost a column is
+    rebuilt once, at the end; the others are passed on as they are.
+    """
+    count = [len(row) for row in rows]
+    total = [sum(row) for row in rows]
+    where: Dict[int, List[int]] = defaultdict(list)
+    for k, row in enumerate(rows):
+        for c in row:
+            where[c].append(k)
+    stack = [k for k, n in enumerate(count) if n == 1]
+    peeled = set()
+    while stack:
+        k = stack.pop()
+        if count[k] != 1:  # emptied by an earlier peel of its column
+            continue
+        col = total[k]
+        peeled.add(col)
+        for i in where[col]:
+            count[i] -= 1
+            total[i] -= col
+            if count[i] == 1:
+                stack.append(i)
+    rest = [
+        row if n == len(row) else {c: v for c, v in row.items() if c not in peeled}
+        for row, n in zip(rows, count)
+        if n
+    ]
+    return sorted(peeled), rest
+
+
 def _echelon(rows: Sequence[SparseRow]) -> _Echelon:
+    """The echelon of rows: the unit rows of the peeled columns, then the
+    rows left inserted by descending lead column (module docstring)."""
+    cols, rest = _peel(rows)
     ech = _Echelon()
-    for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
+    ech.rows = {c: {c: 1} for c in cols}
+    ech._cols = cols
+    for row in sorted(rest, key=min, reverse=True):
         ech.insert(row)
     return ech
 

@@ -185,9 +185,11 @@ def eigenspace(a: WeylElement, lam, win: Window) -> List[WeylElement]:
     the window's own rows; those rows are scaled by q L to q A'' - p L and
     the others stay A'', since scaling a row keeps the kernel.  The ad(a)
     matrix is the memoized `_ad_window_matrix(a, win)`, shared by every
-    candidate of a scan: the shifted rows are copies, and `kernel` copies
-    every row it reduces.  The returned elements satisfy the eigen
-    equation in the full algebra, not merely modulo the window.
+    candidate of a scan: the shifted rows are copies, and `kernel` only
+    reads the rows it is given (peeling rebuilds a row that loses a
+    column, elimination copies every row it reduces).  The returned
+    elements satisfy the eigen equation in the full algebra, not merely
+    modulo the window.
     """
     lam = rat(lam)
     mat, tgt = _ad_window_matrix(a, win)

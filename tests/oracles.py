@@ -369,6 +369,13 @@ def from_columns(columns, nrows):
     return dense_matrix(rows, len(columns))
 
 
+def matrix_parts(mat):
+    """What a RatMatrix is made of: its width, its denominator and its
+    sparse numerator rows.  Two matrices are the same when these agree; the
+    package compares none, so the comparison lives here."""
+    return mat.ncols, mat.den, mat.sparse
+
+
 def values(mat):
     """The matrix a RatMatrix stands for, as dense rows of Fractions."""
     return [dense((row, mat.den), mat.ncols) for row in mat.sparse]

@@ -8,7 +8,7 @@ sympy is used here only; the module is skipped when it is not installed.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +33,15 @@ from weyl1 import (  # noqa: E402
     compile_recipe,
     delta_xy,
 )
-from weyl1.linalg import kernel, rank, row_basis  # noqa: E402
+from weyl1.linalg import (  # noqa: E402
+    RatMatrix,
+    _Echelon,
+    _echelon,
+    _peel,
+    kernel,
+    rank,
+    row_basis,
+)
 from weyl1.checks import canonical_config  # noqa: E402
 from weyl1.serialize import recipe_from_doc  # noqa: E402
 from weyl1.windows import (  # noqa: E402
@@ -48,6 +56,7 @@ from oracles import (  # noqa: E402
     dense,
     dense_matrix,
     from_columns,
+    matrix_parts,
     mul_vector,
     nullspace,
     rref,
@@ -135,7 +144,7 @@ def _check_against_sympy(mat, rhs_columns):
     # the same matrix from sparse {row: value} columns, and the same
     # solutions for right-hand sides over another denominator
     columns = [{i: v for i, v in enumerate(_column(mat, j)) if v} for j in range(mat.ncols)]
-    assert from_columns(columns, mat.nrows) == mat
+    assert matrix_parts(from_columns(columns, mat.nrows)) == matrix_parts(mat)
     scaled = solutions(mat, [(ints, 7 * den) for ints, den in map(cleared_vector, rhs_columns)])
     assert scaled == [
         None if sol is None else cleared_vector([Fraction(v, 7) for v in dense(sol, mat.ncols)])
@@ -165,6 +174,81 @@ def test_ad_h_window_matrix_matches_sympy():
     unit = [1] + [0] * (mat.nrows - 1)
     assert solutions(mat, [cleared_vector(unit)]) == [None]
     _check_against_sympy(mat, [unit, _column(mat, mat.ncols - 1)])
+
+
+_PEEL_VALUES = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def peelable_rows(draw):
+    """Sparse int rows biased toward what `_echelon` peels, in a drawn
+    order, with the width they live in: singletons (several in one column,
+    such as {c: 2} and {c: -3}), bidiagonal chains {c: a}, {c: b, c+1: d},
+    ... whose peels cascade from either end, rows that peeling empties,
+    empty rows, all-singleton matrices and no rows at all."""
+    kind = draw(st.sampled_from(["mixed", "mixed", "mixed", "singletons", "none"]))
+    ncols = draw(st.integers(1, 9))
+    col = st.integers(0, ncols - 1)
+    rows = [{draw(col): draw(_PEEL_VALUES)} for _ in range(draw(st.integers(0, 3)))]
+    if rows and draw(st.booleans()):  # a second singleton in a peeled column
+        (c,) = draw(st.sampled_from(rows))
+        rows.append({c: draw(_PEEL_VALUES)})
+    if kind == "mixed":
+        for _ in range(draw(st.integers(0, 2))):
+            start = draw(col)
+            stop = draw(st.integers(start, ncols - 1))
+            ends = (start, stop) if draw(st.booleans()) else (stop, start)
+            step = 1 if ends[1] >= ends[0] else -1
+            rows.append({ends[0]: draw(_PEEL_VALUES)})
+            rows += [{c: draw(_PEEL_VALUES), c + step: draw(_PEEL_VALUES)}
+                     for c in range(ends[0], ends[1], step)]
+        wide = st.dictionaries(col, _PEEL_VALUES, min_size=min(ncols, 2), max_size=4)
+        rows += draw(st.lists(wide, min_size=1, max_size=5)) + [{}]
+    elif kind == "none":
+        rows = []
+    return draw(st.permutations(rows)), ncols
+
+
+def _assert_echelon_invariants(ech):
+    assert ech._cols == sorted(ech.rows)
+    for col, row in ech.rows.items():
+        assert min(row) == col and row[col] > 0
+        assert gcd(*row.values()) == 1
+        assert set(row) & set(ech.rows) == {col}
+
+
+@settings(deadline=None, max_examples=300)
+@given(peelable_rows(), st.lists(st.dictionaries(st.integers(0, 8), _PEEL_VALUES, max_size=4),
+                                 max_size=3))
+def test_peeled_echelon_matches_sympy(drawn, probes):
+    rows, ncols = drawn
+    before = [dict(row) for row in rows]
+    ech = _echelon(rows)
+    assert rows == before  # the input rows are only read
+    _assert_echelon_invariants(ech)
+    # peeling leaves no singleton and no peeled column in the rows it
+    # passes on, and each peeled column is a unit row of the RREF
+    peeled, rest = _peel(rows)
+    assert all(len(row) > 1 and not set(row) & set(peeled) for row in rest)
+
+    sym = _sym([dense((row, 1), ncols) for row in rows], ncols)
+    want, pivots = _sym_rref_rows(sym)
+    assert sorted(ech.rows) == pivots
+    assert all(dense(({c: 1}, 1), ncols) in want for c in peeled)
+    mat = RatMatrix(rows, ncols)
+    assert rank(mat) == len(pivots)
+    assert [dense(row, ncols) for row in row_basis(rows)] == want
+    sym_kernel = sym.nullspace()
+    want_kernel = _sym_rref_rows(sympy.Matrix.hstack(*sym_kernel).T)[0] if sym_kernel else []
+    assert [dense(row, ncols) for row in kernel(mat)] == want_kernel
+
+    # the echelon reduces as one built by plain inserts in the given order
+    plain = _Echelon()
+    for row in rows:
+        plain.insert(row)
+    assert ech.cleared_rows() == plain.cleared_rows()
+    for probe in probes + rows:
+        assert ech.reduce(probe) == plain.reduce(probe)
 
 
 def _sym_rank(elems) -> int:

@@ -38,7 +38,7 @@ from weyl1 import (
     nilpotent_closure_window,
     rat,
 )
-from oracles import from_columns
+from oracles import from_columns, matrix_parts
 from test_endos import _GENERATORS
 from test_fake_pairs import FAKE_PAIRS
 from weyl1 import canonical_config, linalg, windows
@@ -120,10 +120,11 @@ def test_map_matrix_matches_the_column_by_column_construction(name, cap):
     h = _CANONICAL_PAIRS[name].h
     win = Window(W11, cap)
     tgt = win.enlarged(ad(h))
-    got = map_matrix(ad(h), win, tgt)
-    assert got == _column_by_column(ad(h), win, tgt)
-    assert got == _from_coordinate_columns(ad(h), win, tgt)
-    assert (got.nrows, got.ncols) == (tgt.dimension(), win.dimension())
+    mat = map_matrix(ad(h), win, tgt)
+    got = matrix_parts(mat)
+    assert got == matrix_parts(_column_by_column(ad(h), win, tgt))
+    assert got == matrix_parts(_from_coordinate_columns(ad(h), win, tgt))
+    assert (mat.nrows, mat.ncols) == (tgt.dimension(), win.dimension())
 
 
 @pytest.mark.parametrize("cap", range(2, 9))
@@ -152,10 +153,10 @@ def test_map_matrix_matches_the_column_by_column_construction_on_drawn_elements(
     win = Window(weight, cap)
     for m in (ad(a), compose(ad(a), ad(X))):
         tgt = win.enlarged(m)
-        got = map_matrix(m, win, tgt)
-        assert got == _column_by_column(m, win, tgt)
-        assert got == _from_coordinate_columns(m, win, tgt)
-        assert map_matrix(m, win, tgt) == got  # from the warm cache
+        got = matrix_parts(map_matrix(m, win, tgt))
+        assert got == matrix_parts(_column_by_column(m, win, tgt))
+        assert got == matrix_parts(_from_coordinate_columns(m, win, tgt))
+        assert matrix_parts(map_matrix(m, win, tgt)) == got  # from the warm cache
 
 
 def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatch):
@@ -183,12 +184,12 @@ def test_map_matrix_makes_one_product_per_monomial_and_no_combination(monkeypatc
     m = ad(h)
     win = Window(W11, 12)
     tgt = win.enlarged(m)
-    first = map_matrix(m, win, tgt)
+    first = matrix_parts(map_matrix(m, win, tgt))
     assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
-    assert map_matrix(m, win, tgt) == first
+    assert matrix_parts(map_matrix(m, win, tgt)) == first
     assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
     assert ad(h2) is m
-    assert map_matrix(ad(h2), win, tgt) == first
+    assert matrix_parts(map_matrix(ad(h2), win, tgt)) == first
     assert calls == {"_bracket": win.dimension(), "linear_combination": 0}
 
 
@@ -290,7 +291,9 @@ def test_the_memoized_ad_window_matrix_is_only_read(a):
     assert _ad_window_matrix.cache_info().misses == 1
     m = ad(a)
     tgt = win.enlarged(m)
-    assert _ad_window_matrix(a, win) == (map_matrix(m, win, tgt), tgt)
+    mat, mat_tgt = _ad_window_matrix(a, win)
+    assert mat_tgt == tgt
+    assert matrix_parts(mat) == matrix_parts(map_matrix(m, win, tgt))
 
 
 def test_an_equal_element_hits_the_window_memos():
@@ -319,7 +322,8 @@ def test_cache_clear_empties_the_window_memos():
         memo.cache_clear()
         assert memo.cache_info().currsize == 0
     again = _ad_window_matrix(H, win)
-    assert again is not first and again == first
+    assert again is not first and again[1] == first[1]
+    assert matrix_parts(again[0]) == matrix_parts(first[0])
     assert _ad_window_matrix.cache_info()[:2] == (0, 1)
 
 
@@ -337,6 +341,39 @@ def test_centralizer_windows():
     assert centralizer_window(H, win) == win.basis([H**k for k in range(6)])
     assert centralizer_window(X, Window(W11, 6)) == [X**k for k in range(7)]
     assert len(centralizer_window(ONE, Window(W11, 2))) == 6
+
+
+@pytest.mark.parametrize(
+    "name, cap, dim, inserts, eliminations",
+    [("triangular-x2", 20, 7, 30, 80), ("composite", 16, 3, 110, 700)],
+    ids=["triangular-x2", "composite"],
+)
+def test_peeling_bounds_the_rows_a_centralizer_eliminates(
+    monkeypatch, name, cap, dim, inserts, eliminations
+):
+    # singleton rows are peeled before elimination, so with the ad(h)
+    # matrix already memoized the triangular-x2 centralizer at cap 20
+    # inserts 27 rows and eliminates 65 times (260 and 676 unpeeled), the
+    # composite one at cap 16 inserts 102 and eliminates 663 (234, 1 665)
+    h = _CANONICAL_PAIRS[name].h
+    win = Window(W11, cap)
+    _ad_window_matrix(h, win)
+    calls = {"insert": 0, "_eliminate": 0}
+    insert, eliminate = linalg._Echelon.insert, linalg._eliminate
+
+    def counting_insert(self, row):
+        calls["insert"] += 1
+        return insert(self, row)
+
+    def counting_eliminate(row, prow, col):
+        calls["_eliminate"] += 1
+        return eliminate(row, prow, col)
+
+    monkeypatch.setattr(linalg._Echelon, "insert", counting_insert)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    assert len(centralizer_window(h, win)) == dim
+    assert calls["insert"] <= inserts
+    assert calls["_eliminate"] <= eliminations
 
 
 def test_nilpotent_closure_windows():
