@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     H,
@@ -263,7 +263,29 @@ def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElemen
     return WeylElement(terms)
 
 
-def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> CheckResult:
+class _Samples(NamedTuple):
+    """The first `samples` nonzero pairs (a, b) drawn from `seed`, as
+    triples (a, b, a*b)."""
+
+    samples: int
+    seed: int
+    triples: List[Tuple[WeylElement, WeylElement, WeylElement]]
+
+
+def _product_samples(samples: int, seed: int) -> _Samples:
+    rng = random.Random(seed)
+    triples = []
+    while len(triples) < samples:
+        a = _random_element(rng)
+        b = _random_element(rng)
+        if not a.is_zero() and not b.is_zero():
+            triples.append((a, b, a * b))
+    return _Samples(samples, seed, triples)
+
+
+def check_product_rules(
+    e: EndoPair, samples: int, seed: int = 20260809, drawn: Optional[_Samples] = None
+) -> CheckResult:
     """Denominator-free product rules for d and d'; literal rational-
     coefficient versions in the localized algebra for the identity pair.
 
@@ -271,23 +293,33 @@ def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> Chec
     (left, right) = (y, x) for d = [y, .]x and (x, y) for d' = [x, .]y;
     localized, the last term is m(a) (h - c)^-1 left [b, right], with c = 0
     for d and c = 1 for d'.
+
+    `drawn`, when given, is `_product_samples(samples, seed)`, which
+    `run_suite` draws once for all pairs; drawn from another count or
+    seed, it is a ValueError, so the record names the samples checked.
+    Both rules read the one a*b of a sample, and the localized rules, on
+    the first five samples, embed the m(ab), m(a) b, a m(b), m(a) and
+    [b, right] the polynomial rule formed.
     """
-    rng = random.Random(seed)
+    if drawn is None:
+        drawn = _product_samples(samples, seed)
+    elif (drawn.samples, drawn.seed) != (samples, seed):
+        raise ValueError(
+            f"samples drawn as ({drawn.samples}, {drawn.seed}), not ({samples}, {seed})"
+        )
     rules = [("d", d_yx(e), e.y, e.x), ("d'", d_xy(e), e.x, e.y)]
+    localized = e.is_identity()
     problems: List[str] = []
-    pairs = []
-    while len(pairs) < samples:
-        a = _random_element(rng)
-        b = _random_element(rng)
-        if not a.is_zero() and not b.is_zero():
-            pairs.append((a, b))
-    for k, (a, b) in enumerate(pairs):
-        for name, m, left, right in rules:
-            lhs = m(a * b)
-            tail = commutator(left, a) * commutator(b, right)
-            if lhs != m(a) * b + a * m(b) + tail:
+    formed = []  # per localized sample and rule: m(ab), m(a) b, a m(b), m(a), [b, right]
+    for k, (a, b, ab) in enumerate(drawn.triples):
+        for r, (name, m, left, right) in enumerate(rules):
+            mab, ma, br = m(ab), m(a), commutator(b, right)
+            ma_b, a_mb = ma * b, a * m(b)
+            if mab != ma_b + a_mb + commutator(left, a) * br:
                 problems.append(f"{name} product rule fails on sample {k}")
-    if e.is_identity():
+            if localized and k < 5:
+                formed.append((k, r, mab, ma_b, a_mb, ma, br))
+    if localized:
         # (h - c)^-1 for c = 0, 1: the denominators of d and d'
         inverses = [
             graded_component(0, ratfun(POLY_ONE, poly([-c, 1]))) for c in (0, 1)
@@ -295,18 +327,16 @@ def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> Chec
         # the contraction x h^{-1} y = 1 behind the denominator-free form
         if localized_mul(localized_mul(embed(X), inverses[0]), embed(Y)) != embed(ONE):
             problems.append("x h^-1 y != 1 in the localized algebra")
-        for k, (a, b) in enumerate(pairs[:5]):
-            for (name, m, left, right), inv in zip(rules, inverses):
-                lhs = embed(m(a * b))
-                tail = localized_mul(
-                    localized_mul(localized_mul(embed(m(a)), inv), embed(left)),
-                    embed(commutator(b, right)),
-                )
-                if lhs != embed(m(a) * b) + embed(a * m(b)) + tail:
-                    problems.append(f"localized {name} rule fails on sample {k}")
+        for k, r, mab, ma_b, a_mb, ma, br in formed:
+            name, _, left, _ = rules[r]
+            tail = localized_mul(
+                localized_mul(localized_mul(embed(ma), inverses[r]), embed(left)), embed(br)
+            )
+            if embed(mab) != embed(ma_b) + embed(a_mb) + tail:
+                problems.append(f"localized {name} rule fails on sample {k}")
     return _verdict(
         "product_rules",
-        {"samples": samples, "seed": seed, "localized": e.is_identity()},
+        {"samples": samples, "seed": seed, "localized": localized},
         problems,
     )
 
@@ -525,15 +555,20 @@ def canonical_config() -> dict:
 
 
 def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
-    """Run every check over every configured pair, in declaration order;
-    the pair-free identities are evaluated once per call.  Each pair's
-    certificate is built once and passed to the four checks that use it."""
+    """Run every check over every configured pair, in declaration order.
+
+    Once per call, before the first pair: the pair-free identities are
+    evaluated, and the product-rule samples are drawn with their products
+    (`_product_samples`), which every pair's `check_product_rules` reads.
+    Each pair's certificate is built once and passed to the four checks
+    that use it."""
     if config is None:
         config = canonical_config()
     params = config["params"]
     prop_elem = parse(params.get("propagation_element", "Y^2*X^3"))
     klein = _klein_problems(params["klein_imax"])
     eigvec = _eigvec_problems(params["eigvec_imax"], params["eigvec_nmax"])
+    drawn = _product_samples(params["product_samples"], params["seed"])
     results: List[CheckResult] = []
     for doc in config["endomorphisms"]:
         name = doc["name"]
@@ -543,7 +578,7 @@ def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
             check_centralizer_theorem(e, params["centralizer_cap"]),
             check_eigen_theorem(e, params["eigen_cap"]),
             check_klein_basis(cert, params["klein_imax"], klein),
-            check_product_rules(e, params["product_samples"], params["seed"]),
+            check_product_rules(e, params["product_samples"], params["seed"], drawn),
             check_kernel_delta(e, params["kernel_cap"]),
             check_nilpotent_closure(
                 cert,

@@ -440,10 +440,14 @@ def coker_window_dim(
 
     src and tgt are windows or explicit spanning sets.  Images must lie
     in the target span, else WindowEscapeError.  A window target takes one
-    rank; a spanning set two more, one of them to detect an escape.
+    rank; a spanning set two more, one of them to detect an escape.  A
+    window source's images are m's cached monomial images, as in
+    `map_matrix`; a spanning set is mapped element by element.
     """
-    src_elems = src.basis_elements() if isinstance(src, Window) else src
-    imgs = [m(el) for el in src_elems]
+    if isinstance(src, Window):
+        imgs = [m._cached_image(key) for key in src.monomials]
+    else:
+        imgs = [m(el) for el in src]
     if isinstance(tgt, Window):
         return tgt.dimension() - rank(tgt.matrix(imgs))
     tgt_elems = list(tgt)

@@ -77,6 +77,61 @@ def test_product_rules_check(name, e):
     assert res.params["localized"] == (name == "identity")
 
 
+def test_product_samples_are_drawn_once_per_suite(monkeypatch):
+    draws = []
+    real = checks._product_samples
+
+    def counted(samples, seed):
+        draws.append((samples, seed))
+        return real(samples, seed)
+
+    monkeypatch.setattr(checks, "_product_samples", counted)
+    config = canonical_config()
+    assert all(r.passed for r in run_suite(config))
+    params = config["params"]
+    assert draws == [(params["product_samples"], params["seed"])]
+    draws.clear()
+    assert check_product_rules(PAIRS[1][1], 3, 7).passed
+    assert draws == [(3, 7)]
+
+
+@pytest.mark.parametrize("samples,seed", [(4, 7), (3, 8)])
+def test_product_rules_refuse_samples_of_another_draw(samples, seed):
+    # the record names (samples, seed), so they must be what was drawn
+    drawn = checks._product_samples(3, 7)
+    with pytest.raises(ValueError):
+        check_product_rules(PAIRS[1][1], samples, seed, drawn)
+    assert check_product_rules(PAIRS[1][1], 3, 7, drawn).params["seed"] == 7
+
+
+# the problem lists of the unshared check, recorded before the samples and
+# their products were shared: (rule, failing samples, failing localized)
+_MUTANT_FAILURES = {
+    ("d_yx", "identity"): ("d", [1, 4], [1, 4]),
+    ("d_yx", "triangular-x2"): ("d", [0, 1, 2, 3, 4], []),
+    ("d_yx", "composite"): ("d", [0, 1, 2, 3, 4], []),
+    ("d_xy", "identity"): ("d'", [0, 2, 3, 4], [0, 2, 3, 4]),
+    ("d_xy", "triangular-x2"): ("d'", [0, 1, 2, 3, 4], []),
+    ("d_xy", "composite"): ("d'", [0, 1, 2, 3, 4], []),
+}
+
+
+@pytest.mark.parametrize("mutant,name", sorted(_MUTANT_FAILURES))
+def test_product_rules_fail_where_a_map_is_replaced(monkeypatch, mutant, name):
+    # d = [y, .]x replaced by ad(y), or d' = [x, .]y by ad(x): every rule
+    # the check compares must still see its own m(ab), m(a) b, a m(b)
+    from weyl1.maps import ad
+
+    left = {"d_yx": lambda e: ad(e.y), "d_xy": lambda e: ad(e.x)}[mutant]
+    monkeypatch.setattr(checks, mutant, left)
+    rule, plain, localized = _MUTANT_FAILURES[mutant, name]
+    res = check_product_rules(dict(PAIRS)[name], 5)
+    assert not res.passed
+    assert res.witness["problems"] == [
+        f"{rule} product rule fails on sample {k}" for k in plain
+    ] + [f"localized {rule} rule fails on sample {k}" for k in localized]
+
+
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_kernel_delta_check(name, e):
     res = check_kernel_delta(e, 4)
