@@ -19,14 +19,15 @@ recomputed, never the pair's `verified` flag, and check the identities
 once on (X, Y).  The product rules are not covered: their samples are
 not images under phi, and the rules hold for any x and y.
 
-The eigen check certifies a PASS from dim V, the largest ad(h)-invariant
-subspace of its window, before it computes any eigenspace.  It checks
-exactly that the predicted h^k v_i' of the window are independent
-eigenvectors, for i.  Every eigenvector lies in V and eigenspaces of
-distinct eigenvalues are independent, so the dim E_lam sum to at most
-dim V.  When the predicted spans P_i, each inside E_i, fill V, then
-E_i = P_i for every i and every other eigenspace is zero, candidate or
-not: the candidate scan would PASS.
+The eigen and centralizer checks read one prediction, the h^k v_i' of
+the window, formed once (`_predicted`).  The eigen check certifies a
+PASS from dim V, the largest ad(h)-invariant subspace of its window,
+before it computes any eigenspace: the predicted elements must be
+independent eigenvectors, each for its i.  Every eigenvector lies in V
+and eigenspaces of distinct eigenvalues are independent, so the dim
+E_lam sum to at most dim V.  When the predicted spans P_i, each inside
+E_i, fill V, then E_i = P_i for every i and every other eigenspace is
+zero, candidate or not: the candidate scan would PASS.
 
 Checks return a CheckResult carrying their full parameterization, a
 pass/fail verdict, and witness data on failure, so every verdict is
@@ -59,7 +60,7 @@ from .core import (
 from .degrees import W11, weighted_degree
 from .endos import MembershipSolver, compile_recipe
 from .errors import DomainError
-from .gwa import POLY_ONE, embed, graded_component, localized_mul, poly, ratfun
+from .gwa import embed, graded_component, localized_mul, ratfun
 from .maps import ad, d_xy, d_yx, delta_xy
 from .parsing import parse
 from .scalars import Rat, rat
@@ -104,74 +105,62 @@ def _eigen_problems(
     e: EndoPair, cap: int, candidates: Optional[Sequence]
 ) -> Tuple[Tuple[Rat, ...], List[str]]:
     """Compare each candidate's eigenspace of ad(h) in the (1,1) window of
-    the cap with its prediction; return the candidates and the problems
-    found.
-
-    The dimension of each candidate's eigenspace is predicted from degrees
-    alone: the number of h^k v_i' inside the window, with v_i' = x^i for
-    i >= 0 and y^(-i) for i < 0, and 0 for a non-integer candidate.  A
-    nonempty eigenspace must also lie in the span of those h^k v_i'.
+    the cap with its prediction (`_predicted`): the dimension of its
+    h^k v_i', inside their span.  Return the candidates and the problems.
 
     With more than one candidate the certificate (module docstring) is
-    tried first; when it holds, every eigenspace is its prediction and
-    none is computed.  Otherwise the candidates are scanned, reading the
-    ad(h) window matrix and dim V from the same `windows` memos.
+    tried first on the same elements; when it holds, none is computed.
+    Otherwise the candidates are scanned, reading the ad(h) window matrix
+    and dim V from the same `windows` memos.
     """
-    win = Window(W11, cap)
-    h = e.h
+    win, h = Window(W11, cap), e.h
     cands = eigen_candidates(cap, candidates)
-    if len(cands) > 1 and _eigen_certificate(e, win):
+    predicted = _predicted(e, cap, cands)
+    if len(cands) > 1 and _eigen_certificate(h, win, predicted):
         return cands, []
-    report = eigenvalue_scan(h, win, cands)
-    vh, vx, vy = (weighted_degree(W11, a) for a in (h, e.x, e.y))
-
-    expected: Dict[Rat, int] = {}
-    for lam in report.candidates:
-        i = int(lam)
-        base = i * vx if i >= 0 else -i * vy
-        expected[lam] = (cap - base) // vh + 1 if lam == i and base <= cap else 0
-    present = [int(lam) for lam, count in expected.items() if count]
-    h_pows = powers(h, cap // vh)
-    x_pows = powers(e.x, max(present, default=0))
-    y_pows = powers(e.y, -min(present, default=0))
-
+    found = dict(eigenvalue_scan(h, win, cands).found)
     problems: List[str] = []
-    found = dict(report.found)
-    for lam, count in expected.items():
-        basis = found.get(lam, [])
-        if len(basis) != count:
+    for lam in cands:
+        basis, span = found.get(lam, []), predicted.get(lam, [])
+        if len(basis) != len(span):
             problems.append(
-                f"eigenvalue {lam}: dimension {len(basis)} != expected {count}"
+                f"eigenvalue {lam}: dimension {len(basis)} != expected {len(span)}"
             )
-        elif basis:
-            i = int(lam)
-            vi = x_pows[i] if i >= 0 else y_pows[-i]
-            # the dimensions agree, so containment in the span is equality
-            if win.basis([hk * vi for hk in h_pows[:count]]) != basis:
-                problems.append(f"eigenvalue {i}: basis not inside span of h^k v_i'")
-    return report.candidates, problems
+        # the dimensions agree, so containment in the span is equality
+        elif basis and win.basis(span) != basis:
+            problems.append(f"eigenvalue {lam}: basis not inside span of h^k v_i'")
+    return cands, problems
 
 
-def _eigen_certificate(e: EndoPair, win: Window) -> bool:
-    """True when the predicted eigenspaces of ad(h) fill V: each h^k v_i'
-    of the window is an eigenvector for i, all are independent, and there
-    are dim V of them (`windows.invariant_dim`).  False, and nothing
-    checked, unless v(x), v(y) and v(h) are positive integers."""
-    h, cap = e.h, win.cap
-    degs = [weighted_degree(W11, a) for a in (h, e.x, e.y)]
-    if not all(isinstance(v, int) and v > 0 for v in degs):
-        return False
-    vh, vx, vy = degs
+def _predicted(e: EndoPair, cap: int, cands: Sequence[Rat]) -> Dict[int, List[WeylElement]]:
+    """The h^k v_i' in the (1,1) window of the cap, k = 0, 1, ..., for each
+    integer candidate i, with v_i' = x^i for i >= 0 and y^(-i) for i < 0.
+    Degrees add, so there are (cap - v(v_i')) // v(h) + 1 of them."""
+    h = e.h
+    vh, vx, vy = (weighted_degree(W11, a) for a in (h, e.x, e.y))
+    counts: Dict[int, int] = {}
+    for i in (lam.numerator for lam in cands if lam.denominator == 1):
+        base = i * vx if i >= 0 else -i * vy
+        counts[i] = (cap - base) // vh + 1 if base <= cap else 0
+    present = [i for i, count in counts.items() if count]
     h_pows = powers(h, cap // vh)
+    v = dict(enumerate(powers(e.x, max(present, default=0))))
+    v.update((-n, yn) for n, yn in enumerate(powers(e.y, -min(present, default=0))))
+    return {i: [hk * v[i] for hk in h_pows[:count]] for i, count in counts.items()}
+
+
+def _eigen_certificate(
+    h: WeylElement, win: Window, predicted: Dict[int, List[WeylElement]]
+) -> bool:
+    """True when the predicted h^k v_i' (`_predicted`) are eigenvectors of
+    ad(h), each for its i, all are independent, and there are dim V of
+    them (`windows.invariant_dim`)."""
     span: List[WeylElement] = []
-    for a, va, sign in ((e.x, vx, 1), (e.y, vy, -1)):
-        for n, vn in enumerate(powers(a, cap // va)):
-            if n or sign > 0:  # v_0' = 1 once
-                for hk in h_pows[: (cap - n * va) // vh + 1]:
-                    u = hk * vn
-                    if commutator(h, u) != sign * n * u:
-                        return False
-                    span.append(u)
+    for i, us in predicted.items():
+        for u in us:
+            if commutator(h, u) != i * u:
+                return False
+            span.append(u)
     return len(win.basis(span)) == len(span) == invariant_dim(h, win)
 
 
@@ -191,7 +180,7 @@ def check_eigen_theorem(
 ) -> CheckResult:
     """Eigenvalues of ad(h) in the window are integers; eigenspaces are
     window slices of spans of h^k x^i (resp. h^k y^(-i)), as counted by
-    degrees (see _eigen_problems)."""
+    degrees (see `_predicted`)."""
     scanned, problems = _eigen_problems(e, cap, candidates)
     return _verdict(
         "eigen_theorem",
@@ -321,9 +310,7 @@ def check_product_rules(
                 formed.append((k, r, mab, ma_b, a_mb, ma, br))
     if localized:
         # (h - c)^-1 for c = 0, 1: the denominators of d and d'
-        inverses = [
-            graded_component(0, ratfun(POLY_ONE, poly([-c, 1]))) for c in (0, 1)
-        ]
+        inverses = [graded_component(0, ratfun([1], [-c, 1])) for c in (0, 1)]
         # the contraction x h^{-1} y = 1 behind the denominator-free form
         if localized_mul(localized_mul(embed(X), inverses[0]), embed(Y)) != embed(ONE):
             problems.append("x h^-1 y != 1 in the localized algebra")

@@ -64,7 +64,9 @@ class LinearMap:
     when they commute.  `_orders` holds, for a derivation, the index of X
     (key (0, 1)) and of Y (key (1, 0)) once a closure has found it: the
     least n with m^n of the monomial 0.  Every other map carries neither
-    mark and is iterated.
+    mark and is iterated.  `factors` given as a function is called on
+    each read: so `delta_xy` takes ad(x) and ad(y) through the `ad` memo,
+    where closures record their indices, also once it has rebuilt them.
     """
 
     def __init__(
@@ -73,15 +75,19 @@ class LinearMap:
         shift: Callable,
         description: str,
         derivation: bool = False,
-        factors: Optional[Tuple["LinearMap", "LinearMap"]] = None,
+        factors: Union[None, Tuple["LinearMap", "LinearMap"], Callable] = None,
     ):
         self._image = image
         self._shift = shift
         self._description = description
         self._cache = {}
         self.derivation = derivation
-        self.factors = factors
+        self._factors = factors
         self._orders: Dict[Tuple[int, int], int] = {}
+
+    @property
+    def factors(self) -> Optional[Tuple["LinearMap", "LinearMap"]]:
+        return self._factors() if callable(self._factors) else self._factors
 
     def _monomial_image(self, i: int, j: int) -> WeylElement:
         return self._image(WeylElement._cleared({(i, j): 1}))
@@ -166,6 +172,7 @@ def delta_xy(e: EndoPair) -> LinearMap:
     It carries the factors (ad(x), ad(y)) only when [x, y], recomputed
     here rather than read from `verified`, is a scalar: then [ad x, ad y]
     = ad [x, y] = 0, so delta^n = ad(x)^n ad(y)^n = ad(y)^n ad(x)^n.
+    Each read takes them through the `ad` memo (`LinearMap`).
     """
     _require_verified(e, "delta = ad(x) ad(y)")
     px, py, den = e.x._ints, e.y._ints, e.x._den * e.y._den
@@ -174,7 +181,7 @@ def delta_xy(e: EndoPair) -> LinearMap:
         lambda u: WeylElement._cleared(_bracket(px, _bracket(py, u._ints)), den),
         _pair_shift(e, 2),
         "ad(x) ad(y)",
-        factors=(ad(e.x), ad(e.y)) if commuting else None,
+        factors=(lambda: (ad(e.x), ad(e.y))) if commuting else None,
     )
 
 

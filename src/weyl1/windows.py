@@ -340,15 +340,18 @@ def nilpotent_closure_window(
         = ad(y)^n ad(x)^n and nu_delta <= min(nu_ad(x), nu_ad(y)).
     nu(X) and nu(Y) come from the orbits of X and Y, which the window
     order iterates before every monomial that needs them; they are kept
-    on the derivation, so delta reads those its factors' closures found.
+    on the derivation.  delta's factors are read once, as a closure
+    starts, through the `ad` memo (`maps.delta_xy`): the maps whose
+    closures record the indices, also after the memo has rebuilt them.
     A monomial whose bound needs an index not found within its orbit's
     max_iter steps is iterated.  Other maps are iterated throughout.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    bounded = m.factors or ((m,) if m.derivation else ())  # once per closure
     finals = []
     for key in win.monomials:
-        if _leibniz_bound(m, key) <= max_iter:
+        if any(_leibniz_bound(f, key) <= max_iter for f in bounded):
             finals.append(ZERO)
             continue
         cur, n = WeylElement._cleared({key: 1}), 0
@@ -362,15 +365,10 @@ def nilpotent_closure_window(
 
 
 def _leibniz_bound(m: LinearMap, key: Tuple[int, int]) -> Union[int, float]:
-    """Upper bound for the index of Y^i X^j, key = (i, j), under m: for a
-    derivation i(nu(Y) - 1) + j(nu(X) - 1) + 1, for commuting factors the
-    least of their bounds (see `nilpotent_closure_window`); inf where an
-    index it needs is not known, and for any other map.
+    """Upper bound for the index of Y^i X^j, key = (i, j), under the
+    derivation m: i(nu(Y) - 1) + j(nu(X) - 1) + 1 (see
+    `nilpotent_closure_window`); inf where an index it needs is not known.
     """
-    if m.factors:
-        return min(_leibniz_bound(f, key) for f in m.factors)
-    if not m.derivation:
-        return inf
     i, j = key
     nu_y = m._orders.get((1, 0), inf) if i else 1
     nu_x = m._orders.get((0, 1), inf) if j else 1

@@ -34,6 +34,7 @@ from weyl1 import (
     compile_recipe,
     rat,
     run_suite,
+    weighted_degree,
 )
 from weyl1 import checks, core, endos, windows
 from weyl1.windows import Coordinates
@@ -281,8 +282,10 @@ def test_checks_fail_on_a_pair_with_commutator_two(check):
 
 
 def _certifies(e, cap):
-    """The certificate's verdict on the cap's window."""
-    return checks._eigen_certificate(e, Window(W11, cap))
+    """The certificate's verdict on the cap's window, over the default
+    candidates' prediction."""
+    predicted = checks._predicted(e, cap, windows.eigen_candidates(cap, None))
+    return checks._eigen_certificate(e.h, Window(W11, cap), predicted)
 
 
 def _certified_and_scanned(e, cap, candidates=None):
@@ -341,6 +344,41 @@ def test_a_declined_certificate_shares_the_matrix_and_dim_v_with_the_scan(monkey
     assert (matrices[0], windows.invariant_dim.cache_info().misses) == (1, 1)
     assert res.line() == "FAIL eigen_theorem (candidates=13, cap=2, weight=(1,1))"
     assert res.witness == {"problems": ["eigenvalue 0: dimension 2 != expected 1"]}
+
+
+@pytest.mark.parametrize(
+    "e,cap,certified",
+    [(PAIRS[0][1], 6, True), (DEGREE_THREE, 2, False), (FAKE_PAIRS["(X^2, Y^2)"], 4, False)],
+    ids=["identity", "(X^3, Y^3)", "(X^2, Y^2)"],
+)
+def test_the_eigen_check_forms_its_prediction_once(e, cap, certified, monkeypatch):
+    # the certificate and the scan read one prediction: powers of h, x and
+    # y are formed once per check, certified or not (the scan formed them
+    # again after a declined certificate: 6 and 5 calls)
+    assert _certifies(e, cap) == certified
+    calls = _count_calls(monkeypatch, checks, "powers")
+    check_eigen_theorem(e, cap)
+    assert calls[0] == 3
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(_GENERATORS, min_size=1, max_size=3), st.integers(0, 8))
+def test_the_prediction_is_the_h_k_v_i_inside_the_window(gens, cap):
+    # h^k v_i', k = 0, 1, ..., taken while the product's own degree is at
+    # most the cap, for each integer candidate i
+    e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    predicted = checks._predicted(e, cap, windows.eigen_candidates(cap, None))
+    assert list(predicted) == list(range(-cap, cap + 1))
+    for a, sign in ((e.x, 1), (e.y, -1)):
+        vi = ONE
+        for n in range(cap + 1):
+            expect, u = [], vi
+            while weighted_degree(W11, u) <= cap:
+                expect.append(u)
+                u = e.h * u
+            assert predicted[sign * n] == expect, sign * n
+            if expect:  # past the cap every later list is empty too
+                vi = vi * a
 
 
 @pytest.mark.parametrize("candidates", [["1/2", "-1/2", "0", "1", "-1"], ["1"]])

@@ -456,6 +456,10 @@ def test_certified_closure_at_the_bound_of_composite_ad_y(max_iter, dim):
 )
 def test_certified_closure_matches_iteration_on_drawn_recipes(gens, weight, cap):
     e = compile_recipe(EndoRecipe(generators=tuple(gens)))
+    # an automorphism's delta has factors, the ad(x) and ad(y) of the memo
+    # as it is now, also after the memo has dropped the maps delta saw
+    delta_xy(e)
+    ad.cache_clear()
     assert delta_xy(e).factors == (ad(e.x), ad(e.y))
     _assert_closures_match_iteration(_check_order(e), Window(weight, cap))
 
@@ -508,6 +512,26 @@ def test_closure_applies_the_map_only_along_the_orbits_of_x_and_y(monkeypatch):
         assert nilpotent_closure_window(m, win, max_iter) == win.basis_elements()
         assert len(calls) == count
     assert ay._orders == {(0, 1): 5, (1, 0): 3}
+
+
+def test_delta_reads_the_indices_of_factors_the_ad_memo_rebuilt(monkeypatch):
+    # delta is built, then the ad memo drops ad(x) and ad(y); the closures
+    # of the rebuilt maps find nu(X) and nu(Y), and delta must read them:
+    # composite at cap 4 and max_iter 17 applied delta 49 times when it
+    # kept the maps it was built with
+    e = _CANONICAL_PAIRS["composite"]
+    win = Window(W11, 4)
+    ad.cache_clear()
+    delta_xy.cache_clear()
+    dl = delta_xy(e)
+    ad.cache_clear()
+    for m in (ad(e.x), ad(e.y)):
+        assert nilpotent_closure_window(m, win, 17) == win.basis_elements()
+    calls = []
+    apply = LinearMap.__call__
+    monkeypatch.setattr(LinearMap, "__call__", lambda m, a: calls.append(m) or apply(m, a))
+    assert nilpotent_closure_window(dl, win, 17) == win.basis_elements()
+    assert calls == []
 
 
 def test_chain_basis_identity_delta():
