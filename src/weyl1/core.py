@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import UnverifiedEndoError
 from .scalars import RAT_ONE, Rat, coeff, integral, rat_str
@@ -397,8 +397,10 @@ class EndoPair:
     verified: bool
     defect: Optional[WeylElement] = None
 
-    @property
+    @cached_property
     def h(self) -> WeylElement:
+        # formed once per pair; kept outside the fields, so equality and
+        # the hash that keys the map memos are unchanged
         return self.y * self.x
 
     def is_identity(self) -> bool:
@@ -418,21 +420,33 @@ def identity_endo() -> EndoPair:
 
 
 def apply_endo(e: EndoPair, a: WeylElement) -> WeylElement:
-    """Image of a under X -> x, Y -> y, grouped by powers of y:
-    sum_i y^i * (sum_j a[i,j] * x^j), one product per distinct i."""
+    """Image of a under X -> x, Y -> y: `apply_endo_batch` of the batch
+    of one."""
+    return apply_endo_batch(e, [a])[0]
+
+
+def apply_endo_batch(e: EndoPair, batch: Sequence[WeylElement]) -> List[WeylElement]:
+    """Images of the batch's elements under X -> x, Y -> y.
+
+    The powers of y and x are formed once, up to the largest exponents
+    the batch holds, and each image is grouped by powers of y:
+    sum_i y^i * (sum_j a[i,j] * x^j), one product per distinct i.
+    """
     if not e.verified:
         raise UnverifiedEndoError(
             "refusing to apply an unverified pair; commutator defect: "
             f"{format_element(e.defect) if e.defect is not None else '?'}"
         )
-    ints = a._ints
-    y_pow = powers(e.y, max((i for (i, _) in ints), default=0))
-    x_pow = powers(e.x, max((j for (_, j) in ints), default=0))
-    rows: dict = {}  # i -> the cleared terms of sum_j a[i,j] * x^j
-    for (i, j), c in ints.items():
-        rows.setdefault(i, []).append((c, x_pow[j]._den, x_pow[j]._ints))
-    images = [y_pow[i] * _combine(row) for i, row in rows.items()]
-    return _combine([(1, a._den * el._den, el._ints) for el in images])
+    y_pow = powers(e.y, max((i for a in batch for (i, _) in a._ints), default=0))
+    x_pow = powers(e.x, max((j for a in batch for (_, j) in a._ints), default=0))
+    out = []
+    for a in batch:
+        rows: dict = {}  # i -> the cleared terms of sum_j a[i,j] * x^j
+        for (i, j), c in a._ints.items():
+            rows.setdefault(i, []).append((c, x_pow[j]._den, x_pow[j]._ints))
+        images = [y_pow[i] * _combine(row) for i, row in rows.items()]
+        out.append(_combine([(1, a._den * el._den, el._ints) for el in images]))
+    return out
 
 
 # -- canonical printing ------------------------------------------------

@@ -28,7 +28,9 @@ generators in reverse order, and psi(a) is the unique expansion of a.
 `MembershipSolver(e)` is the pair's one certificate.  Building it never
 raises: it recomputes [y, x] once and keeps either the certified recipe
 with psi, which `expand` applies, or the refusal, which `expand` and
-`solve` raise.
+`solve` raise.  `solve` pulls its whole batch back through psi one
+inverse generator at a time, forming that generator's powers of X and Y
+once for the batch; `expand` is the batch of one.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .core import (
     Y,
     EndoPair,
     WeylElement,
-    apply_endo,
+    apply_endo_batch,
     build_endo,
     commutator,
     format_element,
@@ -131,9 +133,7 @@ def compile_recipe(recipe: EndoRecipe) -> EndoPair:
     [y, x] = 1 of the result."""
     x_cur, y_cur = recipe.raw or (X, Y)
     for gen in recipe.generators:
-        gpair = gen.pair()
-        x_cur = apply_endo(gpair, x_cur)
-        y_cur = apply_endo(gpair, y_cur)
+        x_cur, y_cur = apply_endo_batch(gen.pair(), [x_cur, y_cur])
     pair = build_endo(x_cur, y_cur)
     if not pair.verified:
         kind = "composite" if recipe.raw is None else "raw"
@@ -281,32 +281,41 @@ class MembershipSolver:
 
     def expand(self, a: WeylElement) -> WeylElement:
         """psi(a) = sum c[i,j] Y^i X^j for the unique expansion a = sum
-        c[i,j] y^i x^j, pulled back one inverse generator at a time, which
-        keeps it near the size of a."""
+        c[i,j] y^i x^j: `_pull_back` of the batch of one."""
+        return self._pull_back([a])[0]
+
+    def _pull_back(self, batch: Sequence[WeylElement]) -> List[WeylElement]:
+        """psi of each element of the batch, pulled back one inverse
+        generator at a time, which keeps each near the size of its
+        element.  Each generator's powers of X and Y are formed once, up
+        to the largest exponents the batch holds at that step
+        (`core.apply_endo_batch`)."""
         self._raise_refusal()
         for g in self._inverse:
-            a = apply_endo(g, a)
-        return a
+            batch = apply_endo_batch(g, batch)
+        return batch
 
     def solve(self, elements: Sequence[WeylElement], slack: int) -> List[Membership]:
         """One verdict per element, independent of the batch.
 
-        a is a member at this slack iff every (i, j) that psi(a) uses has
-        i*v(y) + j*v(x) <= v11(a) + slack.  The witness lists the pairs in
-        scan order.  A negative slack is refused.
+        The batch is pulled back through psi together (`_pull_back`).  a
+        is a member at this slack iff every (i, j) that psi(a) uses has
+        i*v(y) + j*v(x) <= v11(a) + slack.  A member's witness lists the
+        pairs in scan order.  A negative slack is refused.
         """
         self._raise_refusal()
         if slack < 0:
             raise ValueError(f"membership slack must be >= 0, got {slack}")
-        vy, vx = self._vy, self._vx
+        vy, vx, elements = self._vy, self._vx, list(elements)
         out = []
-        for a in elements:
-            b = self.expand(a)
+        for a, b in zip(elements, self._pull_back(elements)):
             used = b._ints  # empty iff a = 0
             bound = weighted_degree(W11, a) + slack
             member = all(i * vy + j * vx <= bound for (i, j) in used)
-            order = sorted(used, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
-            witness = {p: b.coefficient(*p) for p in order} if member else None
+            witness = None
+            if member:
+                order = sorted(used, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
+                witness = {p: b.coefficient(*p) for p in order}
             tried = _pairs_within(vy, vx, bound) if used else 0
             out.append(Membership(member, witness, slack, bound, tried))
         return out

@@ -18,7 +18,8 @@ then empty, over any field extension:
 
 The ad(a) window matrix and dim V are memoized by (a, window), at most
 64 each, as the map constructors are: an eigenspace, a scan and the eigen
-check's certificate share them, and only read the matrix.
+check's certificate share them, and only read the matrix.  The default
+eigenvalue candidates are memoized by cap, at most 64.
 
 `nilpotent_closure_window` iterates a monomial only when no bound proves
 it dies within max_iter.  With nu(u) the least n such that m^n(u) = 0:
@@ -238,9 +239,11 @@ class EigenReport:
     found: List[Tuple[Rat, List[WeylElement]]]
 
 
+@lru_cache(maxsize=64)
 def default_eigen_candidates(cap: int) -> Tuple[Rat, ...]:
     """The rationals p/q with |p| <= cap and q <= 4: the integers in
-    [-cap, cap] plus the fractions +-p/q, 2 <= q <= 4, 1 <= p <= cap."""
+    [-cap, cap] plus the fractions +-p/q, 2 <= q <= 4, 1 <= p <= cap;
+    memoized by cap, at most 64."""
     return tuple(sorted({rat(p, q) for q in (1, 2, 3, 4) for p in range(-cap, cap + 1)}))
 
 
@@ -345,6 +348,8 @@ def nilpotent_closure_window(
     closures record the indices, also after the memo has rebuilt them.
     A monomial whose bound needs an index not found within its orbit's
     max_iter steps is iterated.  Other maps are iterated throughout.
+    When every final image is 0 the closure is the whole window, and its
+    canonical basis is the window monomials, with no kernel to take.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -360,6 +365,8 @@ def nilpotent_closure_window(
         if m.derivation and key in ((0, 1), (1, 0)) and cur.is_zero():
             m._orders[key] = n
         finals.append(cur)
+    if not any(finals):
+        return win.basis_elements()
     # common coordinates for whatever monomials survived
     return [win.element(*row) for row in kernel(Coordinates(finals).matrix(finals))]
 

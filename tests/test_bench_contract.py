@@ -9,10 +9,11 @@ benchmark shows up here first.  A second test checks that windows-deep's
 closure ops pass the suite's default nilpotent-closure bound, a third
 that a verify pass leaves no memo behind that the benchmark's
 `clear_process_caches` cannot empty, and a fourth that the tracer still
-counts the suite's membership solves.  The self-test runs seeds 3 and 4,
-so a last test runs one pass of each workload with a recorded seed-1
-output digest and requires that digest: a measured run reports
-`correct: false` without it.
+counts the suite's membership solves.  Another checks that
+`clear_process_caches` empties the default eigenvalue candidates' memo.
+The self-test runs seeds 3 and 4, so one more test runs one pass of
+each workload with a recorded seed-1 output digest and requires that
+digest: a measured run reports `correct: false` without it.
 """
 
 import json
@@ -126,3 +127,16 @@ def test_a_seed_1_pass_gives_the_recorded_digests(monkeypatch):
         runner.one_pass()
         assert runner.attempted and not runner.failed, name
         assert not runner.wrong_digest, name
+
+
+def test_clearing_the_process_caches_empties_the_candidates_memo(monkeypatch):
+    # each verify-canonical pass starts cold, the default eigenvalue
+    # candidates included
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import clear_process_caches
+
+    memo = weyl1.windows.default_eigen_candidates
+    memo(6)
+    assert memo.cache_info().currsize > 0
+    clear_process_caches(weyl1)
+    assert memo.cache_info().currsize == 0

@@ -589,3 +589,25 @@ def test_identity_checks_recompute_the_premise_and_ignore_verified():
     unflagged = EndoPair(x=e.x, y=e.y, verified=False)
     assert check_klein_basis(MembershipSolver(unflagged), 3).passed
     assert check_eigvec_tables(MembershipSolver(unflagged), 2, 2).passed
+
+
+def test_a_suite_forms_each_pairs_h_once(monkeypatch):
+    # h = y*x is kept on its pair: several checks read it, the centralizer
+    # check twice, and formed as a plain property it took five products
+    pairs = []
+    compile_pair = checks.compile_recipe
+    monkeypatch.setattr(
+        checks, "compile_recipe", lambda r: pairs.append(compile_pair(r)) or pairs[-1]
+    )
+    formed = [0] * 3
+    mul = WeylElement.__mul__
+
+    def counted(a, b):
+        for k, e in enumerate(pairs):
+            if a is e.y and b is e.x:
+                formed[k] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    assert all(r.passed for r in run_suite(canonical_config()))
+    assert len(pairs) == 3 and formed == [1, 1, 1]

@@ -298,6 +298,20 @@ def test_equal_fixed_elements_and_pairs_share_one_map():
     assert d_yx(e) is not d_xy(e)
 
 
+
+def test_a_pair_whose_h_was_read_keys_the_memos_as_a_fresh_pair():
+    # h is kept outside the fields: equality and the hash, which key the
+    # pair maps' memos, do not see it
+    e = build_endo(X, Y + X**3)
+    assert e.h is e.h and e.h == e.y * e.x
+    twin = build_endo(parse(str(e.x)), parse(str(e.y)))
+    assert "h" in vars(e) and "h" not in vars(twin)
+    assert twin == e and hash(twin) == hash(e)
+    for make in (d_yx, d_xy, delta_xy):
+        make.cache_clear()
+        assert make(twin) is make(e)
+
+
 def test_a_non_element_is_refused_as_before_with_an_equal_scalar_map_cached():
     # typed memo keys: ad(3) must not hit the entry of the equal element 3
     three = ONE * 3

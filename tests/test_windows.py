@@ -327,6 +327,26 @@ def test_cache_clear_empties_the_window_memos():
     assert _ad_window_matrix.cache_info()[:2] == (0, 1)
 
 
+
+def test_the_default_candidates_are_built_once_per_cap(monkeypatch):
+    windows.default_eigen_candidates.cache_clear()
+    built = []
+    make = windows.rat
+    monkeypatch.setattr(windows, "rat", lambda *args: built.append(args) or make(*args))
+    first = windows.default_eigen_candidates(6)
+    assert built
+    built.clear()
+    assert windows.default_eigen_candidates(6) is first
+    assert windows.eigen_candidates(6, None) is first
+    assert built == []
+
+
+def test_the_default_candidates_are_the_rationals_p_over_q_up_to_the_cap():
+    for cap in range(30):
+        want = {Fraction(p, q) for p in range(-cap, cap + 1) for q in range(1, 5)}
+        assert windows.default_eigen_candidates(cap) == tuple(sorted(want)), cap
+
+
 def test_eigenvalue_scan_x_and_scalar():
     win = Window(W11, 3)
     report = eigenvalue_scan(X, win, [rat(k) for k in range(-2, 3)])
@@ -532,6 +552,24 @@ def test_delta_reads_the_indices_of_factors_the_ad_memo_rebuilt(monkeypatch):
     monkeypatch.setattr(LinearMap, "__call__", lambda m, a: calls.append(m) or apply(m, a))
     assert nilpotent_closure_window(dl, win, 17) == win.basis_elements()
     assert calls == []
+
+
+
+def test_a_closure_whose_final_images_all_vanish_takes_no_kernel(monkeypatch):
+    # composite ad(y) is locally nilpotent: at max_iter 17 every final
+    # image on the cap 4 window is 0 and the closure is the window; ad(H)
+    # keeps its non-central monomials, and the closure is a kernel
+    kernels = []
+    take = windows.kernel
+    monkeypatch.setattr(windows, "kernel", lambda mat: kernels.append(mat) or take(mat))
+    e = _CANONICAL_PAIRS["composite"]
+    win = Window(W11, 4)
+    for m in (ad(e.y), _plain(ad(e.y)), delta_xy(e)):
+        assert nilpotent_closure_window(m, win, 17) == win.basis_elements()
+    assert kernels == []
+    closure = nilpotent_closure_window(ad(H), win, 6)
+    assert len(kernels) == 1
+    assert closure == centralizer_window(H, win)
 
 
 def test_chain_basis_identity_delta():
