@@ -14,10 +14,10 @@ an algebra homomorphism exactly when [y, x] = 1, and then h = phi(H),
 d(phi(a)) = phi([Y, a]X), d'(phi(a)) = phi([X, a]Y) and delta(phi(a)) =
 phi([X, [Y, a]]), so phi maps each of these identities on (X, Y) to the
 same identity on (x, y).  Those two checks therefore read the premise
-[y, x] = 1 that the pair's certificate (`endos.MembershipSolver`)
-recomputed, never the pair's `verified` flag, and check the identities
-once on (X, Y).  The product rules are not covered: their samples are
-not images under phi, and the rules hold for any x and y.
+[y, x] = 1 that the pair's certificate recomputed, never the pair's
+`verified` flag, and check the identities once on (X, Y).  The product
+rules are not covered: their samples are not images under phi, and the
+rules hold for any x and y.
 
 The eigen and centralizer checks read one prediction, the h^k v_i' of
 the window, formed once (`_predicted`).  The eigen check certifies a
@@ -28,6 +28,11 @@ and eigenspaces of distinct eigenvalues are independent, so the dim
 E_lam sum to at most dim V.  When the predicted spans P_i, each inside
 E_i, fill V, then E_i = P_i for every i and every other eigenspace is
 zero, candidate or not: the candidate scan would PASS.
+
+Every check takes the pair alone.  What several checks of a pair read
+comes from memos: its certificate (`endos.certificate`: the premise
+[y, x], v(x), v(y) and membership), its maps and windows, and the
+product-rule samples, memoized by (samples, seed).
 
 Checks return a CheckResult carrying their full parameterization, a
 pass/fail verdict, and witness data on failure, so every verdict is
@@ -42,7 +47,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     H,
@@ -57,8 +63,8 @@ from .core import (
     identity_endo,
     powers,
 )
-from .degrees import W11, weighted_degree
-from .endos import MembershipSolver, compile_recipe
+from .degrees import W11
+from .endos import certificate, compile_recipe
 from .errors import DomainError
 from .gwa import embed, graded_component, localized_mul, ratfun
 from .maps import ad, d_xy, d_yx, delta_xy
@@ -135,9 +141,11 @@ def _eigen_problems(
 def _predicted(e: EndoPair, cap: int, cands: Sequence[Rat]) -> Dict[int, List[WeylElement]]:
     """The h^k v_i' in the (1,1) window of the cap, k = 0, 1, ..., for each
     integer candidate i, with v_i' = x^i for i >= 0 and y^(-i) for i < 0.
-    Degrees add, so there are (cap - v(v_i')) // v(h) + 1 of them."""
-    h = e.h
-    vh, vx, vy = (weighted_degree(W11, a) for a in (h, e.x, e.y))
+    Degrees add, since gr A1 = K[X, Y] is a domain (`endos._cut`), so
+    v(h) = v(x) + v(y) and there are (cap - v(v_i')) // v(h) + 1 of them."""
+    h, cert = e.h, certificate(e)
+    vx, vy = cert.vx, cert.vy
+    vh = vx + vy
     counts: Dict[int, int] = {}
     for i in (lam.numerator for lam in cands if lam.denominator == 1):
         base = i * vx if i >= 0 else -i * vy
@@ -189,10 +197,10 @@ def check_eigen_theorem(
     )
 
 
-def _premise_problems(cert: MembershipSolver) -> List[str]:
+def _premise_problems(e: EndoPair) -> List[str]:
     """The premise of the identity checks, [y, x] = 1, as the pair's
     certificate recomputed it; the pair's `verified` flag is never read."""
-    c = cert.premise
+    c = certificate(e).premise
     return [] if c == ONE else [f"premise fails: [y, x] = {format_element(c)}"]
 
 
@@ -219,7 +227,7 @@ def _klein_problems(imax: int) -> List[str]:
 
 
 def check_klein_basis(
-    cert: MembershipSolver, imax: int, identities: Optional[List[str]] = None
+    e: EndoPair, imax: int, identities: Optional[List[str]] = None
 ) -> CheckResult:
     """y^i x^i and x^i y^i as products of shifted h's, and the delta chain.
 
@@ -237,7 +245,7 @@ def check_klein_basis(
     """
     if identities is None:
         identities = _klein_problems(imax)
-    return _verdict("klein_basis", {"imax": imax}, _premise_problems(cert) + identities)
+    return _verdict("klein_basis", {"imax": imax}, _premise_problems(e) + identities)
 
 
 def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElement:
@@ -252,16 +260,12 @@ def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElemen
     return WeylElement(terms)
 
 
-class _Samples(NamedTuple):
+@lru_cache(maxsize=64)
+def _product_samples(
+    samples: int, seed: int
+) -> Tuple[Tuple[WeylElement, WeylElement, WeylElement], ...]:
     """The first `samples` nonzero pairs (a, b) drawn from `seed`, as
-    triples (a, b, a*b)."""
-
-    samples: int
-    seed: int
-    triples: List[Tuple[WeylElement, WeylElement, WeylElement]]
-
-
-def _product_samples(samples: int, seed: int) -> _Samples:
+    triples (a, b, a*b): drawn once, while among the 64 most recent."""
     rng = random.Random(seed)
     triples = []
     while len(triples) < samples:
@@ -269,12 +273,10 @@ def _product_samples(samples: int, seed: int) -> _Samples:
         b = _random_element(rng)
         if not a.is_zero() and not b.is_zero():
             triples.append((a, b, a * b))
-    return _Samples(samples, seed, triples)
+    return tuple(triples)
 
 
-def check_product_rules(
-    e: EndoPair, samples: int, seed: int = 20260809, drawn: Optional[_Samples] = None
-) -> CheckResult:
+def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> CheckResult:
     """Denominator-free product rules for d and d'; literal rational-
     coefficient versions in the localized algebra for the identity pair.
 
@@ -283,24 +285,16 @@ def check_product_rules(
     localized, the last term is m(a) (h - c)^-1 left [b, right], with c = 0
     for d and c = 1 for d'.
 
-    `drawn`, when given, is `_product_samples(samples, seed)`, which
-    `run_suite` draws once for all pairs; drawn from another count or
-    seed, it is a ValueError, so the record names the samples checked.
-    Both rules read the one a*b of a sample, and the localized rules, on
-    the first five samples, embed the m(ab), m(a) b, a m(b), m(a) and
-    [b, right] the polynomial rule formed.
+    The samples and their products come from `_product_samples`, which
+    every pair shares.  Both rules read the one a*b of a sample, and the
+    localized rules, on the first five samples, embed the m(ab), m(a) b,
+    a m(b), m(a) and [b, right] the polynomial rule formed.
     """
-    if drawn is None:
-        drawn = _product_samples(samples, seed)
-    elif (drawn.samples, drawn.seed) != (samples, seed):
-        raise ValueError(
-            f"samples drawn as ({drawn.samples}, {drawn.seed}), not ({samples}, {seed})"
-        )
     rules = [("d", d_yx(e), e.y, e.x), ("d'", d_xy(e), e.x, e.y)]
     localized = e.is_identity()
     problems: List[str] = []
     formed = []  # per localized sample and rule: m(ab), m(a) b, a m(b), m(a), [b, right]
-    for k, (a, b, ab) in enumerate(drawn.triples):
+    for k, (a, b, ab) in enumerate(_product_samples(samples, seed)):
         for r, (name, m, left, right) in enumerate(rules):
             mab, ma, br = m(ab), m(a), commutator(b, right)
             ma_b, a_mb = ma * b, a * m(b)
@@ -345,8 +339,8 @@ def check_kernel_delta(e: EndoPair, cap: int) -> CheckResult:
     win = Window(W11, cap)
     dl = delta_xy(e)
     kernel = nilpotent_closure_window(dl, win, 1)  # ker delta in the window
-    vx = weighted_degree(W11, e.x)
-    vy = weighted_degree(W11, e.y)
+    cert = certificate(e)
+    vx, vy = cert.vx, cert.vy
     xs, ys = powers(e.x, bound // vx), powers(e.y, bound // vy)
     while True:
         expected = win.meet(xs + ys[1:])
@@ -378,7 +372,7 @@ def default_closure_max_iter(cap: int) -> int:
 
 
 def check_nilpotent_closure(
-    cert: MembershipSolver,
+    e: EndoPair,
     cap: int,
     max_iter: Optional[int] = None,
     slack: Optional[int] = None,
@@ -402,7 +396,6 @@ def check_nilpotent_closure(
     nu(Y) = 3, at X^cap: cap (5 - 1) + 1.  So the default is tight: X^cap
     dies at step 4*cap + 1 and not before.
     """
-    e = cert.pair
     if max_iter is None:
         max_iter = default_closure_max_iter(cap)
     if slack is None:
@@ -411,7 +404,7 @@ def check_nilpotent_closure(
     win = Window(W11, cap)
     monos = win.basis_elements()
     try:
-        verdicts = cert.solve(monos, slack)
+        verdicts = certificate(e).solve(monos, slack)
     except DomainError as exc:
         return _verdict("nilpotent_closure", params, [str(exc)])
     members = [m for m, v in zip(monos, verdicts) if v.member]
@@ -430,20 +423,17 @@ def check_nilpotent_closure(
     return _verdict("nilpotent_closure", params, problems)
 
 
-def check_propagation(
-    cert: MembershipSolver, a: WeylElement, n: int, slack: int = 4
-) -> CheckResult:
+def check_propagation(e: EndoPair, a: WeylElement, n: int, slack: int = 4) -> CheckResult:
     """If (d d')^n(a) lies in the image subalgebra then so does a.  A pair
     that membership refuses FAILs with the refusal."""
     params = {"n": n, "slack": slack}
-    e = cert.pair
     d = d_yx(e)
     dp = d_xy(e)
     img = a
     for _ in range(n):
         img = d(dp(img))
     try:
-        m_img, m_a = cert.solve([img, a], slack)
+        m_img, m_a = certificate(e).solve([img, a], slack)
     except DomainError as exc:
         return _verdict("propagation", params, [str(exc)])
     problems: List[str] = []
@@ -485,7 +475,7 @@ def _eigvec_problems(imax: int, nmax: int) -> List[str]:
 
 
 def check_eigvec_tables(
-    cert: MembershipSolver, imax: int, nmax: int, identities: Optional[List[str]] = None
+    e: EndoPair, imax: int, nmax: int, identities: Optional[List[str]] = None
 ) -> CheckResult:
     """The six eigenvector families of the maps d and d'.
 
@@ -499,7 +489,7 @@ def check_eigvec_tables(
     if identities is None:
         identities = _eigvec_problems(imax, nmax)
     return _verdict(
-        "eigvec_tables", {"imax": imax, "nmax": nmax}, _premise_problems(cert) + identities
+        "eigvec_tables", {"imax": imax, "nmax": nmax}, _premise_problems(e) + identities
     )
 
 
@@ -544,42 +534,39 @@ def canonical_config() -> dict:
 def run_suite(config: Optional[dict] = None) -> List[CheckResult]:
     """Run every check over every configured pair, in declaration order.
 
-    Once per call, before the first pair: the pair-free identities are
-    evaluated, and the product-rule samples are drawn with their products
-    (`_product_samples`), which every pair's `check_product_rules` reads.
-    Each pair's certificate is built once and passed to the four checks
-    that use it."""
+    The pair-free identities are evaluated once per call, before the
+    first pair, and passed to the two checks that read them.  Every check
+    takes the pair alone; its certificate and the product-rule samples
+    come from their memos (module docstring)."""
     if config is None:
         config = canonical_config()
     params = config["params"]
     prop_elem = parse(params.get("propagation_element", "Y^2*X^3"))
     klein = _klein_problems(params["klein_imax"])
     eigvec = _eigvec_problems(params["eigvec_imax"], params["eigvec_nmax"])
-    drawn = _product_samples(params["product_samples"], params["seed"])
     results: List[CheckResult] = []
     for doc in config["endomorphisms"]:
         name = doc["name"]
         e = compile_recipe(recipe_from_doc(doc))
-        cert = MembershipSolver(e)
         for res in (
             check_centralizer_theorem(e, params["centralizer_cap"]),
             check_eigen_theorem(e, params["eigen_cap"]),
-            check_klein_basis(cert, params["klein_imax"], klein),
-            check_product_rules(e, params["product_samples"], params["seed"], drawn),
+            check_klein_basis(e, params["klein_imax"], klein),
+            check_product_rules(e, params["product_samples"], params["seed"]),
             check_kernel_delta(e, params["kernel_cap"]),
             check_nilpotent_closure(
-                cert,
+                e,
                 params["closure_cap"],
                 params.get("closure_max_iter"),
                 params.get("closure_slack"),
             ),
             check_propagation(
-                cert,
+                e,
                 apply_endo(e, prop_elem),
                 params["propagation_power"],
                 params["membership_slack"],
             ),
-            check_eigvec_tables(cert, params["eigvec_imax"], params["eigvec_nmax"], eigvec),
+            check_eigvec_tables(e, params["eigvec_imax"], params["eigvec_nmax"], eigvec),
         ):
             res.name = f"{res.name}[{name}]"
             results.append(res)

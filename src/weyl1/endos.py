@@ -25,17 +25,19 @@ returns the recipe that undoes them.  `certify` accepts the recipe only
 when `compile_recipe` gives (x, y) back exactly.  Then phi: X -> x,
 Y -> y is a composite of automorphisms, its inverse psi is the inverse
 generators in reverse order, and psi(a) is the unique expansion of a.
-`MembershipSolver(e)` is the pair's one certificate.  Building it never
-raises: it recomputes [y, x] once and keeps either the certified recipe
-with psi, which `expand` applies, or the refusal, which `expand` and
-`solve` raise.  `solve` pulls its whole batch back through psi one
-inverse generator at a time, forming that generator's powers of X and Y
-once for the batch; `expand` is the batch of one.
+`MembershipSolver(e)` is the pair's one certificate, which
+`certificate(e)` memoizes for every check of the pair.  Building it never
+raises: it recomputes [y, x] once, reads v(x) and v(y), and keeps either
+the certified recipe with psi, which `expand` applies, or the refusal,
+which `expand` and `solve` raise.  `solve` pulls its whole batch back
+through psi one inverse generator at a time, forming that generator's
+powers of X and Y once for the batch; `expand` is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -257,13 +259,12 @@ class Membership:
 
 class MembershipSolver:
     """The one certificate of a pair (module docstring) and membership
-    queries against it.  `premise` is [y, x] as recomputed; `recipe` is
-    the decomposition `certify` accepted, or None, and then `refusal` is
-    UnverifiedEndoError when [y, x] is not 1, else DomainError for a
-    stall or a recipe that does not replay."""
+    queries against it.  `premise` is [y, x] as recomputed, `vx` and `vy`
+    are v11(x) and v11(y); `recipe` is the decomposition `certify` accepted,
+    or None, and then `refusal` is UnverifiedEndoError when [y, x] is not
+    1, else DomainError for a stall or a recipe that does not replay."""
 
     def __init__(self, e: EndoPair):
-        self.pair = e
         self.premise = commutator(e.y, e.x)
         self.recipe = self.refusal = None
         try:
@@ -272,8 +273,8 @@ class MembershipSolver:
             self.refusal = exc
         gens = self.recipe.generators if self.recipe else ()
         self._inverse = [g.inverse().pair() for g in reversed(gens)]
-        self._vx = weighted_degree(W11, e.x)
-        self._vy = weighted_degree(W11, e.y)
+        self.vx = weighted_degree(W11, e.x)
+        self.vy = weighted_degree(W11, e.y)
 
     def _raise_refusal(self) -> None:
         if self.refusal is not None:
@@ -306,7 +307,7 @@ class MembershipSolver:
         self._raise_refusal()
         if slack < 0:
             raise ValueError(f"membership slack must be >= 0, got {slack}")
-        vy, vx, elements = self._vy, self._vx, list(elements)
+        vy, vx, elements = self.vy, self.vx, list(elements)
         out = []
         for a, b in zip(elements, self._pull_back(elements)):
             used = b._ints  # empty iff a = 0
@@ -321,6 +322,13 @@ class MembershipSolver:
         return out
 
 
+@lru_cache(maxsize=64)
+def certificate(e: EndoPair) -> MembershipSolver:
+    """The pair's `MembershipSolver`, built once per pair while it stays
+    among the 64 most recent."""
+    return MembershipSolver(e)
+
+
 def _pairs_within(vy: int, vx: int, bound: int) -> int:
     """The number of pairs (i, j) with i*vy + j*vx <= bound, counted by i."""
     return sum((bound - i * vy) // vx + 1 for i in range(bound // vy + 1))
@@ -330,4 +338,4 @@ def subalgebra_membership(
     e: EndoPair, a: WeylElement, slack: int = 4
 ) -> Membership:
     """Decide a = sum c[i,j] y^i x^j over pairs within the slack bound."""
-    return MembershipSolver(e).solve([a], slack)[0]
+    return certificate(e).solve([a], slack)[0]

@@ -156,7 +156,8 @@ class SlackMembershipSolver:
     when its expansion stays within its own bound v11(a) + slack.  The
     witness lists its pairs in column order, which is the scan order of
     `candidate_pairs`.  It trusts `verified` and never checks [y, x] = 1.
-    With its `pair`, a check that takes a certificate takes it in its place.
+    A test that sets it as `checks.certificate` makes the membership checks
+    use it in place of the pair's certificate.
     """
 
     def __init__(self, e):
@@ -164,10 +165,9 @@ class SlackMembershipSolver:
 
         if not e.verified:
             raise UnverifiedEndoError("membership needs a verified pair")
-        self.pair = e
         self.x, self.y = e.x, e.y
-        self._vx, self._vy = weighted_degree(W11, e.x), weighted_degree(W11, e.y)
-        if self._vx < 1 or self._vy < 1:
+        self.vx, self.vy = weighted_degree(W11, e.x), weighted_degree(W11, e.y)
+        if self.vx < 1 or self.vy < 1:
             raise DomainError("membership needs v(x), v(y) >= 1")
         self._y_pows = [ONE]
         self._rows = {}
@@ -187,7 +187,7 @@ class SlackMembershipSolver:
     def candidate_pairs(self, bound):
         from weyl1 import Weight, Window
 
-        return Window(Weight(self._vy, self._vx), bound).monomials
+        return Window(Weight(self.vy, self.vx), bound).monomials
 
     def solve(self, elements, slack):
         from weyl1 import NEG_INF, W11, Membership, weighted_degree
@@ -202,7 +202,7 @@ class SlackMembershipSolver:
             pairs = self.candidate_pairs(max(finite) + slack)
             columns = [self.basis_product(i, j) for (i, j) in pairs]
             sols = coordinates_solve(Coordinates(columns, elements), columns, elements)
-        vy, vx = self._vy, self._vx
+        vy, vx = self.vy, self.vx
         out = []
         for deg, sol in zip(degrees, sols):
             if deg == NEG_INF:

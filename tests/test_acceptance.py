@@ -12,7 +12,6 @@ from oracles import oracle_monomial_product, random_element
 from weyl1 import (
     H,
     W11,
-    MembershipSolver,
     Weight,
     WeylElement,
     X,
@@ -79,7 +78,7 @@ def test_acceptance_01_normal_ordering_oracle():
 def test_acceptance_02_factorial_basis_and_delta_chain():
     t0 = time.monotonic()
     for name, e in PAIRS:
-        res = check_klein_basis(MembershipSolver(e), 10)
+        res = check_klein_basis(e, 10)
         assert res.passed, (name, res.witness)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"took {elapsed:.2f}s, target < 10s"
@@ -179,7 +178,7 @@ def test_acceptance_08_localized_cusp_suite():
 def test_acceptance_09_closures_match_membership_window():
     t0 = time.monotonic()
     for name, e in PAIRS:
-        res = check_nilpotent_closure(MembershipSolver(e), 6)
+        res = check_nilpotent_closure(e, 6)
         assert res.passed, (name, res.witness)
         res = check_kernel_delta(e, 6)
         assert res.passed, (name, res.witness)
@@ -216,7 +215,7 @@ def test_acceptance_11_eigenvector_tables_and_power_degrees():
     t0 = time.monotonic()
     rng = random.Random(1789)
     for name, e in PAIRS:
-        res = check_eigvec_tables(MembershipSolver(e), 4, 4)
+        res = check_eigvec_tables(e, 4, 4)
         assert res.passed, (name, res.witness)
         for w in (W11, Weight(2, -1)):
             for maker in (d_yx, d_xy):

@@ -9,8 +9,9 @@ benchmark shows up here first.  A second test checks that windows-deep's
 closure ops pass the suite's default nilpotent-closure bound, a third
 that a verify pass leaves no memo behind that the benchmark's
 `clear_process_caches` cannot empty, and a fourth that the tracer still
-counts the suite's membership solves.  Another checks that
-`clear_process_caches` empties the default eigenvalue candidates' memo.
+counts the suite's membership solves.  Two more check that
+`clear_process_caches` empties the default eigenvalue candidates' memo
+and the memos of the pair certificates and the product-rule samples.
 The self-test runs seeds 3 and 4, so one more test runs one pass of
 each workload with a recorded seed-1 output digest and requires that
 digest: a measured run reports `correct: false` without it.
@@ -140,3 +141,19 @@ def test_clearing_the_process_caches_empties_the_candidates_memo(monkeypatch):
     assert memo.cache_info().currsize > 0
     clear_process_caches(weyl1)
     assert memo.cache_info().currsize == 0
+
+
+def test_clearing_the_process_caches_empties_the_certificate_and_samples_memos(
+    monkeypatch,
+):
+    # each verify-canonical pass builds its certificates and draws its
+    # product-rule samples again, as a new process does
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import clear_process_caches
+
+    memos = (weyl1.endos.certificate, checks._product_samples)
+    weyl1.endos.certificate(weyl1.identity_endo())
+    checks._product_samples(3, 7)
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
+    clear_process_caches(weyl1)
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]

@@ -1,5 +1,6 @@
 """The windowed verification suite over the canonical pairs."""
 
+import random
 import sys
 
 import pytest
@@ -18,9 +19,9 @@ from weyl1 import (
     CheckResult,
     EndoPair,
     EndoRecipe,
-    MembershipSolver,
     Window,
     WeylElement,
+    add_poly_y,
     apply_endo,
     canonical_config,
     check_centralizer_theorem,
@@ -32,6 +33,7 @@ from weyl1 import (
     check_product_rules,
     check_propagation,
     compile_recipe,
+    linear,
     rat,
     run_suite,
     weighted_degree,
@@ -67,7 +69,7 @@ def test_eigen_check(name, e):
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_klein_check(name, e):
-    res = check_klein_basis(MembershipSolver(e), 6)
+    res = check_klein_basis(e, 6)
     assert res.passed, res.witness
 
 
@@ -78,31 +80,33 @@ def test_product_rules_check(name, e):
     assert res.params["localized"] == (name == "identity")
 
 
-def test_product_samples_are_drawn_once_per_suite(monkeypatch):
-    draws = []
-    real = checks._product_samples
-
-    def counted(samples, seed):
-        draws.append((samples, seed))
-        return real(samples, seed)
-
-    monkeypatch.setattr(checks, "_product_samples", counted)
+def test_product_samples_are_drawn_once_per_suite():
+    # from an emptied memo: the first pair draws, the other two read the
+    # draw, and it is the draw of the configured (samples, seed)
+    memo = checks._product_samples
+    memo.cache_clear()
     config = canonical_config()
     assert all(r.passed for r in run_suite(config))
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 2)
     params = config["params"]
-    assert draws == [(params["product_samples"], params["seed"])]
-    draws.clear()
+    memo(params["product_samples"], params["seed"])
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 3)
     assert check_product_rules(PAIRS[1][1], 3, 7).passed
-    assert draws == [(3, 7)]
+    assert memo.cache_info().misses == 2
 
 
-@pytest.mark.parametrize("samples,seed", [(4, 7), (3, 8)])
-def test_product_rules_refuse_samples_of_another_draw(samples, seed):
-    # the record names (samples, seed), so they must be what was drawn
-    drawn = checks._product_samples(3, 7)
-    with pytest.raises(ValueError):
-        check_product_rules(PAIRS[1][1], samples, seed, drawn)
-    assert check_product_rules(PAIRS[1][1], 3, 7, drawn).params["seed"] == 7
+@pytest.mark.parametrize("samples,seed", [(3, 7), (20, 20260809)])
+def test_memoized_product_samples_are_a_fresh_draw(samples, seed):
+    # the memo returns what random.Random(seed) draws, with each product
+    rng, fresh = random.Random(seed), []
+    while len(fresh) < samples:
+        a, b = checks._random_element(rng), checks._random_element(rng)
+        if not a.is_zero() and not b.is_zero():
+            fresh.append((a, b, a * b))
+    checks._product_samples.cache_clear()
+    drawn = checks._product_samples(samples, seed)
+    assert drawn == tuple(fresh)
+    assert checks._product_samples(samples, seed) is drawn
 
 
 # the problem lists of the unshared check, recorded before the samples and
@@ -170,20 +174,20 @@ def test_kernel_delta_fails_when_kernel_meets_centralizer_beyond_scalars():
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_nilpotent_closure_check(name, e):
-    res = check_nilpotent_closure(MembershipSolver(e), 3)
+    res = check_nilpotent_closure(e, 3)
     assert res.passed, res.witness
     assert res.params["max_iter"] == 13 and res.params["slack"] == 21
 
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_propagation_check(name, e):
-    res = check_propagation(MembershipSolver(e), apply_endo(e, Y**2 * X**3), 2)
+    res = check_propagation(e, apply_endo(e, Y**2 * X**3), 2)
     assert res.passed, res.witness
 
 
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_eigvec_tables_check(name, e):
-    res = check_eigvec_tables(MembershipSolver(e), 3, 3)
+    res = check_eigvec_tables(e, 3, 3)
     assert res.passed, res.witness
 
 
@@ -244,7 +248,7 @@ def test_checkresult_failure_carries_witness():
     # an intentionally undersized closure bound cannot kill the window,
     # so the closure is a proper subspace and the check reports it
     e = PAIRS[2][1]
-    res = check_nilpotent_closure(MembershipSolver(e), 3, max_iter=1, slack=21)
+    res = check_nilpotent_closure(e, 3, max_iter=1, slack=21)
     assert not res.passed
     assert res.witness == {
         "problems": [
@@ -266,8 +270,8 @@ COMMUTATOR_TWO = EndoPair(x=X, y=2 * Y, verified=True)
         lambda e: check_eigen_theorem(e, 4),
         # ad(h) X = 2X here, so the predicted eigenvalue 1 has no eigenvector
         lambda e: check_eigen_theorem(e, 4, candidates=["1"]),
-        lambda e: check_klein_basis(MembershipSolver(e), 3),
-        lambda e: check_eigvec_tables(MembershipSolver(e), 2, 2),
+        lambda e: check_klein_basis(e, 3),
+        lambda e: check_eigvec_tables(e, 2, 2),
     ],
     ids=["eigen_theorem", "eigen_theorem-missing", "klein_basis", "eigvec_tables"],
 )
@@ -445,8 +449,8 @@ def test_run_suite_evaluates_the_pair_free_identities_once_per_call(monkeypatch)
     for runs in (1, 2):  # no cache outlives a call
         assert all(r.passed for r in run_suite(canonical_config()))
         assert klein[0] == eigvec[0] == runs
-    cert = MembershipSolver(PAIRS[2][1])
-    assert check_klein_basis(cert, 3).passed and check_eigvec_tables(cert, 2, 2).passed
+    e = PAIRS[2][1]
+    assert check_klein_basis(e, 3).passed and check_eigvec_tables(e, 2, 2).passed
     assert klein[0] == eigvec[0] == 3
 
 
@@ -476,9 +480,33 @@ def test_run_suite_builds_one_certificate_per_pair(monkeypatch):
         if name.split(".")[0] == "weyl1" and vars(mod).get("commutator") is commutator:
             monkeypatch.setattr(mod, "commutator", counted)
     monkeypatch.setattr(endos.MembershipSolver, "__init__", counted_init)
+    endos.certificate.cache_clear()  # the canonical pairs' memo is emptied
     assert all(r.passed for r in run_suite(canonical_config()))
     assert forms[0] <= 9
     assert certificates[0] == 3
+    # a second suite reads the three from the memo
+    assert all(r.passed for r in run_suite(canonical_config()))
+    assert certificates[0] == 3
+
+
+def test_the_eight_checks_of_a_fresh_pair_build_one_certificate(monkeypatch):
+    # every check reads the pair's certificate from the memo, none builds
+    # its own: a pair that no other test uses, at small params
+    e = compile_recipe(EndoRecipe(generators=(add_poly_y([0, 0, 0, 2]), linear(1, 1, 0, 1))))
+    built = _count_calls(monkeypatch, endos, "MembershipSolver")
+    endos.certificate.cache_clear()
+    results = [
+        check_centralizer_theorem(e, 4),
+        check_eigen_theorem(e, 3),
+        check_klein_basis(e, 2),
+        check_product_rules(e, 3),
+        check_kernel_delta(e, 2),
+        check_nilpotent_closure(e, 2),
+        check_propagation(e, apply_endo(e, Y * X), 1),
+        check_eigvec_tables(e, 2, 2),
+    ]
+    assert all(r.passed for r in results), [r.witness for r in results]
+    assert built[0] == 1
 
 
 def test_checks_module_holds_exactly_the_suite_checks(monkeypatch):
@@ -532,9 +560,8 @@ def test_direct_oracles_hold_on_the_canonical_pairs(name, e):
     ids=[*FAKE_PAIRS, "commutator two"],
 )
 def test_identity_checks_agree_with_the_direct_oracles(label, e):
-    cert = MembershipSolver(e)
-    assert check_klein_basis(cert, 2).passed == (direct_klein_problems(e, 2) == [])
-    assert check_eigvec_tables(cert, 2, 2).passed == (
+    assert check_klein_basis(e, 2).passed == (direct_klein_problems(e, 2) == [])
+    assert check_eigvec_tables(e, 2, 2).passed == (
         direct_eigvec_problems(e, 2, 2) == []
     )
 
@@ -543,9 +570,8 @@ def test_identity_checks_agree_with_the_direct_oracles(label, e):
 @given(st.lists(_GENERATORS, min_size=1, max_size=3))
 def test_identity_checks_agree_with_the_direct_oracles_on_drawn_recipes(gens):
     e = compile_recipe(EndoRecipe(generators=tuple(gens)))
-    cert = MembershipSolver(e)
-    assert check_klein_basis(cert, 3).passed == (direct_klein_problems(e, 3) == [])
-    assert check_eigvec_tables(cert, 2, 2).passed == (
+    assert check_klein_basis(e, 3).passed == (direct_klein_problems(e, 3) == [])
+    assert check_eigvec_tables(e, 2, 2).passed == (
         direct_eigvec_problems(e, 2, 2) == []
     )
 
@@ -561,20 +587,21 @@ def test_identity_checks_multiply_few_term_pairs(monkeypatch):
             pairs[0] += a.monomial_count() * b.monomial_count()
         return mul(a, b)
 
-    cert = MembershipSolver(PAIRS[2][1])  # built before products are counted
+    e = PAIRS[2][1]
+    endos.certificate(e)  # the memo is filled before products are counted
     monkeypatch.setattr(WeylElement, "__mul__", counted)
-    assert check_klein_basis(cert, 8).passed and check_eigvec_tables(cert, 4, 4).passed
+    assert check_klein_basis(e, 8).passed and check_eigvec_tables(e, 4, 4).passed
     assert pairs[0] < 2_000
 
 
 @pytest.mark.parametrize(
     "check",
     [
-        lambda e: check_klein_basis(MembershipSolver(e), 3),
-        lambda e: check_eigvec_tables(MembershipSolver(e), 2, 2),
+        lambda e: check_klein_basis(e, 3),
+        lambda e: check_eigvec_tables(e, 2, 2),
         # at imax = 0 next to nothing is checked, but the premise still is
-        lambda e: check_klein_basis(MembershipSolver(e), 0),
-        lambda e: check_eigvec_tables(MembershipSolver(e), 0, 0),
+        lambda e: check_klein_basis(e, 0),
+        lambda e: check_eigvec_tables(e, 0, 0),
     ],
     ids=["klein_basis", "eigvec_tables", "klein_basis-imax0", "eigvec_tables-imax0"],
 )
@@ -587,8 +614,8 @@ def test_identity_checks_recompute_the_premise_and_ignore_verified():
     # a genuine pair flagged unverified PASSes: the premise is recomputed
     e = PAIRS[2][1]
     unflagged = EndoPair(x=e.x, y=e.y, verified=False)
-    assert check_klein_basis(MembershipSolver(unflagged), 3).passed
-    assert check_eigvec_tables(MembershipSolver(unflagged), 2, 2).passed
+    assert check_klein_basis(unflagged, 3).passed
+    assert check_eigvec_tables(unflagged, 2, 2).passed
 
 
 def test_a_suite_forms_each_pairs_h_once(monkeypatch):

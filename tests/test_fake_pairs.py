@@ -7,8 +7,8 @@ an allowed check that starts to FAIL must leave the list.
 
 Membership refuses these pairs, since they have no decomposition, so the
 checks built on it FAIL with the refusal.  To see what those checks
-compare, some tests pass the slack oracle, which trusts `verified`, as
-the certificate.
+compare, some tests set the slack oracle, which trusts `verified`, as
+`checks.certificate`.
 """
 
 import pytest
@@ -43,16 +43,16 @@ FAKE_PAIRS = {
 CALLS = {
     "centralizer_theorem": lambda e: checks.check_centralizer_theorem(e, 4),
     "eigen_theorem": lambda e: checks.check_eigen_theorem(e, 3),
-    "klein_basis": lambda e: checks.check_klein_basis(MembershipSolver(e), 2),
+    "klein_basis": lambda e: checks.check_klein_basis(e, 2),
     "product_rules": lambda e: checks.check_product_rules(e, 3, 20260809),
     "kernel_delta": lambda e: checks.check_kernel_delta(e, 2),
     "nilpotent_closure": lambda e: checks.check_nilpotent_closure(
-        MembershipSolver(e), 2, None, None
+        e, 2, None, None
     ),
     "propagation": lambda e: checks.check_propagation(
-        MembershipSolver(e), apply_endo(e, Y**2 * X**3), 1, 4
+        e, apply_endo(e, Y**2 * X**3), 1, 4
     ),
-    "eigvec_tables": lambda e: checks.check_eigvec_tables(MembershipSolver(e), 2, 2),
+    "eigvec_tables": lambda e: checks.check_eigvec_tables(e, 2, 2),
 }
 
 ALLOWED_TO_PASS = {
@@ -101,10 +101,11 @@ def test_centralizer_witness_names_the_extra_dimension():
     assert res.witness == {"problems": ["eigenvalue 0: dimension 3 != expected 2"]}
 
 
-def test_propagation_fails_for_a_chosen_element():
+def test_propagation_fails_for_a_chosen_element(monkeypatch):
     # d'(X) = [X^2, X] Y^2 = 0 is a member, X is not: the check can FAIL
     # when the element is not an image to begin with
-    res = checks.check_propagation(SlackMembershipSolver(FAKE_PAIRS["(X^2, Y^2)"]), X, 1)
+    monkeypatch.setattr(checks, "certificate", SlackMembershipSolver)
+    res = checks.check_propagation(FAKE_PAIRS["(X^2, Y^2)"], X, 1)
     assert not res.passed
     assert res.witness["problems"]
 
@@ -121,12 +122,12 @@ def test_eigen_witness_names_a_basis_outside_the_predicted_span():
     }
 
 
-def test_closure_witness_compares_spans_not_dimensions():
+def test_closure_witness_compares_spans_not_dimensions(monkeypatch):
     # the delta closure has the dimension of the membership window but
     # another span, so the comparison must be one of spans; each line
     # names the bounds it holds within
-    cert = SlackMembershipSolver(FAKE_PAIRS["(X^2, Y^2)"])
-    res = checks.check_nilpotent_closure(cert, 2, None, None)
+    monkeypatch.setattr(checks, "certificate", SlackMembershipSolver)
+    res = checks.check_nilpotent_closure(FAKE_PAIRS["(X^2, Y^2)"], 2, None, None)
     assert res.witness == {
         "problems": [
             "ad_x closure (dim 6) != membership window (dim 3) within max_iter 9 and slack 14",
