@@ -425,7 +425,8 @@ def check_nilpotent_closure(
 
 def check_propagation(e: EndoPair, a: WeylElement, n: int, slack: int = 4) -> CheckResult:
     """If (d d')^n(a) lies in the image subalgebra then so does a.  A pair
-    that membership refuses FAILs with the refusal."""
+    that membership refuses FAILs with the refusal.  When (d d')^n(a) is
+    a itself, as at n = 0, a is solved alone."""
     params = {"n": n, "slack": slack}
     d = d_yx(e)
     dp = d_xy(e)
@@ -433,9 +434,10 @@ def check_propagation(e: EndoPair, a: WeylElement, n: int, slack: int = 4) -> Ch
     for _ in range(n):
         img = d(dp(img))
     try:
-        m_img, m_a = certificate(e).solve([img, a], slack)
+        solved = certificate(e).solve([a] if img == a else [img, a], slack)
     except DomainError as exc:
         return _verdict("propagation", params, [str(exc)])
+    m_img, m_a = solved[0], solved[-1]
     problems: List[str] = []
     if m_img.member and not m_a.member:
         problems.append(

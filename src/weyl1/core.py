@@ -38,6 +38,10 @@ or Y^0 in the middle is the one term Y^(i1+i2) X^(j1+j2), and a bracket
 pair reads a side only when both of its exponents are nonzero; a pair
 with neither side commutes and is skipped.  `_bracket` runs that loop on
 cleared numerators, for `commutator` and for the map images of `maps`.
+A pair with both sides reads its differences m_k(j1, i2) - m_k(j2, i1),
+k >= 1, from a table memoized by (j1, i2, j2, i1), `_bracket_coeffs`; a
+pair with one side reads that side's m_k, its sign carried by the
+coefficient.
 
 The test suite validates both against the one-step rewriting oracle
 XY -> YX - 1.
@@ -333,31 +337,36 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def _bracket(p: dict, q: dict) -> dict:
     """Int term map of [P, Q] from the int term maps p and q (only read)
-    of P and Q; each term pair reads only the sides it has (module
-    docstring)."""
+    of P and Q; each term pair reads only the sides it has, a pair with
+    both from the table `_bracket_coeffs` (module docstring)."""
     acc: dict = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
             if j1 and i2:
-                m, c = _reorder(j1, i2), c1 * c2
-                if j2 and i1:  # both sides: their difference
-                    m2 = _reorder(j2, i1)
-                    m = [u - w for u, w in zip_longest(m, m2, fillvalue=0)]
+                c = c1 * c2
+                m = _bracket_coeffs(j1, i2, j2, i1) if j2 and i1 else _reorder(j1, i2)[1:]
             elif j2 and i1:
-                m, c = _reorder(j2, i1), -c1 * c2
+                m, c = _reorder(j2, i1)[1:], -c1 * c2
             else:
                 continue  # the two terms commute
-            s, t = i1 + i2, j1 + j2
-            for k in range(1, len(m)):
-                d = m[k]
-                if d:
-                    key = (s - k, t - k)
-                    v = acc.get(key, 0) + c * d
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
+            # m[k] is the coefficient at k + 1; adding a zero changes nothing
+            s, t = i1 + i2 - 1, j1 + j2 - 1
+            for k, d in enumerate(m):
+                key = (s - k, t - k)
+                v = acc.get(key, 0) + c * d
+                if v:
+                    acc[key] = v
+                else:
+                    acc.pop(key, None)
     return acc
+
+
+@lru_cache(maxsize=None)
+def _bracket_coeffs(j1: int, i2: int, j2: int, i1: int) -> Tuple[int, ...]:
+    """m_k(j1, i2) - m_k(j2, i1) for k >= 1: the bracket coefficients of
+    a term pair Y^i1 X^j1, Y^i2 X^j2 with both sides (module docstring)."""
+    both = zip_longest(_reorder(j1, i2), _reorder(j2, i1), fillvalue=0)
+    return tuple(u - w for u, w in both)[1:]
 
 
 def powers(a: WeylElement, n: int) -> List[WeylElement]:

@@ -212,21 +212,29 @@ def kernel(matrix: RatMatrix) -> List[Cleared]:
 
     The kernel vector of a free column f is L at f and -c * (L / p) at
     the pivot column of each pivot row with entry c at f and lead p, L
-    the lcm of those leads.  The vectors are then brought to reduced
-    echelon form (viewed as rows), so the basis is unique for the
+    the lcm of those leads.  One pass over the pivot rows that are not
+    unit rows (a unit row touches no free column) lists, for every free
+    column, the rows touching it.  The vectors are then brought to
+    reduced echelon form (viewed as rows), so the basis is unique for the
     subspace: each vector's first nonzero coordinate is 1 and is cleared
     from the rest.
     """
     rows = _echelon(matrix.sparse).rows
+    touching: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
+    for col, row in rows.items():
+        if len(row) > 1:
+            p = row[col]
+            for f, c in row.items():
+                if f != col:
+                    touching[f].append((col, p, c))
     vectors = []
     for f in range(matrix.ncols):
         if f in rows:
             continue
-        touching = [(col, row[col], row[f]) for col, row in rows.items() if f in row]
-        big = lcm(*(p for _, p, _ in touching))
+        pairs = touching.get(f, ())
+        big = lcm(*(p for _, p, _ in pairs))
         vec = {f: big}
-        for col, p, c in touching:
+        for col, p, c in pairs:
             vec[col] = -c * (big // p)
         vectors.append(vec)
     return row_basis(vectors)
-

@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import ZERO, WeylElement, commutator, linear_combination
+from .core import ZERO, WeylElement, commutator
 from .degrees import Weight
 from .errors import ChainBasisError, WindowEscapeError
 from .linalg import RatMatrix, kernel, rank, row_basis
@@ -134,19 +134,29 @@ class Window(Coordinates):
     def meet(self, elems: Sequence[WeylElement]) -> List[WeylElement]:
         """Canonical basis of span(elems) cut to the window.
 
-        The slice is spanned by the combinations of elems whose parts
-        outside the window cancel: one kernel of those outside parts.
+        One echelon, as in `build_chain_basis`: each element's numerators
+        are keyed with the monomials outside the window first and the
+        window's own after them, in window order.  A row of the reduced
+        echelon form whose lead lies in the window block is zero outside
+        the window, and those rows are the reduced echelon form of the
+        slice: its canonical basis.
         """
         index = self.index
-        outside = [
-            WeylElement._cleared({k: v for k, v in el._ints.items() if k not in index}, el._den)
+        far: Dict[Tuple[int, int], int] = {}  # outside monomial -> column
+        for el in elems:
+            for key in el._ints:
+                if key not in index:
+                    far.setdefault(key, len(far))
+        n = len(far)
+        rows = [
+            {far[k] if k in far else n + index[k]: v for k, v in el._ints.items()}
             for el in elems
         ]
-        combos = kernel(Coordinates(outside).matrix(outside))
-        # a combination's scale does not matter to the span: drop its den
-        return self.basis([
-            linear_combination((v, elems[k]) for k, v in ints.items()) for ints, _ in combos
-        ])
+        return [
+            self.element({k - n: v for k, v in row.items()}, p)
+            for row, p in _echelon(rows).cleared_rows()
+            if min(row) >= n
+        ]
 
     def enlarged(self, m: LinearMap) -> "Window":
         """Window guaranteed to hold images of this one under m."""
@@ -184,13 +194,14 @@ def eigenspace(a: WeylElement, lam, win: Window) -> List[WeylElement]:
     window (target enlarged to hold the images).  With A'' the numerators
     of the ad(a) matrix over L and lam = p/q, that matrix is A''/L - lam on
     the window's own rows; those rows are scaled by q L to q A'' - p L and
-    the others stay A'', since scaling a row keeps the kernel.  The ad(a)
-    matrix is the memoized `_ad_window_matrix(a, win)`, shared by every
-    candidate of a scan: the shifted rows are copies, and `kernel` only
-    reads the rows it is given (peeling rebuilds a row that loses a
-    column, elimination copies every row it reduces).  The returned
-    elements satisfy the eigen equation in the full algebra, not merely
-    modulo the window.
+    the others stay A'', since scaling a row keeps the kernel.  An
+    integer lam has q = 1, and its shifted rows are plain copies, with no
+    scaling.  The ad(a) matrix is the memoized `_ad_window_matrix(a,
+    win)`, shared by every candidate of a scan: the shifted rows are
+    copies, and `kernel` only reads the rows it is given (peeling rebuilds
+    a row that loses a column, elimination copies every row it reduces).
+    Every returned element is re-checked with `commutator`: it satisfies
+    the eigen equation in the full algebra, not merely modulo the window.
     """
     lam = rat(lam)
     mat, tgt = _ad_window_matrix(a, win)
@@ -200,7 +211,7 @@ def eigenspace(a: WeylElement, lam, win: Window) -> List[WeylElement]:
         tgt_idx = tgt.index
         for c, key in enumerate(win.monomials):
             r = tgt_idx[key]
-            row = {k: q * v for k, v in sparse[r].items()}
+            row = dict(sparse[r]) if q == 1 else {k: q * v for k, v in sparse[r].items()}
             v = row.get(c, 0) - shift
             if v:
                 row[c] = v
@@ -330,7 +341,8 @@ def nilpotent_closure_window(
     Kernels of successive powers are nested, so this is the kernel of
     m^max_iter on the window: the kernel of the final images m^max_iter(u)
     of the window monomials u.  Images are iterated as exact elements, so
-    no window bound on the iterates is needed.
+    no window bound on the iterates is needed; each starts at m's cached
+    image of its monomial.
 
     A monomial whose index nu (least n with m^n(u) = 0) is bounded by at
     most max_iter gets the final image 0 with no iteration
@@ -359,7 +371,7 @@ def nilpotent_closure_window(
         if any(_leibniz_bound(f, key) <= max_iter for f in bounded):
             finals.append(ZERO)
             continue
-        cur, n = WeylElement._cleared({key: 1}), 0
+        cur, n = m._cached_image(key), 1  # read, never changed
         while n < max_iter and not cur.is_zero():
             cur, n = m(cur), n + 1
         if m.derivation and key in ((0, 1), (1, 0)) and cur.is_zero():

@@ -30,6 +30,10 @@ sympy.  It lives here because nothing in the package needs it.
 So does solving A x = b against a column space (`solutions`,
 `coordinates_solve`): the package reduces against one echelon instead, and
 only the slack membership solver and the linear-algebra tests use it.
+
+The three-step window slice (`window_meet`) takes a kernel of the parts
+outside the window and a basis of the combinations it gives; the
+reference for `Window.meet`, which reads the slice off one echelon.
 """
 
 from fractions import Fraction
@@ -263,6 +267,25 @@ def coordinates_solve(co, space, elems):
     when it lies outside span(space), in the coordinates co; one
     elimination serves every element."""
     return solutions(co.matrix(space), [(co.coords(el), el._den) for el in elems])
+
+
+def window_meet(win, elems):
+    """Canonical basis of span(elems) cut to the window win, in three
+    steps: the kernel of the elements' parts outside the window, the
+    combinations of elems it gives, and the canonical basis of their
+    span.  The reference for `Window.meet`, which takes one echelon."""
+    from weyl1.core import WeylElement, linear_combination
+    from weyl1.linalg import kernel
+    from weyl1.windows import Coordinates
+
+    outside = [
+        WeylElement._cleared({k: v for k, v in el._ints.items() if k not in win.index}, el._den)
+        for el in elems
+    ]
+    combos = kernel(Coordinates(outside).matrix(outside))
+    return win.basis([
+        linear_combination((v, elems[k]) for k, v in ints.items()) for ints, _ in combos
+    ])
 
 
 def direct_klein_problems(e, imax):

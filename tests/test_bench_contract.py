@@ -11,7 +11,8 @@ that a verify pass leaves no memo behind that the benchmark's
 `clear_process_caches` cannot empty, and a fourth that the tracer still
 counts the suite's membership solves.  Two more check that
 `clear_process_caches` empties the default eigenvalue candidates' memo
-and the memos of the pair certificates and the product-rule samples.
+and the memos of the pair certificates and the product-rule samples,
+and one more that it empties the bracket's coefficient table.
 The self-test runs seeds 3 and 4, so one more test runs one pass of
 each workload with a recorded seed-1 output digest and requires that
 digest: a measured run reports `correct: false` without it.
@@ -138,6 +139,19 @@ def test_clearing_the_process_caches_empties_the_candidates_memo(monkeypatch):
 
     memo = weyl1.windows.default_eigen_candidates
     memo(6)
+    assert memo.cache_info().currsize > 0
+    clear_process_caches(weyl1)
+    assert memo.cache_info().currsize == 0
+
+
+def test_clearing_the_process_caches_empties_the_bracket_table(monkeypatch):
+    # verify-canonical starts each pass with the bracket coefficients to
+    # compute again, as a new process does
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import clear_process_caches
+
+    memo = weyl1.core._bracket_coeffs
+    weyl1.commutator(weyl1.H, weyl1.X * weyl1.H)
     assert memo.cache_info().currsize > 0
     clear_process_caches(weyl1)
     assert memo.cache_info().currsize == 0

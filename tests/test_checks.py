@@ -185,6 +185,21 @@ def test_propagation_check(name, e):
     assert res.passed, res.witness
 
 
+@pytest.mark.parametrize("n,batch", [(0, 1), (1, 2)])
+def test_propagation_pulls_each_distinct_element_back_once(monkeypatch, n, batch):
+    # at n = 0, (d d')^0(a) is a itself; the batch [a, a] pulled it back
+    # through psi twice (2.3 s of the check on the hard pair deep4)
+    e = dict(PAIRS)["composite"]
+    sizes = []
+    pull = endos.MembershipSolver._pull_back
+    monkeypatch.setattr(
+        endos.MembershipSolver, "_pull_back", lambda s, b: sizes.append(len(b)) or pull(s, b)
+    )
+    res = check_propagation(e, apply_endo(e, Y**2 * X**3), n)
+    assert res.passed, res.witness
+    assert sizes == [batch]
+
+
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_eigvec_tables_check(name, e):
     res = check_eigvec_tables(e, 3, 3)

@@ -1,5 +1,6 @@
 """Normal-form arithmetic: oracle agreement, ring axioms, symmetries."""
 
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from weyl1 import (
     theta,
     theta_prime,
 )
-from weyl1.core import powers
+from weyl1.core import _bracket_coeffs, _reorder, powers
 
 
 def test_additive_identity_and_cancellation():
@@ -91,6 +92,9 @@ def _oracle_table(a):
 @example(Y**2 + 3, Y**3 - rat(1, 2))  # every pair commutes
 @example(X**2 + 2 * Y, Y**3 + rat(2, 3) * X)  # one side per pair
 @example(Y * X**2 - rat(1, 2) * Y**2 * X, 5 * Y**2 * X**3)  # both sides
+@example(H, H)  # both sides, and their difference vanishes
+@example(Y**2 * X**2, Y**2 * X**2)
+@example(H, Y**2 * X**2)  # so does this one: Y^2 X^2 = H (H + 1)
 def test_product_and_bracket_match_the_rewrite_oracle(a, b):
     ta, tb = _oracle_table(a), _oracle_table(b)
     ab, ba = oracle_mul(ta, tb), oracle_mul(tb, ta)
@@ -98,6 +102,20 @@ def test_product_and_bracket_match_the_rewrite_oracle(a, b):
     bracket = WeylElement(ab) - WeylElement(ba)
     assert commutator(a, b) == bracket
     assert commutator(b, a) == -bracket
+
+
+def test_bracket_coeffs_are_the_differences_of_the_reorder_table():
+    # m_k(j1, i2) - m_k(j2, i1) for k >= 1, the shorter side padded by 0
+    for j1, i2, j2, i1 in itertools.product(range(1, 5), repeat=4):
+        left, right = _reorder(j1, i2), _reorder(j2, i1)
+        width = max(len(left), len(right))
+        want = [
+            (left[k] if k < len(left) else 0) - (right[k] if k < len(right) else 0)
+            for k in range(1, width)
+        ]
+        assert list(_bracket_coeffs(j1, i2, j2, i1)) == want
+    assert _bracket_coeffs(1, 1, 1, 1) == (0,)  # [YX, YX] = 0
+    assert callable(_bracket_coeffs.cache_clear)
 
 
 def test_ring_axioms_on_random_triples():

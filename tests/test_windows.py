@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weyl1 import (
@@ -38,10 +38,11 @@ from weyl1 import (
     nilpotent_closure_window,
     rat,
 )
-from oracles import from_columns, matrix_parts
+from oracles import from_columns, matrix_parts, window_meet
 from test_endos import _GENERATORS
 from test_fake_pairs import FAKE_PAIRS
 from weyl1 import canonical_config, linalg, windows
+from weyl1.core import powers
 from weyl1.linalg import rank
 from weyl1.maps import LinearMap, nilpotency_degree
 from weyl1.serialize import recipe_from_doc
@@ -516,18 +517,19 @@ def test_certified_closure_matches_iteration_on_other_maps():
 def test_closure_applies_the_map_only_along_the_orbits_of_x_and_y(monkeypatch):
     # composite ad(y) at cap 4 and max_iter 17 applied the map 135 times
     # when every monomial was iterated; the certificate iterates only X
-    # (nu = 5) and Y (nu = 3), and then delta reads its factors' indices:
-    # at max_iter 9 only ad(x)'s bounds (at most 9) certify delta, so
-    # delta must take the least of its factors' bounds
+    # (nu = 5) and Y (nu = 3), each from its cached first image, so 4 + 2
+    # applications, and then delta reads its factors' indices: at
+    # max_iter 9 only ad(x)'s bounds (at most 9) certify delta, so delta
+    # must take the least of its factors' bounds
     e = _CANONICAL_PAIRS["composite"]
     win = Window(W11, 4)
     calls = []
     apply = LinearMap.__call__
     monkeypatch.setattr(LinearMap, "__call__", lambda m, a: calls.append(m) or apply(m, a))
     assert nilpotent_closure_window(ad(e.y), win, 17) == win.basis_elements()
-    assert len(calls) <= 8
+    assert len(calls) <= 6
     dl, ax, ay, _ = _check_order(e)
-    for m, max_iter, count in ((ay, 17, 8), (ay, 17, 0), (ax, 17, 5), (dl, 17, 0), (dl, 9, 0)):
+    for m, max_iter, count in ((ay, 17, 6), (ay, 17, 0), (ax, 17, 3), (dl, 17, 0), (dl, 9, 0)):
         calls.clear()
         assert nilpotent_closure_window(m, win, max_iter) == win.basis_elements()
         assert len(calls) == count
@@ -636,6 +638,50 @@ def test_chain_basis_of_a_dependent_rational_spanning_set():
     want = build_chain_basis(dl, [ONE, H, H**2, H**3])
     elems = [rat(1, 3) * ONE, rat(2, 5) * H, H + rat(1, 7) * H**2, rat(-5, 2) * H**2, H**3 - H]
     assert build_chain_basis(dl, elems) == want
+
+
+# few monomials, so that parts outside a window often cancel in a combination
+_SLICED_ELEMENTS = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (0, 3), (2, 2), (4, 0), (3, 1)]),
+    st.fractions(-4, 4, max_denominator=3).filter(bool),
+    max_size=3,
+).map(WeylElement)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(_SLICED_ELEMENTS, max_size=8),
+    st.sampled_from([W11, Weight(1, 2), Weight(2, 1)]),
+    st.integers(0, 4),
+)
+@example([X**3 + X, X**3 - rat(1, 2) * Y, Y**4], W11, 1)  # outside parts cancel
+@example([X**3, Y**4 + H], W11, 2)  # nothing is left in the window
+@example([], W11, 2)
+def test_window_meet_matches_the_three_step_oracle(elems, weight, cap):
+    win = Window(weight, cap)
+    assert win.meet(elems) == window_meet(win, elems)
+
+
+@pytest.mark.parametrize("cap", [4, 6])
+@pytest.mark.parametrize("name", ["triangular-x2", "composite"])
+def test_window_meet_takes_one_echelon(monkeypatch, name, cap):
+    # the slice check_kernel_delta cuts: the kernel of the outside parts,
+    # then the basis of the combinations, took three
+    made = []
+    init = linalg._Echelon.__init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    e = _CANONICAL_PAIRS[name]
+    elems = powers(e.x, 2 * cap) + powers(e.y, 2 * cap)[1:]
+    win = Window(W11, cap)
+    monkeypatch.setattr(linalg._Echelon, "__init__", counting)
+    got = win.meet(elems)
+    assert len(made) == 1
+    monkeypatch.undo()
+    assert got == window_meet(win, elems)
 
 
 @pytest.mark.parametrize("length", [2, 5, 9])
