@@ -57,6 +57,7 @@ from .core import (
     Y,
     EndoPair,
     WeylElement,
+    _product_sum,
     apply_endo,
     commutator,
     format_element,
@@ -286,9 +287,11 @@ def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> Chec
     for d and c = 1 for d'.
 
     The samples and their products come from `_product_samples`, which
-    every pair shares.  Both rules read the one a*b of a sample, and the
-    localized rules, on the first five samples, embed the m(ab), m(a) b,
-    a m(b), m(a) and [b, right] the polynomial rule formed.
+    every pair shares.  Both rules read the one a*b of a sample.  A rule
+    holds iff its residual m(ab) - m(a) b - a m(b) - [left, a][b, right],
+    summed in one term map (`core._product_sum`), is empty.  The localized
+    rules, on the first five samples, embed the m(ab), m(a) and [b, right]
+    the polynomial rule read, and m(a) b and a m(b), formed for them.
     """
     rules = [("d", d_yx(e), e.y, e.x), ("d'", d_xy(e), e.x, e.y)]
     localized = e.is_identity()
@@ -296,12 +299,12 @@ def check_product_rules(e: EndoPair, samples: int, seed: int = 20260809) -> Chec
     formed = []  # per localized sample and rule: m(ab), m(a) b, a m(b), m(a), [b, right]
     for k, (a, b, ab) in enumerate(_product_samples(samples, seed)):
         for r, (name, m, left, right) in enumerate(rules):
-            mab, ma, br = m(ab), m(a), commutator(b, right)
-            ma_b, a_mb = ma * b, a * m(b)
-            if mab != ma_b + a_mb + commutator(left, a) * br:
+            mab, ma, mb, br = m(ab), m(a), m(b), commutator(b, right)
+            residual = [(1, mab, ONE), (-1, ma, b), (-1, a, mb), (-1, commutator(left, a), br)]
+            if _product_sum(residual):
                 problems.append(f"{name} product rule fails on sample {k}")
             if localized and k < 5:
-                formed.append((k, r, mab, ma_b, a_mb, ma, br))
+                formed.append((k, r, mab, ma * b, a * mb, ma, br))
     if localized:
         # (h - c)^-1 for c = 0, 1: the denominators of d and d'
         inverses = [graded_component(0, ratfun([1], [-c, 1])) for c in (0, 1)]

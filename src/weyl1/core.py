@@ -20,6 +20,9 @@ coefficients, which dominate the verification suite, have den 1 and
 skip the gcd.  A mapping comes in only through the constructor, which
 clears it once (`integral`).  `terms()`, `coefficient()` and
 `scalar_value()` build their Rat values on each call and keep none.
+Printing reads the cleared form too: `format_element` and the element
+documents of `serialize` reduce each numerator against the denominator
+by one gcd and build no Rat.
 
 Products are normal ordered with the closed form
 
@@ -34,14 +37,17 @@ k = 0 terms cancel, so
         = sum_{k>=1} (m_k(j1, i2) - m_k(j2, i1)) * Y^(i1+i2-k) * X^(j1+j2-k).
 
 m_k(b, c) = 0 for k >= 1 when b or c is 0.  So a product pair with X^0
-or Y^0 in the middle is the one term Y^(i1+i2) X^(j1+j2), and a bracket
-pair reads a side only when both of its exponents are nonzero; a pair
-with neither side commutes and is skipped.  `_bracket` runs that loop on
-cleared numerators, for `commutator` and for the map images of `maps`.
-A pair with both sides reads its differences m_k(j1, i2) - m_k(j2, i1),
-k >= 1, from a table memoized by (j1, i2, j2, i1), `_bracket_coeffs`; a
-pair with one side reads that side's m_k, its sign carried by the
-coefficient.
+or Y^0 in the middle is the one term Y^(i1+i2) X^(j1+j2).  One kernel,
+`_mul_into`, adds f * P * Q into a caller's int term map: a product, each
+term of `theta`, and the several products of an `apply_endo` image or a
+product-rule residual (`_product_sum`) go into one map, reduced once.
+A bracket pair reads a side only when both of its exponents are nonzero;
+a pair with neither side commutes and is skipped.  `_bracket` runs that
+loop on cleared numerators, for `commutator` and for the map images of
+`maps`.  A pair with both sides reads its differences m_k(j1, i2) -
+m_k(j2, i1), k >= 1, from a table memoized by (j1, i2, j2, i1),
+`_bracket_coeffs`; a pair with one side reads that side's m_k, its sign
+carried by the coefficient.
 
 The test suite validates both against the one-step rewriting oracle
 XY -> YX - 1.
@@ -57,10 +63,14 @@ from math import gcd, lcm
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import UnverifiedEndoError
-from .scalars import RAT_ONE, Rat, coeff, integral, rat_str
+from .scalars import Rat, coeff, integral, rat_str
 
 ExponentPair = Tuple[int, int]
 Scalar = Union[int, str, Rat]
+
+
+def _canonical(term) -> Tuple[int, int]:  # the (i+j, i) order of `terms`
+    return term[0][0] + term[0][1], term[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -110,10 +120,7 @@ class WeylElement:
     def terms(self) -> Iterable[Tuple[ExponentPair, Rat]]:
         """Term stream in the canonical (i+j, i) ascending order."""
         den = self._den
-        return sorted(
-            ((key, Rat(c, den)) for key, c in self._ints.items()),
-            key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
-        )
+        return sorted(((key, Rat(c, den)) for key, c in self._ints.items()), key=_canonical)
 
     def support(self):
         return set(self._ints)
@@ -162,30 +169,11 @@ class WeylElement:
         return _sum(other, self, -1)
 
     def __mul__(self, other):
-        """Normal-ordered product by the closed form on the cleared forms;
-        a term pair with X^0 or Y^0 in the middle goes straight into its
-        one key."""
+        """Normal-ordered product: `_mul_into` a fresh map."""
         if not isinstance(other, WeylElement):
             return self._scaled(other)
         acc: dict = {}
-        for (i1, j1), c1 in self._ints.items():
-            for (i2, j2), c2 in other._ints.items():
-                c = c1 * c2
-                if not (j1 and i2):  # X^0 or Y^0 in the middle: one key
-                    key = (i1 + i2, j1 + j2)
-                    v = acc.get(key, 0) + c
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
-                    continue
-                for k, m in enumerate(_reorder(j1, i2)):
-                    key = (i1 + i2 - k, j1 + j2 - k)
-                    v = acc.get(key, 0) + c * m
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
+        _mul_into(acc, self._ints, other._ints, 1)
         return WeylElement._cleared(acc, self._den * other._den)
 
     def __rmul__(self, other):
@@ -264,6 +252,42 @@ def _sum(a: WeylElement, b: WeylElement, sign: int) -> WeylElement:
         else:
             out.pop(key, None)
     return WeylElement._cleared(out, den)
+
+
+def _mul_into(acc: dict, p: dict, q: dict, f: int) -> None:
+    """Add f * P * Q into the int term map acc, normal ordered by the
+    closed form on the int term maps p and q (only read); a term pair with
+    X^0 or Y^0 in the middle goes straight into its one key."""
+    terms = p.items() if f == 1 else [(key, f * v) for key, v in p.items()]
+    for (i1, j1), c1 in terms:
+        for (i2, j2), c2 in q.items():
+            c = c1 * c2
+            if not (j1 and i2):  # X^0 or Y^0 in the middle: one key
+                key = (i1 + i2, j1 + j2)
+                v = acc.get(key, 0) + c
+                if v:
+                    acc[key] = v
+                else:
+                    acc.pop(key, None)
+                continue
+            for k, m in enumerate(_reorder(j1, i2)):
+                key = (i1 + i2 - k, j1 + j2 - k)
+                v = acc.get(key, 0) + c * m
+                if v:
+                    acc[key] = v
+                else:
+                    acc.pop(key, None)
+
+
+def _product_sum(terms: List[Tuple[int, WeylElement, WeylElement]]) -> WeylElement:
+    """sum s * P * Q over (int s, P, Q) triples, each product added by
+    `_mul_into` into one term map over the lcm of the products'
+    denominators, and reduced once."""
+    common = lcm(*[p._den * q._den for _, p, q in terms])
+    acc: dict = {}
+    for s, p, q in terms:
+        _mul_into(acc, p._ints, q._ints, s * (common // (p._den * q._den)))
+    return WeylElement._cleared(acc, common)
 
 
 def linear_combination(pairs: Iterable[Tuple[Scalar, WeylElement]]) -> WeylElement:
@@ -380,10 +404,12 @@ def powers(a: WeylElement, n: int) -> List[WeylElement]:
 
 def theta(a: WeylElement) -> WeylElement:
     """The automorphism X -> Y, Y -> -X (hence H -> -H + 1)."""
-    # substitute, then normal order: (-X)^i * Y^j
-    return _combine([
-        (-c if i % 2 else c, a._den, (X**i * Y**j)._ints) for (i, j), c in a._ints.items()
-    ])
+    # substitute, then normal order: c (-X)^i Y^j, each term's X^i Y^j
+    # added by `_mul_into` straight into one map
+    acc: dict = {}
+    for (i, j), c in a._ints.items():
+        _mul_into(acc, {(0, i): 1}, {(j, 0): 1}, -c if i % 2 else c)
+    return WeylElement._cleared(acc, a._den)
 
 
 def theta_prime(a: WeylElement) -> WeylElement:
@@ -439,7 +465,8 @@ def apply_endo_batch(e: EndoPair, batch: Sequence[WeylElement]) -> List[WeylElem
 
     The powers of y and x are formed once, up to the largest exponents
     the batch holds, and each image is grouped by powers of y:
-    sum_i y^i * (sum_j a[i,j] * x^j), one product per distinct i.
+    sum_i y^i * (sum_j a[i,j] * x^j), the products for all i added into
+    one map (`_product_sum`).
     """
     if not e.verified:
         raise UnverifiedEndoError(
@@ -452,9 +479,8 @@ def apply_endo_batch(e: EndoPair, batch: Sequence[WeylElement]) -> List[WeylElem
     for a in batch:
         rows: dict = {}  # i -> the cleared terms of sum_j a[i,j] * x^j
         for (i, j), c in a._ints.items():
-            rows.setdefault(i, []).append((c, x_pow[j]._den, x_pow[j]._ints))
-        images = [y_pow[i] * _combine(row) for i, row in rows.items()]
-        out.append(_combine([(1, a._den * el._den, el._ints) for el in images]))
+            rows.setdefault(i, []).append((c, a._den * x_pow[j]._den, x_pow[j]._ints))
+        out.append(_product_sum([(1, y_pow[i], _combine(row)) for i, row in rows.items()]))
     return out
 
 
@@ -470,22 +496,21 @@ def _format_monomial(i: int, j: int) -> str:
     return "*".join(parts)
 
 
+def _printed_terms(a: WeylElement) -> Iterable[Tuple[int, int, bool, str]]:
+    """(i, j, c < 0, |c| as "p" or "p/q") per term c Y^i X^j in the order
+    of `terms`, read off the cleared form: one gcd per coefficient, no Rat."""
+    den = a._den
+    for (i, j), n in sorted(a._ints.items(), key=_canonical):
+        g = gcd(n, den)
+        yield i, j, n < 0, rat_str(abs(n) // g, den // g)
+
+
 def format_element(a: WeylElement) -> str:
     """Canonical form, terms sorted by (i+j, i) ascending; parses back."""
-    if a.is_zero():
-        return "0"
     chunks = []
-    for (i, j), c in a.terms():
+    for i, j, negative, mag in _printed_terms(a):
         mono = _format_monomial(i, j)
-        mag = abs(c)
-        if mono and mag == RAT_ONE:
-            body = mono
-        elif mono:
-            body = f"{rat_str(mag)}*{mono}"
-        else:
-            body = rat_str(mag)
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+        body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+        sign = ("- " if negative else "+ ") if chunks else ("-" if negative else "")
+        chunks.append(sign + body)
+    return " ".join(chunks) or "0"

@@ -8,8 +8,9 @@ Together they give the product of two components in closed form,
 
     alpha v_m * beta v_n = alpha * sigma^m(beta) * c_mn(H) * v_(m+n),
 
-with c_mn a run of shifted linear factors H + k (see `localized_mul`),
-so `localized_mul` reduces one rational function per pair of components.
+with c_mn a run of shifted linear factors H + k (see `localized_mul`).
+`localized_mul` sums the products that land in one component over one
+denominator and reduces one rational function per component.
 
 Cleared form.  A polynomial in H (`Poly`) is a tuple of Rat coefficients,
 ascending degree, zero = (), every entry a Rat even when integral; inside,
@@ -69,8 +70,8 @@ def _out(ints: Iterable[int], den: int, f: int = 1) -> Poly:
 def _mul(a: Ints, b: Ints) -> List[int]:
     if len(a) < len(b):
         a, b = b, a
-    if len(b) < 2:
-        return [x * b[0] for x in a] if b else []
+    if len(b) < 2:  # a constant factor; 1, the most frequent, is a copy
+        return [] if not b else list(a) if b[0] == 1 else [x * b[0] for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -291,11 +292,7 @@ def _ratfun(n: Ints, d: Ints, c: int) -> RatFun:
 
 
 def rf_add(a: RatFun, b: RatFun) -> RatFun:
-    c = lcm(a.c, b.c)
-    fa, fb = c // a.c, c // b.c
-    if a.d == b.d:
-        return _ratfun(_axpy(fa, a.n, fb, b.n), a.d, c)
-    return _ratfun(_axpy(fa, _mul(a.n, b.d), fb, _mul(b.n, a.d)), _mul(a.d, b.d), c)
+    return _rf_sum([(f.n, f.d, f.c) for f in (a, b)])
 
 
 def rf_neg(a: RatFun) -> RatFun:
@@ -480,18 +477,45 @@ def localized_mul(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
     c_mn is the product of the linear factors H + k that the contractions
     X*Y = H - 1 and Y*X = H leave, k running over [max(0, -m-n), -m) for
     n > 0 and over [-m, min(-m-n, 0)) for n < 0; the run is empty, and
-    c_mn = 1, unless m and n have opposite signs.
+    c_mn = 1, unless m and n have opposite signs.  The products are formed
+    unreduced, and those that land in one component are summed over one
+    denominator (`_rf_sum`): one reduction per component.
     """
-    total: Dict[int, RatFun] = {}
+    parts: Dict[int, list] = {}  # m + n -> the (alpha, sigma^m(beta), c_mn) landing there
     for n, beta in b.components.items():
         for m, alpha in a.components.items():
             if n > 0:
                 c = _shifted_product(max(0, -m - n), -m)
             else:
                 c = _shifted_product(-m, min(-m - n, 0))
-            f = rf_mul(alpha, rf_shift(beta, m), c)
-            total[m + n] = rf_add(total[m + n], f) if m + n in total else f
-    return LocalizedElement(total)
+            parts.setdefault(m + n, []).append((alpha, rf_shift(beta, m), c))
+    out = object.__new__(LocalizedElement)  # RatFuns only, the zeros dropped here
+    out.components = {}
+    for k, fs in parts.items():
+        if len(fs) == 1:
+            f = rf_mul(*fs[0])
+        else:
+            f = _rf_sum(
+                [(_mul(_mul(p.n, q.n), c), tuple(_mul(p.d, q.d)), p.c * q.c) for p, q, c in fs])
+        if f.n:
+            out.components[k] = f
+    return out
+
+
+def _rf_sum(terms) -> RatFun:
+    """The sum of the RatFuns n / (c * d) over (n, d, c) triples, with one
+    reduction: over the lcm of the c times the product of the distinct d."""
+    k = lcm(*[c for _, _, c in terms])
+    dens = dict.fromkeys(d for _, d, _ in terms)
+    num: List[int] = []
+    den: Ints = (1,)
+    for e in dens:
+        den = _mul(den, e)
+    for n, d, c in terms:
+        for e in dens:
+            n = n if e == d else _mul(n, e)
+        num = _axpy(1, num, k // c, n)
+    return _ratfun(num, den, k)
 
 
 def in_A1(a: LocalizedElement) -> Tuple[bool, Optional[WeylElement]]:

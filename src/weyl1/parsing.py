@@ -14,16 +14,16 @@ minus exists so canonical printer output like "-1 + Y*X" parses back.
 format_element (re-exported here as print_element) and parse are mutually
 inverse on canonical forms.  The descent turns one token stream into a
 postfix program, run only once the whole text has parsed: a syntax error
-is reported before any power is formed.
+is reported before any power is formed.  A `+`/`-` chain is one op, its
+terms added into one term map over one denominator (`core._combine`).
 """
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 
-from .core import H, ZERO, WeylElement, X, Y, commutator, format_element
+from .core import H, ZERO, WeylElement, X, Y, _combine, commutator, format_element
 
 MAX_EXPONENT = 4096
 #: Deepest nesting of parentheses and commutator brackets.  The parser
@@ -63,8 +63,10 @@ _GENERATORS = {"X": X, "Y": Y, "H": H}
 
 class _Parser:
     """Recursive descent that appends the postfix program: an element is
-    pushed, "+", "-", "*" and "[" (commutator) pop two operands, "neg"
-    negates the top and an int raises it to that power."""
+    pushed, "*" and "[" (commutator) pop two operands, an int raises the
+    top to that power, and a tuple of signs +-1 pops one operand per sign
+    and pushes their signed sum (a `+`/`-` chain, its leading minus the
+    first sign)."""
 
     def __init__(self, text: str):
         self.tokens = []
@@ -96,13 +98,13 @@ class _Parser:
         return tok
 
     def expr(self) -> None:
-        negate = self.accept("-")
+        signs = [-1 if self.accept("-") else 1]
         self.term()
-        if negate:
-            self.program.append("neg")
         while op := self.accept("+", "-"):
             self.term()
-            self.program.append(op[0])
+            signs.append(1 if op[0] == "+" else -1)
+        if signs != [1]:
+            self.program.append(tuple(signs))
 
     def term(self) -> None:
         self.factor()
@@ -145,7 +147,7 @@ class _Parser:
             raise ParseError(f"expected an atom, found {text!r}", pos)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "[": commutator}
+_BINARY = {"*": WeylElement.__mul__, "[": commutator}
 
 
 def parse(text: str) -> WeylElement:
@@ -161,8 +163,10 @@ def parse(text: str) -> WeylElement:
             stack.append(op)
         elif isinstance(op, int):
             stack[-1] = stack[-1] ** op
-        elif op == "neg":
-            stack[-1] = -stack[-1]
+        elif isinstance(op, tuple):
+            terms = stack[-len(op):]
+            del stack[-len(op):]
+            stack.append(_combine([(s, t._den, t._ints) for s, t in zip(op, terms)]))
         else:
             rhs = stack.pop()
             stack[-1] = _BINARY[op](stack[-1], rhs)

@@ -85,17 +85,18 @@ def integral(entries: dict):
     }, den
 
 
-def rat_str(q) -> str:
-    """Canonical string form: "p" when the denominator is 1, else "p/q".
+def rat_str(q, den: int = 1) -> str:
+    """Canonical string form of a Rat q, or of an int q over a coprime
+    den > 1: "p" when the denominator is 1, else "p/q".
 
     Python prints ints of at most `sys.get_int_max_str_digits()` digits
     (4300 by default); a longer numerator or denominator is a DomainError
     naming its size and that limit.  The limit itself is left as it is.
     """
     try:
-        return str(q)
+        return str(q) if den == 1 else f"{q}/{den}"
     except ValueError:
-        bits = max(abs(q.numerator), q.denominator).bit_length()
+        bits = max(abs(q.numerator), q.denominator * den).bit_length()
         raise DomainError(
             f"cannot print a coefficient of about {int(bits * log10(2)) + 1} digits:"
             f" integers print with at most {sys.get_int_max_str_digits()} digits"

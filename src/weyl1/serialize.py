@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .core import EndoPair, WeylElement, build_endo, format_element
+from .core import EndoPair, WeylElement, _printed_terms, build_endo, format_element
 from .degrees import Polygon, Weight
 from .endos import EndoRecipe, Membership, add_poly_x, add_poly_y, linear
 from .gwa import poly_str, to_graded
@@ -66,7 +66,8 @@ def element_to_doc(a: WeylElement) -> dict:
         "version": VERSION,
         "basis": "YX",
         "terms": [
-            {"y": i, "x": j, "c": rat_str(c)} for (i, j), c in a.terms()
+            {"y": i, "x": j, "c": "-" + mag if negative else mag}
+            for i, j, negative, mag in _printed_terms(a)
         ],
     }
 

@@ -22,6 +22,10 @@ The product inverse of the graded view sums each graded component over
 the powers of H = Y*X and multiplies by X^n or Y^m in the algebra, the
 reference for the closed Stirling-number inverse in `gwa.from_graded`.
 
+The substitution `theta` and the Rat-based printer are the references
+for `core.theta` and `core.format_element`, which read the cleared form
+with no intermediate element or Rat per term.
+
 The dense matrix surface turns rational rows and vectors into the
 cleared rows `linalg` takes and reads its cleared results back as dense
 Fraction rows, so tests can state matrices as lists and compare with
@@ -151,6 +155,39 @@ def oracle_from_graded(g):
         (1, linear_combination(zip(p, h_pows)) * (monomial(0, n) if n >= 0 else monomial(-n, 0)))
         for n, p in sorted(comps.items())
     )
+
+
+def oracle_theta(a):
+    """theta(a) by substitution: each term c Y^i X^j becomes c (-X)^i Y^j,
+    formed by powers and a product.  The package adds each term's
+    X^i Y^j straight into one map instead."""
+    from weyl1 import X, Y
+    from weyl1.core import linear_combination
+
+    return linear_combination((c, (-X) ** i * Y**j) for (i, j), c in a.terms())
+
+
+def oracle_format_element(a):
+    """The canonical text of an element, built from its Rat terms: the
+    reference for `core.format_element`, which reads the cleared form."""
+    from weyl1.scalars import rat_str
+
+    chunks = []
+    for (i, j), c in a.terms():
+        powers = [f"{v}^{n}" if n > 1 else v for v, n in (("Y", i), ("X", j)) if n]
+        mono = "*".join(powers)
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{rat_str(mag)}*{mono}"
+        else:
+            body = rat_str(mag)
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks) or "0"
 
 
 class SlackMembershipSolver:

@@ -137,6 +137,36 @@ def test_product_rules_fail_where_a_map_is_replaced(monkeypatch, mutant, name):
     ] + [f"localized {rule} rule fails on sample {k}" for k in localized]
 
 
+@pytest.mark.parametrize("monomial", [(1, 1), (0, 2)], ids=["H", "X^2"])
+@pytest.mark.parametrize("mutant", ["d_yx", "d_xy"])
+@pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
+def test_product_rules_fail_exactly_where_a_map_is_wrong_on_one_monomial(
+    monkeypatch, name, e, mutant, monomial
+):
+    # m(u) + u[M] * Y^3 X^5: wrong on the monomial M alone.  The residual
+    # of a sample is then u[M]-terms of ab, a and b, so the rule fails on
+    # exactly the samples with M in a, b or ab (none of whose factors is
+    # a scalar, on which a linear error on one monomial would cancel)
+    right = getattr(checks, mutant)
+    error = WeylElement({(3, 5): 1})
+
+    def wrong(pair):
+        m = right(pair)
+        return lambda u: m(u) + u.coefficient(*monomial) * error
+
+    monkeypatch.setattr(checks, mutant, wrong)
+    drawn = checks._product_samples(10, 20260809)
+    assert not any(a.is_scalar() or b.is_scalar() for a, b, _ in drawn)
+    hit = [k for k, sample in enumerate(drawn) if any(monomial in u.support() for u in sample)]
+    rule = {"d_yx": "d", "d_xy": "d'"}[mutant]
+    localized = [k for k in hit if k < 5] if name == "identity" else []
+    res = check_product_rules(e, 10)
+    assert hit and not res.passed
+    assert res.witness["problems"] == [
+        f"{rule} product rule fails on sample {k}" for k in hit
+    ] + [f"localized {rule} rule fails on sample {k}" for k in localized]
+
+
 @pytest.mark.parametrize("name,e", PAIRS, ids=[n for n, _ in PAIRS])
 def test_kernel_delta_check(name, e):
     res = check_kernel_delta(e, 4)

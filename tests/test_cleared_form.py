@@ -6,8 +6,10 @@ form.  Every operation must hand back the canonical cleared form, and
 its value must agree with the rewrite oracle.  `==` and `hash` read the
 cleared form, so both must agree between an element built from a
 mapping and the same value built by arithmetic; a scalar element hashes
-as its value, which it equals.  Powers, pull-backs and commutators of
-rational elements must form no Fraction until their terms are read.
+as its value, which it equals.  Powers, pull-backs, commutators and
+`theta` of rational elements must form no Fraction until their terms are
+read, and neither must printing them (`format_element`,
+`element_to_doc`).
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_monomial_product, oracle_mul
+from oracles import oracle_format_element, oracle_monomial_product, oracle_mul
 from test_stored_form import (
     NONZERO,
     RATIONAL_PAIR,
@@ -39,12 +41,14 @@ from weyl1 import (
     d_xy,
     d_yx,
     delta_xy,
+    format_element,
     monomial,
     scalar,
     theta,
 )
 from weyl1.core import linear_combination, powers
 from weyl1.maps import ad
+from weyl1.serialize import element_to_doc
 
 # the composite pair of the canonical verify config
 COMPOSITE = compile_recipe(EndoRecipe(generators=(add_poly_x([0, 0, 1]), add_poly_y([0, 0, 1]))))
@@ -210,9 +214,16 @@ def test_arithmetic_forms_no_fraction_until_terms_are_read(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    outs = [a**5, apply_endo(COMPOSITE, a), commutator(a, b)]
+    outs = [a**5, apply_endo(COMPOSITE, a), commutator(a, b), theta(a)]
+    texts = [format_element(out) for out in outs]
+    docs = [element_to_doc(out) for out in outs]
     assert made[0] == 0
     assert all(out._den > 1 for out in outs)
     for out in outs:
         out.terms()
     assert made[0] > 0
+    monkeypatch.undo()
+    assert texts == [oracle_format_element(out) for out in outs]
+    assert [doc["terms"] for doc in docs] == [
+        [{"y": i, "x": j, "c": str(c)} for (i, j), c in out.terms()] for out in outs
+    ]

@@ -5,9 +5,10 @@ primitive and of positive lead, gcd(c, content n) = 1 and gcd(n, d) = 1.
 A `GradedElement` is int rows over their least common denominator.  Both
 forms are canonical, so every constructor and every operation must hand
 one back, and `==` and `hash` compare it.  The arithmetic builds no Rat
-until `num`, `den` or `components` is read, and `from_graded`, the closed
-Stirling-number inverse of `to_graded`, must agree with the product
-oracle.
+until `num`, `den` or `components` is read, nor does printing the
+elements it hands back (`format_element`, `element_to_doc`), and
+`from_graded`, the closed Stirling-number inverse of `to_graded`, must
+agree with the product oracle.
 """
 
 import copy
@@ -20,9 +21,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_from_graded, random_element
+from oracles import oracle_format_element, oracle_from_graded, random_element
 from test_gwa_ints import COEFFS, LOCALIZED, NONZERO_POLYS, POLYS, RATFUNS, SHIFTS, elements
-from weyl1 import H, X, Y, embed, from_graded, gwa, in_A1, localized_mul, ratfun, to_graded
+from weyl1 import (
+    H,
+    X,
+    Y,
+    embed,
+    format_element,
+    from_graded,
+    gwa,
+    in_A1,
+    localized_mul,
+    ratfun,
+    to_graded,
+)
 from weyl1.core import linear_combination, monomial
 from weyl1.gwa import (
     GradedElement,
@@ -38,6 +51,7 @@ from weyl1.gwa import (
     rf_shift,
 )
 from weyl1.scalars import Rat
+from weyl1.serialize import element_to_doc
 
 NONZERO_SCALARS = COEFFS.filter(bool)
 # a point that is no root of any denominator drawn here: by the rational
@@ -244,9 +258,14 @@ def test_graded_and_localized_arithmetic_builds_no_rat_until_read(monkeypatch):
     ga = to_graded(a)
     back = from_graded(ga)
     member = in_A1(w3)
+    printed = [format_element(back), element_to_doc(member[1])["terms"]]
     assert (CountingRat.made, fractions[0]) == (0, 0)
     monkeypatch.undo()
     assert back == a and member[0] and prod == embed(a * b)
+    assert printed == [
+        oracle_format_element(a),
+        [{"y": i, "x": j, "c": str(c)} for (i, j), c in member[1].terms()],
+    ]
     monkeypatch.setattr(gwa, "Rat", CountingRat)
     for out in outs + list(prod.components.values()):
         out.num, out.den

@@ -39,6 +39,13 @@ def test_rationals_and_unary_minus():
     assert parse("-1 + Y*X") == H - 1
     assert parse("0") == ZERO
     assert parse("2/4") == rat(1, 2) * ONE
+    # a +/- chain is one signed sum, its leading minus the first sign
+    assert parse("-X^2") == -(X**2)
+    assert parse("-X + Y - H") == -X + Y - H
+    assert parse("-2/3*X^2 + Y - 1/2") == -rat(2, 3) * X**2 + Y - rat(1, 2)
+    assert parse("X - X") == ZERO and parse("-0") == ZERO
+    assert parse("-(X - Y) - (-1)") == Y - X + 1
+    assert parse("[X, -Y + X] - (-X^2)") == X**2 + 1
 
 
 def test_no_implicit_multiplication():
@@ -173,3 +180,15 @@ _COEFFS = st.builds(
 def test_print_then_parse_is_the_identity(terms):
     a = WeylElement(terms)
     assert parse(print_element(a)) == a
+
+
+_SMALL = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFFS, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL, _SMALL, _SMALL)
+def test_signed_sums_of_printed_elements(ta, tb, tc):
+    a, b, c = WeylElement(ta), WeylElement(tb), WeylElement(tc)
+    fa, fb, fc = map(print_element, (a, b, c))
+    assert parse(f"-({fa}) + ({fb}) - ({fc})") == -a + b - c
+    assert parse(f"{fa} - ({fb})") == a - b
