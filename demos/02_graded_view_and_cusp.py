@@ -24,7 +24,6 @@ from weyl1 import (
     supp_monoid,
     to_graded,
 )
-from weyl1.gwa import poly, poly_mul
 
 print("Graded components of a few elements:")
 for el, label in ((Y**2 * X**2, "Y^2*X^2"), (Y * X**2, "Y*X^2"), (X + Y, "X + Y")):
@@ -37,7 +36,7 @@ print("  v(H^3)   =", graded_degree(H**3))
 print("\nThe twist: moving a polynomial in H past X shifts its argument:")
 print("  X * H =", localized_mul(embed(X), embed(H)), " (that is, (H-1) X)")
 
-w = graded_component(1, ratfun(poly_mul(poly([0, 1]), poly([-2, 1])), poly([-1, 1])))
+w = graded_component(1, ratfun([0, -2, 1], [-1, 1]))
 print("\nThe localized element w = H (H-1)^{-1} (H-2) X:")
 print("  w =", w)
 print("  w in the plain algebra?", in_A1(w)[0])

@@ -49,6 +49,7 @@ from .endos import (
     add_poly_x,
     add_poly_y,
     compile_recipe,
+    decompose,
     linear,
     subalgebra_membership,
 )

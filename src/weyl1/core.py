@@ -20,9 +20,11 @@ coefficients, which dominate the verification suite, have den 1 and
 skip the gcd.  A mapping comes in only through the constructor, which
 clears it once (`integral`).  `terms()`, `coefficient()` and
 `scalar_value()` build their Rat values on each call and keep none.
-Printing reads the cleared form too: `format_element` and the element
-documents of `serialize` reduce each numerator against the denominator
-by one gcd and build no Rat.
+Printing reads the cleared form too: `format_element`, the element
+documents of `serialize` and the H-polynomials of `gwa` reduce each
+numerator against the denominator by one gcd (`_printed_terms`) and
+build no Rat; `format_element` and `gwa.poly_str` share one term joiner,
+`_join_terms`, and differ only in how a monomial is named.
 
 Products are normal ordered with the closed form
 
@@ -487,7 +489,8 @@ def apply_endo_batch(e: EndoPair, batch: Sequence[WeylElement]) -> List[WeylElem
 # -- canonical printing ------------------------------------------------
 
 
-def _format_monomial(i: int, j: int) -> str:
+def _format_monomial(key: ExponentPair) -> str:
+    i, j = key
     parts = []
     if i:
         parts.append("Y" if i == 1 else f"Y^{i}")
@@ -496,21 +499,27 @@ def _format_monomial(i: int, j: int) -> str:
     return "*".join(parts)
 
 
-def _printed_terms(a: WeylElement) -> Iterable[Tuple[int, int, bool, str]]:
-    """(i, j, c < 0, |c| as "p" or "p/q") per term c Y^i X^j in the order
-    of `terms`, read off the cleared form: one gcd per coefficient, no Rat."""
-    den = a._den
-    for (i, j), n in sorted(a._ints.items(), key=_canonical):
+def _printed_terms(items: Iterable[Tuple[object, int]], den: int):
+    """(key, c < 0, |c| as "p" or "p/q") for each (key, n) with a nonzero
+    int n and c = n / den, in order: one gcd per coefficient, no Rat."""
+    for key, n in items:
         g = gcd(n, den)
-        yield i, j, n < 0, rat_str(abs(n) // g, den // g)
+        yield key, n < 0, rat_str(abs(n) // g, den // g)
 
 
-def format_element(a: WeylElement) -> str:
-    """Canonical form, terms sorted by (i+j, i) ascending; parses back."""
+def _join_terms(terms, name) -> str:
+    """The signed sum of `_printed_terms`, name(key) printing each monomial
+    ("" for the unit); "0" for no terms."""
     chunks = []
-    for i, j, negative, mag in _printed_terms(a):
-        mono = _format_monomial(i, j)
+    for key, negative, mag in terms:
+        mono = name(key)
         body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
         sign = ("- " if negative else "+ ") if chunks else ("-" if negative else "")
         chunks.append(sign + body)
     return " ".join(chunks) or "0"
+
+
+def format_element(a: WeylElement) -> str:
+    """Canonical form, terms sorted by (i+j, i) ascending; parses back."""
+    terms = _printed_terms(sorted(a._ints.items(), key=_canonical), a._den)
+    return _join_terms(terms, _format_monomial)

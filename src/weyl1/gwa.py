@@ -12,15 +12,18 @@ with c_mn a run of shifted linear factors H + k (see `localized_mul`).
 `localized_mul` sums the products that land in one component over one
 denominator and reduces one rational function per component.
 
-Cleared form.  A polynomial in H (`Poly`) is a tuple of Rat coefficients,
-ascending degree, zero = (), every entry a Rat even when integral; inside,
-an int polynomial is a list or tuple of ints without a trailing zero.  A
-`RatFun` holds ints and builds Rats only when `num` or `den` is read: it
-is (n / c) / d, an int tuple n over an int c > 0, divided by an int tuple
-d that is primitive with a positive lead, with gcd(c, content n) = 1 and
-gcd(n, d) = 1.  The form is canonical, so `==` and `hash` compare the
-triple, and d = (1,) for a polynomial.  A `GradedElement` is int rows
-over their least denominator; `components` builds its Polys.  Gcds come
+Cleared form.  A polynomial in H is held in one form, an int polynomial:
+a list or tuple of ints, ascending degree, without a trailing zero.  A
+`RatFun` is (n / c) / d, an int tuple n over an int c > 0, divided by an
+int tuple d that is primitive with a positive lead, with gcd(c, content
+n) = 1 and gcd(n, d) = 1.  The form is canonical, so `==` and `hash`
+compare the triple, and d = (1,) for a polynomial.  A `GradedElement` is
+int rows over their least denominator.  Every operation takes and
+returns these ints.  A `Poly`, a tuple of Rat coefficients in ascending
+degree, is only a read view: `poly` builds one from scalars, and
+`RatFun.num`/`den` and `GradedElement.components` build them on each
+read.  Printing reads the ints too: `poly_str(ints, den)` prints through
+the term joiner of `core.format_element`, one gcd per coefficient.  Gcds come
 from a primitive pseudo-remainder sequence (Collins, JACM 14, 1967; Brown
 & Traub, JACM 18, 1971); by Gauss's lemma, division by a primitive gcd is
 exact in ints and products of primitive polynomials are primitive.
@@ -29,6 +32,8 @@ H -> H - m is an automorphism of Z[H] that keeps leads and contents, so
 `from_graded` inverts it with p(H) Y^m = Y^m p(H - m) and the Stirling
 numbers of the second kind, H^k = sum_l (-1)^(k-l) S(k, l) Y^l X^l.  The
 maps and their inverses have int coefficients, so neither divides.
+Localized sums and differences reduce each component present on both
+sides once, by the sum over one denominator that `localized_mul` uses.
 """
 
 from __future__ import annotations
@@ -37,14 +42,13 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .core import WeylElement
+from .core import WeylElement, _join_terms, _printed_terms
 from .degrees import Weight, weighted_degree
-from .scalars import RAT_ONE, Rat, coeff, rat_str
+from .scalars import RAT_ONE, Rat, coeff
 
 Poly = Tuple[Rat, ...]
 Ints = Tuple[int, ...]
 
-POLY_ZERO: Poly = ()
 POLY_ONE: Poly = (RAT_ONE,)
 
 
@@ -61,10 +65,10 @@ def _clear(p: Iterable) -> Tuple[List[int], int]:
     return ints, den
 
 
-def _out(ints: Iterable[int], den: int, f: int = 1) -> Poly:
-    """The Poly f * ints / den, each coefficient a Rat built once (from a
+def _out(ints: Iterable[int], den: int) -> Poly:
+    """The Poly ints / den, each coefficient a Rat built once (from a
     list, which sizes the tuple exactly, as a generator does not)."""
-    return tuple([Rat(f * v, den) for v in ints])
+    return tuple([Rat(v, den) for v in ints])
 
 
 def _mul(a: Ints, b: Ints) -> List[int]:
@@ -147,7 +151,7 @@ def _shift(a: Ints, m: int) -> List[int]:
     return a
 
 
-# -- dense polynomials over the rationals -------------------------------
+# -- Rat-tuple views and printing ------------------------------------------
 
 
 def poly(coeffs) -> Poly:
@@ -155,46 +159,13 @@ def poly(coeffs) -> Poly:
     return _out(*_clear(coeffs))
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    a, da = _clear(p)
-    b, db = _clear(q)
-    return _out(_mul(a, b), da * db)
+def _h_power(k: int) -> str:
+    return "H" if k == 1 else f"H^{k}" if k else ""
 
 
-def poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    a, da = _clear(p)
-    b, db = _clear(q)
-    quo, rem, s = _divmod(a, b)
-    # s*a = quo*b + rem, so p = a/da = (quo*db / (s*da)) * (b/db) + rem / (s*da)
-    return _out(quo, s * da, db), _out(rem, s * da)
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd, by a primitive pseudo-remainder sequence on ints."""
-    a, b = _clear(p)[0], _clear(q)[0]
-    g = _gcd(a, b) if a and b else a or b
-    return _out(g, g[-1]) if g else POLY_ZERO
-
-
-def poly_shift(p: Poly, m: int) -> Poly:
-    """Substitute H -> H - m (the m-fold twist sigma^m)."""
-    a, den = _clear(p)
-    return _out(_shift(a, m), den)
-
-
-def poly_str(p: Poly, var: str = "H") -> str:
-    chunks = []
-    for k, c in enumerate(p):
-        if c:
-            body = rat_str(abs(c))
-            if k:
-                v = var if k == 1 else f"{var}^{k}"
-                body = v if body == "1" else f"{body}*{v}"
-            sign = ("- " if c < 0 else "+ ") if chunks else ("-" if c < 0 else "")
-            chunks.append(sign + body)
-    return " ".join(chunks) or "0"
+def poly_str(ints: Ints, den: int) -> str:
+    """The polynomial ints / den in H, terms in ascending degree."""
+    return _join_terms(_printed_terms([(k, v) for k, v in enumerate(ints) if v], den), _h_power)
 
 
 @lru_cache(maxsize=None)
@@ -250,9 +221,6 @@ class RatFun:
     def den(self) -> Poly:
         return _out(self.d, self.d[-1])
 
-    def is_polynomial(self) -> bool:
-        return len(self.d) == 1
-
     def __eq__(self, other):
         return isinstance(other, RatFun) and (
             (self.n, self.c, self.d) == (other.n, other.c, other.d))
@@ -261,9 +229,8 @@ class RatFun:
         return hash((self.n, self.c, self.d))
 
     def __str__(self):
-        if len(self.d) == 1:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
+        num = poly_str(self.n, self.c * self.d[-1])
+        return num if len(self.d) == 1 else f"({num}) / ({poly_str(self.d, self.d[-1])})"
 
     def __repr__(self):
         return f"<RatFun {self}>"
@@ -291,22 +258,9 @@ def _ratfun(n: Ints, d: Ints, c: int) -> RatFun:
     return RatFun._cleared(tuple([v // k for v in n]), c // k, tuple(pd))
 
 
-def rf_add(a: RatFun, b: RatFun) -> RatFun:
-    return _rf_sum([(f.n, f.d, f.c) for f in (a, b)])
-
-
-def rf_neg(a: RatFun) -> RatFun:
-    return RatFun._cleared(tuple([-v for v in a.n]), a.c, a.d)
-
-
 def rf_mul(a: RatFun, b: RatFun, c: Ints = (1,)) -> RatFun:
     """a * b * c for an int polynomial c, with one reduction."""
     return _ratfun(_mul(_mul(a.n, b.n), c), _mul(a.d, b.d), a.c * b.c)
-
-
-def rf_scale(k, a: RatFun) -> RatFun:
-    k = coeff(k)
-    return _ratfun([k.numerator * v for v in a.n] if k else [], a.d, k.denominator * a.c)
 
 
 def rf_shift(a: RatFun, m: int) -> RatFun:
@@ -344,9 +298,6 @@ class GradedElement:
     def components(self) -> Dict[int, Poly]:
         return {n: _out(row, self._den) for n, row in self._rows.items()}
 
-    def items(self):
-        return sorted(self.components.items())
-
     def is_zero(self) -> bool:
         return not self._rows
 
@@ -358,7 +309,8 @@ class GradedElement:
         return hash((self._den, frozenset(self._rows.items())))
 
     def __repr__(self):
-        parts = [f"[{n}] {poly_str(p)}" for n, p in self.items()] or ["0"]
+        rows = sorted(self._rows.items())
+        parts = [f"[{n}] {poly_str(row, self._den)}" for n, row in rows] or ["0"]
         return "<GradedElement " + " ; ".join(parts) + ">"
 
 
@@ -380,18 +332,21 @@ class LocalizedElement:
         return not self.components
 
     def __add__(self, other):
-        out = dict(self.components)
-        for n, f in other.components.items():
-            out[n] = rf_add(out[n], f) if n in out else f
-        return LocalizedElement(out)
-
-    def __neg__(self):
-        return LocalizedElement({n: rf_neg(f) for n, f in self.components.items()})
+        if not isinstance(other, LocalizedElement):
+            return NotImplemented
+        return _signed_sum(self.components, other.components, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, LocalizedElement):
+            return NotImplemented
+        return _signed_sum(self.components, other.components, -1)
+
+    def __neg__(self):
+        return _signed_sum({}, self.components, -1)
 
     def __mul__(self, other):
+        if not isinstance(other, LocalizedElement):
+            return NotImplemented
         return localized_mul(self, other)
 
     def __eq__(self, other):
@@ -403,6 +358,25 @@ class LocalizedElement:
     def __repr__(self):
         parts = [f"[{n}] {f}" for n, f in self.items()] or ["0"]
         return "<LocalizedElement " + " ; ".join(parts) + ">"
+
+
+def _signed_sum(a: Dict[int, RatFun], b: Dict[int, RatFun], sign: int) -> LocalizedElement:
+    """a + sign * b on components: a component on both sides is reduced
+    once by `_rf_sum`, a one-sided one passes through, negated for -1."""
+    out = object.__new__(LocalizedElement)
+    out.components = comps = dict(a)
+    for n, f in b.items():
+        num = f.n if sign == 1 else tuple([-v for v in f.n])
+        g = comps.get(n)
+        if g is None:
+            comps[n] = f if sign == 1 else RatFun._cleared(num, f.c, f.d)
+            continue
+        s = _rf_sum([(g.n, g.d, g.c), (num, f.d, f.c)])
+        if s.n:
+            comps[n] = s
+        else:
+            del comps[n]
+    return out
 
 
 def graded_component(n: int, coeff) -> LocalizedElement:

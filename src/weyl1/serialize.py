@@ -12,11 +12,11 @@ import json
 import re
 import sys
 
-from .core import EndoPair, WeylElement, _printed_terms, build_endo, format_element
+from .core import EndoPair, WeylElement, _canonical, _printed_terms, build_endo, format_element
 from .degrees import Polygon, Weight
 from .endos import EndoRecipe, Membership, add_poly_x, add_poly_y, linear
 from .gwa import poly_str, to_graded
-from .maps import DropReport, LinearMap
+from .maps import LinearMap
 from .parsing import MAX_EXPONENT, parse
 from .scalars import rat, rat_str
 from .semigroup import SemigroupData
@@ -67,7 +67,8 @@ def element_to_doc(a: WeylElement) -> dict:
         "basis": "YX",
         "terms": [
             {"y": i, "x": j, "c": "-" + mag if negative else mag}
-            for i, j, negative, mag in _printed_terms(a)
+            for (i, j), negative, mag in _printed_terms(
+                sorted(a._ints.items(), key=_canonical), a._den)
         ],
     }
 
@@ -167,7 +168,7 @@ def graded_to_doc(a: WeylElement) -> dict:
         "format": GRADED_FORMAT,
         "version": VERSION,
         "components": [
-            {"n": n, "alpha": poly_str(p)} for n, p in g.items()
+            {"n": n, "alpha": poly_str(row, g._den)} for n, row in sorted(g._rows.items())
         ],
     }
 
@@ -180,29 +181,6 @@ def polygon_to_doc(p: Polygon) -> dict:
     return {
         "support": [[i, j] for (i, j) in sorted(p.support)],
         "vertices": [[i, j] for (i, j) in p.vertices],
-    }
-
-
-def drop_report_to_doc(r: DropReport) -> dict:
-    def deg(v):
-        return None if v == float("-inf") else int(v)
-
-    return {
-        "format": "weyl-drop-report",
-        "version": VERSION,
-        "map": r.map_description,
-        "weight": weight_to_doc(r.weight),
-        "samples": [
-            {
-                "element": format_element(s.element),
-                "degree": deg(s.degree),
-                "image_degree": deg(s.image_degree),
-                "drop": deg(s.drop),
-            }
-            for s in r.samples
-        ],
-        "constant": r.constant,
-        "drop_value": r.drop_value,
     }
 
 

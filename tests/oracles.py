@@ -22,9 +22,14 @@ The product inverse of the graded view sums each graded component over
 the powers of H = Y*X and multiplies by X^n or Y^m in the algebra, the
 reference for the closed Stirling-number inverse in `gwa.from_graded`.
 
-The substitution `theta` and the Rat-based printer are the references
-for `core.theta` and `core.format_element`, which read the cleared form
-with no intermediate element or Rat per term.
+The substitution `theta` and the Rat-based printers are the references
+for `core.theta`, `core.format_element` and `gwa.poly_str`, which read the
+cleared form with no intermediate element or Rat per term.
+
+The Rat polynomial helpers (`oracle_poly_shift` by the binomial theorem,
+`oracle_poly_gcd` by Euclid's algorithm over the rationals) are the
+references for the int Taylor shift and the int pseudo-remainder gcd of
+`gwa`, which keeps no Rat polynomial arithmetic of its own.
 
 The dense matrix surface turns rational rows and vectors into the
 cleared rows `linalg` takes and reads its cleared results back as dense
@@ -188,6 +193,66 @@ def oracle_format_element(a):
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks) or "0"
+
+
+def oracle_poly_str(p, var="H"):
+    """The text of a polynomial given as Rat coefficients in ascending
+    degree, built term by term from the Rats: the reference for
+    `gwa.poly_str`, which prints int coefficients over a denominator."""
+    from weyl1.scalars import rat_str
+
+    chunks = []
+    for k, c in enumerate(p):
+        if c:
+            body = rat_str(abs(c))
+            if k:
+                v = var if k == 1 else f"{var}^{k}"
+                body = v if body == "1" else f"{body}*{v}"
+            sign = ("- " if c < 0 else "+ ") if chunks else ("-" if c < 0 else "")
+            chunks.append(sign + body)
+    return " ".join(chunks) or "0"
+
+
+def oracle_ratfun_str(f):
+    """The text of a RatFun from its Rat views `num` and `den`."""
+    num = oracle_poly_str(f.num)
+    return num if f.den == (1,) else f"({num}) / ({oracle_poly_str(f.den)})"
+
+
+def oracle_poly_shift(p, m):
+    """p(H - m) for p given as scalars in ascending degree, expanded by the
+    binomial theorem over Fractions, trailing zeros dropped."""
+    from math import comb
+
+    out = [Fraction(0)] * len(p)
+    for k, c in enumerate(p):
+        for i in range(k + 1):
+            out[i] += Fraction(c) * comb(k, i) * (-m) ** (k - i)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def oracle_poly_gcd(p, q):
+    """Monic gcd of two polynomials given as scalars in ascending degree,
+    not both zero, by Euclid's algorithm over Fractions."""
+
+    def trim(a):
+        a = [Fraction(c) for c in a]
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    a, b = trim(p), trim(q)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f, k = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+            r = trim(r)
+        a, b = b, r
+    return [c / a[-1] for c in a]
 
 
 class SlackMembershipSolver:

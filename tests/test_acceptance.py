@@ -46,7 +46,7 @@ from weyl1 import (
     semigroup_analyze,
     weighted_degree,
 )
-from weyl1.gwa import LocalizedElement, poly, poly_mul, rf_scale
+from weyl1.gwa import LocalizedElement
 from weyl1.serialize import dumps, element_from_doc, element_to_doc, loads, recipe_from_doc
 
 PAIRS = [
@@ -151,7 +151,7 @@ def test_acceptance_07_commutator_degree_inequality():
 
 def test_acceptance_08_localized_cusp_suite():
     t0 = time.monotonic()
-    w = graded_component(1, ratfun(poly_mul(poly([0, 1]), poly([-2, 1])), poly([-1, 1])))
+    w = graded_component(1, ratfun([0, -2, 1], [-1, 1]))
     ok, _ = in_A1(w)
     assert not ok
     w2 = localized_mul(w, w)
@@ -166,7 +166,7 @@ def test_acceptance_08_localized_cusp_suite():
         assert member, f"w^{i} must lie in the algebra"
         bracket = localized_mul(eH, wi) - localized_mul(wi, eH)
         assert bracket == LocalizedElement(
-            {n: rf_scale(i, f) for n, f in wi.components.items()}
+            {n: ratfun([i * c for c in f.num], f.den) for n, f in wi.components.items()}
         ), f"[H, w^{i}] != {i} w^{i}"
         degrees.add(graded_degree(witness))
     assert degrees == {2, 3, 4, 5, 6}

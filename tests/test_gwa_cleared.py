@@ -5,10 +5,13 @@ primitive and of positive lead, gcd(c, content n) = 1 and gcd(n, d) = 1.
 A `GradedElement` is int rows over their least common denominator.  Both
 forms are canonical, so every constructor and every operation must hand
 one back, and `==` and `hash` compare it.  The arithmetic builds no Rat
-until `num`, `den` or `components` is read, nor does printing the
-elements it hands back (`format_element`, `element_to_doc`), and
-`from_graded`, the closed Stirling-number inverse of `to_graded`, must
-agree with the product oracle.
+until `num`, `den` or `components` is read, nor does printing them or
+the elements it hands back (`str`, `repr`, `format_element`,
+`element_to_doc`, `graded_to_doc`), which must match the Rat printers of
+`tests/oracles.py` byte for byte.  Localized sums and differences must
+agree with the values of their operands at a point, and `from_graded`,
+the closed Stirling-number inverse of `to_graded`, with the product
+oracle.
 """
 
 import copy
@@ -18,13 +21,21 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_format_element, oracle_from_graded, random_element
+from oracles import (
+    oracle_format_element,
+    oracle_from_graded,
+    oracle_poly_gcd,
+    oracle_poly_str,
+    oracle_ratfun_str,
+    random_element,
+)
 from test_gwa_ints import COEFFS, LOCALIZED, NONZERO_POLYS, POLYS, RATFUNS, SHIFTS, elements
 from weyl1 import (
     H,
+    WeylElement,
     X,
     Y,
     embed,
@@ -43,15 +54,11 @@ from weyl1.gwa import (
     RatFun,
     graded_component,
     poly,
-    poly_gcd,
-    rf_add,
     rf_mul,
-    rf_neg,
-    rf_scale,
     rf_shift,
 )
 from weyl1.scalars import Rat
-from weyl1.serialize import element_to_doc
+from weyl1.serialize import element_to_doc, graded_to_doc
 
 NONZERO_SCALARS = COEFFS.filter(bool)
 # a point that is no root of any denominator drawn here: by the rational
@@ -68,7 +75,7 @@ def assert_cleared(f: RatFun):
         assert (c, d) == (1, (1,))
         return
     assert n[-1] and gcd(c, *n) == 1
-    assert poly_gcd(poly(n), poly(d)) == poly([1])
+    assert oracle_poly_gcd(n, d) == [1]
 
 
 def at(f: RatFun, h=POINT) -> Fraction:
@@ -103,17 +110,23 @@ def test_scaling_numerator_and_denominator_keeps_the_ratfun(p, q, k):
     assert (g.n, g.c, g.d) == (f.n, f.c, f.d)
 
 
+def component(a: LocalizedElement, n: int = 0) -> RatFun:
+    return a.components.get(n, ratfun([]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(RATFUNS, RATFUNS, SHIFTS, NONZERO_SCALARS)
 def test_every_ratfun_operation_returns_the_cleared_form(f, g, m, k):
+    u, v = graded_component(0, f), graded_component(0, g)
     cases = [
-        (rf_add(f, g), at(f) + at(g)),
-        (rf_add(f, f), 2 * at(f)),
+        (component(u + v), at(f) + at(g)),
+        (component(u + u), 2 * at(f)),
+        (component(u - v), at(f) - at(g)),
         (rf_mul(f, g), at(f) * at(g)),
         (rf_mul(f, g, (-2, 1)), at(f) * at(g) * (POINT - 2)),
-        (rf_neg(f), -at(f)),
-        (rf_scale(k, f), Fraction(k) * at(f)),
-        (rf_scale(0, f), 0),
+        (component(-u), -at(f)),
+        (component(localized_mul(graded_component(0, [k]), u)), Fraction(k) * at(f)),
+        (component(u - u), 0),
         (rf_shift(f, m), at(f, POINT - m)),
     ]
     for out, want in cases:
@@ -193,7 +206,7 @@ def test_to_graded_keeps_the_elements_denominator(a):
     assert from_graded(g) == oracle_from_graded(g) == a
     for f in embed(a).components.values():
         assert_cleared(f)
-        assert f.is_polynomial()
+        assert len(f.d) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,20 +264,26 @@ def test_graded_and_localized_arithmetic_builds_no_rat_until_read(monkeypatch):
     monkeypatch.setattr(gwa, "Rat", CountingRat)
     CountingRat.made = 0
     monkeypatch.setattr(Fraction, "__new__", counted)
-    outs = [rf_add(f, g), rf_mul(f, g, (1, 1)), rf_neg(g), rf_scale(k, g),
-            rf_shift(g, 3)]
+    u, v = graded_component(0, f), graded_component(0, g)
+    outs = [component(u + v), rf_mul(f, g, (1, 1)), component(-v), component(u - v),
+            component(localized_mul(graded_component(0, [k]), v)), rf_shift(g, 3)]
     prod = localized_mul(embed(a), embed(b))
     w3 = localized_mul(localized_mul(w, w), w)
     ga = to_graded(a)
     back = from_graded(ga)
     member = in_A1(w3)
-    printed = [format_element(back), element_to_doc(member[1])["terms"]]
+    printed = [format_element(back), element_to_doc(member[1])["terms"],
+               [str(out) for out in outs], repr(prod), repr(ga), graded_to_doc(a)]
     assert (CountingRat.made, fractions[0]) == (0, 0)
     monkeypatch.undo()
     assert back == a and member[0] and prod == embed(a * b)
     assert printed == [
         oracle_format_element(a),
         [{"y": i, "x": j, "c": str(c)} for (i, j), c in member[1].terms()],
+        [oracle_ratfun_str(out) for out in outs],
+        oracle_localized_repr(prod),
+        oracle_graded_repr(ga),
+        oracle_graded_doc(a),
     ]
     monkeypatch.setattr(gwa, "Rat", CountingRat)
     for out in outs + list(prod.components.values()):
@@ -278,3 +297,99 @@ def test_graded_and_localized_arithmetic_builds_no_rat_until_read(monkeypatch):
 def test_localized_products_return_the_cleared_form(a, b):
     for f in localized_mul(a, b).components.values():
         assert_cleared(f)
+
+
+# -- localized sums ---------------------------------------------------------
+
+
+def values(a: LocalizedElement) -> dict:
+    return {n: at(f) for n, f in a.components.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(LOCALIZED, LOCALIZED)
+def test_localized_sums_match_the_value_oracle(a, b):
+    va, vb = values(a), values(b)
+    for got, sign in ((a + b, 1), (a - b, -1)):
+        want = {n: va.get(n, 0) + sign * vb.get(n, 0) for n in va.keys() | vb.keys()}
+        assert values(got) == {n: x for n, x in want.items() if x}
+        for f in got.components.values():
+            assert_cleared(f)
+    assert a - b == a + (-b) and hash(a - b) == hash(a + (-b))
+    assert (a - a).is_zero() and a - a == LocalizedElement()
+    assert -(-a) == a and (a + b) - b == a
+
+
+def test_a_sum_that_cancels_a_component_drops_it():
+    u = LocalizedElement({0: ratfun([1], [0, 1]), 1: ratfun([0, 2])})
+    v = LocalizedElement({0: ratfun([1], [0, 1]), 2: ratfun([3])})
+    assert u - v == LocalizedElement({1: ratfun([0, 2]), 2: ratfun([-3])})
+    assert sorted((u - v).components) == [1, 2]
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), X, ratfun([1]), None])
+def test_localized_operators_refuse_other_operands(other):
+    u = LocalizedElement({0: ratfun([1])})
+    for op in (lambda: u + other, lambda: u - other, lambda: u * other,
+               lambda: other + u, lambda: other - u):
+        with pytest.raises(TypeError):
+            op()
+
+
+# -- printing from the cleared form ------------------------------------------
+
+
+def oracle_localized_repr(a: LocalizedElement) -> str:
+    parts = [f"[{n}] {oracle_ratfun_str(f)}" for n, f in sorted(a.components.items())]
+    return "<LocalizedElement " + " ; ".join(parts or ["0"]) + ">"
+
+
+def oracle_graded_repr(g: GradedElement) -> str:
+    parts = [f"[{n}] {oracle_poly_str(p)}" for n, p in sorted(g.components.items())]
+    return "<GradedElement " + " ; ".join(parts or ["0"]) + ">"
+
+
+def oracle_graded_doc(a) -> dict:
+    comps = sorted(to_graded(a).components.items())
+    return {"format": "weyl-graded", "version": 1,
+            "components": [{"n": n, "alpha": oracle_poly_str(p)} for n, p in comps]}
+
+
+# den > 1, negative leads and unit coefficients, drawn often
+PRINTED_POLYS = st.lists(
+    st.one_of(COEFFS, st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)])), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PRINTED_POLYS, PRINTED_POLYS.filter(any))
+@example([], [1])
+@example([1], [1])
+@example([-1], [1])
+@example([0, -1], [2])
+@example(["-1/2", 1], [3, -1])
+@example([0, 0, "7/6"], [0, -2, 4])
+def test_ratfun_prints_as_the_rat_printer(p, q):
+    f = ratfun(p, q)
+    assert str(f) == oracle_ratfun_str(f)
+    assert repr(f) == f"<RatFun {oracle_ratfun_str(f)}>"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-4, 4), PRINTED_POLYS, max_size=4))
+@example({})
+@example({0: [0]})
+@example({-1: [-1], 0: [1, 1], 2: ["1/2", 0, -1]})
+def test_graded_and_localized_elements_print_as_the_rat_printer(comps):
+    g = GradedElement(comps)
+    assert repr(g) == oracle_graded_repr(g)
+    a = LocalizedElement({n: RatFun(p, [1, *p]) for n, p in comps.items() if any(p)})
+    assert repr(a) == oracle_localized_repr(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(max_degree=5, max_terms=5))
+@example(WeylElement())
+@example(-(Y**2) * X**2 + X)
+@example(Fraction(-1, 2) * Y**3 * X + Fraction(5, 3) * Y)
+def test_graded_doc_prints_as_the_rat_printer(a):
+    assert graded_to_doc(a) == oracle_graded_doc(a)

@@ -1,8 +1,9 @@
 """Properties of the fraction-free K[H] and K(H) arithmetic in `gwa`.
 
-Polynomials leave `gwa` as tuples of Rat, every entry a Rat even when it
-is integral, whatever int work happened inside.  Shifts keep fractions
-reduced without a gcd, and division by a planted factor is exact.
+Polynomials are read out of `gwa` (`poly`, `num`, `den`, `components`)
+as tuples of Rat, every entry a Rat even when it is integral, whatever
+int work happened inside.  Shifts keep fractions reduced without a gcd,
+and the int division is exact by a planted factor.
 """
 
 from fractions import Fraction
@@ -10,21 +11,17 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_localized_mul
+from oracles import oracle_localized_mul, oracle_poly_shift
 from weyl1 import WeylElement, embed, localized_mul, ratfun, to_graded
 from weyl1.gwa import (
     LocalizedElement,
     RatFun,
+    _axpy,
+    _divmod,
+    _mul,
     graded_component,
     poly,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
-    poly_shift,
-    rf_add,
     rf_mul,
-    rf_neg,
-    rf_scale,
     rf_shift,
 )
 from weyl1.scalars import Rat
@@ -36,9 +33,8 @@ COEFFS = st.one_of(
 POLYS = st.lists(COEFFS, max_size=5).map(poly)
 NONZERO_POLYS = POLYS.filter(bool)
 RATFUNS = st.builds(ratfun, POLYS, NONZERO_POLYS)
-FRACTIONS = st.builds(ratfun, NONZERO_POLYS, NONZERO_POLYS).filter(
-    lambda f: not f.is_polynomial()
-)
+FRACTIONS = st.builds(ratfun, NONZERO_POLYS, NONZERO_POLYS).filter(lambda f: len(f.d) > 1)
+INT_POLYS = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda p: p[-1])
 SHIFTS = st.integers(-4, 4)
 # components in [-4, 4] with denominators != 1: embedded polynomials never
 # reach the rational-function paths of localized_mul
@@ -63,10 +59,11 @@ def rf_is_public(f: RatFun) -> bool:
 @settings(max_examples=80, deadline=None)
 @given(POLYS, NONZERO_POLYS, SHIFTS)
 def test_every_poly_leaving_gwa_is_a_rat_tuple(p, q, m):
-    for out in (poly_mul(p, q), poly_gcd(p, q), poly_shift(p, m), *poly_divmod(p, q)):
-        assert all_rat(out), out
-    f, g = ratfun(p, q), ratfun(q, poly_shift(q, m))
-    for out in (f, g, rf_add(f, g), rf_mul(f, g), rf_shift(f, m), rf_neg(f), rf_scale(3, f)):
+    assert all_rat(poly(p)) and all_rat(poly([*p, 0]))
+    f, g = ratfun(p, q), ratfun(q, oracle_poly_shift(q, m))
+    u, v = graded_component(0, f), graded_component(0, g)
+    sums = [w.components.get(0, ratfun([])) for w in (u + v, u - v, -u)]
+    for out in (f, g, *sums, rf_mul(f, g), rf_shift(f, m)):
         assert rf_is_public(out), out
 
 
@@ -81,18 +78,17 @@ def test_graded_and_localized_outputs_are_rat_tuples(a, b):
 @settings(max_examples=80, deadline=None)
 @given(RATFUNS, SHIFTS)
 def test_shift_keeps_a_fraction_reduced_and_monic(f, m):
-    assert rf_shift(f, m) == ratfun(poly_shift(f.num, m), poly_shift(f.den, m))
+    assert rf_shift(f, m) == ratfun(oracle_poly_shift(f.num, m), oracle_poly_shift(f.den, m))
     assert rf_shift(rf_shift(f, m), -m) == f
 
 
 @settings(max_examples=60, deadline=None)
-@given(NONZERO_POLYS, NONZERO_POLYS, NONZERO_POLYS)
+@given(INT_POLYS, INT_POLYS, INT_POLYS)
 def test_exact_division_by_a_factor(a, b, g):
-    q, r = poly_divmod(poly_mul(a, g), g)
-    assert q == a and r == ()
-    q, r = poly_divmod(a, b)
-    assert len(r) < len(b)
-    assert ratfun(a) == rf_add(rf_mul(ratfun(q), ratfun(b)), ratfun(r))
+    assert _divmod(_mul(a, g), g) == (a, [], 1)
+    q, r, s = _divmod(a, b)
+    assert len(r) < len(b) and (not r or r[-1])
+    assert _axpy(1, _mul(q, b), 1, r) == [s * v for v in a]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,6 @@
-"""sympy as an independent oracle for the int gcds in `gwa`.
+"""sympy as an independent oracle for the int gcds in `gwa`: a planted
+factor cancels from a `RatFun`, and localized sums and `rf_mul` reduce
+as sympy's `cancel` does.
 
 sympy is used here only; the module is skipped when it is not installed.
 """
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from weyl1 import ratfun  # noqa: E402
-from weyl1.gwa import poly, poly_gcd, poly_mul, rf_add, rf_mul  # noqa: E402
+from weyl1 import graded_component, ratfun  # noqa: E402
+from weyl1.gwa import poly, rf_mul  # noqa: E402
 
 H = sympy.Symbol("H")
 
@@ -36,17 +38,15 @@ def from_sym(p: "sympy.Poly"):
     return poly(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
 
 
-def monic(p: "sympy.Poly") -> "sympy.Poly":
-    return p.monic() if not p.is_zero else p
-
-
 @settings(max_examples=100, deadline=None)
 @given(FACTORS, NONZERO_POLYS, NONZERO_POLYS)
-def test_poly_gcd_matches_sympy_on_a_planted_factor(g, a, b):
-    p, q = poly_mul(g, a), poly_mul(g, b)
-    got = poly_gcd(p, q)
-    assert got == from_sym(monic(sympy.gcd(to_sym(p), to_sym(q))))
-    assert to_sym(got).rem(to_sym(g)).is_zero  # the planted factor divides it
+def test_a_planted_factor_cancels_as_in_sympy(g, a, b):
+    p, q = to_sym(g) * to_sym(a), to_sym(g) * to_sym(b)
+    f = ratfun(from_sym(p), from_sym(q))
+    assert f == ratfun(a, b)
+    # the reduced form divides out the whole gcd, planted factor included
+    assert len(f.num) == len(p.all_coeffs()) - sympy.gcd(p, q).degree()
+    assert (f.num, f.den) == canceled(p.as_expr() / q.as_expr())
 
 
 @settings(max_examples=100, deadline=None)
@@ -72,15 +72,18 @@ def canceled(expr):
 
 @settings(max_examples=80, deadline=None)
 @given(POLYS, NONZERO_POLYS, POLYS, NONZERO_POLYS)
-def test_rf_add_and_rf_mul_match_sympy_cancel(n1, d1, n2, d2):
+def test_localized_sums_and_rf_mul_match_sympy_cancel(n1, d1, n2, d2):
     f, g = ratfun(n1, d1), ratfun(n2, d2)
     x = to_sym(n1).as_expr() / to_sym(d1).as_expr()
     y = to_sym(n2).as_expr() / to_sym(d2).as_expr()
-    s, p = rf_add(f, g), rf_mul(f, g)
-    if s.num:
-        assert (s.num, s.den) == canceled(x + y)
-    else:
-        assert sympy.simplify(x + y) == 0
+    u, v = graded_component(0, f), graded_component(0, g)
+    for el, want in ((u + v, x + y), (u - v, x - y)):
+        s = el.components.get(0)
+        if s is not None:
+            assert (s.num, s.den) == canceled(want)
+        else:
+            assert sympy.simplify(want) == 0
+    p = rf_mul(f, g)
     if p.num:
         assert (p.num, p.den) == canceled(x * y)
     else:

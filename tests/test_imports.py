@@ -6,7 +6,10 @@ module of `src/weyl1` except `__init__` (which imports to re-export) is
 parsed, and every name a top-level import binds must occur as a name in
 the module, quoted annotations included.  Every underscore-named (not
 dunder) function, class or method defined in the package must occur as a
-name, an attribute or an imported name outside its own definition.
+name, an attribute or an imported name outside its own definition.  So
+must every public top-level function or class, where an export from
+`__init__` and a use in `bench/` or `demos/` count too: a public helper
+that only the tests call belongs in `tests/oracles.py`.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "weyl1"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weyl1"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
@@ -70,6 +74,17 @@ def _references(tree: ast.AST):
                 yield alias.name, node.lineno
 
 
+def _referenced(node, mod: str, refs: dict) -> bool:
+    """Whether the name node defines in module mod occurs in refs
+    ({module: [(identifier, line)]}) outside the definition itself."""
+    inside = range(node.lineno, node.end_lineno + 1)
+    return any(
+        name == node.name and (other != mod or line not in inside)
+        for other, found in refs.items()
+        for name, line in found
+    )
+
+
 def test_every_private_definition_has_a_caller():
     refs = {mod: list(_references(tree)) for mod, tree in TREES.items()}
     dead = []
@@ -77,13 +92,25 @@ def test_every_private_definition_has_a_caller():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if not _is_private(node.name):
-                continue
-            inside = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                name == node.name and (other != mod or line not in inside)
-                for other, found in refs.items()
-                for name, line in found
-            ):
+            if _is_private(node.name) and not _referenced(node, mod, refs):
                 dead.append(f"{mod}.{node.name} (line {node.lineno})")
     assert not dead, f"private definitions nobody references: {', '.join(dead)}"
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    refs = {mod: list(_references(tree)) for mod, tree in TREES.items()}
+    for folder in ("bench", "demos"):
+        refs[folder] = [
+            ref
+            for path in sorted((ROOT / folder).glob("*.py"))
+            for ref in _references(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+    dead = [
+        f"{mod}.{node.name} (line {node.lineno})"
+        for mod, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not _referenced(node, mod, refs)
+    ]
+    assert not dead, f"public definitions only the tests call: {', '.join(dead)}"

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from oracles import random_element
-from weyl1 import H, W11, X, Y, Window, build_endo, drop_profile, delta_xy, identity_endo
+from weyl1 import H, W11, X, Y, Window, build_endo
 from weyl1 import canonical_config, eigenvalue_scan, rat, semigroup_analyze
 from weyl1.serialize import (
     DocError,
-    drop_report_to_doc,
     dumps,
     eigen_report_to_doc,
     element_from_doc,
@@ -117,11 +116,6 @@ def test_report_docs_have_full_parameterization():
     assert doc["cap"] == 3 and doc["weight"] == {"rho": 1, "eta": 1}
     assert doc["candidates"] == ["0", "1/2", "1"]
     assert {f["lambda"] for f in doc["found"]} == {"0", "1"}
-
-    prof = drop_profile(delta_xy(identity_endo()), W11, [H, H**2])
-    pdoc = drop_report_to_doc(prof)
-    assert pdoc["constant"] is True and pdoc["drop_value"] == -2
-    assert pdoc["samples"][0]["degree"] == 2
 
     sdoc = semigroup_to_doc(semigroup_analyze({2, 3}))
     assert sdoc["gaps"] == [1] and sdoc["h_list"] == [4, 5]
