@@ -17,7 +17,6 @@ from .core import (
     ZERO,
     EndoPair,
     WeylElement,
-    add,
     apply_endo,
     build_endo,
     commutator,
@@ -49,7 +48,6 @@ from .endos import (
     add_poly_x,
     add_poly_y,
     compile_recipe,
-    decompose,
     linear,
     subalgebra_membership,
 )
@@ -89,7 +87,7 @@ from .maps import (
     drop_profile,
     nilpotency_degree,
 )
-from .parsing import ParseError, parse, print_element
+from .parsing import ParseError, parse
 from .scalars import NEG_INF, Rat, rat
 from .semigroup import SemigroupData, semigroup_analyze
 from .windows import (

@@ -249,11 +249,16 @@ def check_klein_basis(
     return _verdict("klein_basis", {"imax": imax}, _premise_problems(e) + identities)
 
 
-def _random_element(rng: random.Random, max_degree=3, max_terms=4) -> WeylElement:
+# A drawn sample sums 1 to _SAMPLE_TERMS terms c Y^i X^j, i + j <= _SAMPLE_DEGREE.
+_SAMPLE_DEGREE = 3
+_SAMPLE_TERMS = 4
+
+
+def _random_element(rng: random.Random) -> WeylElement:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        i = rng.randint(0, max_degree)
-        j = rng.randint(0, max_degree - i)
+    for _ in range(rng.randint(1, _SAMPLE_TERMS)):
+        i = rng.randint(0, _SAMPLE_DEGREE)
+        j = rng.randint(0, _SAMPLE_DEGREE - i)
         num = rng.randint(-9, 9)
         den = rng.randint(1, 3)
         if num:

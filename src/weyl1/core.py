@@ -344,10 +344,6 @@ H = monomial(1, 1)  # H = Y*X
 # -- named operations --------------------------------------------------
 
 
-def add(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a + b
-
-
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b
 

@@ -117,7 +117,7 @@ def find_generic_weight(a: WeylElement, bound: int = 16) -> Optional[Weight]:
     for s in range(2, 2 * bound + 1):
         for rho in range(max(1, s - bound), min(bound, s - 1) + 1):
             w = Weight(rho, s - rho)
-            if len(_maximizers(w, a)) == 1:
+            if is_generic(w, a):
                 return w
     return None
 

@@ -18,13 +18,14 @@ a basis of that subalgebra, and a is a member when its expansion uses
 only pairs with v11(y^i x^j) <= v11(a) + slack.  A negative verdict is
 therefore always "not at this slack".
 
-Aut(A1) is tame (Dixmier 1968, Makar-Limanov 1984), and `decompose`
-reduces the degrees of (x, y) after Jung and van der Kulk by elementary
-steps y <- y - c*x^k or x <- x - c*y^k, down to an affine pair, and
-returns the recipe that undoes them.  `certify` accepts the recipe only
-when `compile_recipe` gives (x, y) back exactly.  Then phi: X -> x,
-Y -> y is a composite of automorphisms, its inverse psi is the inverse
-generators in reverse order, and psi(a) is the unique expansion of a.
+Aut(A1) is tame (Dixmier 1968, Makar-Limanov 1984), and a pair's
+certificate reduces the degrees of (x, y) after Jung and van der Kulk
+(`_reduce`) by elementary steps y <- y - c*x^k or x <- x - c*y^k, down to
+an affine pair, and keeps the recipe that undoes them as `recipe`.
+`certify` accepts the recipe only when `compile_recipe` gives (x, y)
+back exactly.  Then phi: X -> x, Y -> y is a composite of automorphisms,
+its inverse psi is the inverse generators in reverse order, and psi(a)
+is the unique expansion of a.
 `MembershipSolver(e)` is the pair's one certificate, which
 `certificate(e)` memoizes for every check of the pair.  Building it never
 raises: it recomputes [y, x] once, reads v(x) and v(y), and keeps either
@@ -168,7 +169,7 @@ def _cut(side: str, a, va, b, vb):
     return side, c, k
 
 
-def decompose(e: EndoPair) -> EndoRecipe:
+def _reduce(e: EndoPair, premise: WeylElement) -> EndoRecipe:
     """The recipe that compiles to (x, y), read off the degree reduction
     after Jung and van der Kulk: while the (1,1)-leading form of y is c
     times that of x^k, y <- y - c*x^k, else the same with x and y swapped,
@@ -180,16 +181,12 @@ def decompose(e: EndoPair) -> EndoRecipe:
     closes the recipe as add_poly_y([s]), add_poly_x([t]),
     linear(a, b, c, d).  Identity generators are left out.
 
-    [y, x] = 1 is recomputed before any product is formed; a pair without
-    it raises UnverifiedEndoError.  A stall raises DomainError naming the
-    degrees and leading forms: on a commutator-one pair it would be a
-    counterexample to Dixmier's problem (Bull. SMF 96, 1968).
+    premise is [y, x] as recomputed before any product is formed; a pair
+    without [y, x] = 1 raises UnverifiedEndoError.  A stall raises
+    DomainError naming the degrees and leading forms: on a commutator-one
+    pair it would be a counterexample to Dixmier's problem (Bull. SMF 96,
+    1968).
     """
-    return _reduce(e, commutator(e.y, e.x))
-
-
-def _reduce(e: EndoPair, premise: WeylElement) -> EndoRecipe:
-    """`decompose` for a pair whose [y, x] was recomputed as premise."""
     if premise != ONE:
         raise UnverifiedEndoError(f"no decomposition: [y, x] = {format_element(premise)}")
     x, y, gens = e.x, e.y, []
@@ -250,7 +247,6 @@ class Membership:
     member: bool
     witness: Optional[Dict[Tuple[int, int], Rat]]
     slack: int
-    degree_bound: Union[int, float]
     pairs_tried: int
 
     def __bool__(self):
@@ -318,7 +314,7 @@ class MembershipSolver:
                 order = sorted(used, key=lambda p: (p[0] * vy + p[1] * vx, p[0]))
                 witness = {p: b.coefficient(*p) for p in order}
             tried = _pairs_within(vy, vx, bound) if used else 0
-            out.append(Membership(member, witness, slack, bound, tried))
+            out.append(Membership(member, witness, slack, tried))
         return out
 
 

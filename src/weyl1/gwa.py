@@ -20,11 +20,11 @@ n) = 1 and gcd(n, d) = 1.  The form is canonical, so `==` and `hash`
 compare the triple, and d = (1,) for a polynomial.  A `GradedElement` is
 int rows over their least denominator.  Every operation takes and
 returns these ints.  A `Poly`, a tuple of Rat coefficients in ascending
-degree, is only a read view: `poly` builds one from scalars, and
-`RatFun.num`/`den` and `GradedElement.components` build them on each
-read.  Printing reads the ints too: `poly_str(ints, den)` prints through
-the term joiner of `core.format_element`, one gcd per coefficient.  Gcds come
-from a primitive pseudo-remainder sequence (Collins, JACM 14, 1967; Brown
+degree, is only a view: `ratfun` and `GradedElement` take scalars in
+that order, and `RatFun.num`/`den` and `GradedElement.components` build
+Polys on each read.  Printing reads the ints too: `poly_str(ints, den)`
+prints through the term joiner of `core.format_element`, one gcd per
+coefficient.  Gcds come from a primitive pseudo-remainder sequence (Collins, JACM 14, 1967; Brown
 & Traub, JACM 18, 1971); by Gauss's lemma, division by a primitive gcd is
 exact in ints and products of primitive polynomials are primitive.
 H -> H - m is an automorphism of Z[H] that keeps leads and contents, so
@@ -152,11 +152,6 @@ def _shift(a: Ints, m: int) -> List[int]:
 
 
 # -- Rat-tuple views and printing ------------------------------------------
-
-
-def poly(coeffs) -> Poly:
-    """Normalize a coefficient iterable (ascending degree) to a Poly."""
-    return _out(*_clear(coeffs))
 
 
 def _h_power(k: int) -> str:

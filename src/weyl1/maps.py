@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .core import EndoPair, WeylElement, _bracket, _combine, commutator
 from .degrees import Weight, weighted_degree
 from .errors import UnverifiedEndoError
-from .scalars import NEG_INF
 
 Degree = Union[int, float]
 
@@ -60,13 +59,14 @@ class LinearMap:
 
     Two marks let `windows.nilpotent_closure_window` bound nilpotency
     indices instead of iterating: `derivation` is set by `ad`, whose map
-    obeys the Leibniz rule, and `factors` by `delta_xy`, as (ad(x), ad(y))
-    when they commute.  `_orders` holds, for a derivation, the index of X
-    (key (0, 1)) and of Y (key (1, 0)) once a closure has found it: the
-    least n with m^n of the monomial 0.  Every other map carries neither
-    mark and is iterated.  `factors` given as a function is called on
-    each read: so `delta_xy` takes ad(x) and ad(y) through the `ad` memo,
-    where closures record their indices, also once it has rebuilt them.
+    obeys the Leibniz rule, and `factors` by `delta_xy`, as a function
+    giving (ad(x), ad(y)) when they commute.  `_orders` holds, for a
+    derivation, the index of X (key (0, 1)) and of Y (key (1, 0)) once a
+    closure has found it: the least n with m^n of the monomial 0.  Every
+    other map carries neither mark and is iterated.  The `factors`
+    function is called on each read: so `delta_xy` takes ad(x) and ad(y)
+    through the `ad` memo, where closures record their indices, also once
+    it has rebuilt them.
     """
 
     def __init__(
@@ -75,7 +75,7 @@ class LinearMap:
         shift: Callable,
         description: str,
         derivation: bool = False,
-        factors: Union[None, Tuple["LinearMap", "LinearMap"], Callable] = None,
+        factors: Optional[Callable[[], Tuple["LinearMap", "LinearMap"]]] = None,
     ):
         self._image = image
         self._shift = shift
@@ -87,7 +87,7 @@ class LinearMap:
 
     @property
     def factors(self) -> Optional[Tuple["LinearMap", "LinearMap"]]:
-        return self._factors() if callable(self._factors) else self._factors
+        return self._factors and self._factors()
 
     def _monomial_image(self, i: int, j: int) -> WeylElement:
         return self._image(WeylElement._cleared({(i, j): 1}))
@@ -213,20 +213,10 @@ def drop(m: LinearMap, w: Weight, a: WeylElement) -> Degree:
 
 
 @dataclass
-class DropSample:
-    element: WeylElement
-    degree: Degree
-    image_degree: Degree
-    drop: Degree
-
-
-@dataclass
 class DropReport:
-    """Per-sample drops of one map, plus the constancy verdict."""
+    """Whether one map's finite drops agree on the samples, and the drop
+    when they do and one is finite."""
 
-    map_description: str
-    weight: Weight
-    samples: List[DropSample]
     constant: bool
     drop_value: Optional[int]
 
@@ -234,23 +224,10 @@ class DropReport:
 def drop_profile(m: LinearMap, w: Weight, samples: Sequence[WeylElement]) -> DropReport:
     if not samples:
         raise ValueError("drop_profile needs at least one sample")
-    rows = []
-    for a in samples:
-        img = m(a)
-        va = weighted_degree(w, a)
-        vi = weighted_degree(w, img)
-        d = NEG_INF if img.is_zero() else vi - va
-        rows.append(DropSample(element=a, degree=va, image_degree=vi, drop=d))
-    finite = [r.drop for r in rows if r.drop != NEG_INF]
-    constant = all(d == finite[0] for d in finite) if finite else True
-    value = int(finite[0]) if finite and constant else None
-    return DropReport(
-        map_description=m.describe(),
-        weight=w,
-        samples=rows,
-        constant=constant,
-        drop_value=value,
-    )
+    images = [(a, m(a)) for a in samples]
+    finite = [weighted_degree(w, b) - weighted_degree(w, a) for a, b in images if not b.is_zero()]
+    constant = all(d == finite[0] for d in finite)
+    return DropReport(constant, int(finite[0]) if finite and constant else None)
 
 
 def nilpotency_degree(

@@ -1,4 +1,4 @@
-"""Expression parser and canonical printer for algebra elements.
+"""Expression parser for algebra elements.
 
 Grammar (no implicit multiplication; multiplication is noncommutative
 and left-associative):
@@ -10,10 +10,10 @@ and left-associative):
     rational := nat ('/' nat)?
 
 'H' is surface syntax for Y*X; brackets are commutators.  The leading
-minus exists so canonical printer output like "-1 + Y*X" parses back.
-format_element (re-exported here as print_element) and parse are mutually
-inverse on canonical forms.  The descent turns one token stream into a
-postfix program, run only once the whole text has parsed: a syntax error
+minus exists so canonical printer output like "-1 + Y*X" parses back:
+the printer, `core.format_element`, and parse are mutually inverse on
+canonical forms.  The descent turns one token stream into a postfix
+program, run only once the whole text has parsed: a syntax error
 is reported before any power is formed.  A `+`/`-` chain is one op, its
 terms added into one term map over one denominator (`core._combine`).
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .core import H, ZERO, WeylElement, X, Y, _combine, commutator, format_element
+from .core import H, ZERO, WeylElement, X, Y, _combine, commutator
 
 MAX_EXPONENT = 4096
 #: Deepest nesting of parentheses and commutator brackets.  The parser
@@ -171,8 +171,3 @@ def parse(text: str) -> WeylElement:
             rhs = stack.pop()
             stack[-1] = _BINARY[op](stack[-1], rhs)
     return stack[0]
-
-
-#: Canonical printing lives next to the element type; mirrored here so the
-#: parsing module exposes both directions of the round trip.
-print_element = format_element

@@ -9,7 +9,7 @@ The slack membership solver expands elements over the products y^i x^j
 of a pair by one linear elimination.  It never decomposes the pair, so it
 is the differential reference for `MembershipSolver`, which pulls
 elements back through the inverse generators of the pair's certified
-recipe, the one `decompose` returns; it also decides membership for the
+recipe, `certificate(e).recipe`; it also decides membership for the
 suite's fake pairs, which have no decomposition.
 
 The direct identity checks evaluate the Klein-basis and eigenvector-table
@@ -29,7 +29,9 @@ cleared form with no intermediate element or Rat per term.
 The Rat polynomial helpers (`oracle_poly_shift` by the binomial theorem,
 `oracle_poly_gcd` by Euclid's algorithm over the rationals) are the
 references for the int Taylor shift and the int pseudo-remainder gcd of
-`gwa`, which keeps no Rat polynomial arithmetic of its own.
+`gwa`, which keeps no Rat polynomial arithmetic of its own; `poly` builds
+the Rat tuples that `gwa` returns as read views, to state test inputs and
+expected values.
 
 The dense matrix surface turns rational rows and vectors into the
 cleared rows `linalg` takes and reads its cleared results back as dense
@@ -195,6 +197,16 @@ def oracle_format_element(a):
     return " ".join(chunks) or "0"
 
 
+def poly(coeffs):
+    """The Poly view of scalars in ascending degree: a tuple of Fractions
+    without a trailing zero, as `RatFun.num` and `GradedElement.components`
+    read them."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def oracle_poly_str(p, var="H"):
     """The text of a polynomial given as Rat coefficients in ascending
     degree, built term by term from the Rats: the reference for
@@ -312,7 +324,7 @@ class SlackMembershipSolver:
         out = []
         for deg, sol in zip(degrees, sols):
             if deg == NEG_INF:
-                out.append(Membership(True, {}, slack, deg, 0))
+                out.append(Membership(True, {}, slack, 0))
                 continue
             bound = deg + slack
             tried = len(self.candidate_pairs(bound))
@@ -320,9 +332,9 @@ class SlackMembershipSolver:
                 pairs[c]: Fraction(v, sol[1]) for c, v in sorted(sol[0].items())
             }
             if witness is None or any(i * vy + j * vx > bound for (i, j) in witness):
-                out.append(Membership(False, None, slack, bound, tried))
+                out.append(Membership(False, None, slack, tried))
             else:
-                out.append(Membership(True, witness, slack, bound, tried))
+                out.append(Membership(True, witness, slack, tried))
         return out
 
 

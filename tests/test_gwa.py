@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import oracle_poly_shift, random_element
+from oracles import oracle_poly_shift, poly, random_element
 from weyl1 import (
     H,
     NEG_INF,
@@ -31,7 +31,6 @@ from weyl1.gwa import (
     _divmod,
     _gcd,
     _shift,
-    poly,
     poly_str,
 )
 

@@ -30,6 +30,7 @@ from oracles import (
     oracle_poly_gcd,
     oracle_poly_str,
     oracle_ratfun_str,
+    poly,
     random_element,
 )
 from test_gwa_ints import COEFFS, LOCALIZED, NONZERO_POLYS, POLYS, RATFUNS, SHIFTS, elements
@@ -53,7 +54,6 @@ from weyl1.gwa import (
     LocalizedElement,
     RatFun,
     graded_component,
-    poly,
     rf_mul,
     rf_shift,
 )

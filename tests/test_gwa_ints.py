@@ -1,6 +1,6 @@
 """Properties of the fraction-free K[H] and K(H) arithmetic in `gwa`.
 
-Polynomials are read out of `gwa` (`poly`, `num`, `den`, `components`)
+Polynomials are read out of `gwa` (`num`, `den`, `components`)
 as tuples of Rat, every entry a Rat even when it is integral, whatever
 int work happened inside.  Shifts keep fractions reduced without a gcd,
 and the int division is exact by a planted factor.
@@ -11,16 +11,16 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_localized_mul, oracle_poly_shift
+from oracles import oracle_localized_mul, oracle_poly_shift, poly
 from weyl1 import WeylElement, embed, localized_mul, ratfun, to_graded
 from weyl1.gwa import (
+    GradedElement,
     LocalizedElement,
     RatFun,
     _axpy,
     _divmod,
     _mul,
     graded_component,
-    poly,
     rf_mul,
     rf_shift,
 )
@@ -59,7 +59,7 @@ def rf_is_public(f: RatFun) -> bool:
 @settings(max_examples=80, deadline=None)
 @given(POLYS, NONZERO_POLYS, SHIFTS)
 def test_every_poly_leaving_gwa_is_a_rat_tuple(p, q, m):
-    assert all_rat(poly(p)) and all_rat(poly([*p, 0]))
+    assert all(map(all_rat, GradedElement({0: p, 1: [*p, 0]}).components.values()))
     f, g = ratfun(p, q), ratfun(q, oracle_poly_shift(q, m))
     u, v = graded_component(0, f), graded_component(0, g)
     sums = [w.components.get(0, ratfun([])) for w in (u + v, u - v, -u)]

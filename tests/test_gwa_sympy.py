@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from oracles import poly  # noqa: E402
 from weyl1 import graded_component, ratfun  # noqa: E402
-from weyl1.gwa import poly, rf_mul  # noqa: E402
+from weyl1.gwa import rf_mul  # noqa: E402
 
 H = sympy.Symbol("H")
 

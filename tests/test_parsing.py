@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_element
-from weyl1 import H, ONE, X, Y, ZERO, WeylElement, parse, print_element, rat
+from weyl1 import H, ONE, X, Y, ZERO, WeylElement, format_element, parse, rat
 from weyl1.parsing import MAX_EXPONENT, MAX_NESTING, ParseError
 
 
 def test_commutator_bracket():
-    assert print_element(parse("[Y,X]")) == "1"
+    assert format_element(parse("[Y,X]")) == "1"
     assert parse("[X,Y]") == -ONE
     assert parse("[[Y,X],X]") == ZERO
 
 
 def test_relation_forced_products():
-    assert print_element(parse("X*Y")) == "-1 + Y*X"
+    assert format_element(parse("X*Y")) == "-1 + Y*X"
     assert parse("H") == Y * X
     assert parse("H^2 - Y^2*X^2") == -H  # y^2x^2 = h(h+1)
 
@@ -156,17 +156,17 @@ def test_long_chains_evaluate():
 
 
 def test_print_examples():
-    assert print_element(ZERO) == "0"
-    assert print_element(H) == "Y*X"
-    assert print_element(-X + rat(1, 2) * ONE) == "1/2 - X"
-    assert print_element(rat(-3, 4) * Y**2) == "-3/4*Y^2"
+    assert format_element(ZERO) == "0"
+    assert format_element(H) == "Y*X"
+    assert format_element(-X + rat(1, 2) * ONE) == "1/2 - X"
+    assert format_element(rat(-3, 4) * Y**2) == "-3/4*Y^2"
 
 
 def test_roundtrip_random_elements():
     rng = random.Random(113)
     for _ in range(120):
         a = random_element(rng, max_degree=8, max_terms=6, max_num=1000, max_den=1000)
-        assert parse(print_element(a)) == a
+        assert parse(format_element(a)) == a
 
 
 
@@ -179,7 +179,7 @@ _COEFFS = st.builds(
 @given(st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)), _COEFFS, max_size=8))
 def test_print_then_parse_is_the_identity(terms):
     a = WeylElement(terms)
-    assert parse(print_element(a)) == a
+    assert parse(format_element(a)) == a
 
 
 _SMALL = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFFS, max_size=5)
@@ -189,6 +189,6 @@ _SMALL = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFF
 @given(_SMALL, _SMALL, _SMALL)
 def test_signed_sums_of_printed_elements(ta, tb, tc):
     a, b, c = WeylElement(ta), WeylElement(tb), WeylElement(tc)
-    fa, fb, fc = map(print_element, (a, b, c))
+    fa, fb, fc = map(format_element, (a, b, c))
     assert parse(f"-({fa}) + ({fb}) - ({fc})") == -a + b - c
     assert parse(f"{fa} - ({fb})") == a - b

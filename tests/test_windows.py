@@ -418,7 +418,7 @@ def _plain(m):
 def _fresh(m):
     """A copy of m with its marks and no index found yet."""
     factors = m.factors and tuple(_fresh(f) for f in m.factors)
-    return LinearMap(m._image, m._shift, m.describe(), m.derivation, factors)
+    return LinearMap(m._image, m._shift, m.describe(), m.derivation, factors and (lambda: factors))
 
 
 def _largest_index(m, win, limit):
