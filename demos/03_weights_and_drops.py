@@ -1,10 +1,9 @@
-"""Weighted degrees, Newton polygons, generic weights, and drops.
+"""Weighted degrees, generic weights, and drops.
 
-A weight (rho, eta) grades Y^i X^j by rho*i + eta*j.  The Newton polygon
-of an element is the hull of its exponent support; a weight is generic
-for the element when a single support point attains the degree, which
-makes the leading term a monomial.  The drop of a linear map at a is
-v(image) - v(a); for the maps attached to a commutator-one pair the
+A weight (rho, eta) grades Y^i X^j by rho*i + eta*j.  A weight is
+generic for an element when a single support point attains the degree,
+which makes the leading term a monomial.  The drop of a linear map at a
+is v(image) - v(a); for the maps attached to a commutator-one pair the
 drops on powers of h = y*x are constant.
 """
 
@@ -23,8 +22,6 @@ from weyl1 import (
     drop_profile,
     find_generic_weight,
     identity_endo,
-    leading_term,
-    newton_polygon,
     nilpotency_degree,
     weighted_degree,
 )
@@ -33,9 +30,7 @@ a = H + X**3
 print("a = Y*X + X^3")
 print("  v_(1,1)(a) =", weighted_degree(W11, a))
 print("  v_(2,3)(Y^2*X) =", weighted_degree(Weight(2, 3), Y**2 * X))
-print("  Newton polygon vertices:", newton_polygon(a).vertices)
 print("  (1,1) generic? ->", find_generic_weight(a) == W11)
-print("  leading term at (1,1):", leading_term(W11, a))
 
 print("\nDrops of the three maps attached to the identity pair, on powers of H:")
 ident = identity_endo()

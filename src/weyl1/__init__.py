@@ -2,11 +2,11 @@
 
 The algebra K<X, Y | Y*X - X*Y = 1> over the exact rationals, with:
 normal-form arithmetic and commutators; the graded decomposition over
-K[H] (H = Y*X) and its K(H)-localization; weighted degree functions,
-Newton polygons and leading terms; linear maps, drops and locally
-nilpotent iteration; exact windowed eigenspaces, centralizers, chain
-bases and cokernel dimensions; numerical-semigroup bookkeeping; an
-endomorphism-pair verification suite; and a parser/printer plus a CLI.
+K[H] (H = Y*X) and its K(H)-localization; weighted degree functions and
+generic weights; linear maps, drops and locally nilpotent iteration;
+exact windowed eigenspaces, centralizers, chain bases and cokernel
+dimensions; an endomorphism-pair verification suite; and a
+parser/printer plus a CLI.
 """
 
 from .core import (
@@ -29,13 +29,10 @@ from .core import (
     theta_prime,
 )
 from .degrees import (
-    Polygon,
     W11,
     Weight,
     find_generic_weight,
     is_generic,
-    leading_term,
-    newton_polygon,
     weighted_degree,
 )
 from .endos import (
@@ -54,8 +51,6 @@ from .endos import (
 from .errors import (
     ChainBasisError,
     DomainError,
-    HorizonError,
-    NonGenericWeightError,
     UnverifiedEndoError,
     WindowEscapeError,
 )
@@ -89,7 +84,6 @@ from .maps import (
 )
 from .parsing import ParseError, parse
 from .scalars import NEG_INF, Rat, rat
-from .semigroup import SemigroupData, semigroup_analyze
 from .windows import (
     EigenReport,
     Window,

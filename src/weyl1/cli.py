@@ -18,13 +18,12 @@ from typing import List, Optional
 
 from .checks import canonical_config, default_closure_max_iter, run_suite
 from .core import WeylElement, apply_endo, commutator, format_element, identity_endo
-from .degrees import Weight, find_generic_weight, newton_polygon, weighted_degree
+from .degrees import Weight, find_generic_weight, weighted_degree
 from .endos import EndoRecipe, compile_recipe, subalgebra_membership
 from .errors import DomainError
 from .maps import ad, d_xy, d_yx, delta_xy, drop
 from .parsing import ParseError, parse
 from .scalars import NEG_INF
-from .semigroup import semigroup_analyze
 from .serialize import (
     DocError,
     _doc_rat,
@@ -41,9 +40,7 @@ from .serialize import (
     loads,
     membership_report_to_doc,
     nilclosure_report_to_doc,
-    polygon_to_doc,
     recipe_from_doc,
-    semigroup_to_doc,
 )
 from .windows import Window, eigenvalue_scan, centralizer_window, nilpotent_closure_window
 
@@ -167,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("expr")
     _add_weight_flags(s)
 
-    s = sub.add_parser("newton", help="Newton polygon of the support")
-    s.add_argument("expr")
-
     s = sub.add_parser("generic", help="first generic weight for an element")
     s.add_argument("expr")
     s.add_argument("--bound", type=_int_at_least(1), default=16)
@@ -214,10 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--endo", required=True)
     s.add_argument("--slack", type=_int_at_least(0), default=4)
 
-    s = sub.add_parser("semigroup", help="gaps and bounds of a numerical monoid")
-    s.add_argument("generators", nargs="+", type=_int_at_least(1))
-    s.add_argument("--horizon", type=_int_at_least(1), default=None)
-
     for s in sub.choices.values():  # every command but verify, added below
         s.add_argument("--out")
 
@@ -251,12 +241,6 @@ def _cmd_grade(args) -> int:
 def _cmd_degree(args) -> int:
     v = weighted_degree(_weight(args), _element_arg(args.expr))
     _emit(args, _degree_str(v))
-    return 0
-
-
-def _cmd_newton(args) -> int:
-    poly = newton_polygon(_element_arg(args.expr))
-    _emit(args, dumps(polygon_to_doc(poly)))
     return 0
 
 
@@ -331,12 +315,6 @@ def _cmd_membership(args) -> int:
     return 0
 
 
-def _cmd_semigroup(args) -> int:
-    data = semigroup_analyze(args.generators, args.horizon)
-    _emit(args, dumps(semigroup_to_doc(data)))
-    return 0
-
-
 def _cmd_verify(args) -> int:
     if args.config:
         config = load_config(loads(_read_file(args.config)))
@@ -357,7 +335,6 @@ _COMMANDS = {
     "comm": _cmd_comm,
     "grade": _cmd_grade,
     "degree": _cmd_degree,
-    "newton": _cmd_newton,
     "generic": _cmd_generic,
     "drop": _cmd_drop,
     "eig-scan": _cmd_eig_scan,
@@ -366,7 +343,6 @@ _COMMANDS = {
     "endo-compile": _cmd_endo_compile,
     "endo-apply": _cmd_endo_apply,
     "membership": _cmd_membership,
-    "semigroup": _cmd_semigroup,
     "verify": _cmd_verify,
 }
 

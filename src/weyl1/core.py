@@ -18,8 +18,8 @@ cleared form: their inner loops run on ints, and each result is reduced
 by one gcd of its denominator and numerators.  Elements with integer
 coefficients, which dominate the verification suite, have den 1 and
 skip the gcd.  A mapping comes in only through the constructor, which
-clears it once (`integral`).  `terms()`, `coefficient()` and
-`scalar_value()` build their Rat values on each call and keep none.
+clears it once (`integral`).  `terms()` and `coefficient()` build their
+Rat values on each call and keep none.
 Printing reads the cleared form too: `format_element`, the element
 documents of `serialize` and the H-polynomials of `gwa` reduce each
 numerator against the denominator by one gcd (`_printed_terms`) and
@@ -135,12 +135,6 @@ class WeylElement:
 
     def is_scalar(self) -> bool:
         return self._ints.keys() <= {(0, 0)}
-
-    def scalar_value(self):
-        """The value of a scalar element; raises on non-scalars."""
-        if not self.is_scalar():
-            raise ValueError("element is not a scalar")
-        return self.coefficient(0, 0)
 
     def monomial_count(self) -> int:
         return len(self._ints)

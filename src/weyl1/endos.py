@@ -29,10 +29,10 @@ is the unique expansion of a.
 `MembershipSolver(e)` is the pair's one certificate, which
 `certificate(e)` memoizes for every check of the pair.  Building it never
 raises: it recomputes [y, x] once, reads v(x) and v(y), and keeps either
-the certified recipe with psi, which `expand` applies, or the refusal,
-which `expand` and `solve` raise.  `solve` pulls its whole batch back
-through psi one inverse generator at a time, forming that generator's
-powers of X and Y once for the batch; `expand` is the batch of one.
+the certified recipe with psi or the refusal, which `solve` raises.
+`solve` pulls its whole batch back through psi (`_pull_back`) one
+inverse generator at a time, forming that generator's powers of X and Y
+once for the batch.
 """
 
 from __future__ import annotations
@@ -275,11 +275,6 @@ class MembershipSolver:
     def _raise_refusal(self) -> None:
         if self.refusal is not None:
             raise self.refusal.with_traceback(None)
-
-    def expand(self, a: WeylElement) -> WeylElement:
-        """psi(a) = sum c[i,j] Y^i X^j for the unique expansion a = sum
-        c[i,j] y^i x^j: `_pull_back` of the batch of one."""
-        return self._pull_back([a])[0]
 
     def _pull_back(self, batch: Sequence[WeylElement]) -> List[WeylElement]:
         """psi of each element of the batch, pulled back one inverse

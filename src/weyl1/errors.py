@@ -21,11 +21,3 @@ class WindowEscapeError(DomainError):
 
 class ChainBasisError(DomainError):
     """Chain-basis construction hypotheses failed (kernel size, solvability)."""
-
-
-class HorizonError(DomainError):
-    """A search horizon was too small to certify the requested result."""
-
-
-class NonGenericWeightError(DomainError):
-    """A weight was required to single out a unique leading monomial."""

@@ -13,10 +13,10 @@ the numerators as its rows and hands back cleared rows, which become
 elements with no division (`windows.Coordinates`); `gwa` keeps its
 rational functions and graded components cleared the same way.  So the
 inner loops of all three run on plain ints.  The public accessors that
-promise a Rat (WeylElement.terms, coefficient, scalar_value) build it
-from the cleared form on each call.  `coeff` coerces a scalar coming in
-to an int when it is integral and a Rat otherwise, never a float, so
-int*int and int+int never go through the rational type.
+promise a Rat (WeylElement.terms and coefficient) build it from the
+cleared form on each call.  `coeff` coerces a scalar coming in to an int
+when it is integral and a Rat otherwise, never a float, so int*int and
+int+int never go through the rational type.
 """
 
 from __future__ import annotations

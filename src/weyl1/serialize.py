@@ -13,13 +13,12 @@ import re
 import sys
 
 from .core import EndoPair, WeylElement, _canonical, _printed_terms, build_endo, format_element
-from .degrees import Polygon, Weight
+from .degrees import Weight
 from .endos import EndoRecipe, Membership, add_poly_x, add_poly_y, linear
 from .gwa import poly_str, to_graded
 from .maps import LinearMap
 from .parsing import MAX_EXPONENT, parse
 from .scalars import rat, rat_str
-from .semigroup import SemigroupData
 from .windows import EigenReport, Window
 
 ELEMENT_FORMAT = "weyl-element"
@@ -177,13 +176,6 @@ def weight_to_doc(w: Weight) -> dict:
     return {"rho": w.rho, "eta": w.eta}
 
 
-def polygon_to_doc(p: Polygon) -> dict:
-    return {
-        "support": [[i, j] for (i, j) in sorted(p.support)],
-        "vertices": [[i, j] for (i, j) in p.vertices],
-    }
-
-
 def eigen_report_to_doc(r: EigenReport) -> dict:
     return {
         "format": "weyl-eigen-report",
@@ -241,24 +233,6 @@ def membership_report_to_doc(a: WeylElement, verdict: Membership) -> dict:
             {"i": i, "j": j, "c": rat_str(c)}
             for (i, j), c in sorted(verdict.witness.items())
         ],
-    }
-
-
-def semigroup_to_doc(s: SemigroupData) -> dict:
-    return {
-        "format": "weyl-semigroup",
-        "version": VERSION,
-        "generators": sorted(s.generators),
-        "g": s.g,
-        "gaps": sorted(s.gaps),
-        "h_list": list(s.h_list),
-        "mu": s.mu,
-        "nu": s.nu,
-        "horizon": s.horizon,
-        "h_witnesses": {
-            str(h): {str(g): k for g, k in sorted(combo.items())}
-            for h, combo in sorted(s.h_witnesses.items())
-        },
     }
 
 

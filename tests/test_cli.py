@@ -8,7 +8,6 @@ import pytest
 
 from weyl1 import Y, ad, compile_recipe, d_xy, d_yx, delta_xy, format_element, identity_endo
 from weyl1.cli import main
-from weyl1.semigroup import MAX_HORIZON
 from weyl1.serialize import (
     dumps,
     element_to_doc,
@@ -63,12 +62,9 @@ def test_degree_and_drop_take_any_integer_weight(capsys):
     assert code == 0 and out == "1\n"
 
 
-def test_grade_newton_generic(capsys):
+def test_grade_and_generic(capsys):
     code, out, _ = run(capsys, "grade", "Y^2*X^2")
     assert code == 0 and json.loads(out)["components"] == [{"n": 0, "alpha": "H + H^2"}]
-    code, out, _ = run(capsys, "newton", "Y*X + X^3")
-    doc = json.loads(out)
-    assert sorted(map(tuple, doc["vertices"])) == [(0, 3), (1, 1)]
     code, out, _ = run(capsys, "generic", "Y*X + X^3")
     assert code == 0 and out == "1 1\n"
 
@@ -221,24 +217,6 @@ def test_element_file_argument(tmp_path, capsys):
     assert code == 0 and out == "Y^2*X^2\n"
 
 
-def test_semigroup(capsys):
-    code, out, _ = run(capsys, "semigroup", "2", "3")
-    doc = json.loads(out)
-    assert code == 0 and doc["gaps"] == [1] and doc["nu"] == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["1000000000"], ["2", "3", "--horizon", str(MAX_HORIZON + 1)]],
-    ids=["default-horizon", "given-horizon"],
-)
-def test_semigroup_past_the_table_limit_is_domain_error(capsys, argv):
-    code, out, err = run(capsys, "semigroup", *argv)
-    assert code == 3 and out == ""
-    assert err.count("\n") == 1 and json.loads(err)["error"] == "domain"
-    assert str(MAX_HORIZON) in json.loads(err)["detail"]
-
-
 def test_exit_codes():
     import io
     from contextlib import redirect_stderr, redirect_stdout
@@ -250,7 +228,6 @@ def test_exit_codes():
         assert main(["normalize", "1" * 5000]) == 2
         assert main(["normalize", "X^" + "1" * 5000]) == 2
         assert main(["normalize", "1/" + "1" * 5000]) == 2
-        assert main(["newton", "0"]) == 3  # domain: zero has no polygon
         assert main(["generic", "X + Y", "--bound", "1"]) == 3  # only (1,1), a tie
         assert main(["normalize", "@/nonexistent/file.json"]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -413,10 +390,6 @@ def test_verify_config_accepts_a_negative_seed():
         (["nilclosure", "--map", "ad", "--of", "X", "--cap", "2", "--max-iter", "0"],
          "--max-iter"),
         (["membership", "Y", "--endo", "<ENDO>", "--slack", "-1"], "--slack"),
-        (["semigroup", "0", "3"], "generators"),
-        (["semigroup", "2", "-3"], "generators"),
-        (["semigroup", "2", "3", "--horizon", "-5"], "--horizon"),
-        (["semigroup", "2", "3", "--horizon", "0"], "--horizon"),
         (["generic", "X", "--bound", "0"], "--bound"),
         (["eig-scan", "X", "--cap", "2", "--rho", "0"], "--rho"),
         (["eig-scan", "X", "--cap", "2", "--eta", "-1"], "--eta"),
@@ -426,8 +399,7 @@ def test_verify_config_accepts_a_negative_seed():
         (["nilclosure", "--map", "ad", "--of", "X", "--cap", "2", "--eta", "-2"], "--eta"),
     ],
     ids=["centralizer-cap", "eig-scan-cap", "nilclosure-cap", "nilclosure-max-iter",
-         "membership-slack", "semigroup-zero-generator", "semigroup-negative-generator",
-         "semigroup-negative-horizon", "semigroup-zero-horizon", "generic-bound",
+         "membership-slack", "generic-bound",
          "eig-scan-rho", "eig-scan-eta", "centralizer-rho", "centralizer-eta",
          "nilclosure-rho", "nilclosure-eta"],
 )
@@ -446,8 +418,16 @@ def test_out_of_range_flag_is_bad_input(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize(
     "argv",
-    [["centralizer", "X"], ["centralizer", "X", "--cap", "abc"], ["no-such-command"], []],
-    ids=["missing-cap", "non-integer-cap", "unknown-command", "no-command"],
+    [
+        ["centralizer", "X"],
+        ["centralizer", "X", "--cap", "abc"],
+        ["no-such-command"],
+        [],
+        ["newton", "X"],
+        ["semigroup", "2", "3"],
+    ],
+    ids=["missing-cap", "non-integer-cap", "unknown-command", "no-command",
+         "removed-newton", "removed-semigroup"],
 )
 def test_usage_error_is_one_json_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

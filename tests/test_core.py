@@ -226,8 +226,6 @@ def test_canonical_representation():
 
 
 def test_scalar_queries():
-    assert scalar(5).is_scalar()
-    assert scalar(5).scalar_value() == 5
-    assert not (X + ONE).is_scalar()
-    with pytest.raises(ValueError):
-        (X + ONE).scalar_value()
+    assert scalar(5).is_scalar() and scalar(5).coefficient(0, 0) == 5
+    assert ZERO.is_scalar() and ZERO.coefficient(0, 0) == 0
+    assert not (X + ONE).is_scalar() and (X + ONE).coefficient(0, 0) == 1

@@ -1,4 +1,4 @@
-"""The six demos print exactly the bytes recorded in tests/golden/demos/.
+"""The five demos print exactly the bytes recorded in tests/golden/demos/.
 
 Each demo runs in a fresh interpreter with the package source on its
 path, so a change anywhere in the kernel that moves a printed value, a

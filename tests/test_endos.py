@@ -392,8 +392,8 @@ def test_expand_is_psi_on_drawn_recipes(gens, a, b):
     e = compile_recipe(EndoRecipe(generators=tuple(gens)))
     cert = MembershipSolver(e)
     assert cert.refusal is None and cert.premise == ONE
-    assert apply_endo(e, cert.expand(a)) == a  # phi after psi
-    assert cert.expand(apply_endo(e, b)) == b  # psi after phi
+    assert apply_endo(e, cert._pull_back([a])[0]) == a  # phi after psi
+    assert cert._pull_back([apply_endo(e, b)])[0] == b  # psi after phi
 
 
 def test_pairs_tried_counts_each_elements_own_pairs():

@@ -168,7 +168,7 @@ def test_a_fake_pairs_certificate_raises_its_refusal_on_use(label):
     cert = MembershipSolver(e)  # built without raising
     message = f"no decomposition: [y, x] = {format_element(commutator(e.y, e.x))}"
     assert cert.premise == commutator(e.y, e.x) and cert.recipe is None
-    for use in (lambda: cert.expand(X), lambda: cert.solve([X], 4), lambda: cert.solve([], 4)):
+    for use in (lambda: cert.solve([X], 4), lambda: cert.solve([], 4)):
         with pytest.raises(UnverifiedEndoError) as err:
             use()
         assert err.value is cert.refusal and str(err.value) == message

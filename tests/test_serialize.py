@@ -7,7 +7,7 @@ import pytest
 
 from oracles import random_element
 from weyl1 import H, W11, X, Y, Window, build_endo
-from weyl1 import canonical_config, eigenvalue_scan, rat, semigroup_analyze
+from weyl1 import canonical_config, eigenvalue_scan, rat
 from weyl1.serialize import (
     DocError,
     dumps,
@@ -19,7 +19,6 @@ from weyl1.serialize import (
     graded_to_doc,
     load_config,
     loads,
-    semigroup_to_doc,
 )
 
 
@@ -116,9 +115,6 @@ def test_report_docs_have_full_parameterization():
     assert doc["cap"] == 3 and doc["weight"] == {"rho": 1, "eta": 1}
     assert doc["candidates"] == ["0", "1/2", "1"]
     assert {f["lambda"] for f in doc["found"]} == {"0", "1"}
-
-    sdoc = semigroup_to_doc(semigroup_analyze({2, 3}))
-    assert sdoc["gaps"] == [1] and sdoc["h_list"] == [4, 5]
 
 
 def test_config_validation():

@@ -137,7 +137,8 @@ def test_ring_operations_keep_the_stored_form(a, b, c):
 def test_scalars_and_accumulator(a, c):
     s = WeylElement({(0, 0): c})
     assert_cleared(s)
-    assert type(s.scalar_value()) is Rat and s.scalar_value() == c
+    assert s.is_scalar()
+    assert type(s.coefficient(0, 0)) is Rat and s.coefficient(0, 0) == c
     combo = linear_combination([(c, a), (-c, a), (1, a)])
     assert combo == a
     assert_cleared(combo)
